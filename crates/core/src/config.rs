@@ -141,20 +141,16 @@ pub enum CheckOrder {
     LambdaDelta,
 }
 
-/// Re-splitting policy for the work-stealing engine
-/// ([`crate::parallel`]). The initial top-`d` frontier split can starve
-/// workers on skewed search trees: one giant subtree keeps a single
-/// worker busy while the rest idle. Re-splitting lets a *running*
-/// subtask donate the remaining (not yet explored) sibling branches of
-/// its current DFS path as fresh subtasks when the pool runs dry.
-/// Results stay vertex-set-identical to the sequential engine under
-/// every policy — donated subtrees keep their DFS merge position and
-/// their start incumbent is DFS-prefix knowledge only.
+/// Donation policy for the work-stealing engine ([`crate::parallel`]).
+/// A parallel query starts as one root task per component; a *running*
+/// task donates the untaken sibling branches of its current DFS path as
+/// fresh tasks, and this policy decides when. Results stay
+/// vertex-set-identical to the sequential engine under every policy —
+/// donated subtrees keep their DFS merge position and their start
+/// incumbent is DFS-prefix knowledge only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Resplit {
-    /// Never re-split (the pre-resplit engine: initial frontier only).
-    Off,
-    /// Donate only when the pool is starving (fewer live subtasks than
+    /// Donate only when the pool is starving (fewer live tasks than
     /// workers). The default.
     #[default]
     Adaptive,
@@ -212,10 +208,6 @@ pub struct AlgoConfig {
     /// every search node; the run reports `completed = false` when
     /// exceeded — the harness renders that as the paper's INF.
     pub time_limit_ms: Option<u64>,
-    /// Process components in parallel with scoped threads (one thread per
-    /// component; coarse-grained). Superseded by [`Self::threads`], which
-    /// also splits *within* components; kept for the ablation harness.
-    pub parallel_components: bool,
     /// Worker threads for the work-stealing engine ([`crate::parallel`]).
     /// `1` = run the sequential engine (default); `0` = use all available
     /// cores; `n > 1` = exactly `n` workers. Parallel runs produce results
@@ -223,8 +215,8 @@ pub struct AlgoConfig {
     /// [`crate::parallel`] for why that holds even for the maximum
     /// search's tie-breaking).
     pub threads: usize,
-    /// Adaptive re-splitting policy for parallel runs (ignored by the
-    /// sequential engine). See [`Resplit`].
+    /// Donation policy for parallel runs (ignored by the sequential
+    /// engine). See [`Resplit`].
     pub resplit: Resplit,
     /// Streaming callback for enumeration: called once per confirmed
     /// maximal core as it is discovered (see [`CoreHook`] for when the
@@ -259,7 +251,6 @@ impl AlgoConfig {
             seed: 0,
             node_limit: None,
             time_limit_ms: None,
-            parallel_components: false,
             threads: 1,
             resplit: Resplit::default(),
             on_core: None,
@@ -332,7 +323,6 @@ impl AlgoConfig {
             seed: 0,
             node_limit: None,
             time_limit_ms: None,
-            parallel_components: false,
             threads: 1,
             resplit: Resplit::default(),
             on_core: None,
@@ -445,10 +435,25 @@ impl AlgoConfig {
         self
     }
 
-    /// Builder-style override of the re-splitting policy.
+    /// Builder-style override of the donation policy.
     pub fn with_resplit(mut self, resplit: Resplit) -> Self {
         self.resplit = resplit;
         self
+    }
+
+    /// The wall-clock deadline of a run starting now. Taken once per run
+    /// and shared by all of its components and tasks.
+    pub(crate) fn deadline(&self) -> Option<std::time::Instant> {
+        self.time_limit_ms
+            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms))
+    }
+
+    /// Whether a search that has visited `nodes` nodes must stop: node
+    /// limit reached, `deadline` passed, or cancelled.
+    pub(crate) fn budget_exceeded(&self, nodes: u64, deadline: Option<std::time::Instant>) -> bool {
+        self.node_limit.is_some_and(|limit| nodes >= limit)
+            || deadline.is_some_and(|d| std::time::Instant::now() >= d)
+            || self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
     }
 }
 

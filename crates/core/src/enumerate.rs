@@ -106,46 +106,15 @@ fn enumerate_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResul
     let mut stats = SearchStats::default();
     let mut completed = true;
     let mut sink = CoreSink::new();
-    // One wall-clock budget for the whole run, shared by all components.
-    let deadline = cfg
-        .time_limit_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-
-    let run_one = |comp: &LocalComponent| -> (CoreSink, SearchStats, bool) {
+    let deadline = cfg.deadline();
+    for comp in comps {
         let mut driver = Driver::new(comp, cfg, deadline).with_streaming();
-        driver.run();
-        (driver.sink, driver.stats, !driver.aborted)
-    };
-
-    if cfg.parallel_components && comps.len() > 1 {
-        // One scoped thread per component; join order preserves component
-        // order, so the merged result is deterministic.
-        let results: Vec<(CoreSink, SearchStats, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = comps
-                .iter()
-                .map(|comp| scope.spawn(|| run_one(comp)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("component worker panicked"))
-                .collect()
-        });
-        for (s, st, ok) in results {
-            for c in s.into_cores() {
-                sink.push(c);
-            }
-            merge_stats(&mut stats, st);
-            completed &= ok;
+        driver.run(&[]);
+        for c in driver.sink.into_cores() {
+            sink.push(c);
         }
-    } else {
-        for comp in comps {
-            let (s, st, ok) = run_one(comp);
-            for c in s.into_cores() {
-                sink.push(c);
-            }
-            merge_stats(&mut stats, st);
-            completed &= ok;
-        }
+        merge_stats(&mut stats, driver.stats);
+        completed &= !driver.aborted;
     }
 
     // Algorithm 1 lines 6–8: naive maximal post-filter, needed whenever the
@@ -174,8 +143,8 @@ pub(crate) fn merge_stats(into: &mut SearchStats, from: SearchStats) {
 }
 
 /// Per-component enumeration driver. `pub(crate)` so the parallel engine
-/// ([`crate::parallel`]) can drive frontier generation and subtask replay
-/// through the exact same per-node logic.
+/// ([`crate::parallel`]) runs its tasks through the exact same per-node
+/// logic.
 pub(crate) struct Driver<'a> {
     comp: &'a LocalComponent,
     cfg: &'a AlgoConfig,
@@ -194,7 +163,7 @@ pub(crate) struct Driver<'a> {
     stream: Option<crate::config::CoreHook>,
     /// Re-split host, armed by [`Self::with_host`] on parallel task
     /// drivers: when the pool starves, pending sibling branches of the
-    /// current DFS path are donated as fresh subtasks.
+    /// current DFS path are donated as fresh tasks.
     host: Option<&'a dyn crate::parallel::DonationHost>,
     /// Decision path from the component root to the current node
     /// (prefix decisions included for task drivers).
@@ -228,7 +197,7 @@ impl<'a> Driver<'a> {
 
     /// Arms re-splitting on this (parallel task) driver: `host` is polled
     /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh subtasks when the pool runs dry.
+    /// donated as fresh tasks when the pool runs dry.
     pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
         self.host = Some(host);
         self
@@ -259,139 +228,28 @@ impl<'a> Driver<'a> {
         }
     }
 
-    fn run(&mut self) {
-        let mut st = SearchState::new(self.comp);
-        if self.cfg.prune_candidates {
-            if !st.prune_root() {
-                return;
-            }
-            self.advanced_rec(&mut st);
-        } else {
-            self.naive_rec(&mut st);
-        }
-    }
-
-    /// Depth-limited AdvEnum descent for the parallel engine: processes
-    /// nodes exactly like [`Self::advanced_rec`], but instead of recursing
-    /// past `depth` levels it records the decision path as a subtask
-    /// prefix. Leaves, terminations, and prunes above the split depth are
-    /// handled (and emitted into this driver's sink) right here, so
-    /// `frontier ∪ shallow leaves` covers the whole tree exactly once.
-    pub(crate) fn collect_frontier(&mut self, depth: usize) -> Vec<Vec<Decision>> {
-        let mut out = Vec::new();
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return out;
-        }
-        let mut path = Vec::new();
-        self.frontier_rec(&mut st, depth, &mut path, &mut out);
-        out
-    }
-
-    fn frontier_rec(
-        &mut self,
-        st: &mut SearchState<'a>,
-        depth_left: usize,
-        path: &mut Vec<Decision>,
-        out: &mut Vec<Vec<Decision>>,
-    ) {
-        if depth_left == 0 {
-            out.push(path.clone());
+    /// Searches the subtree below `prefix`: empty for a whole component,
+    /// a donated branch for a parallel task. NaiveEnum runs whole
+    /// components only.
+    pub(crate) fn run(&mut self, prefix: &[Decision]) {
+        if !self.cfg.prune_candidates {
+            debug_assert!(prefix.is_empty(), "NaiveEnum is never split");
+            self.naive_rec(&mut SearchState::new(self.comp));
             return;
         }
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        let leaf = if self.cfg.retain_candidates {
-            st.all_candidates_similarity_free()
-        } else {
-            st.sizes().1 == 0
-        };
-        if leaf {
-            self.stats.leaves += 1;
-            self.emit_leaf(st);
-            return;
-        }
-        let include_sf = !self.cfg.retain_candidates;
-        let Some((u, _)) = self.chooser.choose(st, include_sf) else {
+        let Some(mut st) = replay_prefix(self.comp, self.cfg, prefix) else {
             return;
         };
-        let m = st.mark();
-        if st.expand(u) {
-            path.push((u, true));
-            self.frontier_rec(st, depth_left - 1, path, out);
-            path.pop();
-        }
-        st.rollback(m);
-        if st.shrink(u) {
-            path.push((u, false));
-            self.frontier_rec(st, depth_left - 1, path, out);
-            path.pop();
-        }
-        st.rollback(m);
-    }
-
-    /// Replays a frontier prefix on a fresh state and runs the full
-    /// search below it. Replay applies the same node-entry promotions the
-    /// frontier generator applied, so the reconstructed state is
-    /// bit-identical to the generator's state at that node.
-    pub(crate) fn run_prefix(&mut self, prefix: &[Decision]) {
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return;
-        }
-        for (i, &(u, expand)) in prefix.iter().enumerate() {
-            if self.cfg.retain_candidates {
-                promote_free_candidates(&mut st);
-            }
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if !ok {
-                // Only the *final* decision of a donated prefix may fail:
-                // it is the one branch the donor never attempted itself,
-                // and an infeasible sibling is an empty subtree.
-                debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
-                return;
-            }
-        }
         self.path = prefix.to_vec();
         self.advanced_rec(&mut st);
         self.path.clear();
     }
 
-    fn budget_exceeded(&mut self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.nodes >= limit {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(cancel) = &self.cfg.cancel {
-            if cancel.is_cancelled() {
-                self.aborted = true;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Algorithm 2: exhaustive expand/shrink with whole-set validation.
     fn naive_rec(&mut self, st: &mut SearchState<'a>) {
         self.stats.nodes += 1;
-        if self.budget_exceeded() {
+        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
+            self.aborted = true;
             return;
         }
         let (_, n_c, _) = st.sizes();
@@ -453,7 +311,8 @@ impl<'a> Driver<'a> {
     /// Algorithm 3 (AdvEnum) and its ablations.
     fn advanced_rec(&mut self, st: &mut SearchState<'a>) {
         self.stats.nodes += 1;
-        if self.budget_exceeded() {
+        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
+            self.aborted = true;
             return;
         }
         crate::parallel::maybe_donate(self.host, &self.path, &mut self.slots, 0, &mut self.stats);
@@ -581,6 +440,35 @@ pub(crate) fn promote_free_candidates(st: &mut SearchState<'_>) {
             None => break,
         }
     }
+}
+
+/// Rebuilds the search state at the node `prefix` leads to from the
+/// component root: the root prune, then per decision the node-entry
+/// promotions and the expand or shrink, exactly as the DFS that recorded
+/// the prefix applied them. `None` when the root prunes away or the final
+/// decision fails. Only the final decision may fail: it is the one branch
+/// a donor never attempted itself, and an infeasible sibling is an empty
+/// subtree.
+pub(crate) fn replay_prefix<'a>(
+    comp: &'a LocalComponent,
+    cfg: &AlgoConfig,
+    prefix: &[Decision],
+) -> Option<SearchState<'a>> {
+    let mut st = SearchState::new(comp);
+    if !st.prune_root() {
+        return None;
+    }
+    for (i, &(u, expand)) in prefix.iter().enumerate() {
+        if cfg.retain_candidates {
+            promote_free_candidates(&mut st);
+        }
+        let ok = if expand { st.expand(u) } else { st.shrink(u) };
+        if !ok {
+            debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
+            return None;
+        }
+    }
+    Some(st)
 }
 
 /// Connected pieces of a vertex subset (local ids).
@@ -744,16 +632,6 @@ mod tests {
         let res = enumerate_maximal(&p, &cfg);
         assert!(!res.completed);
         assert_eq!(streamed.load(std::sync::atomic::Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let p = bridged_cliques(7.0);
-        let seq = enumerate_maximal(&p, &AlgoConfig::adv_enum());
-        let mut cfg = AlgoConfig::adv_enum();
-        cfg.parallel_components = true;
-        let par = enumerate_maximal(&p, &cfg);
-        assert_eq!(seq.cores, par.cores);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::bounds::size_upper_bound;
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, BoundKind, BranchPolicy};
 use crate::early_term::can_terminate;
-use crate::enumerate::promote_free_candidates;
+use crate::enumerate::{merge_stats, promote_free_candidates, replay_prefix};
 use crate::order::{Chooser, FirstBranch};
 use crate::problem::ProblemInstance;
 use crate::result::KrCore;
@@ -81,10 +81,7 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
     let mut stats = SearchStats::default();
     let mut completed = true;
     let mut best: Option<KrCore> = None;
-    // One wall-clock budget for the whole run, shared by all components.
-    let deadline = cfg
-        .time_limit_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+    let deadline = cfg.deadline();
 
     // Components are ordered so that the one holding the highest-degree
     // vertex is searched first (Section 6.1); later components whose total
@@ -96,14 +93,11 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
             continue;
         }
         let mut driver = MaxDriver::new(comp, cfg, deadline, best_len, None);
-        let mut st = SearchState::new(comp);
-        if st.prune_root() {
-            driver.rec(&mut st);
-        }
+        driver.run(&[]);
         if !driver.best_local.is_empty() {
             best = Some(KrCore::new(comp.globalize(&driver.best_local)));
         }
-        merge(&mut stats, driver.stats);
+        merge_stats(&mut stats, driver.stats);
         completed &= !driver.aborted;
     }
     MaxResult {
@@ -111,37 +105,6 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
         stats,
         completed,
     }
-}
-
-fn merge(into: &mut SearchStats, from: SearchStats) {
-    crate::enumerate::merge_stats(into, from)
-}
-
-/// One DFS-ordered event produced by the maximum search's frontier
-/// generation (see [`crate::parallel`] for the merge protocol that keeps
-/// parallel results identical to sequential ones).
-#[derive(Debug, Clone)]
-pub(crate) enum MaxEvent {
-    /// A suspended subtree, to be replayed and searched by a worker. The
-    /// attached incumbent is the generator's best size when the task was
-    /// created — i.e. exactly the DFS-prefix knowledge a sequential run
-    /// would have had — so workers never prune on information from
-    /// DFS-later parts of the tree except through the *strict* shared
-    /// atomic bound, which provably cannot prune the final winner.
-    Task {
-        /// Decision path from the component root to the subtree.
-        prefix: Vec<Decision>,
-        /// Generator incumbent (best size) at task creation.
-        start_incumbent: usize,
-    },
-    /// A (k,r)-core found above the split depth that improved the
-    /// generator's incumbent.
-    Found {
-        /// Size of the piece.
-        size: usize,
-        /// Members (component-local ids).
-        piece: Vec<kr_graph::VertexId>,
-    },
 }
 
 pub(crate) struct MaxDriver<'a> {
@@ -202,33 +165,11 @@ impl<'a> MaxDriver<'a> {
 
     /// Arms re-splitting on this (parallel task) driver: `host` is polled
     /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh subtasks when the pool runs dry. Also switches
+    /// donated as fresh tasks when the pool runs dry. Also switches
     /// the driver to recording DFS-ordered [`crate::parallel::MergeEvent`]s.
     pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
         self.host = Some(host);
         self
-    }
-
-    fn budget_exceeded(&mut self) -> bool {
-        if let Some(limit) = self.cfg.node_limit {
-            if self.stats.nodes >= limit {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                self.aborted = true;
-                return true;
-            }
-        }
-        if let Some(cancel) = &self.cfg.cancel {
-            if cancel.is_cancelled() {
-                self.aborted = true;
-                return true;
-            }
-        }
-        false
     }
 
     /// Algorithm 5 line 2 pruning: local incumbent with `<=`, shared
@@ -237,9 +178,21 @@ impl<'a> MaxDriver<'a> {
         ub <= self.best_len || self.global.is_some_and(|g| ub < g.load(Ordering::Relaxed))
     }
 
-    pub(crate) fn rec(&mut self, st: &mut SearchState<'a>) {
+    /// Searches the subtree below `prefix`: empty for a whole component,
+    /// a donated branch for a parallel task.
+    pub(crate) fn run(&mut self, prefix: &[Decision]) {
+        let Some(mut st) = replay_prefix(self.comp, self.cfg, prefix) else {
+            return;
+        };
+        self.path = prefix.to_vec();
+        self.rec(&mut st);
+        self.path.clear();
+    }
+
+    fn rec(&mut self, st: &mut SearchState<'a>) {
         self.stats.nodes += 1;
-        if self.budget_exceeded() {
+        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
+            self.aborted = true;
             return;
         }
         crate::parallel::maybe_donate(
@@ -357,119 +310,6 @@ impl<'a> MaxDriver<'a> {
                 }
             }
         }
-    }
-
-    /// Depth-limited descent for the parallel engine: identical per-node
-    /// logic to [`Self::rec`], but subtrees below `depth` become
-    /// [`MaxEvent::Task`]s and shallow finds become [`MaxEvent::Found`]s,
-    /// in DFS order (respecting the branch policy).
-    pub(crate) fn collect_frontier(&mut self, depth: usize) -> Vec<MaxEvent> {
-        let mut out = Vec::new();
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return out;
-        }
-        let mut path = Vec::new();
-        self.frontier_rec(&mut st, depth, &mut path, &mut out);
-        out
-    }
-
-    fn frontier_rec(
-        &mut self,
-        st: &mut SearchState<'a>,
-        depth_left: usize,
-        path: &mut Vec<Decision>,
-        out: &mut Vec<MaxEvent>,
-    ) {
-        if depth_left == 0 {
-            out.push(MaxEvent::Task {
-                prefix: path.clone(),
-                start_incumbent: self.best_len,
-            });
-            return;
-        }
-        self.stats.nodes += 1;
-        if self.budget_exceeded() {
-            return;
-        }
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        if self.bound_cut(st.mc_len() as usize) {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if self.cfg.bound != BoundKind::Naive
-            && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize)
-        {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if st.all_candidates_similarity_free() {
-            self.stats.leaves += 1;
-            for piece in st.mc_components() {
-                if piece.len() > self.best_len && piece.len() > self.comp.k as usize {
-                    self.best_len = piece.len();
-                    self.best_local = piece.clone();
-                    out.push(MaxEvent::Found {
-                        size: piece.len(),
-                        piece,
-                    });
-                }
-            }
-            return;
-        }
-        let Some((u, preferred)) = self.chooser.choose(st, false) else {
-            return;
-        };
-        let first = match self.cfg.branch {
-            BranchPolicy::AlwaysExpand => FirstBranch::Expand,
-            BranchPolicy::AlwaysShrink => FirstBranch::Shrink,
-            BranchPolicy::Adaptive => preferred,
-        };
-        let m = st.mark();
-        let branches = match first {
-            FirstBranch::Expand => [true, false],
-            FirstBranch::Shrink => [false, true],
-        };
-        for expand in branches {
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if ok {
-                path.push((u, expand));
-                self.frontier_rec(st, depth_left - 1, path, out);
-                path.pop();
-            }
-            st.rollback(m);
-        }
-    }
-
-    /// Replays a frontier prefix on a fresh state and searches the
-    /// subtree below it (see [`crate::enumerate::Driver::run_prefix`]).
-    pub(crate) fn run_prefix(&mut self, prefix: &[Decision]) {
-        let mut st = SearchState::new(self.comp);
-        if !st.prune_root() {
-            return;
-        }
-        for (i, &(u, expand)) in prefix.iter().enumerate() {
-            if self.cfg.retain_candidates {
-                promote_free_candidates(&mut st);
-            }
-            let ok = if expand { st.expand(u) } else { st.shrink(u) };
-            if !ok {
-                // Only the *final* decision of a donated prefix may fail:
-                // it is the one branch the donor never attempted itself,
-                // and an infeasible sibling is an empty subtree.
-                debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
-                return;
-            }
-        }
-        self.path = prefix.to_vec();
-        self.rec(&mut st);
-        self.path.clear();
     }
 }
 

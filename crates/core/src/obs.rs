@@ -3,10 +3,9 @@
 //! Counter taxonomy (all monotonic, cumulative across every query in
 //! the process; the server merges them into `metrics` wire snapshots):
 //!
-//! * `engine.subtasks_split` — search subtasks created by frontier
-//!   prefix-splitting (enumeration + maximum).
 //! * `engine.pool_tasks` — tasks submitted to a query worker pool
-//!   (subtasks plus preprocessing shards).
+//!   (search tasks — one root task per component plus every donated
+//!   task — and preprocessing shards).
 //! * `engine.pool_tasks_stolen` — pool tasks executed by a worker other
 //!   than the spawning thread, i.e. tasks that crossed the pool's
 //!   work-stealing deques. `stolen / pool_tasks` measures how much the
@@ -14,16 +13,15 @@
 //! * `engine.incumbent_updates` — successful advances of the shared
 //!   atomic incumbent during parallel maximum search (how often workers
 //!   publish a new best size to each other).
-//! * `engine.resplits` — re-split events: a running subtask noticed the
-//!   pool was starving and donated part of its remaining frontier
+//! * `engine.resplits` — donation events: a running task noticed the
+//!   pool had room and donated pending sibling branches of its DFS path
 //!   (see [`crate::config::Resplit`]).
-//! * `engine.resplit_subtasks` — subtasks created by re-splitting, on
-//!   top of `engine.subtasks_split`'s initial frontier split.
+//! * `engine.resplit_subtasks` — tasks created by those donations, on
+//!   top of the one root task per component.
 
 use std::sync::{Arc, OnceLock};
 
 pub(crate) struct EngineObs {
-    pub subtasks_split: Arc<kr_obs::Counter>,
     pub pool_tasks: Arc<kr_obs::Counter>,
     pub pool_tasks_stolen: Arc<kr_obs::Counter>,
     pub incumbent_updates: Arc<kr_obs::Counter>,
@@ -36,7 +34,6 @@ pub(crate) fn engine_obs() -> &'static EngineObs {
     OBS.get_or_init(|| {
         let reg = kr_obs::global();
         EngineObs {
-            subtasks_split: reg.counter("engine.subtasks_split"),
             pool_tasks: reg.counter("engine.pool_tasks"),
             pool_tasks_stolen: reg.counter("engine.pool_tasks_stolen"),
             incumbent_updates: reg.counter("engine.incumbent_updates"),

@@ -1,84 +1,68 @@
 //! Work-stealing parallel engine for the (k,r)-core searches.
 //!
 //! Both searches walk a binary expand/shrink tree per
-//! [`crate::component::LocalComponent`]. This module splits the **top
-//! `d` levels** of every
-//! component's tree into independent subtasks and schedules them on a
-//! rayon work-stealing pool:
+//! [`crate::component::LocalComponent`]. A parallel query starts as **one
+//! root task per component** on a rayon work-stealing pool; donation then
+//! spreads each tree over the workers:
 //!
-//! 1. **Frontier generation** (sequential, cheap — at most `2^d` shallow
-//!    nodes per component): a depth-limited run of the normal driver.
-//!    Nodes that close above the split depth (leaves, early terminations,
-//!    bound prunes) are handled right there; every surviving depth-`d`
-//!    node becomes a subtask identified by its decision prefix.
-//! 2. **Subtask execution**: workers replay a subtask's prefix on a fresh
-//!    [`crate::search::SearchState`] (replay is linear in the prefix
-//!    length since every expand/shrink is trail-logged) and run the
-//!    ordinary recursive search below it. Rayon's work stealing load-
-//!    balances the wildly uneven subtree sizes.
-//! 3. **Merge**: subtask results are combined in deterministic DFS order.
+//! 1. **Root tasks**: task `ci` runs the ordinary sequential driver over
+//!    component `ci` from its root (empty decision prefix).
+//! 2. **Donation**: a running task driver polls a `DonationHost` at node
+//!    entry; when the pool has room (per [`Resplit`]) the driver
+//!    *donates* the shallowest not-yet-taken sibling branches of its
+//!    current DFS path as fresh tasks — shallowest first, since those
+//!    subtrees are the largest — and skips them inline on unwind. A donee
+//!    replays its decision prefix on a fresh
+//!    [`crate::search::SearchState`] (linear in the prefix length, with
+//!    the same node-entry promotions the donor applied) and runs the
+//!    ordinary recursive search below it. Only the prefix's **final**
+//!    decision may fail structurally: it is the one branch the donor never
+//!    attempted itself, and an infeasible sibling is an empty subtree.
+//! 3. **Merge**: task results are combined in deterministic DFS order.
 //!
-//! ### Adaptive re-splitting
-//!
-//! A static top-`d` split can strand the pool: one subtask may own almost
-//! the whole tree (skewed instances), leaving every other worker idle
-//! while it grinds alone. Under [`Resplit::Adaptive`] (the default) a
-//! running task driver polls a `DonationHost` at node entry; when the
-//! pool reports starvation (live tasks < workers) the driver *donates*
-//! the shallowest not-yet-taken sibling branches of its current DFS path
-//! as fresh subtasks — shallowest first, since those subtrees are the
-//! largest — and skips them inline on unwind. A donated prefix replays
-//! exactly like an initial one (same node-entry promotions), except that
-//! its **final** decision is allowed to fail structurally: it is the one
-//! branch the donor never attempted itself, and an infeasible sibling is
-//! simply an empty subtree.
-//!
-//! Re-splitting preserves the equivalence argument below. Enumeration
-//! merges by sink union, which is traversal-independent. Maximum search
-//! tasks record DFS-ordered `MergeEvent`s — improving finds plus a
-//! `Child` marker where each sibling was donated — and the merge folds a
-//! task's events recursively, splicing a donated child in at its marker:
-//! the fold visits finds in exactly the sequential DFS order, so the
-//! carried incumbent selects the identical winner. A donated task starts
-//! from the donor's incumbent *at donation time* — a DFS-prefix subset of
-//! what the sequential run would know there, so it can only under-prune
-//! (never skip the true winner); the fold's carried incumbent discards
-//! any extra sub-incumbent finds that weaker pruning lets through.
+//! Enumeration merges by sink union, which is traversal-independent.
+//! Maximum search tasks record DFS-ordered `MergeEvent`s — improving finds
+//! plus a `Child` marker where each sibling was donated — and the merge
+//! folds each root task in component order, recursively splicing a
+//! donated child in at its marker: the fold visits finds in exactly the
+//! sequential DFS order, so the carried incumbent selects the identical
+//! winner.
 //!
 //! ### Result equivalence with the sequential engine
 //!
 //! *Enumeration* emits a set of cores that is a function of the problem
 //! alone (every maximal core is found on every traversal order), so
-//! concatenating subtask sinks, deduplicating, and sorting reproduces the
+//! concatenating task sinks, deduplicating, and sorting reproduces the
 //! sequential output exactly.
 //!
 //! *Maximum search* prunes with an incumbent, so naive sharing would
 //! change which of several equally-sized maximum cores survives. Two rules
 //! keep the returned core identical to the sequential run's:
 //!
-//! * a subtask starts its local incumbent at the generator's best size
-//!   **at task creation** (exactly the DFS-prefix knowledge the
-//!   sequential run would have had there) and prunes against it with
-//!   `ub <= incumbent`, mirroring sequential semantics;
+//! * a task prunes with `ub <= incumbent` only against its **local**
+//!   incumbent: 0 for a root task, the donor's best size at donation time
+//!   for a donated one. Both are DFS-prefix subsets of what the sequential
+//!   run knows at that node, so a task can only under-prune (never skip
+//!   the true winner); the fold's carried incumbent discards any extra
+//!   sub-incumbent finds that weaker pruning lets through;
 //! * the cross-worker [`AtomicUsize`] incumbent — the engine's speed
 //!   lever — is only consulted **strictly** (`ub < global`). A strict cut
 //!   can never prune the subtree holding the DFS-first core of the final
 //!   maximum size `S`: that subtree's bound is at least `S`, and the
 //!   global incumbent never exceeds `S`.
 //!
-//! The merge then scans events (shallow finds and subtasks) in DFS order
-//! carrying the incumbent forward, which selects precisely the core the
-//! sequential run returns. (With [`SearchOrder::Random`] the chooser RNG
-//! stream differs between the two engines, so tie-breaking — and only
-//! tie-breaking — may differ; all shipped parallel presets use
-//! deterministic orders.)
+//! Hence a later component's equal-size core, even when found first,
+//! never displaces the earlier component's core the sequential run keeps.
+//! (With [`SearchOrder::Random`] the chooser RNG stream differs between
+//! the two engines, so tie-breaking — and only tie-breaking — may differ;
+//! all shipped parallel presets use deterministic orders.)
 //!
 //! [`SearchOrder::Random`]: crate::config::SearchOrder::Random
 
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, Resplit};
 use crate::enumerate::{merge_stats, Driver, EnumResult};
-use crate::maximum::{MaxDriver, MaxEvent, MaxResult};
+use crate::maximum::{MaxDriver, MaxResult};
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
 use crate::search::{Decision, SearchStats};
@@ -93,13 +77,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Split depth: deep enough that the frontier (≤ `2^d` subtasks per
-/// component) keeps every worker busy despite uneven subtree sizes.
-fn split_depth(threads: usize) -> usize {
-    let target = (threads * 8).max(2) - 1;
-    (usize::BITS - target.leading_zeros()) as usize
 }
 
 fn make_pool(threads: usize) -> rayon::ThreadPool {
@@ -166,34 +143,34 @@ pub(crate) struct DonationSlot {
 /// Surface through which a running task driver re-splits (implemented per
 /// engine so donated tasks can be spawned onto the live scope).
 pub(crate) trait DonationHost {
-    /// How many fresh subtasks the pool could absorb right now. Zero
+    /// How many fresh tasks the pool could absorb right now. Zero
     /// means the pool is busy and donation would only add replay
     /// overhead.
     fn wanted(&self) -> usize;
-    /// Spawns `prefix` as a fresh subtask and returns its task id.
+    /// Spawns `prefix` as a fresh task and returns its task id.
     /// `start_incumbent` is the donor's best size at donation time
     /// (ignored by enumeration).
     fn donate(&self, prefix: Vec<Decision>, start_incumbent: usize) -> u64;
 }
 
 /// Starvation signal and task-id allocator shared by every task of one
-/// parallel query (initial and donated alike).
+/// parallel query (root and donated alike).
 pub(crate) struct ResplitShared {
     /// Tasks spawned and not yet finished.
     live: AtomicUsize,
     workers: usize,
-    /// Next task id; initial tasks own `0..initial`, donations allocate
-    /// from `initial` upward.
+    /// Next task id; root task `ci` owns id `ci`, donations allocate from
+    /// the component count upward.
     next_tid: AtomicUsize,
     mode: Resplit,
 }
 
 impl ResplitShared {
-    fn new(initial_tasks: usize, workers: usize, mode: Resplit) -> Self {
+    fn new(components: usize, workers: usize, mode: Resplit) -> Self {
         ResplitShared {
             live: AtomicUsize::new(0),
             workers,
-            next_tid: AtomicUsize::new(initial_tasks),
+            next_tid: AtomicUsize::new(components),
             mode,
         }
     }
@@ -208,7 +185,6 @@ impl ResplitShared {
 
     fn wanted(&self) -> usize {
         match self.mode {
-            Resplit::Off => 0,
             Resplit::Forced => 1,
             // Fewer live tasks than workers ⇒ at least that many workers
             // have nothing left to steal.
@@ -279,14 +255,9 @@ pub(crate) enum MergeEvent {
     Child(u64),
 }
 
-fn deadline_of(cfg: &AlgoConfig) -> Option<std::time::Instant> {
-    cfg.time_limit_ms
-        .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms))
-}
-
 /// Parallel [`crate::enumerate_maximal`]. Requires `cfg.prune_candidates`
 /// (callers dispatch NaiveEnum to the sequential engine). One pool serves
-/// the whole query: the preprocessing phases and the subtask phase.
+/// the whole query: the preprocessing phases and the search tasks.
 pub(crate) fn enumerate_parallel(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
     let threads = resolve_threads(cfg.threads);
     let pool = make_pool(threads);
@@ -304,7 +275,7 @@ pub(crate) fn enumerate_parallel_prepared(
     enumerate_on(comps, cfg, &pool)
 }
 
-/// Everything an enumeration subtask needs, bundled copyably so donated
+/// Everything an enumeration task needs, bundled copyably so donated
 /// tasks can be spawned recursively from inside a running one.
 #[derive(Clone, Copy)]
 struct EnumCtx<'env> {
@@ -316,7 +287,7 @@ struct EnumCtx<'env> {
     spawner: std::thread::ThreadId,
 }
 
-/// Spawns one enumeration subtask (initial or donated) onto the scope.
+/// Spawns one enumeration task (root or donated) onto the scope.
 fn spawn_enum_task<'scope, 'env: 'scope>(
     s: &rayon::Scope<'scope>,
     ctx: EnumCtx<'env>,
@@ -331,7 +302,7 @@ fn spawn_enum_task<'scope, 'env: 'scope>(
         }
         let host = EnumHost { s, ctx, ci };
         let mut driver = Driver::new(&ctx.comps[ci], ctx.cfg, ctx.deadline).with_host(&host);
-        driver.run_prefix(&prefix);
+        driver.run(&prefix);
         ctx.results
             .lock()
             .expect("results lock")
@@ -363,55 +334,31 @@ pub(crate) fn enumerate_on(
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> EnumResult {
-    let threads = pool.current_num_threads();
-    let deadline = deadline_of(cfg);
-    let depth = split_depth(threads);
-
-    // Phase 1: frontier generation, one generator driver per component.
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut sink = CoreSink::new();
-    let mut tasks: Vec<(usize, Vec<Decision>)> = Vec::new();
-    let mut generators: Vec<Driver<'_>> = Vec::new();
-    for (ci, comp) in comps.iter().enumerate() {
-        let mut driver = Driver::new(comp, cfg, deadline);
-        for prefix in driver.collect_frontier(depth) {
-            tasks.push((ci, prefix));
-        }
-        generators.push(driver);
-    }
-
-    // Phase 2: run subtasks on the query's pool. A running task that
-    // sees the pool starving re-splits (per `cfg.resplit`): pending
-    // sibling branches of its DFS path are spawned onto the same scope
-    // as fresh tasks. The sink union below is traversal-independent, so
-    // donated results merge exactly like initial ones.
-    crate::obs::engine_obs()
-        .subtasks_split
-        .add(tasks.len() as u64);
-    let shared = ResplitShared::new(tasks.len(), threads, cfg.resplit);
+    // One root task per component; a running task that sees the pool
+    // starving donates pending sibling branches of its DFS path onto the
+    // same scope (per `cfg.resplit`).
+    let shared = ResplitShared::new(comps.len(), pool.current_num_threads(), cfg.resplit);
     let results: Mutex<Vec<(CoreSink, SearchStats, bool)>> = Mutex::new(Vec::new());
     {
         let ctx = EnumCtx {
             comps,
             cfg,
-            deadline,
+            deadline: cfg.deadline(),
             shared: &shared,
             results: &results,
             spawner: std::thread::current().id(),
         };
         pool.scope(|s| {
-            for (ci, prefix) in &tasks {
-                spawn_enum_task(s, ctx, *ci, prefix.clone());
+            for ci in 0..comps.len() {
+                spawn_enum_task(s, ctx, ci, Vec::new());
             }
         });
     }
-    let task_results = results.into_inner().expect("results lock");
 
-    // Phase 3: merge. Cross-task duplicates are possible (the same leaf
-    // piece is reachable in several subtrees); the sink dedups them. With
-    // the maximal check on, every deduplicated core is final, so this is
-    // also where a streaming hook fires — exactly once per core.
+    // Merge. Cross-task duplicates are possible (the same leaf piece is
+    // reachable in several subtrees); the sink dedups them. With the
+    // maximal check on, every deduplicated core is final, so this is also
+    // where a streaming hook fires — exactly once per core.
     let stream = if cfg.maximal_check {
         cfg.on_core.clone()
     } else {
@@ -427,14 +374,10 @@ pub(crate) fn enumerate_on(
             sink.push(core);
         }
     };
-    for driver in generators {
-        for core in driver.sink.into_cores() {
-            push(&mut sink, core);
-        }
-        merge_stats(&mut stats, driver.stats);
-        completed &= !driver.aborted;
-    }
-    for (task_sink, task_stats, aborted) in task_results {
+    let mut stats = SearchStats::default();
+    let mut completed = true;
+    let mut sink = CoreSink::new();
+    for (task_sink, task_stats, aborted) in results.into_inner().expect("results lock") {
         for core in task_sink.into_cores() {
             push(&mut sink, core);
         }
@@ -478,125 +421,52 @@ pub(crate) fn find_maximum_on(
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> MaxResult {
-    let threads = pool.current_num_threads();
-    let deadline = deadline_of(cfg);
-    let depth = split_depth(threads);
-
-    // Phase 1: frontier generation in component order, carrying the
-    // generator incumbent across components (sequential-prefix knowledge
-    // only, so components skipped here would be skipped sequentially too).
-    // The DFS-ordered merge plan: shallow finds inline, subtasks by index
-    // into `tasks`/`task_slots` (structural association — both phases
-    // address a task by the same index).
-    enum Step {
-        Found {
-            ci: usize,
-            size: usize,
-            piece: Vec<kr_graph::VertexId>,
-        },
-        Task(usize),
-    }
-    struct Task {
-        ci: usize,
-        prefix: Vec<crate::search::Decision>,
-        start_incumbent: usize,
-    }
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut steps: Vec<Step> = Vec::new();
-    let mut tasks: Vec<Task> = Vec::new();
-    let mut gen_incumbent = 0usize;
-    for (ci, comp) in comps.iter().enumerate() {
-        if comp.len() <= gen_incumbent {
-            stats.bound_prunes += 1;
-            continue;
-        }
-        let mut driver = MaxDriver::new(comp, cfg, deadline, gen_incumbent, None);
-        let evs = driver.collect_frontier(depth);
-        gen_incumbent = gen_incumbent.max(driver.best_len);
-        merge_stats(&mut stats, driver.stats);
-        completed &= !driver.aborted;
-        for event in evs {
-            match event {
-                MaxEvent::Found { size, piece } => steps.push(Step::Found { ci, size, piece }),
-                MaxEvent::Task {
-                    prefix,
-                    start_incumbent,
-                } => {
-                    steps.push(Step::Task(tasks.len()));
-                    tasks.push(Task {
-                        ci,
-                        prefix,
-                        start_incumbent,
-                    });
-                }
-            }
-        }
-    }
-
-    // Phase 2: run subtasks, sharing the incumbent through an atomic.
-    // Tasks may re-split (per `cfg.resplit`); every task — initial or
-    // donated — deposits its DFS-ordered events under its task id.
-    crate::obs::engine_obs()
-        .subtasks_split
-        .add(tasks.len() as u64);
-    let shared = ResplitShared::new(tasks.len(), threads, cfg.resplit);
+    // One root task per component (task id = component index, start
+    // incumbent 0), sharing the incumbent through an atomic. Every task —
+    // root or donated — deposits its DFS-ordered events under its task id.
+    let shared = ResplitShared::new(comps.len(), pool.current_num_threads(), cfg.resplit);
     let outcomes: Mutex<HashMap<u64, MaxTaskOutcome>> = Mutex::new(HashMap::new());
-    let global = AtomicUsize::new(gen_incumbent);
+    let global = AtomicUsize::new(0);
     {
         let ctx = MaxCtx {
             comps,
             cfg,
-            deadline,
+            deadline: cfg.deadline(),
             shared: &shared,
             outcomes: &outcomes,
             global: &global,
             spawner: std::thread::current().id(),
         };
         pool.scope(|s| {
-            for (tid, task) in tasks.iter().enumerate() {
-                spawn_max_task(
-                    s,
-                    ctx,
-                    tid as u64,
-                    task.ci,
-                    task.prefix.clone(),
-                    task.start_incumbent,
-                );
+            for ci in 0..comps.len() {
+                spawn_max_task(s, ctx, ci as u64, ci, Vec::new(), 0);
             }
         });
     }
     let mut outcomes = outcomes.into_inner().expect("outcomes lock");
 
-    // Phase 3: merge in DFS step order with a carried incumbent. A
-    // donated task's events splice in at its `Child` marker — exactly
-    // where the donor would have walked that sibling subtree — so the
-    // fold sees finds in sequential DFS order.
+    // Merge in component order with a carried incumbent; `fold_task`
+    // splices each donated task in at its `Child` marker, so the fold sees
+    // finds in sequential DFS order.
+    let mut stats = SearchStats::default();
+    let mut completed = true;
     let mut best: Option<KrCore> = None;
     let mut incumbent = 0usize;
-    for step in steps {
-        match step {
-            Step::Found { ci, size, piece } => {
-                if size > incumbent && !piece.is_empty() {
-                    incumbent = size;
-                    best = Some(KrCore::new(comps[ci].globalize(&piece)));
-                }
-            }
-            Step::Task(i) => fold_task(
-                i as u64,
-                tasks[i].ci,
-                comps,
-                &mut outcomes,
-                &mut incumbent,
-                &mut best,
-                &mut stats,
-                &mut completed,
-            ),
-        }
+    for ci in 0..comps.len() {
+        fold_task(
+            ci as u64,
+            ci,
+            comps,
+            &mut outcomes,
+            &mut incumbent,
+            &mut best,
+            &mut stats,
+            &mut completed,
+        );
     }
     debug_assert!(
         outcomes.is_empty(),
-        "every donated task is reachable from an initial task's events"
+        "every donated task is reachable from a root task's events"
     );
     MaxResult {
         core: best,
@@ -605,14 +475,14 @@ pub(crate) fn find_maximum_on(
     }
 }
 
-/// Result of one maximum-search subtask (initial or donated).
+/// Result of one maximum-search task (root or donated).
 struct MaxTaskOutcome {
     events: Vec<MergeEvent>,
     stats: SearchStats,
     aborted: bool,
 }
 
-/// Everything a maximum-search subtask needs, bundled copyably so donated
+/// Everything a maximum-search task needs, bundled copyably so donated
 /// tasks can be spawned recursively from inside a running one.
 #[derive(Clone, Copy)]
 struct MaxCtx<'env> {
@@ -625,7 +495,7 @@ struct MaxCtx<'env> {
     spawner: std::thread::ThreadId,
 }
 
-/// Spawns one maximum-search subtask (initial or donated) onto the scope.
+/// Spawns one maximum-search task (root or donated) onto the scope.
 fn spawn_max_task<'scope, 'env: 'scope>(
     s: &rayon::Scope<'scope>,
     ctx: MaxCtx<'env>,
@@ -649,7 +519,7 @@ fn spawn_max_task<'scope, 'env: 'scope>(
             Some(ctx.global),
         )
         .with_host(&host);
-        driver.run_prefix(&prefix);
+        driver.run(&prefix);
         let outcome = MaxTaskOutcome {
             events: driver.events,
             stats: driver.stats,
@@ -773,21 +643,67 @@ mod tests {
         }
     }
 
+    /// Two disjoint, mutually dissimilar 6-cliques, each holding one
+    /// dissimilar pair: four maximum cores of size 5, two per component.
+    /// Root tasks start both components at incumbent 0, so the second
+    /// component may publish size 5 first; the merge must still return
+    /// the first component's core, as the sequential run does.
+    fn twin_cliques() -> ProblemInstance {
+        let mut edges = vec![];
+        let mut pts = vec![];
+        for (c, dx) in [(0u32, 0.0), (6, 100.0)] {
+            for i in 0..6 {
+                for j in (i + 1)..6 {
+                    edges.push((c + i, c + j));
+                }
+            }
+            for (x, y) in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)] {
+                pts.push((x + dx, y));
+            }
+            pts.extend([(dx - 0.9, 0.5), (dx + 1.9, 0.5)]);
+        }
+        ProblemInstance::new(
+            Graph::from_edges(12, &edges),
+            AttributeTable::points(pts),
+            Metric::Euclidean,
+            Threshold::MaxDistance(2.0),
+            2,
+        )
+    }
+
     #[test]
     fn parallel_max_identical_to_sequential() {
-        for r in [0.5, 7.0, 9.0, 100.0] {
-            let p = instance(r);
-            let seq = find_maximum(&p, &AlgoConfig::adv_max());
+        let twins = twin_cliques();
+        let mut inputs: Vec<(String, ProblemInstance)> = [0.5, 7.0, 9.0, 100.0]
+            .into_iter()
+            .map(|r| (format!("r={r}"), instance(r)))
+            .collect();
+        inputs.push(("twin cliques".into(), twins.clone()));
+        for (name, p) in &inputs {
+            let seq = find_maximum(p, &AlgoConfig::adv_max());
             for threads in [2, 4, 8] {
-                let par = find_maximum(&p, &AlgoConfig::adv_max_parallel().with_threads(threads));
-                assert!(par.completed);
-                assert_eq!(
-                    par.core.as_ref().map(|c| &c.vertices),
-                    seq.core.as_ref().map(|c| &c.vertices),
-                    "r={r} threads={threads}"
-                );
+                for resplit in [Resplit::Adaptive, Resplit::Forced] {
+                    let cfg = AlgoConfig::adv_max_parallel()
+                        .with_threads(threads)
+                        .with_resplit(resplit);
+                    let par = find_maximum(p, &cfg);
+                    assert!(par.completed);
+                    assert_eq!(
+                        par.core.as_ref().map(|c| &c.vertices),
+                        seq.core.as_ref().map(|c| &c.vertices),
+                        "{name} threads={threads} {resplit:?}"
+                    );
+                }
             }
         }
+
+        let comps = twins.preprocess();
+        assert_eq!(comps.len(), 2);
+        let first: Vec<_> = (0..comps[0].len() as kr_graph::VertexId).collect();
+        let first = comps[0].globalize(&first);
+        let seq = find_maximum(&twins, &AlgoConfig::adv_max()).core.unwrap();
+        assert_eq!(seq.len(), 5);
+        assert!(seq.vertices.iter().all(|v| first.contains(v)));
     }
 
     #[test]
@@ -798,13 +714,6 @@ mod tests {
         let a = enumerate_maximal(&p, &cfg);
         let b = enumerate_maximal(&p, &AlgoConfig::adv_enum());
         assert_eq!(a.cores, b.cores);
-    }
-
-    #[test]
-    fn split_depth_scales() {
-        assert_eq!(split_depth(1), 3); // 8 tasks
-        assert_eq!(split_depth(4), 5); // 32 tasks
-        assert!(split_depth(64) <= 10);
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl ProblemInstance {
 
     /// [`Self::preprocess_parallel`] on a caller-provided pool. The
     /// parallel engine threads one pool through the whole query — peel,
-    /// arena build, and the subtask phase — instead of building a
+    /// arena build, and the search tasks — instead of building a
     /// short-lived pool per phase.
     pub fn preprocess_on(&self, pool: &rayon::ThreadPool) -> Vec<LocalComponent> {
         self.preprocess_impl(Some(pool), None)

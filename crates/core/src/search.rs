@@ -59,11 +59,11 @@ pub struct SearchStats {
     pub bound_prunes: u64,
     /// Maximal checks performed (Theorem 6).
     pub maximal_checks: u64,
-    /// Re-split events: a running parallel subtask noticed the pool was
-    /// starving and donated part of its remaining frontier.
+    /// Donation events: a running parallel task noticed the pool had room
+    /// and donated pending sibling branches of its DFS path.
     pub resplits: u64,
-    /// Subtasks created by re-splitting (in addition to the initial
-    /// top-`d` frontier split).
+    /// Tasks created by those donations (in addition to the one root task
+    /// per component).
     pub resplit_subtasks: u64,
 }
 

@@ -3,8 +3,8 @@
 //!
 //! * Lazy ≡ eager: forcing [`DissimMode::Lazy`] (vs `Eager`) on random
 //!   instances changes no enumerated core family and no maximum core —
-//!   sequentially and under the parallel engine, with re-splitting off
-//!   and forced, in both threshold directions (Euclidean `MaxDistance`
+//!   sequentially and under the parallel engine, with adaptive and
+//!   forced donation, in both threshold directions (Euclidean `MaxDistance`
 //!   and Jaccard `MinSimilarity`).
 //! * Re-splitting fires: on an adversarial skewed instance (a chain of
 //!   bridged cliques whose tree is deep and lopsided), `Resplit::Forced`
@@ -78,12 +78,7 @@ fn assert_all_engines_agree(p: &ProblemInstance) {
 
     let enum_cfgs = [
         ("seq", AlgoConfig::adv_enum()),
-        (
-            "par2-off",
-            AlgoConfig::adv_enum_parallel()
-                .with_threads(2)
-                .with_resplit(Resplit::Off),
-        ),
+        ("par2", AlgoConfig::adv_enum_parallel().with_threads(2)),
         (
             "par2-forced",
             AlgoConfig::adv_enum_parallel()
@@ -101,12 +96,7 @@ fn assert_all_engines_agree(p: &ProblemInstance) {
 
     let max_cfgs = [
         ("seq", AlgoConfig::adv_max()),
-        (
-            "par2-off",
-            AlgoConfig::adv_max_parallel()
-                .with_threads(2)
-                .with_resplit(Resplit::Off),
-        ),
+        ("par2", AlgoConfig::adv_max_parallel().with_threads(2)),
         (
             "par2-forced",
             AlgoConfig::adv_max_parallel()

@@ -260,28 +260,44 @@ impl HostedDataset {
     }
 
     /// The dataset's decomposition index, building it on first call (one
-    /// build per dataset version; a mutation landing mid-build discards
-    /// the stale build and retries against the new graph).
+    /// build per dataset version).
     pub fn decomposition(&self) -> Arc<DecompositionIndex> {
-        loop {
-            let view = self.view();
-            if let Some(ix) = view.index {
-                return ix;
-            }
-            let oracle = TableOracle::from_shared(
-                view.attributes.clone(),
-                self.metric,
-                self.neutral_threshold(),
-            );
-            let built = Arc::new(DecompositionIndex::build_default(&view.graph, &oracle));
-            let mut st = write_lock(&self.state);
-            if st.version == view.version {
-                st.index = Some(built.clone());
-                return built;
-            }
-            // A mutation landed while we built: the index describes the
-            // old graph. Drop it and rebuild on the new state.
+        self.decomposition_with_version().0
+    }
+
+    /// [`Self::decomposition`] plus the dataset version the index
+    /// describes. The first build runs without blocking writers; if a
+    /// mutation lands meanwhile the build is stale, and the one rebuild
+    /// holds the mutation lock so no batch can invalidate it.
+    fn decomposition_with_version(&self) -> (Arc<DecompositionIndex>, u64) {
+        if let Some(found) = self.build_decomposition() {
+            return found;
         }
+        let _batch = lock(&self.mutate);
+        self.build_decomposition()
+            .expect("no mutation lands while the mutation lock is held")
+    }
+
+    /// Returns the current index, building and installing it when
+    /// absent. `None` when a mutation landed mid-build: the index then
+    /// describes the old graph and is dropped.
+    fn build_decomposition(&self) -> Option<(Arc<DecompositionIndex>, u64)> {
+        let view = self.view();
+        if let Some(ix) = view.index {
+            return Some((ix, view.version));
+        }
+        let oracle = TableOracle::from_shared(
+            view.attributes.clone(),
+            self.metric,
+            self.neutral_threshold(),
+        );
+        let built = Arc::new(DecompositionIndex::build_default(&view.graph, &oracle));
+        let mut st = write_lock(&self.state);
+        if st.version != view.version {
+            return None;
+        }
+        st.index = Some(built.clone());
+        Some((built, view.version))
     }
 
     /// Validates one update against vertex count `n` and the attribute
@@ -861,6 +877,50 @@ mod tests {
         );
         let rebuilt = DecompositionIndex::build(&view.graph, &oracle, after.bands());
         assert_eq!(*after, rebuilt);
+    }
+
+    #[test]
+    fn decomposition_returns_an_exact_index_under_sustained_writes() {
+        use std::collections::HashMap;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let reg = DatasetRegistry::new();
+        let ds = reg.get("gowalla-like", 0.05).unwrap();
+        let n = ds.view().graph.num_vertices() as VertexId;
+        // Every version's view, recorded by the only writer right after
+        // its batch lands.
+        let views = Arc::new(Mutex::new(HashMap::from([(0u64, ds.view())])));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (ds, views, stop) = (ds.clone(), views.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut add = true;
+                while !stop.load(Ordering::Relaxed) {
+                    let up = if add {
+                        GraphUpdate::AddEdge(0, n - 1)
+                    } else {
+                        GraphUpdate::RemoveEdge(0, n - 1)
+                    };
+                    let out = ds.apply_batch(&[up]).unwrap();
+                    lock(&views).insert(out.version, ds.view());
+                    add = !add;
+                }
+            })
+        };
+        while ds.version() == 0 {
+            std::thread::yield_now();
+        }
+        let (index, version) = ds.decomposition_with_version();
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+
+        let view = lock(&views)[&version].clone();
+        let oracle = TableOracle::from_shared(
+            view.attributes.clone(),
+            ds.metric(),
+            Threshold::MaxDistance(f64::MAX),
+        );
+        let rebuilt = DecompositionIndex::build(&view.graph, &oracle, index.bands());
+        assert_eq!(*index, rebuilt, "index of version {version}");
     }
 
     #[test]

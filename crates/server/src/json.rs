@@ -7,8 +7,15 @@
 //! simplifications — numbers are `f64` (every protocol field fits in the
 //! 2^53 exact-integer range), and object keys keep insertion order in a
 //! `Vec` (the protocol never has enough keys per object for a map to win).
+//! Nesting is capped at [`MAX_DEPTH`] so a hostile line cannot exhaust
+//! the recursive parser's stack.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Protocol
+/// messages nest a handful of levels; a megabyte line of `[` would
+/// otherwise recurse once per byte and overflow the thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,6 +152,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -205,6 +213,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -246,11 +256,26 @@ impl Parser<'_> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at("expected a value", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at("nesting too deep", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -480,6 +505,22 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        Json::parse(&at_cap).expect("MAX_DEPTH levels parse");
+        let over = format!("{{\"a\":{at_cap}}}");
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, 5 + MAX_DEPTH - 1);
+        // The hostile line from the wire: far past the cap, never closed.
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("nesting too deep", MAX_DEPTH)
+        );
     }
 
     #[test]

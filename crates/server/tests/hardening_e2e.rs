@@ -13,6 +13,8 @@
 //! * the shard-merged cache stats account exactly for a replayed
 //!   workload (the shard-vs-single-lock equivalence itself is unit-
 //!   tested next to the cache).
+//! * a request line nested far past the JSON parser's depth cap gets a
+//!   typed `bad_request` frame, and the server keeps answering.
 
 use kr_server::{
     CacheOutcome, Client, ClientError, ErrorCode, Frame, QuerySpec, Request, Server, ServerConfig,
@@ -320,5 +322,51 @@ fn sharded_cache_stats_account_exactly_for_a_replayed_workload() {
     assert_eq!(stats.entries, keys.len(), "all keys resident");
     assert_eq!(stats.evictions, 0, "capacity was never exceeded");
 
+    handle.shutdown_and_join().expect("clean shutdown");
+}
+
+#[test]
+fn deeply_nested_json_line_is_a_bad_request_not_a_crash() {
+    let handle = Server::bind(ServerConfig::default()).expect("bind").spawn();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+
+    // 200 000 unclosed `[`: well under the session's line cap, far past
+    // the parser's nesting cap. Unbounded recursion would abort the
+    // whole server process here.
+    let mut hostile = "[".repeat(200_000);
+    hostile.push('\n');
+    stream.write_all(hostile.as_bytes()).expect("send");
+    line.clear();
+    reader.read_line(&mut line).expect("error frame");
+    match Frame::parse(line.trim()).expect("parse") {
+        Frame::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("nesting too deep"), "got: {message}");
+        }
+        other => panic!("unexpected frame {other:?}"),
+    }
+    assert_eq!(handle.state().metrics.requests_malformed.get(), 1);
+
+    // The same connection, and the server, keep answering.
+    let ping = Request::Ping { id: "after".into() };
+    stream
+        .write_all(format!("{}\n", ping.to_line()).as_bytes())
+        .expect("send ping");
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    match Frame::parse(line.trim()).expect("parse") {
+        Frame::Pong { id, .. } => assert_eq!(id, "after"),
+        other => panic!("unexpected frame {other:?}"),
+    }
+    drop((stream, reader));
+    Client::connect(handle.addr())
+        .expect("fresh connect")
+        .ping()
+        .expect("ping on a fresh connection");
+
+    wait_sessions_drained(&handle);
     handle.shutdown_and_join().expect("clean shutdown");
 }
