@@ -38,6 +38,7 @@ use crate::sync::{lock, read_lock, write_lock};
 use kr_core::{DecompositionIndex, ProblemInstance};
 use kr_datagen::DatasetPreset;
 use kr_graph::{AdjacencyList, Graph, VertexId};
+use kr_similarity::attributes::{check_keywords, check_point, check_vector};
 use kr_similarity::{AttributeTable, Metric, TableOracle, Threshold};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -325,18 +326,10 @@ impl HostedDataset {
                 check_vertex(*w)?;
                 match (attrs, value) {
                     (AttributeTable::Points(_), AttributeValue::Point(x, y)) => {
-                        if !x.is_finite() || !y.is_finite() {
-                            return Err(format!("non-finite point ({x}, {y})"));
-                        }
+                        check_point(*x, *y)?;
                     }
                     (AttributeTable::Keywords(_), AttributeValue::Keywords(list)) => {
-                        for &(kw, weight) in list {
-                            if !weight.is_finite() || weight < 0.0 {
-                                return Err(format!(
-                                    "keyword {kw} has invalid weight {weight} (must be finite and non-negative)"
-                                ));
-                            }
-                        }
+                        check_keywords(list)?;
                     }
                     (AttributeTable::Vectors(rows), AttributeValue::Vector(vec)) => {
                         if let Some(first) = rows.first() {
@@ -348,9 +341,7 @@ impl HostedDataset {
                                 ));
                             }
                         }
-                        if vec.iter().any(|x| !x.is_finite()) {
-                            return Err("non-finite vector component".to_string());
-                        }
+                        check_vector(vec)?;
                     }
                     _ => {
                         return Err(format!(

@@ -89,6 +89,47 @@ impl AttributeTable {
     }
 }
 
+// One vertex's attribute value is accepted only when every metric over it
+// is a number: a NaN metric value would poison every threshold sort and
+// comparison downstream. File loaders, the snapshot reader and the wire's
+// attribute updates all apply the checks below.
+
+/// A point is valid when both coordinates are finite.
+pub fn check_point(x: f64, y: f64) -> Result<(), String> {
+    if x.is_finite() && y.is_finite() {
+        Ok(())
+    } else {
+        Err(format!("non-finite point ({x}, {y})"))
+    }
+}
+
+/// A keyword list is valid when every weight is finite and non-negative
+/// and their total is finite (duplicate keywords merge by summing).
+pub fn check_keywords(list: &[(u32, f64)]) -> Result<(), String> {
+    for &(kw, weight) in list {
+        if !weight.is_finite() || weight < 0.0 {
+            return Err(format!(
+                "keyword {kw} has invalid weight {weight} (must be finite and non-negative)"
+            ));
+        }
+    }
+    let total: f64 = list.iter().map(|&(_, w)| w).sum();
+    if total.is_finite() {
+        Ok(())
+    } else {
+        Err("keyword weights overflow to infinity".to_string())
+    }
+}
+
+/// A vector is valid when every component is finite.
+pub fn check_vector(v: &[f64]) -> Result<(), String> {
+    if v.iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err("non-finite vector component".to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +151,22 @@ mod tests {
         assert_eq!(AttributeTable::keywords(vec![]).len(), 0);
         assert!(AttributeTable::keywords(vec![]).is_empty());
         assert_eq!(AttributeTable::vectors(vec![vec![1.0], vec![2.0]]).len(), 2);
+    }
+
+    #[test]
+    fn checks_reject_values_no_metric_can_use() {
+        assert!(check_point(-2.5, 3.0).is_ok());
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(check_point(x, 0.0).is_err());
+            assert!(check_point(0.0, x).is_err());
+            assert!(check_keywords(&[(1, 1.0), (2, x)]).is_err());
+            assert!(check_vector(&[1.0, x]).is_err());
+        }
+        assert!(check_keywords(&[(1, 0.0), (2, 3.5)]).is_ok());
+        assert!(check_keywords(&[(1, -1.0)]).is_err());
+        // Finite weights whose (merged) total overflows.
+        assert!(check_keywords(&[(1, f64::MAX), (1, f64::MAX)]).is_err());
+        assert!(check_vector(&[1.0, -2.0]).is_ok());
     }
 
     #[test]

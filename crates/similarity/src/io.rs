@@ -10,11 +10,15 @@
 //! * points:   `vertex_id <TAB> x <TAB> y`
 //! * keywords: `vertex_id <TAB> kw:weight <TAB> kw:weight ...`
 //!   (bare `kw` means weight 1)
+//!
+//! Values no metric can use are parse errors: non-finite coordinates
+//! (`nan`, `inf`), and negative or non-finite keyword weights.
 
-use crate::attributes::AttributeTable;
+use crate::attributes::{check_keywords, check_point, AttributeTable};
 use kr_graph::VertexId;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::str::SplitWhitespace;
 
 /// Errors raised while parsing attribute files.
 #[derive(Debug)]
@@ -49,6 +53,45 @@ fn parse_err(line_no: usize, msg: impl Into<String>) -> AttrIoError {
     }
 }
 
+/// Parses the `x y` columns of a points row. Coordinates must be finite
+/// (`nan` and `inf` parse as numbers, but no metric can use them).
+fn parse_point(it: &mut SplitWhitespace<'_>, line_no: usize) -> Result<(f64, f64), AttrIoError> {
+    let mut coord = |name: &str| -> Result<f64, AttrIoError> {
+        it.next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| parse_err(line_no, format!("missing {name}")))
+    };
+    let (x, y) = (coord("x")?, coord("y")?);
+    check_point(x, y).map_err(|e| parse_err(line_no, e))?;
+    Ok((x, y))
+}
+
+/// Parses the `kw:weight` tokens of a keywords row (bare `kw` means
+/// weight 1). Weights must be finite and non-negative.
+fn parse_keywords(
+    it: &mut SplitWhitespace<'_>,
+    line_no: usize,
+) -> Result<Vec<(u32, f64)>, AttrIoError> {
+    let mut list = Vec::new();
+    for token in it {
+        let (kw, w) = match token.split_once(':') {
+            Some((kw, w)) => {
+                let w: f64 = w
+                    .parse()
+                    .map_err(|_| parse_err(line_no, format!("bad weight in {token:?}")))?;
+                (kw, w)
+            }
+            None => (token, 1.0),
+        };
+        let kw: u32 = kw
+            .parse()
+            .map_err(|_| parse_err(line_no, format!("bad keyword id in {token:?}")))?;
+        list.push((kw, w));
+    }
+    check_keywords(&list).map_err(|e| parse_err(line_no, e))?;
+    Ok(list)
+}
+
 /// Reads a point table covering vertices `0..n`. Missing vertices default
 /// to the origin; out-of-range ids are an error.
 pub fn read_points<R: Read>(reader: R, n: usize) -> Result<AttributeTable, AttrIoError> {
@@ -68,15 +111,7 @@ pub fn read_points<R: Read>(reader: R, n: usize) -> Result<AttributeTable, AttrI
         if id >= n {
             return Err(parse_err(line_no, format!("vertex {id} out of range {n}")));
         }
-        let x: f64 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing x"))?;
-        let y: f64 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing y"))?;
-        pts[id] = (x, y);
+        pts[id] = parse_point(&mut it, line_no)?;
     }
     Ok(AttributeTable::points(pts))
 }
@@ -100,23 +135,7 @@ pub fn read_keywords<R: Read>(reader: R, n: usize) -> Result<AttributeTable, Att
         if id >= n {
             return Err(parse_err(line_no, format!("vertex {id} out of range {n}")));
         }
-        let mut list = Vec::new();
-        for token in it {
-            let (kw, w) = match token.split_once(':') {
-                Some((kw, w)) => {
-                    let w: f64 = w
-                        .parse()
-                        .map_err(|_| parse_err(line_no, format!("bad weight in {token:?}")))?;
-                    (kw, w)
-                }
-                None => (token, 1.0),
-            };
-            let kw: u32 = kw
-                .parse()
-                .map_err(|_| parse_err(line_no, format!("bad keyword id in {token:?}")))?;
-            list.push((kw, w));
-        }
-        lists[id] = list;
+        lists[id] = parse_keywords(&mut it, line_no)?;
     }
     Ok(AttributeTable::keywords(lists))
 }
@@ -141,7 +160,7 @@ fn read_mapped_rows<R: Read>(
     reader: R,
     id_map: &HashMap<u64, VertexId>,
     n: usize,
-    mut row: impl FnMut(VertexId, &mut std::str::SplitWhitespace<'_>, usize) -> Result<(), AttrIoError>,
+    mut row: impl FnMut(VertexId, &mut SplitWhitespace<'_>, usize) -> Result<(), AttrIoError>,
 ) -> Result<AttrJoinStats, AttrIoError> {
     let mut reader = BufReader::new(reader);
     let mut stats = AttrJoinStats::default();
@@ -190,15 +209,7 @@ pub fn read_points_mapped<R: Read>(
 ) -> Result<(AttributeTable, AttrJoinStats), AttrIoError> {
     let mut pts = vec![(0.0f64, 0.0f64); n];
     let stats = read_mapped_rows(reader, id_map, n, |dense, it, line_no| {
-        let x: f64 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing x"))?;
-        let y: f64 = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing y"))?;
-        pts[dense as usize] = (x, y);
+        pts[dense as usize] = parse_point(it, line_no)?;
         Ok(())
     })?;
     Ok((AttributeTable::points(pts), stats))
@@ -214,23 +225,7 @@ pub fn read_keywords_mapped<R: Read>(
 ) -> Result<(AttributeTable, AttrJoinStats), AttrIoError> {
     let mut lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
     let stats = read_mapped_rows(reader, id_map, n, |dense, it, line_no| {
-        let mut list = Vec::new();
-        for token in it {
-            let (kw, w) = match token.split_once(':') {
-                Some((kw, w)) => {
-                    let w: f64 = w
-                        .parse()
-                        .map_err(|_| parse_err(line_no, format!("bad weight in {token:?}")))?;
-                    (kw, w)
-                }
-                None => (token, 1.0),
-            };
-            let kw: u32 = kw
-                .parse()
-                .map_err(|_| parse_err(line_no, format!("bad keyword id in {token:?}")))?;
-            list.push((kw, w));
-        }
-        lists[dense as usize] = list;
+        lists[dense as usize] = parse_keywords(it, line_no)?;
         Ok(())
     })?;
     Ok((AttributeTable::keywords(lists), stats))
@@ -328,6 +323,38 @@ mod tests {
     fn bad_weight_rejected() {
         let data = "0\t5:abc\n";
         assert!(read_keywords(data.as_bytes(), 1).is_err());
+    }
+
+    #[test]
+    fn non_finite_coordinates_rejected() {
+        for data in ["0\tnan\t1.0\n", "0\t1.0\tinf\n", "0\t-inf\t0\n"] {
+            match read_points(data.as_bytes(), 1) {
+                Err(AttrIoError::Parse { line_no: 1, msg }) => {
+                    assert!(msg.contains("non-finite point"), "{msg}")
+                }
+                other => panic!("{data:?}: expected parse error, got {other:?}"),
+            }
+            let map: HashMap<u64, VertexId> = [(0u64, 0u32)].into_iter().collect();
+            assert!(read_points_mapped(data.as_bytes(), &map, 1).is_err());
+        }
+    }
+
+    #[test]
+    fn invalid_weights_rejected() {
+        for data in [
+            "0\t5:nan\n",
+            "0\t5:inf\n",
+            "0\t5:-1\n",
+            "0\t5:1e308\t5:1e308\n",
+        ] {
+            match read_keywords(data.as_bytes(), 1) {
+                Err(AttrIoError::Parse { line_no: 1, .. }) => {}
+                other => panic!("{data:?}: expected parse error, got {other:?}"),
+            }
+            let map: HashMap<u64, VertexId> = [(0u64, 0u32)].into_iter().collect();
+            assert!(read_keywords_mapped(data.as_bytes(), &map, 1).is_err());
+        }
+        assert!(read_keywords("0\t5:0\n".as_bytes(), 1).is_ok());
     }
 
     #[test]

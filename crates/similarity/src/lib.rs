@@ -36,7 +36,8 @@ pub use io::{
 pub use metrics::Metric;
 pub use oracle::{SimilarityOracle, TableOracle, Threshold};
 pub use quantile::{
-    similarity_quantile_exact, similarity_quantile_sampled, top_permille_threshold,
+    similarity_quantile_exact, similarity_quantile_sampled, similarity_quantiles_exact,
+    similarity_quantiles_sampled, top_permille_threshold,
 };
 pub use simgraph::{
     build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_lists_on,

@@ -18,9 +18,11 @@
 //!
 //! Decoding rebuilds the table through the validating constructors, so a
 //! crafted payload that passes the checksum still cannot smuggle in an
-//! unsorted keyword list or ragged vector rows.
+//! unsorted keyword list or ragged vector rows, and checks every value
+//! like the text loaders do: a non-finite coordinate or vector entry, or
+//! a negative or non-finite keyword weight, is `Malformed`.
 
-use crate::attributes::AttributeTable;
+use crate::attributes::{check_keywords, check_point, check_vector, AttributeTable};
 use crate::metrics::Metric;
 use kr_graph::io::LoadedGraph;
 use kr_graph::snapshot::{
@@ -128,6 +130,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A stored attribute value that no metric can evaluate to a number.
+fn invalid_vertex(v: usize, e: String) -> SnapshotError {
+    SnapshotError::Malformed(format!("vertex {v}: {e}"))
+}
+
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
@@ -220,16 +227,13 @@ pub fn decode_attributes(bytes: &[u8]) -> Result<(AttributeTable, Metric), Snaps
             for _ in 0..total {
                 let kw = c.u32("keyword id")?;
                 let w = c.f64("keyword weight")?;
-                if !w.is_finite() || w < 0.0 {
-                    return Err(SnapshotError::Malformed(format!(
-                        "keyword weight {w} is not a finite non-negative number"
-                    )));
-                }
                 flat.push((kw, w));
             }
             for v in 0..n {
                 let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
-                lists.push(flat[start..end].to_vec());
+                let list = &flat[start..end];
+                check_keywords(list).map_err(|e| invalid_vertex(v, e))?;
+                lists.push(list.to_vec());
             }
             // The constructor re-sorts and merges duplicates: a
             // well-formed payload passes through byte-identically, a
@@ -239,9 +243,10 @@ pub fn decode_attributes(bytes: &[u8]) -> Result<(AttributeTable, Metric), Snaps
         }
         family::POINTS => {
             let mut pts = Vec::with_capacity(n);
-            for _ in 0..n {
+            for v in 0..n {
                 let x = c.f64("point x")?;
                 let y = c.f64("point y")?;
+                check_point(x, y).map_err(|e| invalid_vertex(v, e))?;
                 pts.push((x, y));
             }
             AttributeTable::points(pts)
@@ -249,12 +254,13 @@ pub fn decode_attributes(bytes: &[u8]) -> Result<(AttributeTable, Metric), Snaps
         family::VECTORS => {
             let dim = c.count("vector dimension")?;
             let mut vecs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut v = Vec::with_capacity(dim);
+            for v in 0..n {
+                let mut row = Vec::with_capacity(dim);
                 for _ in 0..dim {
-                    v.push(c.f64("vector entry")?);
+                    row.push(c.f64("vector entry")?);
                 }
-                vecs.push(v);
+                check_vector(&row).map_err(|e| invalid_vertex(v, e))?;
+                vecs.push(row);
             }
             // Rows are rectangular by construction, so the panicking
             // dimension check in the constructor cannot fire.
@@ -504,6 +510,25 @@ mod tests {
             decode_attributes(&bad),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn non_finite_values_rejected_on_decode() {
+        let (_, _, pts, _) = point_dataset();
+        let good = encode_attributes(&pts, Metric::Euclidean);
+        let vecs = AttributeTable::vectors(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let good_vec = encode_attributes(&vecs, Metric::Cosine);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // The last point's y, then the last vector entry.
+            for mut bad in [good.clone(), good_vec.clone()] {
+                let at = bad.len() - 8;
+                bad[at..].copy_from_slice(&x.to_bits().to_le_bytes());
+                assert!(matches!(
+                    decode_attributes(&bad),
+                    Err(SnapshotError::Malformed(_))
+                ));
+            }
+        }
     }
 
     #[test]

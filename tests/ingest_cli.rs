@@ -40,6 +40,54 @@ fn ingest_points_reproduces_golden_bytes() {
 }
 
 #[test]
+fn ingest_with_index_reproduces_golden_bytes() {
+    let out = temp_out("indexed");
+    let status = cli()
+        .args(["ingest"])
+        .arg(fixture("tiny.edges"))
+        .arg("--points")
+        .arg(fixture("tiny.points.tsv"))
+        .arg("--with-index")
+        .arg("-o")
+        .arg(&out)
+        .status()
+        .expect("run krcore-cli ingest --with-index");
+    assert!(status.success(), "indexed ingest must exit 0");
+    let built = std::fs::read(&out).expect("snapshot written");
+    let golden = std::fs::read(fixture("tiny_points_indexed.krb")).expect("golden");
+    assert_eq!(
+        built, golden,
+        "CLI indexed output drifted from the golden snapshot"
+    );
+    let _ = std::fs::remove_file(out);
+}
+
+#[test]
+fn ingest_rejects_non_finite_coordinate_with_typed_message() {
+    let points = std::env::temp_dir().join(format!("kr_nan_{}.points.tsv", std::process::id()));
+    std::fs::write(&points, "100\tnan\t0.0\n200\t1.0\t0.0\n").unwrap();
+    let out = temp_out("nan");
+    let output = cli()
+        .args(["ingest"])
+        .arg(fixture("tiny.edges"))
+        .arg("--points")
+        .arg(&points)
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .expect("run krcore-cli ingest");
+    assert!(!output.status.success(), "a nan coordinate must fail");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("line 1: non-finite point"),
+        "typed parse error missing: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "ingest panicked: {stderr}");
+    assert!(!out.exists(), "no snapshot may be written on failure");
+    let _ = std::fs::remove_file(points);
+}
+
+#[test]
 fn ingest_keywords_reproduces_golden_bytes() {
     let out = temp_out("keywords");
     let output = cli()

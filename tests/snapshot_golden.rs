@@ -235,6 +235,39 @@ fn corruption_matrix_decomp_section() {
     assert_eq!(plain.skipped_sections, vec![section::DECOMP_INDEX]);
 }
 
+/// A re-sealed attribute section whose vertex 0 sits at `x = NaN`
+/// (valid checksums, a value no metric can use) is rejected as
+/// `Malformed` by both readers, so it never reaches a threshold sort.
+#[test]
+fn corruption_matrix_non_finite_point() {
+    let loaded = read_edge_list_streaming_file(fixture("tiny.edges")).expect("fixture edges");
+    let f = std::fs::File::open(fixture("tiny.points.tsv")).expect("fixture points");
+    let (attrs, _) =
+        read_points_mapped(f, &loaded.id_map, loaded.graph.num_vertices()).expect("points");
+    let AttributeTable::Points(mut pts) = attrs else {
+        panic!("points fixture loads as points")
+    };
+    for bad_x in [f64::NAN, f64::INFINITY] {
+        pts[0].0 = bad_x;
+        let mut w = SnapshotWriter::new();
+        add_graph_sections(&mut w, &loaded.graph, &loaded.original_ids);
+        w.add_section(
+            section::ATTRIBUTES,
+            0,
+            encode_attributes(&AttributeTable::points(pts.clone()), Metric::Euclidean),
+        );
+        let resealed = w.to_bytes();
+        assert!(matches!(
+            read_snapshot_bytes(resealed.clone()),
+            Err(SnapshotError::Malformed(_))
+        ));
+        assert!(matches!(
+            read_indexed_snapshot_bytes(resealed),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+}
+
 /// Truncating indexed bytes at every boundary stays typed (the indexed
 /// analogue of `corruption_matrix_truncation_everywhere`).
 #[test]
