@@ -1,7 +1,7 @@
 //! CI bench-smoke gate: quick-mode enumeration benchmarks on two presets,
-//! recorded as one JSON trajectory point and compared against the
-//! checked-in baseline (`BENCH_pr6.json`; `BENCH_pr3.json` / `BENCH_pr4.json`
-//! are earlier points of the same trajectory).
+//! recorded as one JSON trajectory point and compared against a
+//! checked-in baseline (CI gates against the newest, `BENCH_pr10.json`; the
+//! older `BENCH_*.json` files are earlier points of the same trajectory).
 //!
 //! ```text
 //! bench_smoke check <baseline.json>   # run, compare, exit 1 on regression
@@ -25,8 +25,8 @@
 //! * `oracle_evals` — similarity-metric evaluations preprocessing spent.
 //!   This is **deterministic** (seeded datasets, deterministic candidate
 //!   indexes), so the gate fails on any regression beyond 10% with no
-//!   wall-clock noise allowance. Schema-1 baselines without the field
-//!   skip this check (backward-compatible gate).
+//!   wall-clock noise allowance. `check` reads only baselines that carry
+//!   the field (schema 2 on); an older one is unreadable (exit 2).
 //!
 //! Schema 3 (PR 6) adds the decomposition-index miss path per point:
 //!
@@ -515,8 +515,7 @@ struct BaselinePoint {
     k: f64,
     r: f64,
     wall_ms: f64,
-    /// Absent in schema-1 baselines (pre-PR4): the evals gate is skipped.
-    oracle_evals: Option<f64>,
+    oracle_evals: f64,
 }
 
 fn parse_baseline(text: &str) -> Option<(f64, Vec<BaselinePoint>)> {
@@ -527,13 +526,7 @@ fn parse_baseline(text: &str) -> Option<(f64, Vec<BaselinePoint>)> {
         let (k, next) = scan_num(text, "k", next)?;
         let (r, next) = scan_num(text, "r", next)?;
         let (wall_ms, next) = scan_num(text, "wall_ms", next)?;
-        // Only accept an `oracle_evals` that belongs to *this* point: it
-        // must appear before the next point's `preset` key (a schema-1
-        // point must not steal the field from its successor).
-        let point_end = scan_str(text, "preset", next).map_or(text.len(), |(_, e)| e);
-        let oracle_evals = scan_num(text, "oracle_evals", next)
-            .filter(|&(_, end)| end <= point_end)
-            .map(|(v, _)| v);
+        let (oracle_evals, next) = scan_num(text, "oracle_evals", next)?;
         points.push(BaselinePoint {
             preset,
             scale,
@@ -704,25 +697,19 @@ fn main() {
             "{:<16} normalized {now:.4} vs baseline {then:.4}  ({delta_pct:+.1}%, gate {max_pct}%)  {verdict}",
             p.preset
         );
-        if let Some(base_evals) = base.oracle_evals {
-            // Deterministic counter: no calibration, tight gate.
-            let delta_pct = (p.oracle_evals as f64 / base_evals - 1.0) * 100.0;
-            let verdict = if delta_pct > MAX_ORACLE_EVALS_REGRESSION_PCT {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "{:<16} oracle evals {} vs baseline {base_evals:.0}  ({delta_pct:+.1}%, gate {MAX_ORACLE_EVALS_REGRESSION_PCT}%)  {verdict}",
-                p.preset, p.oracle_evals
-            );
+        // Deterministic counter: no calibration, tight gate.
+        let base_evals = base.oracle_evals;
+        let delta_pct = (p.oracle_evals as f64 / base_evals - 1.0) * 100.0;
+        let verdict = if delta_pct > MAX_ORACLE_EVALS_REGRESSION_PCT {
+            failed = true;
+            "REGRESSION"
         } else {
-            println!(
-                "{:<16} baseline has no oracle_evals (schema 1); evals gate skipped",
-                p.preset
-            );
-        }
+            "ok"
+        };
+        println!(
+            "{:<16} oracle evals {} vs baseline {base_evals:.0}  ({delta_pct:+.1}%, gate {MAX_ORACLE_EVALS_REGRESSION_PCT}%)  {verdict}",
+            p.preset, p.oracle_evals
+        );
     }
     if failed {
         eprintln!(

@@ -1,8 +1,10 @@
 //! Enumeration of all maximal (k,r)-cores.
 //!
-//! One engine drives NaiveEnum (Algorithms 1–2), BasicEnum (+Theorems 2–3),
-//! BE+CR (+Theorem 4), BE+CR+ET (+Theorem 5) and AdvEnum (Algorithm 3,
-//! +Theorem 6), selected by [`AlgoConfig`] toggles.
+//! BasicEnum (+Theorems 2–3), BE+CR (+Theorem 4), BE+CR+ET (+Theorem 5)
+//! and AdvEnum (Algorithm 3, +Theorem 6), selected by [`AlgoConfig`]
+//! toggles, run on the search walker the maximum search shares; this
+//! module supplies the leaf handling. NaiveEnum (Algorithms 1–2) keeps its
+//! own exhaustive recursion with whole-set validation.
 //!
 //! ### Soundness note (disconnected leaves)
 //!
@@ -18,12 +20,12 @@
 
 use crate::component::LocalComponent;
 use crate::config::AlgoConfig;
-use crate::early_term::can_terminate;
 use crate::maximal::check_maximal_with_order;
-use crate::order::Chooser;
+use crate::order::FirstBranch;
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
-use crate::search::{Decision, SearchState, SearchStats, Status};
+use crate::search::{SearchState, SearchStats, Status};
+use crate::walk::{merge_stats, Goal, Outcome, Walker};
 use kr_graph::VertexId;
 
 /// Result of an enumeration run.
@@ -60,10 +62,11 @@ impl EnumResult {
 /// Node-limited runs stay sequential: a per-worker node budget would
 /// change what "limit reached" means and break that equivalence.
 pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_parallel(problem, cfg);
+    if !parallel_eligible(cfg) {
+        return enumerate_sequential(&problem.preprocess(), cfg);
     }
-    enumerate_sequential(&problem.preprocess(), cfg)
+    let pool = crate::parallel::query_pool(cfg);
+    crate::parallel::enumerate_on(&problem.preprocess_on(&pool), cfg, &pool)
 }
 
 /// [`enumerate_maximal`] over components preprocessed earlier (e.g. by
@@ -72,10 +75,10 @@ pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumRes
 /// stem from the same `(k, r)` the query runs with — preprocessing bakes
 /// both the k-core peel and the dissimilarity lists into the arena.
 pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_parallel_prepared(comps, cfg);
+    if !parallel_eligible(cfg) {
+        return enumerate_sequential(comps, cfg);
     }
-    enumerate_sequential(comps, cfg)
+    crate::parallel::enumerate_on(comps, cfg, &crate::parallel::query_pool(cfg))
 }
 
 /// [`enumerate_maximal_prepared`] on a caller-provided pool — the
@@ -89,40 +92,56 @@ pub fn enumerate_maximal_prepared_on(
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> EnumResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::enumerate_on(comps, cfg, pool);
+    if !parallel_eligible(cfg) {
+        return enumerate_sequential(comps, cfg);
     }
-    enumerate_sequential(comps, cfg)
+    crate::parallel::enumerate_on(comps, cfg, pool)
 }
 
-/// Parallel dispatch guard: NaiveEnum has no safe split points and
-/// node-limited runs stay sequential (a per-worker budget would change
-/// what "limit reached" means).
+/// Parallel dispatch guard: NaiveEnum has no safe split points.
 fn parallel_eligible(cfg: &AlgoConfig) -> bool {
-    cfg.threads != 1 && cfg.prune_candidates && cfg.node_limit.is_none()
+    cfg.prune_candidates && crate::parallel::eligible(cfg)
 }
 
 fn enumerate_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
+    let deadline = cfg.deadline();
+    let walks = comps.iter().map(|comp| {
+        let mut walker = Walker::new(comp, cfg, deadline, EnumGoal::new(cfg, true));
+        if cfg.prune_candidates {
+            walker.run(&[]);
+        } else {
+            walker.naive_rec(&mut SearchState::new(comp));
+        }
+        walker.outcome()
+    });
+    // Each walk streamed its own cores; components are disjoint, so the
+    // merge has nothing new to stream.
+    merge_walks(cfg, walks, false)
+}
+
+/// Merges finished enumeration walks into the result: the union of their
+/// sinks (deduplicated, and streamed when `stream` is set), Algorithm 1
+/// lines 6–8's naive maximal post-filter whenever the Theorem 6 check was
+/// off, and the lexicographic sort.
+pub(crate) fn merge_walks<'a>(
+    cfg: &AlgoConfig,
+    walks: impl IntoIterator<Item = Outcome<EnumGoal<'a>>>,
+    stream: bool,
+) -> EnumResult {
+    let mut all = EnumGoal::new(cfg, stream);
     let mut stats = SearchStats::default();
     let mut completed = true;
-    let mut sink = CoreSink::new();
-    let deadline = cfg.deadline();
-    for comp in comps {
-        let mut driver = Driver::new(comp, cfg, deadline).with_streaming();
-        driver.run(&[]);
-        for c in driver.sink.into_cores() {
-            sink.push(c);
+    for walk in walks {
+        for core in walk.goal.sink.into_cores() {
+            all.push_core(core);
         }
-        merge_stats(&mut stats, driver.stats);
-        completed &= !driver.aborted;
+        merge_stats(&mut stats, walk.stats);
+        completed &= !walk.aborted;
     }
-
-    // Algorithm 1 lines 6–8: naive maximal post-filter, needed whenever the
-    // Theorem 6 check was not active.
     let mut cores = if cfg.maximal_check {
-        sink.into_cores()
+        all.sink.into_cores()
     } else {
-        sink.into_maximal()
+        all.sink.into_maximal()
     };
     cores.sort_by(|a, b| a.vertices.cmp(&b.vertices));
     EnumResult {
@@ -132,85 +151,36 @@ fn enumerate_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResul
     }
 }
 
-pub(crate) fn merge_stats(into: &mut SearchStats, from: SearchStats) {
-    into.nodes += from.nodes;
-    into.leaves += from.leaves;
-    into.early_terminations += from.early_terminations;
-    into.bound_prunes += from.bound_prunes;
-    into.maximal_checks += from.maximal_checks;
-    into.resplits += from.resplits;
-    into.resplit_subtasks += from.resplit_subtasks;
-}
-
-/// Per-component enumeration driver. `pub(crate)` so the parallel engine
-/// ([`crate::parallel`]) runs its tasks through the exact same per-node
-/// logic.
-pub(crate) struct Driver<'a> {
-    comp: &'a LocalComponent,
+/// The enumeration side of the walk: Algorithm 3 (AdvEnum) and its
+/// ablations. Every leaf piece goes to the sink, after the Theorem 6
+/// maximal check when that is on.
+pub(crate) struct EnumGoal<'a> {
     cfg: &'a AlgoConfig,
-    chooser: Chooser,
-    pub(crate) sink: CoreSink,
-    pub(crate) stats: SearchStats,
-    pub(crate) aborted: bool,
-    deadline: Option<std::time::Instant>,
+    sink: CoreSink,
     /// Leaf pieces already resolved (emitted or rejected as non-maximal):
     /// the same piece reappears at many leaves, and its maximality verdict
     /// cannot change — the candidate universe only depends on the piece.
     checked: std::collections::HashSet<Vec<VertexId>>,
-    /// Streaming hook, armed by [`Self::with_streaming`] for sequential
-    /// runs. Parallel task drivers leave it off — cross-task duplicates
-    /// are only resolved in the merge phase, which streams instead.
+    /// The [`AlgoConfig::on_core`] hook, armed only with the Theorem 6
+    /// maximal check, where every pushed core is already final (see
+    /// [`crate::config::CoreHook`]). Parallel tasks leave it off:
+    /// cross-task duplicates are only resolved in the merge, which streams
+    /// instead.
     stream: Option<crate::config::CoreHook>,
-    /// Re-split host, armed by [`Self::with_host`] on parallel task
-    /// drivers: when the pool starves, pending sibling branches of the
-    /// current DFS path are donated as fresh tasks.
-    host: Option<&'a dyn crate::parallel::DonationHost>,
-    /// Decision path from the component root to the current node
-    /// (prefix decisions included for task drivers).
-    path: Vec<Decision>,
-    /// One entry per ancestor whose second branch is still pending —
-    /// the frontier a re-split donates from.
-    slots: Vec<crate::parallel::DonationSlot>,
 }
 
-impl<'a> Driver<'a> {
-    pub(crate) fn new(
-        comp: &'a LocalComponent,
-        cfg: &'a AlgoConfig,
-        deadline: Option<std::time::Instant>,
-    ) -> Self {
-        Driver {
-            comp,
+impl<'a> EnumGoal<'a> {
+    pub(crate) fn new(cfg: &'a AlgoConfig, stream: bool) -> Self {
+        EnumGoal {
             cfg,
-            chooser: Chooser::new(cfg, comp.len()),
             sink: CoreSink::new(),
-            stats: SearchStats::default(),
-            aborted: false,
-            deadline,
             checked: std::collections::HashSet::new(),
-            stream: None,
-            host: None,
-            path: Vec::new(),
-            slots: Vec::new(),
+            stream: if stream && cfg.maximal_check {
+                cfg.on_core.clone()
+            } else {
+                None
+            },
         }
-    }
-
-    /// Arms re-splitting on this (parallel task) driver: `host` is polled
-    /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh tasks when the pool runs dry.
-    pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
-        self.host = Some(host);
-        self
-    }
-
-    /// Arms the [`AlgoConfig::on_core`] hook on this driver. Only honored
-    /// with the Theorem 6 maximal check, where every pushed core is
-    /// already final (see [`crate::config::CoreHook`]).
-    pub(crate) fn with_streaming(mut self) -> Self {
-        if self.cfg.maximal_check {
-            self.stream = self.cfg.on_core.clone();
-        }
-        self
     }
 
     /// Pushes into the dedup sink; a *new* core is also streamed when the
@@ -227,29 +197,76 @@ impl<'a> Driver<'a> {
             }
         }
     }
+}
 
-    /// Searches the subtree below `prefix`: empty for a whole component,
-    /// a donated branch for a parallel task. NaiveEnum runs whole
-    /// components only.
-    pub(crate) fn run(&mut self, prefix: &[Decision]) {
-        if !self.cfg.prune_candidates {
-            debug_assert!(prefix.is_empty(), "NaiveEnum is never split");
-            self.naive_rec(&mut SearchState::new(self.comp));
-            return;
+impl Goal for EnumGoal<'_> {
+    fn is_leaf(&self, st: &SearchState<'_>) -> bool {
+        if self.cfg.retain_candidates {
+            st.all_candidates_similarity_free()
+        } else {
+            st.sizes().1 == 0
         }
-        let Some(mut st) = replay_prefix(self.comp, self.cfg, prefix) else {
-            return;
-        };
-        self.path = prefix.to_vec();
-        self.advanced_rec(&mut st);
-        self.path.clear();
     }
 
-    /// Algorithm 2: exhaustive expand/shrink with whole-set validation.
+    /// Emits the connected pieces of the leaf `M ∪ C` (Theorem 4 leaves
+    /// are fully similarity-free, so every piece is a (k,r)-core).
+    fn leaf(&mut self, st: &SearchState<'_>, stats: &mut SearchStats) {
+        let comp = st.comp;
+        let pieces = st.mc_components();
+        let (n_m, _, _) = st.sizes();
+        for piece in &pieces {
+            if piece.len() <= comp.k as usize {
+                continue; // cannot satisfy deg >= k (defensive; invariant implies it)
+            }
+            if !self.cfg.maximal_check {
+                self.push_core(KrCore::new(comp.globalize(piece)));
+                continue;
+            }
+            // Sound only for pieces containing all of M (see module docs);
+            // other pieces are found on their own branches.
+            let m_inside = piece
+                .iter()
+                .filter(|&&v| st.status(v) == Status::Chosen)
+                .count() as u32;
+            if m_inside != n_m || self.checked.contains(piece) {
+                continue; // not all of M, or verdict known from an earlier leaf
+            }
+            self.checked.insert(piece.clone());
+            let mut candidates = st.members(Status::Excluded);
+            // Co-leaf vertices outside this piece can also extend it.
+            for other in &pieces {
+                if other.as_slice() != piece.as_slice() {
+                    candidates.extend_from_slice(other);
+                }
+            }
+            stats.maximal_checks += 1;
+            if check_maximal_with_order(
+                comp,
+                comp.k,
+                piece,
+                &candidates,
+                self.cfg.check_order,
+                self.cfg.lambda,
+            ) {
+                self.push_core(KrCore::new(comp.globalize(piece)));
+            }
+        }
+    }
+
+    fn include_sf(&self) -> bool {
+        !self.cfg.retain_candidates
+    }
+
+    fn expand_first(&self, _preferred: FirstBranch) -> bool {
+        true
+    }
+}
+
+impl<'a> Walker<'a, EnumGoal<'a>> {
+    /// Algorithm 2 (NaiveEnum): exhaustive expand/shrink with whole-set
+    /// validation. Runs whole components only; it has no safe split points.
     fn naive_rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
-            self.aborted = true;
+        if !self.enter() {
             return;
         }
         let (_, n_c, _) = st.sizes();
@@ -304,171 +321,10 @@ impl<'a> Driver<'a> {
             }
         }
         for piece in components_of(self.comp, &m_members) {
-            self.push_core(KrCore::new(self.comp.globalize(&piece)));
+            self.goal
+                .push_core(KrCore::new(self.comp.globalize(&piece)));
         }
     }
-
-    /// Algorithm 3 (AdvEnum) and its ablations.
-    fn advanced_rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
-            self.aborted = true;
-            return;
-        }
-        crate::parallel::maybe_donate(self.host, &self.path, &mut self.slots, 0, &mut self.stats);
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        let leaf = if self.cfg.retain_candidates {
-            st.all_candidates_similarity_free()
-        } else {
-            st.sizes().1 == 0
-        };
-        if leaf {
-            self.stats.leaves += 1;
-            self.emit_leaf(st);
-            return;
-        }
-        let include_sf = !self.cfg.retain_candidates;
-        let Some((u, _)) = self.chooser.choose(st, include_sf) else {
-            return;
-        };
-        // Task drivers track the DFS path and the pending second branch
-        // of every ancestor — the frontier `maybe_donate` splits from. A
-        // donated sibling is skipped inline on unwind; sequential runs
-        // (no host) skip the bookkeeping entirely.
-        let track = self.host.is_some();
-        let m = st.mark();
-        let mut donated = None;
-        if st.expand(u) {
-            if track {
-                self.slots.push(crate::parallel::DonationSlot {
-                    depth: self.path.len(),
-                    sibling: (u, false),
-                    donated: None,
-                });
-                self.path.push((u, true));
-            }
-            self.advanced_rec(st);
-            if track {
-                self.path.pop();
-                donated = self.slots.pop().expect("slot pushed above").donated;
-            }
-        }
-        st.rollback(m);
-        if donated.is_none() {
-            if st.shrink(u) {
-                if track {
-                    self.path.push((u, false));
-                }
-                self.advanced_rec(st);
-                if track {
-                    self.path.pop();
-                }
-            }
-            st.rollback(m);
-        }
-    }
-
-    /// Emits the connected pieces of the leaf `M ∪ C` (Theorem 4 leaves are
-    /// fully similarity-free, so every piece is a (k,r)-core).
-    fn emit_leaf(&mut self, st: &SearchState<'a>) {
-        let pieces = st.mc_components();
-        let (n_m, _, _) = st.sizes();
-        for piece in &pieces {
-            if piece.len() <= self.comp.k as usize {
-                continue; // cannot satisfy deg >= k (defensive; invariant implies it)
-            }
-            let m_inside = piece
-                .iter()
-                .filter(|&&v| st.status(v) == Status::Chosen)
-                .count() as u32;
-            let contains_all_m = m_inside == n_m;
-            if self.cfg.maximal_check {
-                // Sound only for pieces containing all of M (see module
-                // docs); other pieces are found on their own branches.
-                if !contains_all_m {
-                    continue;
-                }
-                if self.checked.contains(piece) {
-                    continue; // verdict already known from an earlier leaf
-                }
-                self.checked.insert(piece.clone());
-                let mut candidates = st.members(Status::Excluded);
-                // Co-leaf vertices outside this piece can also extend it.
-                for other in &pieces {
-                    if other.as_slice() != piece.as_slice() {
-                        candidates.extend_from_slice(other);
-                    }
-                }
-                self.stats.maximal_checks += 1;
-                if check_maximal_with_order(
-                    self.comp,
-                    self.comp.k,
-                    piece,
-                    &candidates,
-                    self.cfg.check_order,
-                    self.cfg.lambda,
-                ) {
-                    self.push_core(KrCore::new(self.comp.globalize(piece)));
-                }
-            } else {
-                self.push_core(KrCore::new(self.comp.globalize(piece)));
-            }
-        }
-    }
-}
-
-/// Remark 1 of the paper: a similarity-free candidate already adjacent to
-/// `k` chosen vertices can be moved straight into `M` — every maximal
-/// (k,r)-core below this node must contain it (it extends any core that
-/// omits it). The move evicts `E` members dissimilar to the promoted
-/// vertex and cannot fail structurally (no `M ∪ C` vertex is removed).
-pub(crate) fn promote_free_candidates(st: &mut SearchState<'_>) {
-    loop {
-        let u = (0..st.comp.len() as VertexId)
-            .find(|&v| st.status(v) == Status::Cand && st.dp_c(v) == 0 && st.deg_m(v) >= st.k);
-        match u {
-            Some(u) => {
-                let ok = st.expand(u);
-                debug_assert!(ok, "promotion cannot fail");
-            }
-            None => break,
-        }
-    }
-}
-
-/// Rebuilds the search state at the node `prefix` leads to from the
-/// component root: the root prune, then per decision the node-entry
-/// promotions and the expand or shrink, exactly as the DFS that recorded
-/// the prefix applied them. `None` when the root prunes away or the final
-/// decision fails. Only the final decision may fail: it is the one branch
-/// a donor never attempted itself, and an infeasible sibling is an empty
-/// subtree.
-pub(crate) fn replay_prefix<'a>(
-    comp: &'a LocalComponent,
-    cfg: &AlgoConfig,
-    prefix: &[Decision],
-) -> Option<SearchState<'a>> {
-    let mut st = SearchState::new(comp);
-    if !st.prune_root() {
-        return None;
-    }
-    for (i, &(u, expand)) in prefix.iter().enumerate() {
-        if cfg.retain_candidates {
-            promote_free_candidates(&mut st);
-        }
-        let ok = if expand { st.expand(u) } else { st.shrink(u) };
-        if !ok {
-            debug_assert_eq!(i + 1, prefix.len(), "prefix replay failed early");
-            return None;
-        }
-    }
-    Some(st)
 }
 
 /// Connected pieces of a vertex subset (local ids).

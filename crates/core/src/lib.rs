@@ -37,6 +37,7 @@ pub mod problem;
 pub mod result;
 pub mod search;
 pub mod verify;
+pub(crate) mod walk;
 
 pub use cliquebased::{clique_based_maximal, clique_based_maximal_budgeted};
 pub use component::LocalComponent;

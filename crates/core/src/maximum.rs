@@ -1,9 +1,10 @@
 //! Finding the maximum (k,r)-core (Algorithm 5).
 //!
-//! The same branch-and-prune walk as the enumeration, with three changes
-//! (Section 6.1): the subtree is cut when the size upper bound cannot beat
-//! the best core seen so far, no maximal check is needed, and the branch
-//! order is chosen adaptively to reach large cores early.
+//! The same branch-and-prune walk as the enumeration — one walker serves
+//! both — with three changes (Section 6.1): the subtree is cut when the
+//! size upper bound cannot beat the best core seen so far, no maximal
+//! check is needed, and the branch order is chosen adaptively to reach
+//! large cores early.
 //!
 //! The expensive bounds are evaluated lazily: the O(1) naive bound runs
 //! first and the configured bound is consulted only when the naive one
@@ -13,12 +14,13 @@
 use crate::bounds::size_upper_bound;
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, BoundKind, BranchPolicy};
-use crate::early_term::can_terminate;
-use crate::enumerate::{merge_stats, promote_free_candidates, replay_prefix};
-use crate::order::{Chooser, FirstBranch};
+use crate::order::FirstBranch;
+use crate::parallel::MergeEvent;
 use crate::problem::ProblemInstance;
 use crate::result::KrCore;
-use crate::search::{Decision, SearchState, SearchStats};
+use crate::search::{SearchState, SearchStats};
+use crate::walk::{merge_stats, Goal, Walker};
+use kr_graph::VertexId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of a maximum search.
@@ -41,10 +43,11 @@ pub struct MaxResult {
 /// sequential: a per-worker node budget would change what "limit reached"
 /// means and break that equivalence.
 pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_parallel(problem, cfg);
+    if !crate::parallel::eligible(cfg) {
+        return find_maximum_sequential(&problem.preprocess(), cfg);
     }
-    find_maximum_sequential(&problem.preprocess(), cfg)
+    let pool = crate::parallel::query_pool(cfg);
+    crate::parallel::find_maximum_on(&problem.preprocess_on(&pool), cfg, &pool)
 }
 
 /// [`find_maximum`] over components preprocessed earlier (e.g. by
@@ -52,10 +55,10 @@ pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
 /// the initial peel/split stage is skipped. The components must stem from
 /// the same `(k, r)` the query runs with.
 pub fn find_maximum_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_parallel_prepared(comps, cfg);
+    if !crate::parallel::eligible(cfg) {
+        return find_maximum_sequential(comps, cfg);
     }
-    find_maximum_sequential(comps, cfg)
+    crate::parallel::find_maximum_on(comps, cfg, &crate::parallel::query_pool(cfg))
 }
 
 /// [`find_maximum_prepared`] on a caller-provided pool (see
@@ -65,16 +68,10 @@ pub fn find_maximum_prepared_on(
     cfg: &AlgoConfig,
     pool: &rayon::ThreadPool,
 ) -> MaxResult {
-    if parallel_eligible(cfg) {
-        return crate::parallel::find_maximum_on(comps, cfg, pool);
+    if !crate::parallel::eligible(cfg) {
+        return find_maximum_sequential(comps, cfg);
     }
-    find_maximum_sequential(comps, cfg)
-}
-
-/// Node-limited runs stay sequential (a per-worker node budget would
-/// change what "limit reached" means and break result equivalence).
-fn parallel_eligible(cfg: &AlgoConfig) -> bool {
-    cfg.threads != 1 && cfg.node_limit.is_none()
+    crate::parallel::find_maximum_on(comps, cfg, pool)
 }
 
 fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
@@ -92,13 +89,13 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
             stats.bound_prunes += 1;
             continue;
         }
-        let mut driver = MaxDriver::new(comp, cfg, deadline, best_len, None);
-        driver.run(&[]);
-        if !driver.best_local.is_empty() {
-            best = Some(KrCore::new(comp.globalize(&driver.best_local)));
+        let mut walker = Walker::new(comp, cfg, deadline, MaxGoal::new(cfg, best_len, None));
+        walker.run(&[]);
+        if let Some(piece) = walker.goal.best() {
+            best = Some(KrCore::new(comp.globalize(piece)));
         }
-        merge_stats(&mut stats, driver.stats);
-        completed &= !driver.aborted;
+        merge_stats(&mut stats, walker.stats);
+        completed &= !walker.aborted;
     }
     MaxResult {
         core: best,
@@ -107,69 +104,44 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
     }
 }
 
-pub(crate) struct MaxDriver<'a> {
-    comp: &'a LocalComponent,
+/// The maximum side of the walk (Algorithm 5): the size-bound cut,
+/// Theorem 4 leaves whose largest piece may beat the incumbent, and the
+/// configured [`BranchPolicy`].
+pub(crate) struct MaxGoal<'a> {
     cfg: &'a AlgoConfig,
-    chooser: Chooser,
-    pub(crate) stats: SearchStats,
-    pub(crate) aborted: bool,
-    /// Best core found in this component (local ids); empty = none yet.
-    pub(crate) best_local: Vec<kr_graph::VertexId>,
     /// Size to beat (max of start incumbent and local best).
-    pub(crate) best_len: usize,
-    deadline: Option<std::time::Instant>,
-    /// Shared incumbent size, published by every worker of a parallel
+    best_len: usize,
+    /// Shared incumbent size, published by every task of a parallel
     /// run. Only consulted with a *strict* comparison (`ub < global`):
     /// unlike `best_len`, this value may stem from DFS-later subtrees, and
     /// pruning `ub == global` there could cut the tie-breaking core the
     /// sequential run would have returned.
     global: Option<&'a AtomicUsize>,
-    /// Re-split host, armed by [`Self::with_host`] on parallel task
-    /// drivers (see [`crate::parallel::DonationHost`]).
-    host: Option<&'a dyn crate::parallel::DonationHost>,
-    /// Decision path from the component root to the current node
-    /// (prefix decisions included for task drivers).
-    path: Vec<Decision>,
-    /// One entry per ancestor whose second branch is still pending —
-    /// the frontier a re-split donates from.
-    slots: Vec<crate::parallel::DonationSlot>,
-    /// DFS-ordered merge events (improving finds and donated-child
-    /// markers), recorded only when a host is armed.
-    pub(crate) events: Vec<crate::parallel::MergeEvent>,
+    /// DFS-ordered improving finds, plus a marker wherever a sibling was
+    /// donated: what the parallel merge folds.
+    pub(crate) events: Vec<MergeEvent>,
 }
 
-impl<'a> MaxDriver<'a> {
+impl<'a> MaxGoal<'a> {
     pub(crate) fn new(
-        comp: &'a LocalComponent,
         cfg: &'a AlgoConfig,
-        deadline: Option<std::time::Instant>,
         best_len: usize,
         global: Option<&'a AtomicUsize>,
     ) -> Self {
-        MaxDriver {
-            comp,
+        MaxGoal {
             cfg,
-            chooser: Chooser::new(cfg, comp.len()),
-            stats: SearchStats::default(),
-            aborted: false,
-            best_local: Vec::new(),
             best_len,
-            deadline,
             global,
-            host: None,
-            path: Vec::new(),
-            slots: Vec::new(),
             events: Vec::new(),
         }
     }
 
-    /// Arms re-splitting on this (parallel task) driver: `host` is polled
-    /// at node entry and pending sibling branches of the DFS path are
-    /// donated as fresh tasks when the pool runs dry. Also switches
-    /// the driver to recording DFS-ordered [`crate::parallel::MergeEvent`]s.
-    pub(crate) fn with_host(mut self, host: &'a dyn crate::parallel::DonationHost) -> Self {
-        self.host = Some(host);
-        self
+    /// The best core this walk found (local ids): its last improving find.
+    fn best(&self) -> Option<&[VertexId]> {
+        self.events.iter().rev().find_map(|event| match event {
+            MergeEvent::Found(piece) => Some(piece.as_slice()),
+            MergeEvent::Child(_) => None,
+        })
     }
 
     /// Algorithm 5 line 2 pruning: local incumbent with `<=`, shared
@@ -177,139 +149,64 @@ impl<'a> MaxDriver<'a> {
     fn bound_cut(&self, ub: usize) -> bool {
         ub <= self.best_len || self.global.is_some_and(|g| ub < g.load(Ordering::Relaxed))
     }
+}
 
-    /// Searches the subtree below `prefix`: empty for a whole component,
-    /// a donated branch for a parallel task.
-    pub(crate) fn run(&mut self, prefix: &[Decision]) {
-        let Some(mut st) = replay_prefix(self.comp, self.cfg, prefix) else {
-            return;
-        };
-        self.path = prefix.to_vec();
-        self.rec(&mut st);
-        self.path.clear();
+impl Goal for MaxGoal<'_> {
+    /// Upper-bound pruning (Algorithm 5 line 2). The O(1) naive bound
+    /// first; the configured one only when the naive one fails to prune.
+    fn cut(&mut self, st: &SearchState<'_>, stats: &mut SearchStats) -> bool {
+        let cut = self.bound_cut(st.mc_len() as usize)
+            || (self.cfg.bound != BoundKind::Naive
+                && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize));
+        if cut {
+            stats.bound_prunes += 1;
+        }
+        cut
     }
 
-    fn rec(&mut self, st: &mut SearchState<'a>) {
-        self.stats.nodes += 1;
-        if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
-            self.aborted = true;
-            return;
-        }
-        crate::parallel::maybe_donate(
-            self.host,
-            &self.path,
-            &mut self.slots,
-            self.best_len,
-            &mut self.stats,
-        );
-        if self.cfg.retain_candidates {
-            promote_free_candidates(st);
-        }
-        if self.cfg.early_termination && can_terminate(st) {
-            self.stats.early_terminations += 1;
-            return;
-        }
-        // Upper-bound pruning (Algorithm 5 line 2). Cheap bound first.
-        if self.bound_cut(st.mc_len() as usize) {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if self.cfg.bound != BoundKind::Naive
-            && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize)
-        {
-            self.stats.bound_prunes += 1;
-            return;
-        }
-        if st.all_candidates_similarity_free() {
-            self.stats.leaves += 1;
-            self.record_leaf(st);
-            return;
-        }
-        let Some((u, preferred)) = self.chooser.choose(st, false) else {
-            return;
-        };
-        let first = match self.cfg.branch {
-            BranchPolicy::AlwaysExpand => FirstBranch::Expand,
-            BranchPolicy::AlwaysShrink => FirstBranch::Shrink,
-            BranchPolicy::Adaptive => preferred,
-        };
-        // Task drivers track the DFS path and the pending second branch
-        // of every ancestor (the re-split frontier); a donated sibling is
-        // skipped inline and marked with a `Child` event so the merge can
-        // splice the donated task's finds in at exactly this DFS point.
-        let track = self.host.is_some();
-        let branches = match first {
-            FirstBranch::Expand => [true, false],
-            FirstBranch::Shrink => [false, true],
-        };
-        let m = st.mark();
-        let mut donated = None;
-        let ok = if branches[0] {
-            st.expand(u)
-        } else {
-            st.shrink(u)
-        };
-        if ok {
-            if track {
-                self.slots.push(crate::parallel::DonationSlot {
-                    depth: self.path.len(),
-                    sibling: (u, branches[1]),
-                    donated: None,
-                });
-                self.path.push((u, branches[0]));
-            }
-            self.rec(st);
-            if track {
-                self.path.pop();
-                donated = self.slots.pop().expect("slot pushed above").donated;
-            }
-        }
-        st.rollback(m);
-        match donated {
-            Some(tid) => self.events.push(crate::parallel::MergeEvent::Child(tid)),
-            None => {
-                let ok = if branches[1] {
-                    st.expand(u)
-                } else {
-                    st.shrink(u)
-                };
-                if ok {
-                    if track {
-                        self.path.push((u, branches[1]));
-                    }
-                    self.rec(st);
-                    if track {
-                        self.path.pop();
-                    }
-                }
-                st.rollback(m);
-            }
-        }
+    fn is_leaf(&self, st: &SearchState<'_>) -> bool {
+        st.all_candidates_similarity_free()
     }
 
     /// Every connected piece of a Theorem 4 leaf is a (k,r)-core; keep the
     /// largest and publish its size to the shared bound.
-    fn record_leaf(&mut self, st: &SearchState<'a>) {
+    fn leaf(&mut self, st: &SearchState<'_>, _stats: &mut SearchStats) {
         for piece in st.mc_components() {
-            if piece.len() > self.best_len && piece.len() > self.comp.k as usize {
+            if piece.len() > self.best_len && piece.len() > st.k as usize {
                 self.best_len = piece.len();
-                if self.host.is_some() {
-                    self.events.push(crate::parallel::MergeEvent::Found {
-                        size: piece.len(),
-                        piece: piece.clone(),
-                    });
-                }
-                self.best_local = piece;
                 if let Some(g) = self.global {
                     // `fetch_max` returns the previous value; a smaller
-                    // previous value means this worker actually advanced
+                    // previous value means this task actually advanced
                     // the shared incumbent.
                     if g.fetch_max(self.best_len, Ordering::Relaxed) < self.best_len {
                         crate::obs::engine_obs().incumbent_updates.inc();
                     }
                 }
+                self.events.push(MergeEvent::Found(piece));
             }
         }
+    }
+
+    fn include_sf(&self) -> bool {
+        false
+    }
+
+    fn expand_first(&self, preferred: FirstBranch) -> bool {
+        match self.cfg.branch {
+            BranchPolicy::AlwaysExpand => true,
+            BranchPolicy::AlwaysShrink => false,
+            BranchPolicy::Adaptive => preferred == FirstBranch::Expand,
+        }
+    }
+
+    fn incumbent(&self) -> usize {
+        self.best_len
+    }
+
+    /// Marks where the donated task's finds splice in: exactly the DFS
+    /// point where this walk would have searched the sibling.
+    fn donated(&mut self, tid: u64) {
+        self.events.push(MergeEvent::Child(tid));
     }
 }
 

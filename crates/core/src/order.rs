@@ -168,9 +168,9 @@ impl Chooser {
                 first_expand.push(w);
             }
         });
-        let (dp_e, ed_e) = self.two_hop(st, &first_expand, None);
+        let (dp_e, ed_e) = self.two_hop(st, &first_expand);
         // Shrink: the first-hop removal is v itself.
-        let (dp_s, ed_s) = self.two_hop(st, &[v], None);
+        let (dp_s, ed_s) = self.two_hop(st, &[v]);
         VertexEstimate {
             expand: BranchEstimate {
                 delta1: dp_e / dp_total,
@@ -188,12 +188,7 @@ impl Chooser {
     /// (one extra hop). Double counts inside the removed set are corrected
     /// for the first hop; the second hop is a heuristic over-count, which
     /// is fine for ordering purposes.
-    fn two_hop(
-        &mut self,
-        st: &SearchState<'_>,
-        first: &[VertexId],
-        _unused: Option<()>,
-    ) -> (f64, f64) {
+    fn two_hop(&mut self, st: &SearchState<'_>, first: &[VertexId]) -> (f64, f64) {
         self.stamp_gen += 1;
         let gen = self.stamp_gen;
         let mut dp_removed = 0i64;

@@ -1,24 +1,26 @@
 //! Work-stealing parallel engine for the (k,r)-core searches.
 //!
-//! Both searches walk a binary expand/shrink tree per
-//! [`crate::component::LocalComponent`]. A parallel query starts as **one
-//! root task per component** on a rayon work-stealing pool; donation then
-//! spreads each tree over the workers:
+//! Both searches run on **one walker and one task engine**: the walker is
+//! the crate's single expand/shrink recursion (the private `walk` module),
+//! generic over the algorithm's goal, and this module runs it as tasks
+//! the same way for enumeration and for the maximum. A parallel query
+//! starts as **one root task per component** on a rayon work-stealing
+//! pool; donation then spreads each tree over the workers:
 //!
-//! 1. **Root tasks**: task `ci` runs the ordinary sequential driver over
-//!    component `ci` from its root (empty decision prefix).
-//! 2. **Donation**: a running task driver polls a `DonationHost` at node
-//!    entry; when the pool has room (per [`Resplit`]) the driver
-//!    *donates* the shallowest not-yet-taken sibling branches of its
-//!    current DFS path as fresh tasks — shallowest first, since those
-//!    subtrees are the largest — and skips them inline on unwind. A donee
-//!    replays its decision prefix on a fresh
-//!    [`crate::search::SearchState`] (linear in the prefix length, with
-//!    the same node-entry promotions the donor applied) and runs the
-//!    ordinary recursive search below it. Only the prefix's **final**
-//!    decision may fail structurally: it is the one branch the donor never
-//!    attempted itself, and an infeasible sibling is an empty subtree.
-//! 3. **Merge**: task results are combined in deterministic DFS order.
+//! 1. **Root tasks**: task `ci` walks component `ci` from its root (empty
+//!    decision prefix), exactly as the sequential run does.
+//! 2. **Donation**: a task's walker polls the engine at node entry; when
+//!    the pool has room (per [`Resplit`]) it *donates* the shallowest
+//!    not-yet-taken sibling branches of its current DFS path as fresh
+//!    tasks — shallowest first, since those subtrees are the largest — and
+//!    skips them inline on unwind. A donee replays its decision prefix on
+//!    a fresh [`crate::search::SearchState`] (linear in the prefix length,
+//!    with the same node-entry promotions the donor applied) and walks on
+//!    below it. Only the prefix's **final** decision may fail
+//!    structurally: it is the one branch the donor never attempted itself,
+//!    and an infeasible sibling is an empty subtree.
+//! 3. **Merge**: every task leaves its outcome under its task id, and the
+//!    results are combined per algorithm.
 //!
 //! Enumeration merges by sink union, which is traversal-independent.
 //! Maximum search tasks record DFS-ordered `MergeEvent`s — improving finds
@@ -61,27 +63,28 @@
 
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, Resplit};
-use crate::enumerate::{merge_stats, Driver, EnumResult};
-use crate::maximum::{MaxDriver, MaxResult};
-use crate::problem::ProblemInstance;
-use crate::result::{CoreSink, KrCore};
+use crate::enumerate::{merge_walks, EnumGoal, EnumResult};
+use crate::maximum::{MaxGoal, MaxResult};
+use crate::result::KrCore;
 use crate::search::{Decision, SearchStats};
+use crate::walk::{merge_stats, DonationHost, Goal, Outcome, Walker};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Resolves the config knob: `0` = all available cores.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    }
+/// Whether a search under `cfg` runs on this engine. Node-limited runs
+/// stay sequential: a per-worker node budget would change what "limit
+/// reached" means and break result equivalence.
+pub(crate) fn eligible(cfg: &AlgoConfig) -> bool {
+    cfg.threads != 1 && cfg.node_limit.is_none()
 }
 
-fn make_pool(threads: usize) -> rayon::ThreadPool {
+/// The pool of one parallel query: it serves the preprocessing phases
+/// and the search tasks alike. `threads == 0` means all available cores,
+/// as rayon reads it.
+pub(crate) fn query_pool(cfg: &AlgoConfig) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
+        .num_threads(cfg.threads)
         .build()
         .expect("thread pool")
 }
@@ -126,36 +129,9 @@ where
         .collect()
 }
 
-/// A pending second branch on a running task driver's DFS path: the
-/// donation currency of re-splitting.
-pub(crate) struct DonationSlot {
-    /// Length of the driver's decision path at the branch node (the
-    /// sibling's prefix is `path[..depth]` plus `sibling`).
-    pub(crate) depth: usize,
-    /// The branch the driver has not yet taken at that node.
-    pub(crate) sibling: Decision,
-    /// Task id the sibling was donated as, if any; the driver then skips
-    /// the branch inline on unwind (maximum search records a
-    /// [`MergeEvent::Child`] marker there instead).
-    pub(crate) donated: Option<u64>,
-}
-
-/// Surface through which a running task driver re-splits (implemented per
-/// engine so donated tasks can be spawned onto the live scope).
-pub(crate) trait DonationHost {
-    /// How many fresh tasks the pool could absorb right now. Zero
-    /// means the pool is busy and donation would only add replay
-    /// overhead.
-    fn wanted(&self) -> usize;
-    /// Spawns `prefix` as a fresh task and returns its task id.
-    /// `start_incumbent` is the donor's best size at donation time
-    /// (ignored by enumeration).
-    fn donate(&self, prefix: Vec<Decision>, start_incumbent: usize) -> u64;
-}
-
 /// Starvation signal and task-id allocator shared by every task of one
 /// parallel query (root and donated alike).
-pub(crate) struct ResplitShared {
+struct ResplitShared {
     /// Tasks spawned and not yet finished.
     live: AtomicUsize,
     workers: usize,
@@ -199,386 +175,206 @@ impl ResplitShared {
     }
 }
 
-/// Node-entry re-split check shared by both task drivers: donate the
-/// shallowest pending siblings of the current DFS path while the host
-/// still wants tasks. Shallowest first — those subtrees are the largest,
-/// so one donation feeds an idle worker for longest.
-pub(crate) fn maybe_donate(
-    host: Option<&dyn DonationHost>,
-    path: &[Decision],
-    slots: &mut [DonationSlot],
-    start_incumbent: usize,
-    stats: &mut SearchStats,
-) {
-    let Some(host) = host else { return };
-    let mut want = host.wanted();
-    if want == 0 {
-        return;
-    }
-    let mut donated = 0u64;
-    for slot in slots.iter_mut() {
-        if want == 0 {
-            break;
-        }
-        if slot.donated.is_some() {
-            continue;
-        }
-        let mut prefix = path[..slot.depth].to_vec();
-        prefix.push(slot.sibling);
-        slot.donated = Some(host.donate(prefix, start_incumbent));
-        donated += 1;
-        want -= 1;
-    }
-    if donated > 0 {
-        stats.resplits += 1;
-        stats.resplit_subtasks += donated;
-        let obs = crate::obs::engine_obs();
-        obs.resplits.inc();
-        obs.resplit_subtasks.add(donated);
-    }
-}
-
-/// One DFS-ordered event recorded by a parallel maximum-search task
-/// driver, folded by the merge phase (see the module docs).
+/// One DFS-ordered event recorded by a maximum-search walk, folded by the
+/// merge phase (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) enum MergeEvent {
-    /// A leaf piece that improved the task's local incumbent.
-    Found {
-        /// Size of the piece.
-        size: usize,
-        /// Members (component-local ids).
-        piece: Vec<kr_graph::VertexId>,
-    },
+    /// A leaf piece (component-local ids) that improved the walk's
+    /// incumbent.
+    Found(Vec<kr_graph::VertexId>),
     /// Point where a pending sibling branch was donated as the named
     /// task; the child task's events splice in here — exactly where the
     /// donor would have walked that subtree.
     Child(u64),
 }
 
-/// Parallel [`crate::enumerate_maximal`]. Requires `cfg.prune_candidates`
-/// (callers dispatch NaiveEnum to the sequential engine). One pool serves
-/// the whole query: the preprocessing phases and the search tasks.
-pub(crate) fn enumerate_parallel(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
-    let threads = resolve_threads(cfg.threads);
-    let pool = make_pool(threads);
-    let comps = problem.preprocess_on(&pool);
-    enumerate_on(&comps, cfg, &pool)
-}
-
-/// [`enumerate_parallel`] over already-preprocessed components (the
-/// serving layer's cache-hit path); builds the query's pool itself.
-pub(crate) fn enumerate_parallel_prepared(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-) -> EnumResult {
-    let pool = make_pool(resolve_threads(cfg.threads));
-    enumerate_on(comps, cfg, &pool)
-}
-
-/// Everything an enumeration task needs, bundled copyably so donated
-/// tasks can be spawned recursively from inside a running one.
-#[derive(Clone, Copy)]
-struct EnumCtx<'env> {
+/// Everything a task needs, bundled copyably so donated tasks can be
+/// spawned recursively from inside a running one. `goal` makes a task's
+/// goal from the incumbent size it starts with.
+struct Ctx<'env, G, F> {
     comps: &'env [LocalComponent],
     cfg: &'env AlgoConfig,
     deadline: Option<std::time::Instant>,
     shared: &'env ResplitShared,
-    results: &'env Mutex<Vec<(CoreSink, SearchStats, bool)>>,
+    outcomes: &'env Mutex<HashMap<u64, Outcome<G>>>,
+    goal: &'env F,
     spawner: std::thread::ThreadId,
 }
 
-/// Spawns one enumeration task (root or donated) onto the scope.
-fn spawn_enum_task<'scope, 'env: 'scope>(
+impl<G, F> Clone for Ctx<'_, G, F> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<G, F> Copy for Ctx<'_, G, F> {}
+
+/// Spawns one task (root or donated) onto the scope: a walk of component
+/// `ci` below `prefix`, whose outcome is kept under task id `tid`.
+fn spawn_task<'scope, 'env: 'scope, G, F>(
     s: &rayon::Scope<'scope>,
-    ctx: EnumCtx<'env>,
-    ci: usize,
-    prefix: Vec<Decision>,
-) {
-    ctx.shared.task_spawned();
-    crate::obs::engine_obs().pool_tasks.inc();
-    s.spawn(move |s| {
-        if std::thread::current().id() != ctx.spawner {
-            crate::obs::engine_obs().pool_tasks_stolen.inc();
-        }
-        let host = EnumHost { s, ctx, ci };
-        let mut driver = Driver::new(&ctx.comps[ci], ctx.cfg, ctx.deadline).with_host(&host);
-        driver.run(&prefix);
-        ctx.results
-            .lock()
-            .expect("results lock")
-            .push((driver.sink, driver.stats, driver.aborted));
-        ctx.shared.task_finished();
-    });
-}
-
-struct EnumHost<'a, 'scope, 'env> {
-    s: &'a rayon::Scope<'scope>,
-    ctx: EnumCtx<'env>,
-    ci: usize,
-}
-
-impl<'a, 'scope, 'env: 'scope> DonationHost for EnumHost<'a, 'scope, 'env> {
-    fn wanted(&self) -> usize {
-        self.ctx.shared.wanted()
-    }
-
-    fn donate(&self, prefix: Vec<Decision>, _start_incumbent: usize) -> u64 {
-        let tid = self.ctx.shared.next_tid();
-        spawn_enum_task(self.s, self.ctx, self.ci, prefix);
-        tid
-    }
-}
-
-pub(crate) fn enumerate_on(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-    pool: &rayon::ThreadPool,
-) -> EnumResult {
-    // One root task per component; a running task that sees the pool
-    // starving donates pending sibling branches of its DFS path onto the
-    // same scope (per `cfg.resplit`).
-    let shared = ResplitShared::new(comps.len(), pool.current_num_threads(), cfg.resplit);
-    let results: Mutex<Vec<(CoreSink, SearchStats, bool)>> = Mutex::new(Vec::new());
-    {
-        let ctx = EnumCtx {
-            comps,
-            cfg,
-            deadline: cfg.deadline(),
-            shared: &shared,
-            results: &results,
-            spawner: std::thread::current().id(),
-        };
-        pool.scope(|s| {
-            for ci in 0..comps.len() {
-                spawn_enum_task(s, ctx, ci, Vec::new());
-            }
-        });
-    }
-
-    // Merge. Cross-task duplicates are possible (the same leaf piece is
-    // reachable in several subtrees); the sink dedups them. With the
-    // maximal check on, every deduplicated core is final, so this is also
-    // where a streaming hook fires — exactly once per core.
-    let stream = if cfg.maximal_check {
-        cfg.on_core.clone()
-    } else {
-        None
-    };
-    let push = |sink: &mut CoreSink, core: KrCore| match &stream {
-        Some(hook) => {
-            if sink.push(core.clone()) {
-                hook.emit(&core);
-            }
-        }
-        None => {
-            sink.push(core);
-        }
-    };
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut sink = CoreSink::new();
-    for (task_sink, task_stats, aborted) in results.into_inner().expect("results lock") {
-        for core in task_sink.into_cores() {
-            push(&mut sink, core);
-        }
-        merge_stats(&mut stats, task_stats);
-        completed &= !aborted;
-    }
-    let mut cores = if cfg.maximal_check {
-        sink.into_cores()
-    } else {
-        sink.into_maximal()
-    };
-    cores.sort_by(|a, b| a.vertices.cmp(&b.vertices));
-    EnumResult {
-        cores,
-        stats,
-        completed,
-    }
-}
-
-/// Parallel [`crate::find_maximum`] (see the module docs for the
-/// equivalence argument). One pool serves the whole query.
-pub(crate) fn find_maximum_parallel(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
-    let threads = resolve_threads(cfg.threads);
-    let pool = make_pool(threads);
-    let comps = problem.preprocess_on(&pool);
-    find_maximum_on(&comps, cfg, &pool)
-}
-
-/// [`find_maximum_parallel`] over already-preprocessed components (the
-/// serving layer's cache-hit path); builds the query's pool itself.
-pub(crate) fn find_maximum_parallel_prepared(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-) -> MaxResult {
-    let pool = make_pool(resolve_threads(cfg.threads));
-    find_maximum_on(comps, cfg, &pool)
-}
-
-pub(crate) fn find_maximum_on(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-    pool: &rayon::ThreadPool,
-) -> MaxResult {
-    // One root task per component (task id = component index, start
-    // incumbent 0), sharing the incumbent through an atomic. Every task —
-    // root or donated — deposits its DFS-ordered events under its task id.
-    let shared = ResplitShared::new(comps.len(), pool.current_num_threads(), cfg.resplit);
-    let outcomes: Mutex<HashMap<u64, MaxTaskOutcome>> = Mutex::new(HashMap::new());
-    let global = AtomicUsize::new(0);
-    {
-        let ctx = MaxCtx {
-            comps,
-            cfg,
-            deadline: cfg.deadline(),
-            shared: &shared,
-            outcomes: &outcomes,
-            global: &global,
-            spawner: std::thread::current().id(),
-        };
-        pool.scope(|s| {
-            for ci in 0..comps.len() {
-                spawn_max_task(s, ctx, ci as u64, ci, Vec::new(), 0);
-            }
-        });
-    }
-    let mut outcomes = outcomes.into_inner().expect("outcomes lock");
-
-    // Merge in component order with a carried incumbent; `fold_task`
-    // splices each donated task in at its `Child` marker, so the fold sees
-    // finds in sequential DFS order.
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    let mut best: Option<KrCore> = None;
-    let mut incumbent = 0usize;
-    for ci in 0..comps.len() {
-        fold_task(
-            ci as u64,
-            ci,
-            comps,
-            &mut outcomes,
-            &mut incumbent,
-            &mut best,
-            &mut stats,
-            &mut completed,
-        );
-    }
-    debug_assert!(
-        outcomes.is_empty(),
-        "every donated task is reachable from a root task's events"
-    );
-    MaxResult {
-        core: best,
-        stats,
-        completed,
-    }
-}
-
-/// Result of one maximum-search task (root or donated).
-struct MaxTaskOutcome {
-    events: Vec<MergeEvent>,
-    stats: SearchStats,
-    aborted: bool,
-}
-
-/// Everything a maximum-search task needs, bundled copyably so donated
-/// tasks can be spawned recursively from inside a running one.
-#[derive(Clone, Copy)]
-struct MaxCtx<'env> {
-    comps: &'env [LocalComponent],
-    cfg: &'env AlgoConfig,
-    deadline: Option<std::time::Instant>,
-    shared: &'env ResplitShared,
-    outcomes: &'env Mutex<HashMap<u64, MaxTaskOutcome>>,
-    global: &'env AtomicUsize,
-    spawner: std::thread::ThreadId,
-}
-
-/// Spawns one maximum-search task (root or donated) onto the scope.
-fn spawn_max_task<'scope, 'env: 'scope>(
-    s: &rayon::Scope<'scope>,
-    ctx: MaxCtx<'env>,
+    ctx: Ctx<'env, G, F>,
     tid: u64,
     ci: usize,
     prefix: Vec<Decision>,
     start_incumbent: usize,
-) {
+) where
+    G: Goal + Send + 'env,
+    F: Fn(usize) -> G + Sync,
+{
     ctx.shared.task_spawned();
     crate::obs::engine_obs().pool_tasks.inc();
     s.spawn(move |s| {
         if std::thread::current().id() != ctx.spawner {
             crate::obs::engine_obs().pool_tasks_stolen.inc();
         }
-        let host = MaxHost { s, ctx, ci };
-        let mut driver = MaxDriver::new(
-            &ctx.comps[ci],
-            ctx.cfg,
-            ctx.deadline,
-            start_incumbent,
-            Some(ctx.global),
-        )
-        .with_host(&host);
-        driver.run(&prefix);
-        let outcome = MaxTaskOutcome {
-            events: driver.events,
-            stats: driver.stats,
-            aborted: driver.aborted,
-        };
+        let host = Host { s, ctx, ci };
+        let goal = (ctx.goal)(start_incumbent);
+        let mut walker = Walker::new(&ctx.comps[ci], ctx.cfg, ctx.deadline, goal).with_host(&host);
+        walker.run(&prefix);
         ctx.outcomes
             .lock()
             .expect("outcomes lock")
-            .insert(tid, outcome);
+            .insert(tid, walker.outcome());
         ctx.shared.task_finished();
     });
 }
 
-struct MaxHost<'a, 'scope, 'env> {
+/// The engine's side of one running task: where its walker's donations
+/// are spawned.
+struct Host<'a, 'scope, 'env, G, F> {
     s: &'a rayon::Scope<'scope>,
-    ctx: MaxCtx<'env>,
+    ctx: Ctx<'env, G, F>,
     ci: usize,
 }
 
-impl<'a, 'scope, 'env: 'scope> DonationHost for MaxHost<'a, 'scope, 'env> {
+impl<'scope, 'env: 'scope, G, F> DonationHost for Host<'_, 'scope, 'env, G, F>
+where
+    G: Goal + Send + 'env,
+    F: Fn(usize) -> G + Sync,
+{
     fn wanted(&self) -> usize {
         self.ctx.shared.wanted()
     }
 
     fn donate(&self, prefix: Vec<Decision>, start_incumbent: usize) -> u64 {
         let tid = self.ctx.shared.next_tid();
-        spawn_max_task(self.s, self.ctx, tid, self.ci, prefix, start_incumbent);
+        spawn_task(self.s, self.ctx, tid, self.ci, prefix, start_incumbent);
         tid
     }
 }
 
-/// Folds one task's DFS-ordered events into the carried incumbent,
-/// recursing into donated children at their `Child` markers.
-#[allow(clippy::too_many_arguments)]
-fn fold_task(
-    tid: u64,
-    ci: usize,
+/// Runs one root task per component on `pool` (task id = component
+/// index, start incumbent 0), plus every task they donate, and returns
+/// each task's outcome by task id.
+fn run_tasks<G, F>(
     comps: &[LocalComponent],
-    outcomes: &mut HashMap<u64, MaxTaskOutcome>,
-    incumbent: &mut usize,
-    best: &mut Option<KrCore>,
-    stats: &mut SearchStats,
-    completed: &mut bool,
-) {
-    let outcome = outcomes.remove(&tid).expect("each task merged once");
-    merge_stats(stats, outcome.stats);
-    *completed &= !outcome.aborted;
-    for event in outcome.events {
-        match event {
-            MergeEvent::Found { size, piece } => {
-                if size > *incumbent && !piece.is_empty() {
-                    *incumbent = size;
-                    *best = Some(KrCore::new(comps[ci].globalize(&piece)));
+    cfg: &AlgoConfig,
+    pool: &rayon::ThreadPool,
+    goal: F,
+) -> HashMap<u64, Outcome<G>>
+where
+    G: Goal + Send,
+    F: Fn(usize) -> G + Sync,
+{
+    let shared = ResplitShared::new(comps.len(), pool.current_num_threads(), cfg.resplit);
+    let outcomes = Mutex::new(HashMap::new());
+    let ctx = Ctx {
+        comps,
+        cfg,
+        deadline: cfg.deadline(),
+        shared: &shared,
+        outcomes: &outcomes,
+        goal: &goal,
+        spawner: std::thread::current().id(),
+    };
+    pool.scope(|s| {
+        for ci in 0..comps.len() {
+            spawn_task(s, ctx, ci as u64, ci, Vec::new(), 0);
+        }
+    });
+    outcomes.into_inner().expect("outcomes lock")
+}
+
+/// Parallel [`crate::enumerate_maximal`]. Requires `cfg.prune_candidates`
+/// (callers dispatch NaiveEnum to the sequential engine).
+pub(crate) fn enumerate_on(
+    comps: &[LocalComponent],
+    cfg: &AlgoConfig,
+    pool: &rayon::ThreadPool,
+) -> EnumResult {
+    let outcomes = run_tasks(comps, cfg, pool, |_| EnumGoal::new(cfg, false));
+    // Cross-task duplicates are possible (the same leaf piece is reachable
+    // in several subtrees); the merge dedups them. With the maximal check
+    // on, every deduplicated core is final, so this is also where a
+    // streaming hook fires — exactly once per core.
+    merge_walks(cfg, outcomes.into_values(), true)
+}
+
+/// Parallel [`crate::find_maximum`] (see the module docs for the
+/// equivalence argument).
+pub(crate) fn find_maximum_on(
+    comps: &[LocalComponent],
+    cfg: &AlgoConfig,
+    pool: &rayon::ThreadPool,
+) -> MaxResult {
+    // Every task shares the incumbent size through an atomic.
+    let global = AtomicUsize::new(0);
+    let mut outcomes = run_tasks(comps, cfg, pool, |start| {
+        MaxGoal::new(cfg, start, Some(&global))
+    });
+
+    // Merge in component order with a carried incumbent; `fold_task`
+    // splices each donated task in at its `Child` marker, so the fold sees
+    // finds in sequential DFS order.
+    let mut merged = Fold {
+        comps,
+        outcomes: &mut outcomes,
+        incumbent: 0,
+        best: None,
+        stats: SearchStats::default(),
+        completed: true,
+    };
+    for ci in 0..comps.len() {
+        merged.fold_task(ci as u64, ci);
+    }
+    debug_assert!(
+        merged.outcomes.is_empty(),
+        "every donated task is reachable from a root task's events"
+    );
+    MaxResult {
+        core: merged.best,
+        stats: merged.stats,
+        completed: merged.completed,
+    }
+}
+
+/// The maximum merge's carried state.
+struct Fold<'a, 'g> {
+    comps: &'a [LocalComponent],
+    outcomes: &'a mut HashMap<u64, Outcome<MaxGoal<'g>>>,
+    incumbent: usize,
+    best: Option<KrCore>,
+    stats: SearchStats,
+    completed: bool,
+}
+
+impl Fold<'_, '_> {
+    /// Folds one task's DFS-ordered events into the carried incumbent,
+    /// recursing into donated children at their `Child` markers.
+    fn fold_task(&mut self, tid: u64, ci: usize) {
+        let outcome = self.outcomes.remove(&tid).expect("each task merged once");
+        merge_stats(&mut self.stats, outcome.stats);
+        self.completed &= !outcome.aborted;
+        for event in outcome.goal.events {
+            match event {
+                MergeEvent::Found(piece) => {
+                    if piece.len() > self.incumbent {
+                        self.incumbent = piece.len();
+                        self.best = Some(KrCore::new(self.comps[ci].globalize(&piece)));
+                    }
                 }
-            }
-            MergeEvent::Child(child) => {
-                fold_task(
-                    child, ci, comps, outcomes, incumbent, best, stats, completed,
-                );
+                MergeEvent::Child(child) => self.fold_task(child, ci),
             }
         }
     }
@@ -589,6 +385,7 @@ mod tests {
     use super::*;
     use crate::enumerate::enumerate_maximal;
     use crate::maximum::find_maximum;
+    use crate::problem::ProblemInstance;
     use kr_graph::Graph;
     use kr_similarity::{AttributeTable, Metric, Threshold};
 

@@ -15,6 +15,8 @@
 //!   tested next to the cache).
 //! * a request line nested far past the JSON parser's depth cap gets a
 //!   typed `bad_request` frame, and the server keeps answering.
+//! * a cosine dataset with finite components too large to square is
+//!   answered with a `done` frame, not a dropped connection.
 
 use kr_server::{
     CacheOutcome, Client, ClientError, ErrorCode, Frame, QuerySpec, Request, Server, ServerConfig,
@@ -367,6 +369,63 @@ fn deeply_nested_json_line_is_a_bad_request_not_a_crash() {
         .ping()
         .expect("ping on a fresh connection");
 
+    wait_sessions_drained(&handle);
+    handle.shutdown_and_join().expect("clean shutdown");
+}
+
+#[test]
+fn cosine_dataset_with_huge_components_is_answered() {
+    // Two 4-cliques joined by one edge. Every component is finite but
+    // squares to infinity, so the plain cosine formula yields NaN, which
+    // would panic the decomposition index build on the first cache miss.
+    let mut edges = Vec::new();
+    for base in [0u32, 4] {
+        for i in 0..4 {
+            for j in (i + 1)..4 {
+                edges.push((base + i, base + j));
+            }
+        }
+    }
+    edges.push((3, 4));
+    let graph = kr_graph::Graph::from_edges(8, &edges);
+    let vectors = [
+        [1e200, 1e200],
+        [1.5e200, 1e200],
+        [1e200, 1.5e200],
+        [3e200, 3e200],
+        [-1e200, 1e200],
+        [-1.5e200, 1e200],
+        [-1e200, 1.5e200],
+        [-2e200, 2e200],
+    ]
+    .iter()
+    .map(|v| v.to_vec())
+    .collect();
+    let attrs = kr_similarity::AttributeTable::Vectors(vectors);
+    let path = std::env::temp_dir().join(format!("kr_hardening_cosine_{}.krb", std::process::id()));
+    let ids: Vec<u64> = (0..8).collect();
+    kr_similarity::write_snapshot_file(&path, &graph, &ids, &attrs, kr_similarity::Metric::Cosine)
+        .expect("write snapshot");
+
+    let handle = Server::bind(ServerConfig {
+        file_datasets: vec![("huge".to_string(), path.display().to_string())],
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let spec = QuerySpec {
+        scale: 1.0,
+        ..QuerySpec::new("huge", 3, 0.5)
+    };
+    let res = client.enumerate(spec).expect("done frame");
+    assert!(res.completed);
+    let mut cores = res.cores;
+    cores.sort();
+    assert_eq!(cores, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
+
+    drop(client);
+    let _ = std::fs::remove_file(&path);
     wait_sessions_drained(&handle);
     handle.shutdown_and_join().expect("clean shutdown");
 }

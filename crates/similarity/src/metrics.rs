@@ -132,16 +132,43 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Cosine similarity of two equal-length vectors (0.0 if either is zero).
+///
+/// Finite components beyond ~1e154 overflow the plain sums of products
+/// (`inf / inf`, or `inf − inf` with mixed signs). Cosine is
+/// scale-invariant, so such a pair is recomputed on each vector divided by
+/// its largest absolute component, where no term exceeds the length. Every
+/// pair whose plain computation stays finite keeps its bits.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
+    let (dot, na, nb) = cosine_terms(a, b);
+    if na == 0.0 || nb == 0.0 {
+        0.0
+    } else if dot.is_finite() && (na * nb).is_finite() {
+        dot / (na * nb)
+    } else {
+        cosine_rescaled(a, b)
+    }
+}
+
+/// [`cosine`] of a pair whose plain sums overflow (kept out of line: it
+/// never runs on ordinary input).
+#[cold]
+#[inline(never)]
+fn cosine_rescaled(a: &[f64], b: &[f64]) -> f64 {
+    let unit = |v: &[f64]| {
+        let max = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        v.iter().map(|x| x / max).collect::<Vec<f64>>()
+    };
+    let (dot, na, nb) = cosine_terms(&unit(a), &unit(b));
+    dot / (na * nb)
+}
+
+/// The dot product and the two norms.
+fn cosine_terms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
     let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
     let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
+    (dot, na, nb)
 }
 
 #[cfg(test)]
@@ -191,6 +218,20 @@ mod tests {
         assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-12);
         assert!((cosine(&[1.0, 1.0], &[2.0, 2.0]) - 1.0).abs() < 1e-12);
         assert_eq!(cosine(&[0.0], &[1.0]), 0.0);
+    }
+
+    #[test]
+    fn cosine_of_huge_components_stays_finite() {
+        // Squares of 1e200 overflow: the plain formula gives inf / inf.
+        let huge = [1e200, 1e200];
+        assert!((cosine(&huge, &huge) - 1.0).abs() < 1e-12);
+        assert!((cosine(&huge, &[-1e200, -1e200]) + 1.0).abs() < 1e-12);
+        // Mixed signs: the plain dot product is inf − inf.
+        assert!(cosine(&[1e200, -1e200], &huge).abs() < 1e-12);
+        assert!((cosine(&[3e300, 4e300], &[4e300, 3e300]) - 0.96).abs() < 1e-12);
+        // One huge vector against an ordinary one.
+        assert!((cosine(&huge, &[1.0, 1.0]) - 1.0).abs() < 1e-12);
+        assert!(cosine(&[f64::MAX, -f64::MAX, 1.0], &[f64::MAX, f64::MAX, 0.0]).is_finite());
     }
 
     #[test]
