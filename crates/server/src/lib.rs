@@ -25,10 +25,11 @@
 //! * [`client`] — the blocking client that backs `krcore-cli query` and
 //!   doubles as the integration-test driver.
 //!
-//! Enumeration queries **stream**: each maximal core is written as its
-//! own frame the moment the engine confirms it (via
-//! [`kr_core::CoreHook`]), so heavy queries deliver early results
-//! instead of buffering the full family.
+//! Enumeration queries **stream**: each maximal core is its own frame,
+//! the first flushed the moment the engine confirms it (via
+//! [`kr_core::CoreHook`]) and later ones every 10 ms and with `done`, so
+//! heavy queries deliver early results instead of buffering the full
+//! family.
 //!
 //! ## In-process quickstart
 //!

@@ -30,7 +30,8 @@ pub struct ServerMetrics {
     pub requests_version_rejected: Arc<Counter>,
     /// Queries whose latency crossed the slow-query threshold.
     pub slow_queries: Arc<Counter>,
-    /// `core` frames written.
+    /// `core` frames delivered: counted when the flush carrying them
+    /// succeeds.
     pub cores_streamed: Arc<Counter>,
     /// Connections refused with a `busy` frame at the `--max-connections`
     /// cap.
@@ -39,8 +40,8 @@ pub struct ServerMetrics {
     /// control (`--max-queries-per-dataset`).
     pub admission_rejections: Arc<Counter>,
     /// Queries abandoned because the client disconnected mid-flight
-    /// (detected between streamed frames or on a peer-disconnect write
-    /// error). Distinct from `query_errors`: the server was healthy, the
+    /// (detected by the probe before a streaming flush or on a
+    /// peer-disconnect write error). Distinct from `query_errors`: the server was healthy, the
     /// client hung up.
     pub client_aborts: Arc<Counter>,
     /// Mutation batches accepted (`add_edge` / `remove_edge` /

@@ -13,10 +13,11 @@
 //! S: {"v":1,"frame":"done","id":"q1","count":2,"completed":true,"cache":"miss","elapsed_ms":12,"nodes":523}
 //! ```
 //!
-//! Enumeration results are **streamed**: each maximal core is written as
-//! its own `core` frame the moment the engine confirms it (via
-//! [`kr_core::CoreHook`]), so a client sees early results of a heavy
-//! query long before `done`. Unknown *request* fields are ignored (a
+//! Enumeration results are **streamed**: each maximal core is its own
+//! `core` frame, the first flushed the moment the engine confirms it
+//! (via [`kr_core::CoreHook`]) and later ones every 10 ms and with
+//! `done`, so a client sees early results of a heavy query long before
+//! `done`. Unknown *request* fields are ignored (a
 //! `v2` client degrades gracefully against a `v1` server); an unknown
 //! version is rejected with an `error` frame.
 //!

@@ -6,16 +6,26 @@
 //! its `id`. The socket is read with a short timeout so the session
 //! notices a server-wide shutdown even while idle.
 //!
+//! **Buffered frames.** A query's response frames are encoded into the
+//! session's [`FrameWriter`] buffer and leave in as few socket writes as
+//! the streaming rule allows: a streaming enumeration flushes its first
+//! `core` at once, then at most once per [`FLUSH_INTERVAL`] (10 ms), and
+//! `done` flushes the rest; a maximum or BasicEnum answer goes out with
+//! its `done` in one write. The bytes on the wire are those of one write
+//! per frame; only their split into TCP segments differs.
+//!
 //! **Cancellation.** Runaway work is bounded two ways. The engine's
 //! node/time limits: the session clamps every query's budgets to the
 //! server's configured ceilings; the engine checks them at each search
 //! node and returns `completed = false` when exceeded, which the `done`
-//! frame reports. And client aborts: between streamed `core` frames the
-//! session peeks the socket (see [`AbortProbe`]) — a client that hung up
-//! mid-query trips a [`kr_core::CancelFlag`] and the engine winds down at
-//! its next search node instead of burning the worker pool on an answer
-//! nobody reads. Aborted queries count in `server.client_aborts` (not
-//! `server.query_errors`) and emit a `client_abort` span event.
+//! frame reports. And client aborts: before every flush of a streaming
+//! enumeration, the final one included, the session peeks the socket
+//! (see [`FrameWriter::client_gone`]) — a client that hung up mid-query
+//! is detected within one flush interval, trips a [`kr_core::CancelFlag`]
+//! and the engine winds down at its next search node instead of burning
+//! the worker pool on an answer nobody reads. Aborted queries count in
+//! `server.client_aborts` (not `server.query_errors`) and emit a
+//! `client_abort` span event.
 //!
 //! **Observability.** Every request line gets a fresh trace id, echoed
 //! in each of its response frames and stamped on every span event the
@@ -37,11 +47,10 @@ use kr_core::{
     enumerate_maximal_prepared, enumerate_maximal_prepared_on, find_maximum_prepared,
     find_maximum_prepared_on, AlgoConfig, CancelFlag, CoreHook, KrCore, LocalComponent,
 };
-use kr_obs::{next_trace_id, Field, PhaseTimer};
+use kr_obs::{next_trace_id, Counter, Field, PhaseTimer};
 use kr_similarity::{SimilarityOracle, TableOracle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,15 +62,23 @@ const READ_POLL: Duration = Duration::from_millis(150);
 /// instead of growing the session buffer without limit.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-type SharedWriter = Arc<Mutex<TcpStream>>;
+/// How long a streaming enumeration may hold confirmed cores in the
+/// session buffer. Its first core is flushed at once; after that a core
+/// triggers a flush only once this much time has passed since the last
+/// one, and `done` flushes the rest.
+const FLUSH_INTERVAL: Duration = Duration::from_millis(10);
 
-fn write_frame(writer: &SharedWriter, frame: &Frame) -> std::io::Result<()> {
-    let mut line = frame.to_line();
-    line.push('\n');
+/// Buffer capacity a session keeps between flushes: a rare huge answer
+/// does not pin its buffer for the rest of the connection.
+const KEEP_BUF_BYTES: usize = 1 << 16;
+
+type SharedWriter = Arc<Mutex<FrameWriter>>;
+
+/// Sends one frame on the session's writer.
+fn send(writer: &SharedWriter, frame: &Frame) -> std::io::Result<()> {
     // Poison-tolerant: a panicking query thread must not wedge every
     // later frame write on this connection (see `crate::sync`).
-    let mut stream = lock(writer);
-    stream.write_all(line.as_bytes())
+    lock(writer).send(frame)
 }
 
 /// Write errors that mean "the peer went away" rather than "this server
@@ -78,32 +95,147 @@ fn is_disconnect(e: &std::io::Error) -> bool {
     )
 }
 
-/// Mid-query client-liveness probe, checked between streamed `core`
-/// frames. `peek` is non-destructive — pipelined request bytes stay
-/// queued for the [`LineReader`] — and distinguishes the three states the
-/// session cares about: EOF (client closed: abort), pending bytes or
-/// nothing yet (client alive), hard error (abort).
+/// The session's buffered frame writer. Every frame is encoded into one
+/// byte buffer, reused across requests, and a flush sends the whole
+/// buffer with one `write_all`: a query's frames leave in a few socket
+/// writes instead of one per frame, with the same bytes on the wire.
 ///
-/// The probe must not block, and `set_nonblocking` applies to the whole
-/// underlying socket (it is shared with the reader and writer clones), so
-/// blocking mode is restored immediately after the peek. That toggle is
-/// safe here because the probe only runs from inside `run_query`, where
-/// the session thread — the only reader — is busy computing, and frame
-/// writes are serialized behind the writer lock. The `LineReader`'s read
-/// timeout is a socket option (`SO_RCVTIMEO`) and is unaffected.
-struct AbortProbe {
+/// The per-query fields account for the current query's stream (reset
+/// by [`FrameWriter::begin_query`]); the `stream` span event reports
+/// them.
+struct FrameWriter {
     stream: TcpStream,
+    buf: Vec<u8>,
+    /// `server.cores_streamed`: bumped by the cores a flush delivered.
+    cores_streamed: Arc<Counter>,
+    last_flush: Instant,
+    /// Core frames pushed for this query (the next core's `index`).
+    frames: u64,
+    /// Core frames in `buf` not yet flushed.
+    unsent: u64,
+    /// Socket writes issued for this query, and their time.
+    writes: u64,
+    write_us: u64,
+    /// First error of this query's stream: a failed flush, or the abort
+    /// probe finding the peer gone. Later cores are dropped.
+    failed: Option<std::io::Error>,
 }
 
-impl AbortProbe {
-    fn new(writer: &SharedWriter) -> Option<AbortProbe> {
-        let stream = lock(writer).try_clone().ok()?;
-        Some(AbortProbe { stream })
+impl FrameWriter {
+    fn new(stream: TcpStream, cores_streamed: Arc<Counter>) -> FrameWriter {
+        FrameWriter {
+            stream,
+            buf: Vec::new(),
+            cores_streamed,
+            last_flush: Instant::now(),
+            frames: 0,
+            unsent: 0,
+            writes: 0,
+            write_us: 0,
+            failed: None,
+        }
     }
 
-    /// True when the peer is known to be gone. False on any doubt: a
-    /// false "alive" just means the abort is caught at the next frame
-    /// write instead.
+    fn begin_query(&mut self) {
+        self.buf.clear();
+        (self.frames, self.unsent, self.writes, self.write_us) = (0, 0, 0, 0);
+        self.failed = None;
+    }
+
+    /// Encodes one frame onto the buffer.
+    fn push(&mut self, frame: &Frame) {
+        self.buf.extend_from_slice(frame.to_line().as_bytes());
+        self.buf.push(b'\n');
+        if matches!(frame, Frame::Core { .. }) {
+            self.frames += 1;
+            self.unsent += 1;
+        }
+    }
+
+    /// Sends the whole buffer with one `write_all`; `now` starts the
+    /// next streaming interval.
+    fn flush(&mut self, now: Instant) -> std::io::Result<()> {
+        let t = Instant::now();
+        let res = self.stream.write_all(&self.buf);
+        self.write_us += t.elapsed().as_micros() as u64;
+        self.writes += 1;
+        self.last_flush = now;
+        self.buf.clear();
+        self.buf.shrink_to(KEEP_BUF_BYTES);
+        if res.is_ok() {
+            self.cores_streamed.add(self.unsent);
+        }
+        self.unsent = 0;
+        res
+    }
+
+    /// Sends one frame on its own (requests answered by a single frame).
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.push(frame);
+        self.flush(Instant::now())
+    }
+
+    /// A flush of a streaming enumeration: the abort probe runs first.
+    fn flush_probed(&mut self, now: Instant) -> std::io::Result<()> {
+        if self.client_gone() {
+            return Err(std::io::Error::new(
+                ErrorKind::ConnectionAborted,
+                "client went away mid-query",
+            ));
+        }
+        self.flush(now)
+    }
+
+    /// Pushes one core of a streaming enumeration and flushes when due:
+    /// the query's first core at once, later ones once
+    /// [`FLUSH_INTERVAL`] has passed since the last flush. Returns false
+    /// once the stream has failed, so the caller cancels the engine.
+    fn stream_core(&mut self, frame: &Frame, now: Instant) -> bool {
+        if self.failed.is_some() {
+            return false;
+        }
+        self.push(frame);
+        if self.writes == 0 || now.duration_since(self.last_flush) >= FLUSH_INTERVAL {
+            if let Err(e) = self.flush_probed(now) {
+                self.failed = Some(e);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Ends the query: pushes `done` and flushes everything buffered in
+    /// one write, after the abort probe when the query streamed. Returns
+    /// the stream's first error instead when one happened.
+    fn finish(&mut self, done: &Frame, probe: bool) -> std::io::Result<()> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        self.push(done);
+        let now = Instant::now();
+        if probe {
+            self.flush_probed(now)
+        } else {
+            self.flush(now)
+        }
+    }
+
+    /// The client-abort probe, run before every flush of a streaming
+    /// enumeration: true when the peer is known to be gone. False on any
+    /// doubt: a false "alive" just means the abort is caught at the
+    /// next flush instead.
+    ///
+    /// `peek` is non-destructive — pipelined request bytes stay queued
+    /// for the [`LineReader`] — and distinguishes the three states the
+    /// session cares about: EOF (client closed: abort), pending bytes or
+    /// nothing yet (client alive), hard error (abort). The probe must not
+    /// block, and `set_nonblocking` applies to the whole underlying
+    /// socket (it is shared with the reader's clone), so blocking mode is
+    /// restored immediately after the peek. That toggle is safe because
+    /// the probe only runs inside `run_query`, where the session thread —
+    /// the only reader — is busy computing, and flushes are serialized
+    /// behind the writer lock. The `LineReader`'s read timeout is a
+    /// socket option (`SO_RCVTIMEO`) and is unaffected.
     fn client_gone(&self) -> bool {
         if self.stream.set_nonblocking(true).is_err() {
             return false;
@@ -181,14 +313,17 @@ pub(crate) fn run_session(stream: TcpStream, state: Arc<ServerState>, permit: Se
         state.trace.event("", "accept", &[("peer", Field::S(peer))]);
     }
     let writer: SharedWriter = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+        Ok(w) => Arc::new(Mutex::new(FrameWriter::new(
+            w,
+            state.metrics.cores_streamed.clone(),
+        ))),
         Err(_) => return,
     };
     let hello = Frame::Hello {
         protocol: PROTOCOL_VERSION,
         server: format!("kr-server/{}", env!("CARGO_PKG_VERSION")),
     };
-    if write_frame(&writer, &hello).is_err() {
+    if send(&writer, &hello).is_err() {
         return;
     }
     let mut reader = LineReader {
@@ -245,7 +380,7 @@ fn handle_line(line: &str, writer: &SharedWriter, state: &Arc<ServerState>) -> s
                 .ok()
                 .and_then(|v| v.get("id").and_then(Json::as_str).map(str::to_string))
                 .unwrap_or_default();
-            return write_frame(
+            return send(
                 writer,
                 &Frame::Error {
                     id,
@@ -275,8 +410,8 @@ fn handle_line(line: &str, writer: &SharedWriter, state: &Arc<ServerState>) -> s
         );
     }
     match req {
-        Request::Ping { id } => write_frame(writer, &Frame::Pong { id, trace }),
-        Request::Stats { id } => write_frame(
+        Request::Ping { id } => send(writer, &Frame::Pong { id, trace }),
+        Request::Stats { id } => send(
             writer,
             &Frame::Stats {
                 id,
@@ -284,7 +419,7 @@ fn handle_line(line: &str, writer: &SharedWriter, state: &Arc<ServerState>) -> s
                 stats: state.cache.stats(),
             },
         ),
-        Request::Metrics { id } => write_frame(
+        Request::Metrics { id } => send(
             writer,
             &Frame::Metrics {
                 id,
@@ -293,7 +428,7 @@ fn handle_line(line: &str, writer: &SharedWriter, state: &Arc<ServerState>) -> s
             },
         ),
         Request::Shutdown { id } => {
-            write_frame(writer, &Frame::ShuttingDown { id, trace })?;
+            send(writer, &Frame::ShuttingDown { id, trace })?;
             state.begin_shutdown();
             Ok(())
         }
@@ -373,7 +508,7 @@ fn run_query(
     // so the policy does not apply to them.
     if spec.scale > state.config.max_scale && !state.datasets.is_file_backed(&spec.dataset) {
         metrics.query_errors.inc();
-        return write_frame(
+        return send(
             writer,
             &Frame::Error {
                 id,
@@ -390,7 +525,7 @@ fn run_query(
         Ok(ds) => ds,
         Err(message) => {
             metrics.query_errors.inc();
-            return write_frame(
+            return send(
                 writer,
                 &Frame::Error {
                     id,
@@ -415,7 +550,7 @@ fn run_query(
                     ("limit", Field::from(limit)),
                 ],
             );
-            return write_frame(
+            return send(
                 writer,
                 &Frame::Error {
                     id,
@@ -517,187 +652,120 @@ fn run_query(
         cfg = cfg.with_node_limit(limit);
     }
 
-    // Frame-streaming accounting, shared by every path that writes a
-    // `core` frame: how many went out and how long the socket writes
-    // took (the `stream` span event reports both).
-    let frames = Arc::new(AtomicU64::new(0));
-    let write_us = Arc::new(AtomicU64::new(0));
-    // Client-abort plumbing: the streaming hook (or a peer-disconnect
-    // write error) flips `client_gone` and cancels the engine, which
-    // winds down at its next search node. `write_failed` is everything
-    // else — the socket broke for a non-disconnect reason.
+    // AdvEnum streams: every core the engine confirms is pushed onto the
+    // session's writer from the hook, which flushes the first one at once
+    // and later ones every `FLUSH_INTERVAL`. BasicEnum (maximality is only
+    // known after the post-filter) and the maximum search push their
+    // cores after the search instead, so they go out with `done` in one
+    // write. A failed flush (or the abort probe finding the client gone)
+    // cancels the engine, which winds down at its next search node.
+    let streaming = matches!(kind, QueryKind::Enumerate) && cfg.maximal_check;
+    lock(writer).begin_query();
     let cancel = CancelFlag::new();
     cfg = cfg.with_cancel(cancel.clone());
-    let client_gone = Arc::new(AtomicBool::new(false));
-    let write_failed = Arc::new(AtomicBool::new(false));
-    // Classifies one frame-write result: peer disconnects become client
-    // aborts (counted + span event), anything else a query error. Either
-    // way the session ends by propagating the error.
-    let classify_write = |res: std::io::Result<()>| -> std::io::Result<()> {
-        if let Err(e) = &res {
-            if is_disconnect(e) {
-                metrics.client_aborts.inc();
-                sink.event(
-                    &trace,
-                    "client_abort",
-                    &[
-                        ("dataset", Field::S(spec.dataset.clone())),
-                        ("frames", Field::U(frames.load(Ordering::Relaxed))),
-                        ("error", Field::S(e.to_string())),
-                    ],
-                );
-            } else {
-                metrics.query_errors.inc();
+    if streaming {
+        let (out, stop, qid, qtrace) = (writer.clone(), cancel.clone(), id.clone(), trace.clone());
+        cfg = cfg.with_on_core(CoreHook::new(move |core: &KrCore| {
+            let mut out = lock(&out);
+            let frame = Frame::Core {
+                id: qid.clone(),
+                trace: qtrace.clone(),
+                index: out.frames,
+                vertices: core.vertices.clone(),
+            };
+            if !out.stream_core(&frame, Instant::now()) {
+                stop.cancel();
             }
-        }
-        res
-    };
+        }));
+    }
 
-    let (count, completed, nodes) = match kind {
+    let search = PhaseTimer::start(sink, &trace, "search");
+    let (cores, completed, nodes) = match kind {
         QueryKind::Enumerate => {
-            // AdvEnum streams: every core the engine confirms goes out as
-            // its own frame immediately. BasicEnum buffers (maximality is
-            // only known after the post-filter) and the frames are
-            // written below instead.
-            let streaming = cfg.maximal_check;
-            if streaming {
-                let probe = AbortProbe::new(writer);
-                let (w, counter, failed, gone, stop, qid, qtrace, wus, streamed) = (
-                    writer.clone(),
-                    frames.clone(),
-                    write_failed.clone(),
-                    client_gone.clone(),
-                    cancel.clone(),
-                    id.clone(),
-                    trace.clone(),
-                    write_us.clone(),
-                    metrics.cores_streamed.clone(),
-                );
-                cfg = cfg.with_on_core(CoreHook::new(move |core: &KrCore| {
-                    if failed.load(Ordering::Relaxed) || gone.load(Ordering::Relaxed) {
-                        return; // socket already broken; engine is winding down
-                    }
-                    // Poll the socket before spending a write on it: a
-                    // client that hung up is detected here even when the
-                    // kernel buffer would still have absorbed the frame.
-                    if probe.as_ref().is_some_and(AbortProbe::client_gone) {
-                        gone.store(true, Ordering::Relaxed);
-                        stop.cancel();
-                        return;
-                    }
-                    let frame = Frame::Core {
-                        id: qid.clone(),
-                        trace: qtrace.clone(),
-                        index: counter.fetch_add(1, Ordering::Relaxed),
-                        vertices: core.vertices.clone(),
-                    };
-                    let t = Instant::now();
-                    if let Err(e) = write_frame(&w, &frame) {
-                        if is_disconnect(&e) {
-                            gone.store(true, Ordering::Relaxed);
-                            stop.cancel();
-                        } else {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                    }
-                    wus.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    streamed.inc();
-                }));
-            }
-            let search = PhaseTimer::start(sink, &trace, "search");
             let res = match &pool {
                 None => enumerate_maximal_prepared(&comps, &cfg),
                 Some(pool) => enumerate_maximal_prepared_on(&comps, &cfg, pool),
             };
-            search.finish_with(&[
-                ("nodes", Field::U(res.stats.nodes)),
-                ("completed", Field::B(res.completed)),
-            ]);
-            if write_failed.load(Ordering::Relaxed) {
-                metrics.query_errors.inc();
-                return Err(std::io::Error::new(
-                    ErrorKind::BrokenPipe,
-                    "frame write failed mid-stream",
-                ));
-            }
-            if !streaming {
-                for (index, core) in res.cores.iter().enumerate() {
-                    let t = Instant::now();
-                    classify_write(write_frame(
-                        writer,
-                        &Frame::Core {
-                            id: id.clone(),
-                            trace: trace.clone(),
-                            index: index as u64,
-                            vertices: core.vertices.clone(),
-                        },
-                    ))?;
-                    write_us.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    frames.fetch_add(1, Ordering::Relaxed);
-                    metrics.cores_streamed.inc();
-                }
-            }
-            (res.cores.len() as u64, res.completed, res.stats.nodes)
+            (res.cores, res.completed, res.stats.nodes)
         }
         QueryKind::Maximum => {
-            let search = PhaseTimer::start(sink, &trace, "search");
             let res = match &pool {
                 None => find_maximum_prepared(&comps, &cfg),
                 Some(pool) => find_maximum_prepared_on(&comps, &cfg, pool),
             };
-            search.finish_with(&[
-                ("nodes", Field::U(res.stats.nodes)),
-                ("completed", Field::B(res.completed)),
-            ]);
-            let count = res.core.iter().len() as u64;
-            if let Some(core) = &res.core {
-                let t = Instant::now();
-                classify_write(write_frame(
-                    writer,
-                    &Frame::Core {
-                        id: id.clone(),
-                        trace: trace.clone(),
-                        index: 0,
-                        vertices: core.vertices.clone(),
-                    },
-                ))?;
-                write_us.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-                frames.fetch_add(1, Ordering::Relaxed);
-                metrics.cores_streamed.inc();
-            }
-            (count, res.completed, res.stats.nodes)
+            (
+                res.core.into_iter().collect(),
+                res.completed,
+                res.stats.nodes,
+            )
         }
     };
-
-    if client_gone.load(Ordering::Relaxed) {
-        // The abort probe (or a disconnect-class write error) stopped the
-        // sweep: not an answered query (no `done`, no latency sample) and
-        // not a server failure — it counts in `server.client_aborts`.
-        metrics.client_aborts.inc();
-        sink.event(
-            &trace,
-            "client_abort",
-            &[
-                ("dataset", Field::S(spec.dataset.clone())),
-                ("frames", Field::U(frames.load(Ordering::Relaxed))),
-                ("nodes", Field::U(nodes)),
-            ],
-        );
-        return Err(std::io::Error::new(
-            ErrorKind::ConnectionAborted,
-            "client went away mid-query",
-        ));
-    }
+    search.finish_with(&[
+        ("nodes", Field::U(nodes)),
+        ("completed", Field::B(completed)),
+    ]);
+    let count = cores.len() as u64;
 
     let elapsed = t0.elapsed();
     let elapsed_ms = elapsed.as_millis() as u64;
+    let mut out = lock(writer);
+    if !streaming {
+        for core in cores {
+            let frame = Frame::Core {
+                id: id.clone(),
+                trace: trace.clone(),
+                index: out.frames,
+                vertices: core.vertices,
+            };
+            out.push(&frame);
+        }
+    }
+    let done = Frame::Done {
+        id,
+        trace: trace.clone(),
+        count,
+        completed,
+        cache,
+        elapsed_ms,
+        nodes,
+    };
+    let (sent, frames, writes, write_us) = (
+        out.finish(&done, streaming),
+        out.frames,
+        out.writes,
+        out.write_us,
+    );
+    drop(out);
+    if let Err(e) = sent {
+        if is_disconnect(&e) {
+            // The client hung up mid-query (the abort probe or a
+            // disconnect-class write error): not an answered query (no
+            // `done`, no latency sample) and not a server failure.
+            metrics.client_aborts.inc();
+            sink.event(
+                &trace,
+                "client_abort",
+                &[
+                    ("dataset", Field::S(spec.dataset.clone())),
+                    ("frames", Field::U(frames)),
+                    ("nodes", Field::U(nodes)),
+                    ("error", Field::S(e.to_string())),
+                ],
+            );
+        } else {
+            metrics.query_errors.inc();
+        }
+        return Err(e);
+    }
+
     if sink.enabled() {
         sink.event(
             &trace,
             "stream",
             &[
-                ("frames", Field::U(frames.load(Ordering::Relaxed))),
-                ("write_us", Field::U(write_us.load(Ordering::Relaxed))),
+                ("frames", Field::U(frames)),
+                ("writes", Field::U(writes)),
+                ("write_us", Field::U(write_us)),
             ],
         );
         sink.event(
@@ -729,18 +797,6 @@ fn run_query(
             ],
         );
     }
-    classify_write(write_frame(
-        writer,
-        &Frame::Done {
-            id,
-            trace: trace.clone(),
-            count,
-            completed,
-            cache,
-            elapsed_ms,
-            nodes,
-        },
-    ))?;
     // The acceptance invariant: exactly one latency sample per *answered*
     // query — `done` delivered — so the histogram's bucket counts plus
     // the abort/rejection counters account for every query accepted.
@@ -768,7 +824,7 @@ fn run_mutation(
     let t0 = Instant::now();
     if scale > state.config.max_scale && !state.datasets.is_file_backed(&dataset_name) {
         metrics.mutation_errors.inc();
-        return write_frame(
+        return send(
             writer,
             &Frame::Error {
                 id,
@@ -785,7 +841,7 @@ fn run_mutation(
         Ok(ds) => ds,
         Err(message) => {
             metrics.mutation_errors.inc();
-            return write_frame(
+            return send(
                 writer,
                 &Frame::Error {
                     id,
@@ -802,7 +858,7 @@ fn run_mutation(
         Err(message) => {
             apply.finish_with(&[("rejected", Field::B(true))]);
             metrics.mutation_errors.inc();
-            return write_frame(
+            return send(
                 writer,
                 &Frame::Error {
                     id,
@@ -851,7 +907,7 @@ fn run_mutation(
             ],
         );
     }
-    write_frame(
+    send(
         writer,
         &Frame::Mutated {
             id,
@@ -945,4 +1001,140 @@ fn repair_cache(
             }
             true
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected loopback pair: the session's end wrapped in a
+    /// `FrameWriter`, and the client's end.
+    fn pair() -> (FrameWriter, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (
+            FrameWriter::new(server, Arc::new(Counter::default())),
+            client,
+        )
+    }
+
+    fn core(index: u64) -> Frame {
+        Frame::Core {
+            id: "q".to_string(),
+            trace: "00000000000000ab".to_string(),
+            index,
+            vertices: vec![index as u32, index as u32 + 1],
+        }
+    }
+
+    fn done(count: u64) -> Frame {
+        Frame::Done {
+            id: "q".to_string(),
+            trace: "00000000000000ab".to_string(),
+            count,
+            completed: true,
+            cache: CacheOutcome::Hit,
+            elapsed_ms: 0,
+            nodes: 7,
+        }
+    }
+
+    fn wire(frames: &[Frame]) -> Vec<u8> {
+        frames
+            .iter()
+            .flat_map(|f| format!("{}\n", f.to_line()).into_bytes())
+            .collect()
+    }
+
+    /// Reads exactly `len` bytes, then checks nothing more is queued.
+    fn read_exactly(client: &mut TcpStream, len: usize) -> Vec<u8> {
+        let mut got = vec![0u8; len];
+        client.read_exact(&mut got).expect("read");
+        client.set_nonblocking(true).unwrap();
+        let mut more = [0u8; 1];
+        let pending = client.read(&mut more);
+        client.set_nonblocking(false).unwrap();
+        assert!(
+            matches!(&pending, Err(e) if e.kind() == ErrorKind::WouldBlock),
+            "unexpected bytes after {len}: {pending:?}"
+        );
+        got
+    }
+
+    #[test]
+    fn streaming_flushes_first_core_then_per_interval_then_with_done() {
+        let (mut w, mut client) = pair();
+        w.begin_query();
+        let t0 = Instant::now();
+        let frames = [core(0), core(1), core(2), core(3), core(4), done(5)];
+
+        // The first core goes out alone, at once.
+        assert!(w.stream_core(&frames[0], t0));
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            read_exactly(&mut client, wire(&frames[..1]).len()),
+            wire(&frames[..1])
+        );
+
+        // Within the interval: buffered, nothing written.
+        assert!(w.stream_core(&frames[1], t0 + Duration::from_millis(4)));
+        assert!(w.stream_core(&frames[2], t0 + Duration::from_millis(9)));
+        assert_eq!(w.writes, 1);
+
+        // A core pushed once the interval has passed flushes everything
+        // buffered, itself included; the interval restarts there.
+        assert!(w.stream_core(&frames[3], t0 + FLUSH_INTERVAL));
+        assert_eq!(w.writes, 2);
+        assert_eq!(
+            read_exactly(&mut client, wire(&frames[1..4]).len()),
+            wire(&frames[1..4])
+        );
+        assert!(w.stream_core(&frames[4], t0 + FLUSH_INTERVAL + Duration::from_millis(9)));
+        assert_eq!(w.writes, 2);
+
+        // `done` goes out with the buffered core in one write.
+        w.finish(&frames[5], true).expect("finish");
+        assert_eq!(w.writes, 3);
+        assert_eq!(
+            read_exactly(&mut client, wire(&frames[4..]).len()),
+            wire(&frames[4..])
+        );
+        assert_eq!(w.frames, 5);
+        assert_eq!(w.cores_streamed.get(), 5);
+    }
+
+    #[test]
+    fn buffered_answer_goes_out_with_done_in_one_write() {
+        let (mut w, mut client) = pair();
+        // The writer is reused across queries: a second query's stream
+        // starts from fresh per-query accounting.
+        for _ in 0..2 {
+            w.begin_query();
+            let frames = [core(0), core(1), done(2)];
+            w.push(&frames[0]);
+            w.push(&frames[1]);
+            assert_eq!(w.writes, 0);
+            w.finish(&frames[2], false).expect("finish");
+            assert_eq!((w.frames, w.writes), (2, 1));
+            let bytes = wire(&frames);
+            assert_eq!(read_exactly(&mut client, bytes.len()), bytes);
+        }
+        assert_eq!(w.cores_streamed.get(), 4);
+    }
+
+    #[test]
+    fn hangup_is_caught_by_the_probe_before_the_final_flush() {
+        let (mut w, client) = pair();
+        w.begin_query();
+        let t0 = Instant::now();
+        assert!(w.stream_core(&core(0), t0));
+        assert!(w.stream_core(&core(1), t0 + Duration::from_millis(1)));
+        drop(client);
+        let err = w.finish(&done(2), true).expect_err("peer is gone");
+        assert!(is_disconnect(&err), "{err:?}");
+        assert_eq!(w.writes, 1, "nothing is written to a gone peer");
+        assert_eq!(w.cores_streamed.get(), 1, "only the flushed core counts");
+    }
 }

@@ -6,13 +6,18 @@
 //!   counts summing to the number of queries served, and p99 ≥ p50;
 //! * every response frame of a query carries the same server-assigned
 //!   trace id, and that id joins against the span events in the log;
-//! * a sub-threshold `slow_query_ms` forces parseable slow-query lines.
+//! * a sub-threshold `slow_query_ms` forces parseable slow-query lines;
+//! * every answered query's `stream` event counts at most one socket
+//!   write per frame plus `done`: one for a `maximum` answer, and for an
+//!   enumeration its first flush, one per elapsed flush interval and
+//!   `done`.
 
 use kr_server::json::Json;
 use kr_server::{
     CacheOutcome, Client, Frame, HistogramSnapshot, MetricsSnapshot, QuerySpec, Request, Server,
     ServerConfig,
 };
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,6 +94,60 @@ fn read_spans(log: &std::path::Path) -> Vec<(String, String)> {
         .collect()
 }
 
+/// The session's flush interval for a streaming enumeration
+/// (docs/PROTOCOL.md, `enumerate`).
+const FLUSH_INTERVAL_MS: u64 = 10;
+
+/// Checks the socket writes of every answered query in the log against
+/// the flush rule; returns how many queries it checked.
+fn assert_write_counts(log: &std::path::Path) -> usize {
+    #[derive(Default)]
+    struct Query {
+        cmd: String,
+        stream: Option<(u64, u64)>,
+        elapsed_ms: Option<u64>,
+    }
+    let text = std::fs::read_to_string(log).expect("trace log readable");
+    let mut queries: HashMap<String, Query> = HashMap::new();
+    for line in text.lines() {
+        let v = Json::parse(line).expect("log line parses");
+        let trace = v.get("trace").and_then(Json::as_str).unwrap_or_default();
+        let field = |name: &str| v.get(name).and_then(Json::as_u64);
+        let q = queries.entry(trace.to_string()).or_default();
+        match v.get("span").and_then(Json::as_str) {
+            Some("request") => {
+                q.cmd = v.get("cmd").and_then(Json::as_str).unwrap().to_string();
+            }
+            Some("stream") => {
+                q.stream = Some((field("frames").unwrap(), field("writes").expect("writes")));
+            }
+            Some("query") => q.elapsed_ms = field("elapsed_ms"),
+            _ => {}
+        }
+    }
+    let mut checked = 0;
+    for (trace, q) in &queries {
+        let Some((frames, writes)) = q.stream else {
+            continue;
+        };
+        let elapsed_ms = q.elapsed_ms.expect("answered query logs `query`");
+        assert!(
+            (1..=frames + 1).contains(&writes),
+            "trace {trace}: {writes} writes for {frames} frames"
+        );
+        match q.cmd.as_str() {
+            "maximum" => assert_eq!(writes, 1, "trace {trace}: maximum in one write"),
+            "enumerate" => assert!(
+                writes <= 2 + elapsed_ms / FLUSH_INTERVAL_MS,
+                "trace {trace}: {writes} writes in {elapsed_ms} ms"
+            ),
+            other => panic!("trace {trace}: stream event for `{other}`"),
+        }
+        checked += 1;
+    }
+    checked
+}
+
 #[test]
 fn metrics_snapshot_matches_queries_issued_and_log_joins_on_trace() {
     let log = log_path("metrics");
@@ -151,6 +210,11 @@ fn metrics_snapshot_matches_queries_issued_and_log_joins_on_trace() {
     handle.shutdown_and_join().expect("clean shutdown");
 
     let spans = read_spans(&log);
+    assert_eq!(
+        assert_write_counts(&log),
+        5,
+        "every answered query is checked"
+    );
     assert!(spans.iter().any(|(_, s)| s == "accept"));
     for t in &traces {
         for want in ["request", "search", "stream", "query", "slow_query"] {
@@ -233,6 +297,11 @@ fn every_frame_of_a_query_carries_its_trace_and_joins_the_log() {
     handle.shutdown_and_join().expect("clean shutdown");
 
     let spans = read_spans(&log);
+    assert_eq!(
+        assert_write_counts(&log),
+        1,
+        "the one answered query is checked"
+    );
     for want in ["request", "cache_lookup", "preprocess", "search", "query"] {
         assert!(
             spans.iter().any(|(t, s)| t == &trace && s == want),
