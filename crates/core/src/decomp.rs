@@ -147,9 +147,14 @@ impl DecompositionIndex {
     /// vertices, seeded sampling above — deterministic either way).
     ///
     /// Cost: one pairwise pass for all twelve quantiles — `n(n-1)/2`
-    /// metric values (keyword metrics through the row kernel of
-    /// [`TableOracle`]'s `pairwise_values`) or a fixed sample above the
-    /// cutoff — plus one metric value per edge and one peel per band.
+    /// metric values or a fixed sample above the cutoff — plus one
+    /// metric value per edge and one peel per band. Keyword metrics with
+    /// small integer weight totals (dblp-like, pokec-like) go through
+    /// [`TableOracle`]'s counting row kernel, which tallies the pairs'
+    /// exact `(num, den)` in a table of bounded size instead of storing
+    /// `n(n-1)/2` values: on dblp-like at the cutoff the build peaks
+    /// under 1 MiB of heap, where the value buffer alone took 16 MB.
+    /// Every other input buffers the values.
     pub fn build_default(graph: &Graph, oracle: &TableOracle) -> Self {
         let n = graph.num_vertices();
         if n < 2 {
@@ -958,6 +963,32 @@ mod tests {
             }
         }
         assert!(sampled, "no case exercised the sampled path");
+    }
+
+    /// The default ladder of dblp-like at full scale, as raw bits: the
+    /// exact path at `n == EXACT_QUANTILE_CUTOFF` through the keyword
+    /// kernel. Any change to how the pairwise values are gathered or
+    /// ranked must leave these bits alone.
+    #[test]
+    fn dblp_like_default_bands_are_pinned() {
+        let d = DatasetPreset::DblpLike.generate_scaled(1.0);
+        assert_eq!(d.graph.num_vertices(), EXACT_QUANTILE_CUTOFF);
+        let oracle = TableOracle::new(d.attributes, d.metric, Threshold::MinSimilarity(0.5));
+        let ix = DecompositionIndex::build_default(&d.graph, &oracle);
+        let bits: Vec<u64> = ix.bands().iter().map(|b| b.to_bits()).collect();
+        let want: [u64; 10] = [
+            0x0000000000000000, // 0
+            0x3f915b1e5f75270d, // 1/59
+            0x3faaf286bca1af28, // 1/19
+            0x3fb745d1745d1746, // 1/11
+            0x3fc3b13b13b13b14, // 2/13
+            0x3fccbc14e5e0a72f, // 11/49
+            0x3fd1b3bea3677d47, // 13/47
+            0x3fd5555555555555, // 1/3
+            0x3fe0000000000000, // 1/2
+            0x3fe286bca1af286c, // 11/19
+        ];
+        assert_eq!(bits, want, "{:?}", ix.bands());
     }
 
     #[test]

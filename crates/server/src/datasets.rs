@@ -266,26 +266,36 @@ impl HostedDataset {
         self.decomposition_with_version().0
     }
 
+    /// [`Self::decomposition`], plus whether this call ran the build
+    /// (and so paid for it) rather than finding the index in place.
+    pub fn decomposition_reporting_build(&self) -> (Arc<DecompositionIndex>, bool) {
+        let (index, _, built) = self.decomposition_with_version();
+        (index, built)
+    }
+
     /// [`Self::decomposition`] plus the dataset version the index
-    /// describes. The first build runs without blocking writers; if a
-    /// mutation lands meanwhile the build is stale, and the one rebuild
-    /// holds the mutation lock so no batch can invalidate it.
-    fn decomposition_with_version(&self) -> (Arc<DecompositionIndex>, u64) {
+    /// describes and whether this call built it. The first build runs
+    /// without blocking writers; if a mutation lands meanwhile the build
+    /// is stale, and the one rebuild holds the mutation lock so no batch
+    /// can invalidate it.
+    fn decomposition_with_version(&self) -> (Arc<DecompositionIndex>, u64, bool) {
         if let Some(found) = self.build_decomposition() {
             return found;
         }
         let _batch = lock(&self.mutate);
-        self.build_decomposition()
-            .expect("no mutation lands while the mutation lock is held")
+        let (index, version, _) = self
+            .build_decomposition()
+            .expect("no mutation lands while the mutation lock is held");
+        (index, version, true)
     }
 
     /// Returns the current index, building and installing it when
-    /// absent. `None` when a mutation landed mid-build: the index then
-    /// describes the old graph and is dropped.
-    fn build_decomposition(&self) -> Option<(Arc<DecompositionIndex>, u64)> {
+    /// absent (then flagged `true`). `None` when a mutation landed
+    /// mid-build: the index then describes the old graph and is dropped.
+    fn build_decomposition(&self) -> Option<(Arc<DecompositionIndex>, u64, bool)> {
         let view = self.view();
         if let Some(ix) = view.index {
-            return Some((ix, view.version));
+            return Some((ix, view.version, false));
         }
         let oracle = TableOracle::from_shared(
             view.attributes.clone(),
@@ -298,7 +308,7 @@ impl HostedDataset {
             return None;
         }
         st.index = Some(built.clone());
-        Some((built, view.version))
+        Some((built, view.version, true))
     }
 
     /// Validates one update against vertex count `n` and the attribute
@@ -700,9 +710,10 @@ mod tests {
     fn decomposition_builds_once_and_is_shared() {
         let reg = DatasetRegistry::new();
         let ds = reg.get("gowalla-like", 0.05).unwrap();
-        let a = ds.decomposition();
-        let b = ds.decomposition();
+        let (a, built_a) = ds.decomposition_reporting_build();
+        let (b, built_b) = ds.decomposition_reporting_build();
         assert!(Arc::ptr_eq(&a, &b), "one build per dataset");
+        assert!(built_a && !built_b, "only the first call builds");
         assert_eq!(a.num_vertices(), ds.view().graph.num_vertices());
         assert!(a.is_distance(), "gowalla-like is Euclidean");
     }
@@ -900,7 +911,7 @@ mod tests {
         while ds.version() == 0 {
             std::thread::yield_now();
         }
-        let (index, version) = ds.decomposition_with_version();
+        let (index, version, _) = ds.decomposition_with_version();
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
 

@@ -10,7 +10,10 @@
 //! * every answered query's `stream` event counts at most one socket
 //!   write per frame plus `done`: one for a `maximum` answer, and for an
 //!   enumeration its first flush, one per elapsed flush interval and
-//!   `done`.
+//!   `done`;
+//! * the first miss on a dataset without a stored index reports the
+//!   index build on its `index_candidates` event, and later misses
+//!   report none.
 
 use kr_server::json::Json;
 use kr_server::{
@@ -90,6 +93,20 @@ fn read_spans(log: &std::path::Path) -> Vec<(String, String)> {
                 .unwrap_or_default()
                 .to_string();
             (trace, span)
+        })
+        .collect()
+}
+
+/// `(trace, built)` of every `index_candidates` event, in log order.
+fn index_builds(log: &std::path::Path) -> Vec<(String, bool)> {
+    let text = std::fs::read_to_string(log).expect("trace log readable");
+    text.lines()
+        .map(|line| Json::parse(line).expect("log line parses"))
+        .filter(|v| v.get("span").and_then(Json::as_str) == Some("index_candidates"))
+        .map(|v| {
+            let trace = v.get("trace").and_then(Json::as_str).unwrap().to_string();
+            let built = v.get("built").and_then(Json::as_bool).expect("built");
+            (trace, built)
         })
         .collect()
 }
@@ -236,6 +253,12 @@ fn metrics_snapshot_matches_queries_issued_and_log_joins_on_trace() {
     assert!(
         !preprocessed.contains(&traces[1]),
         "warm hit: no preprocess"
+    );
+    // The generated dataset carries no index: the first miss builds it
+    // exactly once, the second only looks it up.
+    assert_eq!(
+        index_builds(&log),
+        vec![(traces[0].clone(), true), (traces[2].clone(), false)]
     );
 
     let _ = std::fs::remove_file(log);

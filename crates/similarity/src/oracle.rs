@@ -8,6 +8,7 @@
 use crate::attributes::AttributeTable;
 use crate::candidates::{AllPairs, CandidatePairs, GridCandidates, InvertedIndexCandidates};
 use crate::metrics::Metric;
+use crate::quantile::{quantiles_from_runs, quantiles_from_top};
 use kr_graph::VertexId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -57,27 +58,31 @@ pub trait SimilarityOracle {
         Box::new(AllPairs::new(members.len()))
     }
 
-    /// Appends [`value`](Self::value) for every pair `u < v` of `0..n`
-    /// to `out`, row by row (`u` ascending, then `v` ascending). The
-    /// default evaluates `value` per pair; [`TableOracle`] overrides it
-    /// with a bit-identical row kernel for keyword metrics.
-    fn pairwise_values(&self, n: usize, out: &mut Vec<f64>) {
-        pairwise_values_by_value(self, n, out);
+    /// Exact `q`-quantiles from the top of [`value`](Self::value) over
+    /// every pair `u < v` of `0..n`, one per entry of `qs` (see
+    /// [`crate::quantile::similarity_quantiles_exact`], which checks
+    /// `n >= 2` and every `0 < q <= 1`). The default buffers all
+    /// `n(n-1)/2` values; [`TableOracle`] overrides it with a
+    /// bit-identical counting kernel for keyword metrics.
+    fn pairwise_quantiles(&self, n: usize, qs: &[f64]) -> Vec<f64> {
+        pairwise_quantiles_by_value(self, n, qs)
     }
 }
 
-/// The default [`SimilarityOracle::pairwise_values`]: one `value` call
-/// per pair.
-fn pairwise_values_by_value<O: SimilarityOracle + ?Sized>(
+/// The default [`SimilarityOracle::pairwise_quantiles`]: one `value`
+/// call per pair into one buffer, then partial selections.
+fn pairwise_quantiles_by_value<O: SimilarityOracle + ?Sized>(
     oracle: &O,
     n: usize,
-    out: &mut Vec<f64>,
-) {
+    qs: &[f64],
+) -> Vec<f64> {
+    let mut vals = Vec::with_capacity(n * (n - 1) / 2);
     for u in 0..n as u32 {
         for v in (u + 1)..n as u32 {
-            out.push(oracle.value(u, v));
+            vals.push(oracle.value(u, v));
         }
     }
+    quantiles_from_top(&mut vals, qs)
 }
 
 /// Largest per-vertex keyword weight total the row kernel accepts: two
@@ -85,77 +90,152 @@ fn pairwise_values_by_value<O: SimilarityOracle + ?Sized>(
 /// metrics form is an exactly representable integer.
 const MAX_KERNEL_TOTAL: u64 = 1 << 52;
 
-/// Row kernel for [`Metric::Jaccard`] (`unweighted`) and
-/// [`Metric::WeightedJaccard`] over all pairs of `lists`: appends the
-/// same values as [`Metric::evaluate`], bit for bit, in
-/// [`SimilarityOracle::pairwise_values`] order, and returns true.
+/// Largest pair denominator — twice the largest per-vertex weight
+/// total — for which [`KeywordRows::quantiles`] may count `(num, den)`
+/// pairs in a dense `(den + 1)²` table (at most ~2 MiB of counters)
+/// instead of buffering one `f64` per pair. It also needs no more cells
+/// than there are pairs, so the table is never larger than the buffer.
+const MAX_TALLY_DEN: u64 = 512;
+
+/// The keyword row kernel for [`Metric::Jaccard`] (`unweighted`) and
+/// [`Metric::WeightedJaccard`]: every list as a row of (dense keyword
+/// slot, integer weight) entries plus its weight total.
 ///
-/// Row `u` is scattered into a dense array indexed by remapped keyword;
-/// each later `v` then costs one pass over its own list:
-/// `num = Σ min(w_u, w_v)` and `den = W_u + W_v − num`, in `u64`. That
-/// is exact only when every list is strictly ascending (the merge's view
-/// of a set) and, for the weighted metric, every weight is an integer
-/// `>= 0` with per-vertex total at most [`MAX_KERNEL_TOTAL`]: then every
-/// `f64` partial sum in [`crate::metrics::weighted_jaccard`] is an exact
-/// integer, so `num as f64 / den as f64` is the same IEEE division on the
-/// same operands, and `den == 0` is the same two-empty-sets case. On any
-/// other input it appends nothing and returns false.
-fn keyword_pairwise_values(
-    lists: &[Vec<(u32, f64)>],
-    unweighted: bool,
-    out: &mut Vec<f64>,
-) -> bool {
-    // Flat rows of (keyword, integer weight), then keywords remapped to
-    // dense slots.
-    let mut entries: Vec<(u32, u64)> = Vec::new();
-    let mut offsets = vec![0];
-    let mut totals = Vec::with_capacity(lists.len());
-    for list in lists {
-        if list.windows(2).any(|w| w[0].0 >= w[1].0) {
-            return false;
-        }
-        let mut total = 0u64;
-        for &(k, w) in list {
-            let w = if unweighted { 1.0 } else { w };
-            // Rejects NaN, infinities, negatives and fractions.
-            if !(w >= 0.0 && w.fract() == 0.0 && w <= MAX_KERNEL_TOTAL as f64) {
-                return false;
+/// Row `u` is scattered into a dense array indexed by slot; each later
+/// `v` then costs one pass over its own list: `num = Σ min(w_u, w_v)`
+/// and `den = W_u + W_v − num`, in `u64`. That is exact only when every
+/// list is strictly ascending (the merge's view of a set) and, for the
+/// weighted metric, every weight is an integer `>= 0` with per-vertex
+/// total at most [`MAX_KERNEL_TOTAL`]: then every `f64` partial sum in
+/// [`crate::metrics::weighted_jaccard`] is an exact integer, so
+/// [`ratio`]`(num, den)` is the same IEEE division on the same operands
+/// as [`Metric::evaluate`], and `den == 0` is the same two-empty-sets
+/// case.
+struct KeywordRows {
+    /// `(slot, weight)` of every list, row after row.
+    entries: Vec<(u32, u64)>,
+    /// Row `v` is `entries[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    /// Per-row weight total.
+    totals: Vec<u64>,
+    /// Number of distinct keywords.
+    slots: usize,
+}
+
+impl KeywordRows {
+    /// The rows of `lists`, or `None` when an input breaks the kernel's
+    /// exactness preconditions.
+    fn new(lists: &[Vec<(u32, f64)>], unweighted: bool) -> Option<Self> {
+        let mut entries: Vec<(u32, u64)> = Vec::new();
+        let mut offsets = vec![0];
+        let mut totals = Vec::with_capacity(lists.len());
+        for list in lists {
+            if list.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return None;
             }
-            total += w as u64;
-            if total > MAX_KERNEL_TOTAL {
-                return false;
+            let mut total = 0u64;
+            for &(k, w) in list {
+                let w = if unweighted { 1.0 } else { w };
+                // Rejects NaN, infinities, negatives and fractions.
+                if !(w >= 0.0 && w.fract() == 0.0 && w <= MAX_KERNEL_TOTAL as f64) {
+                    return None;
+                }
+                total += w as u64;
+                if total > MAX_KERNEL_TOTAL {
+                    return None;
+                }
+                entries.push((k, w as u64));
             }
-            entries.push((k, w as u64));
+            totals.push(total);
+            offsets.push(entries.len());
         }
-        totals.push(total);
-        offsets.push(entries.len());
+        let mut keywords: Vec<u32> = entries.iter().map(|&(k, _)| k).collect();
+        keywords.sort_unstable();
+        keywords.dedup();
+        for e in &mut entries {
+            e.0 = keywords.binary_search(&e.0).expect("keyword was collected") as u32;
+        }
+        Some(KeywordRows {
+            entries,
+            offsets,
+            totals,
+            slots: keywords.len(),
+        })
     }
-    let mut keywords: Vec<u32> = entries.iter().map(|&(k, _)| k).collect();
-    keywords.sort_unstable();
-    keywords.dedup();
-    for e in &mut entries {
-        e.0 = keywords.binary_search(&e.0).expect("keyword was collected") as u32;
+
+    fn row(&self, v: usize) -> &[(u32, u64)] {
+        &self.entries[self.offsets[v]..self.offsets[v + 1]]
     }
-    let row = |v: usize| &entries[offsets[v]..offsets[v + 1]];
-    let mut dense = vec![0u64; keywords.len()];
-    for u in 0..lists.len() {
-        for &(s, w) in row(u) {
-            dense[s as usize] = w;
-        }
-        for v in (u + 1)..lists.len() {
-            let num: u64 = row(v).iter().map(|&(s, w)| dense[s as usize].min(w)).sum();
-            let den = totals[u] + totals[v] - num;
-            out.push(if den == 0 {
-                1.0
-            } else {
-                num as f64 / den as f64
-            });
-        }
-        for &(s, _) in row(u) {
-            dense[s as usize] = 0;
+
+    /// Calls `sink(num, den)` for every pair `u < v`, row by row (`u`
+    /// ascending, then `v` ascending).
+    fn for_each_pair(&self, mut sink: impl FnMut(u64, u64)) {
+        let n = self.totals.len();
+        let mut dense = vec![0u64; self.slots];
+        for u in 0..n {
+            for &(s, w) in self.row(u) {
+                dense[s as usize] = w;
+            }
+            for v in (u + 1)..n {
+                let num: u64 = self
+                    .row(v)
+                    .iter()
+                    .map(|&(s, w)| dense[s as usize].min(w))
+                    .sum();
+                sink(num, self.totals[u] + self.totals[v] - num);
+            }
+            for &(s, _) in self.row(u) {
+                dense[s as usize] = 0;
+            }
         }
     }
-    true
+
+    /// [`SimilarityOracle::pairwise_quantiles`] over all pairs of rows:
+    /// read off the [`tally`](Self::tally) when it has at most one cell
+    /// per pair, else off a buffer of every pair's value.
+    fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
+        let n = self.totals.len();
+        let pairs = n * (n - 1) / 2;
+        if let Some(runs) = self.tally(pairs) {
+            return quantiles_from_runs(&runs, qs);
+        }
+        let mut vals = Vec::with_capacity(pairs);
+        self.for_each_pair(|num, den| vals.push(ratio(num, den)));
+        quantiles_from_top(&mut vals, qs)
+    }
+
+    /// Every distinct pair value with its multiplicity, in descending
+    /// value order, counted in a dense `(num, den)` table without
+    /// storing a value per pair. `None` when a denominator can exceed
+    /// [`MAX_TALLY_DEN`] or the table would have more than `max_cells`
+    /// cells. (`num <= den <= 2·max total` for every pair.)
+    fn tally(&self, max_cells: usize) -> Option<Vec<(f64, u64)>> {
+        let max_den = 2 * self.totals.iter().copied().max().unwrap_or(0);
+        let side = max_den as usize + 1;
+        if max_den > MAX_TALLY_DEN || side * side > max_cells {
+            return None;
+        }
+        let mut counts = vec![0u64; side * side];
+        self.for_each_pair(|num, den| counts[num as usize * side + den as usize] += 1);
+        let mut runs: Vec<(f64, u64)> = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(cell, &c)| (ratio((cell / side) as u64, (cell % side) as u64), c))
+            .collect();
+        runs.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("ratios are finite"));
+        Some(runs)
+    }
+}
+
+/// A pair's (weighted) Jaccard value from its exact integer sums, with
+/// the two-empty-sets convention of [`Metric::evaluate`].
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        1.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 /// The standard oracle: an [`AttributeTable`], a [`Metric`], and a
@@ -271,15 +351,15 @@ impl SimilarityOracle for TableOracle {
 
     /// The keyword row kernel for (weighted) Jaccard when its exactness
     /// preconditions hold, the per-pair default otherwise.
-    fn pairwise_values(&self, n: usize, out: &mut Vec<f64>) {
+    fn pairwise_quantiles(&self, n: usize, qs: &[f64]) -> Vec<f64> {
         if let (m @ (Metric::Jaccard | Metric::WeightedJaccard), AttributeTable::Keywords(lists)) =
             (self.metric, &*self.attrs)
         {
-            if keyword_pairwise_values(&lists[..n], m == Metric::Jaccard, out) {
-                return;
+            if let Some(rows) = KeywordRows::new(&lists[..n], m == Metric::Jaccard) {
+                return rows.quantiles(qs);
             }
         }
-        pairwise_values_by_value(self, n, out);
+        pairwise_quantiles_by_value(self, n, qs)
     }
 }
 
@@ -287,6 +367,7 @@ impl SimilarityOracle for TableOracle {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn threshold_directions() {
@@ -383,10 +464,16 @@ mod tests {
         want
     }
 
-    fn pairwise_bits(o: &TableOracle, n: usize) -> Vec<u64> {
-        let mut got = Vec::new();
-        o.pairwise_values(n, &mut got);
-        got.iter().map(|x| x.to_bits()).collect()
+    /// The row kernel's values in pair order, as raw bits, or `None`
+    /// when it declines the input.
+    fn kernel_bits(o: &TableOracle, n: usize) -> Option<Vec<u64>> {
+        let AttributeTable::Keywords(lists) = o.attributes() else {
+            panic!("keyword oracle expected");
+        };
+        let rows = KeywordRows::new(&lists[..n], o.metric() == Metric::Jaccard)?;
+        let mut bits = Vec::new();
+        rows.for_each_pair(|num, den| bits.push(ratio(num, den).to_bits()));
+        Some(bits)
     }
 
     fn keyword_oracle(lists: Vec<Vec<(u32, f64)>>, metric: Metric) -> TableOracle {
@@ -399,11 +486,11 @@ mod tests {
 
     #[test]
     fn keyword_kernel_runs_only_under_its_preconditions() {
-        let mut out = Vec::new();
         let integral = vec![vec![(1, 2.0), (4, 0.0)], vec![], vec![(4, 3.0)]];
-        assert!(keyword_pairwise_values(&integral, false, &mut out));
-        assert_eq!(out.len(), 3);
-        out.clear();
+        let rows = KeywordRows::new(&integral, false).expect("integral weights");
+        let mut pairs = 0;
+        rows.for_each_pair(|_, _| pairs += 1);
+        assert_eq!(pairs, 3);
         for bad in [
             vec![vec![(1, 0.5)]],
             vec![vec![(1, -1.0)]],
@@ -413,16 +500,33 @@ mod tests {
             vec![vec![(2, 1.0), (1, 1.0)]],
             vec![vec![(1, 1.0), (1, 1.0)]],
         ] {
-            assert!(!keyword_pairwise_values(&bad, false, &mut out), "{bad:?}");
-            assert!(out.is_empty());
+            assert!(KeywordRows::new(&bad, false).is_none(), "{bad:?}");
         }
         // Unweighted Jaccard ignores weights, so only the order matters.
-        assert!(keyword_pairwise_values(&[vec![(1, 0.5)]], true, &mut out));
-        assert!(!keyword_pairwise_values(
-            &[vec![(2, 1.0), (1, 1.0)]],
-            true,
-            &mut out
-        ));
+        assert!(KeywordRows::new(&[vec![(1, 0.5)]], true).is_some());
+        assert!(KeywordRows::new(&[vec![(2, 1.0), (1, 1.0)]], true).is_none());
+    }
+
+    #[test]
+    fn tally_runs_only_within_its_bounds() {
+        let total = |t: u64| vec![vec![(1, t as f64)], vec![(1, 1.0)]];
+        let rows = KeywordRows::new(&total(MAX_TALLY_DEN / 2), false).unwrap();
+        assert_eq!(
+            rows.tally(usize::MAX),
+            Some(vec![(1.0 / (MAX_TALLY_DEN / 2) as f64, 1)])
+        );
+        let rows = KeywordRows::new(&total(MAX_TALLY_DEN / 2 + 1), false).unwrap();
+        assert_eq!(rows.tally(usize::MAX), None);
+        // The buffered reading still answers, with the same value.
+        assert_eq!(
+            rows.quantiles(&[1.0]),
+            vec![1.0 / (MAX_TALLY_DEN / 2 + 1) as f64]
+        );
+        // Denominators up to 2 make a 3×3 table: more cells than one pair.
+        let rows = KeywordRows::new(&total(1), false).unwrap();
+        assert_eq!(rows.tally(8), None);
+        assert_eq!(rows.tally(9), Some(vec![(1.0, 1)]));
+        assert_eq!(rows.quantiles(&[1.0]), vec![1.0]);
     }
 
     #[test]
@@ -434,22 +538,23 @@ mod tests {
             Metric::WeightedJaccard,
             Threshold::MinSimilarity(0.5),
         );
-        assert_eq!(pairwise_bits(&o, 2), nested_evaluate_bits(&o, 2));
+        assert_eq!(kernel_bits(&o, 2), None);
+        assert_eq!(o.pairwise_quantiles(2, &[1.0]), vec![o.value(0, 1)]);
     }
 
     #[test]
     fn two_empty_lists_are_identical() {
         for metric in [Metric::Jaccard, Metric::WeightedJaccard] {
             let o = keyword_oracle(vec![vec![], vec![], vec![(1, 0.0)], vec![(1, 2.0)]], metric);
-            assert_eq!(pairwise_bits(&o, 4), nested_evaluate_bits(&o, 4));
-            let mut vals = Vec::new();
-            o.pairwise_values(2, &mut vals);
-            assert_eq!(vals, vec![1.0]);
+            assert_eq!(kernel_bits(&o, 4), Some(nested_evaluate_bits(&o, 4)));
+            assert_eq!(o.pairwise_quantiles(2, &[1.0]), vec![1.0]);
         }
     }
 
-    /// Integer weights (the kernel), fractional ones (the fallback),
-    /// zero weights and empty lists.
+    /// Integer weights up to `1e15` on shared keywords (the kernel,
+    /// mostly above the tally's bound; totals above 2^52 decline),
+    /// fractional ones (the fallback) and integers up to 5 (the tally);
+    /// zero weights and empty lists in all three.
     fn arb_lists() -> impl Strategy<Value = Vec<Vec<(u32, f64)>>> {
         let weight = prop_oneof![
             (0u32..6).prop_map(f64::from),
@@ -458,11 +563,13 @@ mod tests {
             Just(1e15),
         ];
         let list = proptest::collection::vec((0u32..12, weight), 0..7);
-        (proptest::collection::vec(list, 2..16), false..true).prop_map(|(mut lists, fractional)| {
-            if !fractional {
-                for l in &mut lists {
-                    for e in l.iter_mut() {
-                        e.1 = e.1.round();
+        (proptest::collection::vec(list, 2..16), 0u8..3).prop_map(|(mut lists, mode)| {
+            for l in &mut lists {
+                for e in l.iter_mut() {
+                    match mode {
+                        0 => e.1 = e.1.round(),
+                        1 => {}
+                        _ => e.1 = e.1.round().min(5.0),
                     }
                 }
             }
@@ -470,31 +577,40 @@ mod tests {
         })
     }
 
+    /// `(bits, multiplicity)` of every distinct value.
+    fn multiset(bits: impl IntoIterator<Item = (u64, u64)>) -> BTreeMap<u64, u64> {
+        let mut m = BTreeMap::new();
+        for (b, c) in bits {
+            *m.entry(b).or_insert(0) += c;
+        }
+        m
+    }
+
     proptest! {
+        /// Wherever the kernel runs, its values are those of
+        /// `Metric::evaluate` in pair order, and wherever it tallies, the
+        /// tallied multiset is theirs too.
         #[test]
-        fn keyword_pairwise_values_equal_evaluate_bitwise(
+        fn keyword_tally_equals_evaluate_multiset(
             lists in arb_lists(),
             unweighted in false..true,
         ) {
-            let n = lists.len();
             let metric = if unweighted { Metric::Jaccard } else { Metric::WeightedJaccard };
             let o = keyword_oracle(lists, metric);
-            prop_assert_eq!(pairwise_bits(&o, n), nested_evaluate_bits(&o, n));
+            let AttributeTable::Keywords(lists) = o.attributes() else { unreachable!() };
             // A prefix of the vertices is a smaller, self-contained pass.
-            prop_assert_eq!(pairwise_bits(&o, n - 1), nested_evaluate_bits(&o, n - 1));
-        }
-
-        #[test]
-        fn point_pairwise_values_equal_evaluate_bitwise(
-            pts in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 2..16),
-        ) {
-            let n = pts.len();
-            let o = TableOracle::new(
-                AttributeTable::points(pts),
-                Metric::Euclidean,
-                Threshold::MaxDistance(1.0),
-            );
-            prop_assert_eq!(pairwise_bits(&o, n), nested_evaluate_bits(&o, n));
+            for n in [lists.len(), lists.len() - 1] {
+                let want = nested_evaluate_bits(&o, n);
+                let Some(rows) = KeywordRows::new(&lists[..n], unweighted) else {
+                    continue;
+                };
+                prop_assert_eq!(kernel_bits(&o, n), Some(want.clone()));
+                if let Some(runs) = rows.tally(usize::MAX) {
+                    prop_assert!(runs.windows(2).all(|w| w[0].0 >= w[1].0));
+                    let tallied = multiset(runs.iter().map(|&(v, c)| (v.to_bits(), c)));
+                    prop_assert_eq!(tallied, multiset(want.iter().map(|&b| (b, 1))));
+                }
+            }
         }
     }
 

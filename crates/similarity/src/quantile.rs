@@ -6,11 +6,17 @@
 //! vertex pairs are similar). We implement an exact variant for small
 //! graphs and a seeded-sample variant for large ones.
 //!
-//! Both fill one value buffer once — `O(n²)` metric evaluations through
-//! [`SimilarityOracle::pairwise_values`] for the exact variant, `samples`
-//! for the sampled one — and then read every requested rank out of it
-//! with ascending partial selections: `O(len)` per distinct quantile on
-//! top of the fill, never a full sort.
+//! The exact variant makes one pass over all `n(n-1)/2` pairs through
+//! [`SimilarityOracle::pairwise_quantiles`]. For keyword metrics with
+//! small integer weight totals, [`TableOracle`](crate::TableOracle)
+//! counts each pair's exact `(num, den)` in a tally (at most one cell
+//! per pair, ~2 MiB at most) and walks it in value order to each
+//! requested rank: no per-pair value is stored. Every other input, and
+//! the sampled variant's `samples` draws, fill one value buffer once and
+//! read every requested rank out of it with ascending partial
+//! selections: `O(len)` per distinct quantile on top of the fill, never
+//! a full sort. Both readings return
+//! the value a full descending sort holds at that rank, bit for bit.
 
 use crate::oracle::SimilarityOracle;
 use rand::rngs::StdRng;
@@ -21,18 +27,15 @@ use rand::{Rng, SeedableRng};
 /// entry of `qs`, in `qs` order.
 ///
 /// For similarity metrics, each returned value `r` is such that a
-/// fraction `q` of pairs have `value >= r`. One `O(n²)` pass fills the
-/// buffer whatever the number of quantiles — intended for `n` up to a
-/// few thousands.
+/// fraction `q` of pairs have `value >= r`. One `O(n²)` pass serves
+/// every quantile — intended for `n` up to a few thousands.
 pub fn similarity_quantiles_exact<O: SimilarityOracle>(
     oracle: &O,
     n: usize,
     qs: &[f64],
 ) -> Vec<f64> {
     check_args(n, qs);
-    let mut vals = Vec::with_capacity(n * (n - 1) / 2);
-    oracle.pairwise_values(n, &mut vals);
-    quantiles_from_top(&mut vals, qs)
+    oracle.pairwise_quantiles(n, qs)
 }
 
 /// Sampled variant of [`similarity_quantiles_exact`]: evaluates the
@@ -102,16 +105,20 @@ fn check_args(n: usize, qs: &[f64]) {
     );
 }
 
-/// The value at descending rank `ceil(q * len) - 1` (clamped) for every
-/// `q`, i.e. the threshold at which a `q` fraction of values is kept.
-/// Each distinct rank is selected in ascending order over the suffix the
+/// Descending rank `ceil(q * len) - 1`, clamped to `0..len`: the
+/// threshold at which a `q` fraction of `len` values is kept.
+fn rank_from_top(q: f64, len: usize) -> usize {
+    ((q * len as f64).ceil() as usize).clamp(1, len) - 1
+}
+
+/// The value at descending rank [`rank_from_top`] for every `q`. Each
+/// distinct rank is selected in ascending order over the suffix the
 /// previous selection left unordered, so the values equal those of a full
 /// descending sort.
-fn quantiles_from_top(vals: &mut [f64], qs: &[f64]) -> Vec<f64> {
+pub(crate) fn quantiles_from_top(vals: &mut [f64], qs: &[f64]) -> Vec<f64> {
     assert!(!vals.is_empty());
     let len = vals.len();
-    let rank = |q: f64| ((q * len as f64).ceil() as usize).clamp(1, len) - 1;
-    let mut ranks: Vec<usize> = qs.iter().map(|&q| rank(q)).collect();
+    let mut ranks: Vec<usize> = qs.iter().map(|&q| rank_from_top(q, len)).collect();
     ranks.sort_unstable();
     ranks.dedup();
     let mut start = 0;
@@ -121,7 +128,28 @@ fn quantiles_from_top(vals: &mut [f64], qs: &[f64]) -> Vec<f64> {
         });
         start = r + 1;
     }
-    qs.iter().map(|&q| vals[rank(q)]).collect()
+    qs.iter().map(|&q| vals[rank_from_top(q, len)]).collect()
+}
+
+/// [`quantiles_from_top`] over a tally: `runs` holds values with their
+/// multiplicities in descending value order. The value at a rank is that
+/// of the run whose cumulative count first passes it — the value a
+/// descending sort of the expanded multiset holds there.
+pub(crate) fn quantiles_from_runs(runs: &[(f64, u64)], qs: &[f64]) -> Vec<f64> {
+    let ends: Vec<u64> = runs
+        .iter()
+        .scan(0, |end, &(_, count)| {
+            *end += count;
+            Some(*end)
+        })
+        .collect();
+    let len = *ends.last().expect("at least one pair") as usize;
+    qs.iter()
+        .map(|&q| {
+            let rank = rank_from_top(q, len) as u64;
+            runs[ends.partition_point(|&end| end <= rank)].0
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -187,10 +215,13 @@ mod tests {
     #[test]
     fn quantiles_from_top_basics() {
         let mut v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(
-            quantiles_from_top(&mut v, &[0.25, 0.5, 1.0, 0.5]),
-            vec![4.0, 3.0, 1.0, 3.0]
-        );
+        let qs = [0.25, 0.5, 1.0, 0.5];
+        assert_eq!(quantiles_from_top(&mut v, &qs), vec![4.0, 3.0, 1.0, 3.0]);
+        let runs = [(4.0, 1), (3.0, 1), (2.0, 1), (1.0, 1)];
+        assert_eq!(quantiles_from_runs(&runs, &qs), vec![4.0, 3.0, 1.0, 3.0]);
+        // Equal values in separate runs read as one.
+        let runs = [(0.5, 2), (0.5, 1), (0.25, 1)];
+        assert_eq!(quantiles_from_runs(&runs, &qs), vec![0.5, 0.5, 0.25, 0.5]);
     }
 
     #[test]
@@ -247,7 +278,55 @@ mod tests {
             })
     }
 
+    /// Keyword tables for every path of the exact variant. Modes:
+    /// 0 small integer weights (the tally once there are at least as
+    /// many pairs as table cells, the kernel's value buffer below that;
+    /// zero weights and empty lists make `den == 0` pairs), 1 all-zero
+    /// weights, 2 one fractional weight (the per-pair fallback), 3 one
+    /// total above the tally's bound (the kernel's value buffer), 4 one
+    /// unsorted list (the fallback, built around the sorting
+    /// constructor).
+    fn keyword_table(mut lists: Vec<Vec<(u32, f64)>>, mode: u8) -> AttributeTable {
+        for l in &mut lists {
+            for e in l.iter_mut() {
+                e.1 = if mode == 1 { 0.0 } else { e.1.round() };
+            }
+        }
+        match mode {
+            2 => lists[0].push((8, 0.5)),
+            3 => lists[0].push((8, 600.0)),
+            4 => {
+                lists.insert(0, vec![(5, 1.0), (2, 1.0)]);
+                return AttributeTable::Keywords(lists);
+            }
+            _ => {}
+        }
+        AttributeTable::keywords(lists)
+    }
+
     proptest! {
+        #[test]
+        fn keyword_quantiles_equal_per_q_sort(
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..8, 0.0f64..4.0), 0..5),
+                2..64,
+            ),
+            mode in 0u8..5,
+            unweighted in false..true,
+            qs in arb_qs(),
+        ) {
+            let table = keyword_table(lists, mode);
+            let n = table.len();
+            let metric = if unweighted { Metric::Jaccard } else { Metric::WeightedJaccard };
+            let o = TableOracle::new(table, metric, Threshold::MinSimilarity(0.5));
+            let all = all_pair_values(&o, n);
+            let want: Vec<f64> = qs.iter().map(|&q| reference_from_top(&all, q)).collect();
+            prop_assert_eq!(bits(&similarity_quantiles_exact(&o, n, &qs)), bits(&want));
+            // `n = 2`: a single pair.
+            let want = reference_from_top(&all[..1], 1.0);
+            prop_assert_eq!(similarity_quantile_exact(&o, 2, 1.0).to_bits(), want.to_bits());
+        }
+
         /// Coordinates on a 4×4 integer grid: heavy ties among the
         /// distances, and `n = 2` leaves a single pair.
         #[test]

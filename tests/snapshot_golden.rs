@@ -18,7 +18,7 @@
 use krcore::core::decomp::{
     indexed_snapshot_to_bytes, read_indexed_snapshot_bytes, DecompositionIndex,
 };
-use krcore::graph::io::read_edge_list_streaming_file;
+use krcore::graph::io::{read_edge_list_streaming_file, LoadedGraph};
 use krcore::graph::snapshot::{
     add_graph_sections, fnv1a64, section, SnapshotError, SnapshotWriter, HEADER_LEN,
     SECTION_ENTRY_LEN, SECTION_FLAG_OPTIONAL, VERSION_MINOR,
@@ -36,9 +36,9 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-/// Ingests the fixture edge list + attribute table exactly the way
-/// `krcore-cli ingest` does, returning the snapshot bytes.
-fn ingest_fixture(points: bool) -> Vec<u8> {
+/// The fixture edge list and attribute table, parsed exactly the way
+/// `krcore-cli ingest` does.
+fn load_fixture(points: bool) -> (LoadedGraph, AttributeTable, Metric) {
     let loaded = read_edge_list_streaming_file(fixture("tiny.edges")).expect("fixture edges");
     let id_map = &loaded.id_map;
     let n = loaded.graph.num_vertices();
@@ -55,6 +55,12 @@ fn ingest_fixture(points: bool) -> Vec<u8> {
     // the edge list never mentions.
     assert_eq!(stats.unmatched, 1, "fixture has one unmatched row");
     assert_eq!(stats.matched, 5);
+    (loaded, attrs, metric)
+}
+
+/// Ingests the fixture, returning the snapshot bytes.
+fn ingest_fixture(points: bool) -> Vec<u8> {
+    let (loaded, attrs, metric) = load_fixture(points);
     snapshot_to_bytes(&loaded.graph, &loaded.original_ids, &attrs, metric)
 }
 
@@ -62,24 +68,16 @@ fn ingest_fixture(points: bool) -> Vec<u8> {
 /// does it: the same four sections plus the optional decomposition
 /// section. Deterministic (the default band derivation is exact at this
 /// size), so the output is golden-pinnable.
-fn ingest_fixture_indexed() -> Vec<u8> {
-    let loaded = read_edge_list_streaming_file(fixture("tiny.edges")).expect("fixture edges");
-    let f = std::fs::File::open(fixture("tiny.points.tsv")).expect("fixture points");
-    let (attrs, _) =
-        read_points_mapped(f, &loaded.id_map, loaded.graph.num_vertices()).expect("parse points");
-    let oracle = TableOracle::new(
-        attrs.clone(),
-        Metric::Euclidean,
-        Threshold::MaxDistance(1.0),
-    );
+fn ingest_fixture_indexed(points: bool) -> Vec<u8> {
+    let (loaded, attrs, metric) = load_fixture(points);
+    let threshold = if points {
+        Threshold::MaxDistance(1.0)
+    } else {
+        Threshold::MinSimilarity(0.5)
+    };
+    let oracle = TableOracle::new(attrs.clone(), metric, threshold);
     let index = DecompositionIndex::build_default(&loaded.graph, &oracle);
-    indexed_snapshot_to_bytes(
-        &loaded.graph,
-        &loaded.original_ids,
-        &attrs,
-        Metric::Euclidean,
-        &index,
-    )
+    indexed_snapshot_to_bytes(&loaded.graph, &loaded.original_ids, &attrs, metric, &index)
 }
 
 fn check_golden(golden_name: &str, built: &[u8]) {
@@ -145,7 +143,14 @@ fn golden_keywords_snapshot_loads() {
 
 #[test]
 fn golden_indexed_snapshot_is_byte_exact() {
-    check_golden("tiny_points_indexed.krb", &ingest_fixture_indexed());
+    check_golden("tiny_points_indexed.krb", &ingest_fixture_indexed(true));
+}
+
+/// The keyword fixture's fractional weights keep its band derivation
+/// off the integer keyword kernel: this pins the fallback path's bytes.
+#[test]
+fn golden_keywords_indexed_snapshot_is_byte_exact() {
+    check_golden("tiny_keywords_indexed.krb", &ingest_fixture_indexed(false));
 }
 
 /// The indexed golden loads through the indexed reader with the index
@@ -183,7 +188,7 @@ fn golden_indexed_snapshot_loads_both_ways() {
 /// by the checksum-level flips it verifies.
 #[test]
 fn corruption_matrix_decomp_section() {
-    let good = ingest_fixture_indexed();
+    let good = ingest_fixture_indexed(true);
     // Locate the decomposition payload inside the container by content:
     // rebuild the (deterministic) index and search for its section bytes.
     let loaded = read_edge_list_streaming_file(fixture("tiny.edges")).expect("fixture edges");
@@ -272,7 +277,7 @@ fn corruption_matrix_non_finite_point() {
 /// analogue of `corruption_matrix_truncation_everywhere`).
 #[test]
 fn corruption_matrix_indexed_truncation() {
-    let good = ingest_fixture_indexed();
+    let good = ingest_fixture_indexed(true);
     for cut in (0..good.len()).step_by(11) {
         let err = read_indexed_snapshot_bytes(good[..cut].to_vec())
             .expect_err(&format!("truncation to {cut} bytes must not load"));
