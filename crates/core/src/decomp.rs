@@ -28,10 +28,11 @@
 //! unchanged, it just starts from a far smaller frontier.
 //!
 //! The index is computed once per dataset (`krcore-cli ingest
-//! --with-index`, or lazily by the server registry). The build makes one
-//! pairwise pass for all band quantiles and one metric evaluation per
-//! edge, shared by every band: about 0.1 s on the 2000-vertex dblp-like
-//! preset, where a pass per quantile took 4–5 s. It is persisted as an
+//! --with-index`, or lazily by the server registry). The build streams
+//! the pairwise values for all band quantiles at once, storing none per
+//! pair, and evaluates the metric once per edge, shared by every band:
+//! about 0.02 s on the 2000-vertex dblp-like preset, where a pass per
+//! quantile took 4–5 s. It is persisted as an
 //! optional `.krb` section ([`kr_graph::snapshot::section::DECOMP_INDEX`])
 //! so old readers skip it and old snapshots still serve without it. See
 //! `docs/KRB_FORMAT.md` for the byte layout.
@@ -146,15 +147,19 @@ impl DecompositionIndex {
     /// metric distribution (exact below `EXACT_QUANTILE_CUTOFF`
     /// vertices, seeded sampling above — deterministic either way).
     ///
-    /// Cost: one pairwise pass for all twelve quantiles — `n(n-1)/2`
-    /// metric values or a fixed sample above the cutoff — plus one
-    /// metric value per edge and one peel per band. Keyword metrics with
-    /// small integer weight totals (dblp-like, pokec-like) go through
-    /// [`TableOracle`]'s counting row kernel, which tallies the pairs'
-    /// exact `(num, den)` in a table of bounded size instead of storing
-    /// `n(n-1)/2` values: on dblp-like at the cutoff the build peaks
-    /// under 1 MiB of heap, where the value buffer alone took 16 MB.
-    /// Every other input buffers the values.
+    /// Cost: the pairwise values for all twelve quantiles — `n(n-1)/2`
+    /// of them, or a fixed sample above the cutoff — plus one metric
+    /// value per edge and one peel per band; no value is stored per
+    /// pair. Keyword metrics with small integer weight totals
+    /// (dblp-like, pokec-like) go through [`TableOracle`]'s posting-list
+    /// kernel in one pass, which tallies the pairs' exact `(num, den)`
+    /// in a table of bounded size. Every other input (points, cosine,
+    /// other keyword weights) is streamed twice through an exact rank
+    /// select that keeps a 256 KiB histogram plus the values of the few
+    /// histogram buckets holding a requested rank. At n = 2000 on
+    /// dblp-like and n = 1600 on gowalla-like the build peaks near
+    /// 1 MiB and 1.5 MiB of heap, where a buffer of every pair's value
+    /// alone took 16 MB and 10 MB.
     pub fn build_default(graph: &Graph, oracle: &TableOracle) -> Self {
         let n = graph.num_vertices();
         if n < 2 {
@@ -989,6 +994,51 @@ mod tests {
             0x3fe286bca1af286c, // 11/19
         ];
         assert_eq!(bits, want, "{:?}", ix.bands());
+    }
+
+    /// The default ladders of gowalla-like at the hot-read scale
+    /// (n = 400) and at full scale (n = 1600), as raw bits: the exact
+    /// path over Euclidean points, through the per-pair metric values.
+    #[test]
+    fn gowalla_like_default_bands_are_pinned() {
+        let ladder = |scale: f64| -> Vec<u64> {
+            let d = DatasetPreset::GowallaLike.generate_scaled(scale);
+            let oracle = TableOracle::new(d.attributes, d.metric, Threshold::MaxDistance(1.0));
+            let ix = DecompositionIndex::build_default(&d.graph, &oracle);
+            ix.bands().iter().map(|b| b.to_bits()).collect()
+        };
+        let quarter: Vec<u64> = vec![
+            0x3fddd5ef2e10b435,
+            0x3fe9e79e6e2858d7,
+            0x3ff70c6386aa9e06,
+            0x40059b0d27356a19,
+            0x401a74a984113b5d,
+            0x4087e82aa9db30e7,
+            0x40a15d0bb09cdef8,
+            0x40ab7ff0480591cb,
+            0x40b138c87c49b384,
+            0x40b23328dafaf32b,
+            0x40b5e4672131121b,
+            0x40b61660911c0f97,
+        ];
+        let full: Vec<u64> = vec![
+            0x3fde7b33e4e78ff2,
+            0x3fea563572951e3b,
+            0x3ff8c37b0fbcc061,
+            0x4006b4a4c454f456,
+            0x40184e675e134559,
+            0x402e4294f75a572b,
+            0x409c7fdfad323163,
+            0x40a996c29339f040,
+            0x40ac35f7c924e7b9,
+            0x40b0c1bf53371cda,
+            0x40b36068f9600dbc,
+            0x40b3beef39c747cd,
+        ];
+        for (scale, want) in [(0.25, quarter), (1.0, full)] {
+            let got = ladder(scale);
+            assert_eq!(got, want, "gowalla-like@{scale}: {got:#018x?}");
+        }
     }
 
     #[test]

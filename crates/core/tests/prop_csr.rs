@@ -5,7 +5,7 @@
 //! oracle).
 
 use kr_core::component::LocalComponent;
-use kr_graph::{Graph, VertexId};
+use kr_graph::{Csr, Graph, VertexId};
 use kr_similarity::{AttributeTable, DissimMode, Metric, SimilarityOracle, TableOracle, Threshold};
 use proptest::prelude::*;
 
@@ -128,6 +128,23 @@ proptest! {
             prop_assert_eq!(comp.dissimilar(u), reference.dis[u as usize].as_slice());
         }
         prop_assert_eq!(comp.num_dissimilar_pairs, reference.num_dis_pairs());
+    }
+
+    /// `from_symmetric_pairs` files each pair under both endpoints: the
+    /// CSR `from_pairs` builds from the list doubled with every pair
+    /// reversed, duplicates and self-pairs included.
+    #[test]
+    fn symmetric_pairs_equal_doubled_from_pairs(
+        n in 1usize..16,
+        pairs in proptest::collection::vec((0u32..16, 0u32..16), 0..40),
+    ) {
+        let pairs: Vec<(VertexId, VertexId)> = pairs
+            .iter()
+            .map(|&(u, v)| (u % n as VertexId, v % n as VertexId))
+            .collect();
+        let doubled: Vec<(VertexId, VertexId)> =
+            pairs.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        prop_assert_eq!(Csr::from_symmetric_pairs(n, &pairs), Csr::from_pairs(n, &doubled));
     }
 
     /// `build` over a random graph and a real Euclidean oracle equals a

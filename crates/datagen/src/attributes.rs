@@ -119,10 +119,11 @@ pub fn generate(
                 .max()
                 .map_or(1, |c| c as usize + 1);
             let nsub = subgroup.iter().copied().max().map_or(1, |s| s as usize + 1);
+            let zipf = Zipf::new(vocabulary, zipf_exponent);
             let mut draw_topic = |count: usize| {
                 let mut words: Vec<u32> = Vec::with_capacity(count);
                 while words.len() < count {
-                    let w = zipf_sample(rng, vocabulary, zipf_exponent) as u32;
+                    let w = zipf.sample(rng) as u32;
                     if !words.contains(&w) {
                         words.push(w);
                     }
@@ -161,7 +162,7 @@ pub fn generate(
                             topic[rng.random_range(0..topic.len())]
                         } else {
                             // Background noise word.
-                            zipf_sample(rng, vocabulary, zipf_exponent) as u32
+                            zipf.sample(rng) as u32
                         };
                         *counts.entry(w).or_insert(0.0) += 1.0;
                     }
@@ -180,21 +181,34 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Zipf sample over `0..n` by inverse-CDF on precomputable weights.
-/// O(log n) would need tables; n is small so linear scan is fine.
-fn zipf_sample(rng: &mut StdRng, n: usize, s: f64) -> usize {
-    debug_assert!(n >= 1);
-    // Normalization constant.
-    let h: f64 = (1..=n).map(|i| (i as f64).powf(-s)).sum();
-    let target = rng.random_range(0.0..h);
-    let mut acc = 0.0;
-    for i in 1..=n {
-        acc += (i as f64).powf(-s);
-        if acc >= target {
-            return i - 1;
-        }
+/// The Zipf distribution over `0..n` with exponent `s`, sampled by
+/// inverse CDF over a prefix table of the weights `(i + 1)^-s`.
+struct Zipf {
+    /// `cdf[i]` is the sum of the first `i + 1` weights, added in index
+    /// order.
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    fn new(n: usize, s: f64) -> Self {
+        assert!(n >= 1, "Zipf over an empty vocabulary");
+        let mut acc = 0.0;
+        let cdf = (1..=n)
+            .map(|i| {
+                acc += (i as f64).powf(-s);
+                acc
+            })
+            .collect();
+        Zipf { cdf }
     }
-    n - 1
+
+    /// One draw: the first index whose prefix sum reaches a uniform
+    /// target below the total (the last prefix sum).
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        let total = *self.cdf.last().expect("n >= 1");
+        let target = rng.random_range(0.0..total);
+        self.cdf.partition_point(|&c| c < target)
+    }
 }
 
 #[cfg(test)]
@@ -310,12 +324,46 @@ mod tests {
         assert!(mean(&intra) > 2.0 * mean(&inter) + 0.01);
     }
 
+    /// The linear scan the table replaced: the weights summed once for
+    /// the total, then again up to the target on every draw.
+    fn zipf_linear_scan(rng: &mut StdRng, n: usize, s: f64) -> usize {
+        let h: f64 = (1..=n).map(|i| (i as f64).powf(-s)).sum();
+        let target = rng.random_range(0.0..h);
+        let mut acc = 0.0;
+        for i in 1..=n {
+            acc += (i as f64).powf(-s);
+            if acc >= target {
+                return i - 1;
+            }
+        }
+        n - 1
+    }
+
+    proptest::proptest! {
+        /// The table draws what the linear scan drew, one for one, from
+        /// the same generator state.
+        #[test]
+        fn zipf_table_matches_linear_scan(
+            n in 1usize..700,
+            s in 0.0f64..3.0,
+            seed in 0u64..1_000_000,
+        ) {
+            let zipf = Zipf::new(n, s);
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            for _ in 0..200 {
+                proptest::prop_assert_eq!(zipf.sample(&mut a), zipf_linear_scan(&mut b, n, s));
+            }
+        }
+    }
+
     #[test]
     fn zipf_sampling_in_range_and_skewed() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0usize; 20];
+        let zipf = Zipf::new(20, 1.2);
         for _ in 0..2000 {
-            let s = zipf_sample(&mut rng, 20, 1.2);
+            let s = zipf.sample(&mut rng);
             assert!(s < 20);
             counts[s] += 1;
         }

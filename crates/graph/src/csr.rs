@@ -63,8 +63,24 @@ impl Csr {
     /// `0..n` via counting sort — no per-row allocations. Duplicate pairs
     /// are dropped.
     pub fn from_pairs(n: usize, pairs: &[(VertexId, VertexId)]) -> Self {
+        Csr::counting_sort(n, || pairs.iter().copied())
+    }
+
+    /// [`Csr::from_pairs`] over every undirected pair `{u, v}` filed
+    /// under both endpoints — the CSR of `pairs` plus every pair
+    /// reversed — without materializing that doubled list.
+    pub fn from_symmetric_pairs(n: usize, pairs: &[(VertexId, VertexId)]) -> Self {
+        Csr::counting_sort(n, || pairs.iter().flat_map(|&(u, v)| [(u, v), (v, u)]))
+    }
+
+    /// Counting sort of the directed pairs `pairs()` yields (it runs
+    /// twice: once to count, once to fill), then per-row sort and dedup.
+    fn counting_sort<I: Iterator<Item = (VertexId, VertexId)>>(
+        n: usize,
+        pairs: impl Fn() -> I,
+    ) -> Self {
         let mut degree = vec![0u32; n];
-        for &(u, _) in pairs {
+        for (u, _) in pairs() {
             degree[u as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
@@ -76,7 +92,7 @@ impl Csr {
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; acc as usize];
-        for &(u, v) in pairs {
+        for (u, v) in pairs() {
             targets[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
         }

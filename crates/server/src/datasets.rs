@@ -587,6 +587,17 @@ impl DatasetRegistry {
     /// opening a registered snapshot file on first use. Errors (with the
     /// list of known names) when the name matches neither.
     pub fn get(&self, name: &str, scale: f64) -> Result<Arc<HostedDataset>, String> {
+        self.get_reporting_load(name, scale).map(|(ds, _)| ds)
+    }
+
+    /// [`Self::get`], plus what this call loaded the dataset from —
+    /// `Some("preset")` or `Some("file")` — or `None` when it was
+    /// already resident.
+    pub fn get_reporting_load(
+        &self,
+        name: &str,
+        scale: f64,
+    ) -> Result<(Arc<HostedDataset>, Option<&'static str>), String> {
         if let Some(path) = self.files.get(name) {
             return self.get_file(name, path);
         }
@@ -601,7 +612,7 @@ impl DatasetRegistry {
             })?;
         let key = dataset_key(name, scale);
         if let Some(ds) = lock(&self.inner).get(&key) {
-            return Ok(ds.clone());
+            return Ok((ds.clone(), None));
         }
         // Generate outside the lock; a racing generation of the same key
         // is redundant but harmless (deterministic output, first insert
@@ -613,16 +624,23 @@ impl DatasetRegistry {
             data.attributes,
             data.metric,
         ));
-        Ok(lock(&self.inner).entry(key).or_insert(hosted).clone())
+        Ok((
+            lock(&self.inner).entry(key).or_insert(hosted).clone(),
+            Some("preset"),
+        ))
     }
 
     /// File-backed lookup: the snapshot pins the graph, so the identity
     /// (and component-cache key prefix) is `dataset_key(name, 1.0)` no
     /// matter what scale the query carried.
-    fn get_file(&self, name: &str, path: &PathBuf) -> Result<Arc<HostedDataset>, String> {
+    fn get_file(
+        &self,
+        name: &str,
+        path: &PathBuf,
+    ) -> Result<(Arc<HostedDataset>, Option<&'static str>), String> {
         let key = dataset_key(name, 1.0);
         if let Some(ds) = lock(&self.inner).get(&key) {
-            return Ok(ds.clone());
+            return Ok((ds.clone(), None));
         }
         // Read + verify outside the lock; a racing load of the same file
         // is redundant but harmless (identical bytes, first insert kept).
@@ -636,7 +654,10 @@ impl DatasetRegistry {
             }
             None => HostedDataset::new(key.clone(), snap.graph, snap.attributes, snap.metric),
         });
-        Ok(lock(&self.inner).entry(key).or_insert(hosted).clone())
+        Ok((
+            lock(&self.inner).entry(key).or_insert(hosted).clone(),
+            Some("file"),
+        ))
     }
 }
 

@@ -491,6 +491,31 @@ fn clamp_limit(requested: Option<u64>, ceiling: Option<u64>) -> Option<u64> {
     }
 }
 
+/// The dataset a query or mutation names. The call that loads it —
+/// generating a preset or reading a snapshot file — logs a
+/// `dataset_load` span, so a first query's load is not left unexplained.
+fn load_dataset(
+    state: &ServerState,
+    trace: &str,
+    name: &str,
+    scale: f64,
+) -> Result<Arc<HostedDataset>, String> {
+    let start = Instant::now();
+    let (dataset, loaded) = state.datasets.get_reporting_load(name, scale)?;
+    if let Some(source) = loaded {
+        let dur_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        state.trace.event(
+            trace,
+            "dataset_load",
+            &[
+                ("dur_us", Field::U(dur_us)),
+                ("source", Field::from(source)),
+            ],
+        );
+    }
+    Ok(dataset)
+}
+
 fn run_query(
     kind: QueryKind,
     id: String,
@@ -521,7 +546,7 @@ fn run_query(
             },
         );
     }
-    let dataset = match state.datasets.get(&spec.dataset, spec.scale) {
+    let dataset = match load_dataset(state, &trace, &spec.dataset, spec.scale) {
         Ok(ds) => ds,
         Err(message) => {
             metrics.query_errors.inc();
@@ -840,7 +865,7 @@ fn run_mutation(
             },
         );
     }
-    let dataset = match state.datasets.get(&dataset_name, scale) {
+    let dataset = match load_dataset(state, &trace, &dataset_name, scale) {
         Ok(ds) => ds,
         Err(message) => {
             metrics.mutation_errors.inc();

@@ -13,7 +13,9 @@
 //!   `done`;
 //! * the first miss on a dataset without a stored index reports the
 //!   index build on its `index_candidates` event, and later misses
-//!   report none.
+//!   report none;
+//! * the first query on a dataset logs its load as a `dataset_load`
+//!   span, and later queries log none.
 
 use kr_server::json::Json;
 use kr_server::{
@@ -97,18 +99,39 @@ fn read_spans(log: &std::path::Path) -> Vec<(String, String)> {
         .collect()
 }
 
-/// `(trace, built)` of every `index_candidates` event, in log order.
-fn index_builds(log: &std::path::Path) -> Vec<(String, bool)> {
+/// `(trace, field)` of every `span` event, in log order.
+fn span_field<T>(
+    log: &std::path::Path,
+    span: &str,
+    field: impl Fn(&Json) -> Option<T>,
+) -> Vec<(String, T)> {
     let text = std::fs::read_to_string(log).expect("trace log readable");
     text.lines()
         .map(|line| Json::parse(line).expect("log line parses"))
-        .filter(|v| v.get("span").and_then(Json::as_str) == Some("index_candidates"))
+        .filter(|v| v.get("span").and_then(Json::as_str) == Some(span))
         .map(|v| {
             let trace = v.get("trace").and_then(Json::as_str).unwrap().to_string();
-            let built = v.get("built").and_then(Json::as_bool).expect("built");
-            (trace, built)
+            (
+                trace,
+                field(&v).unwrap_or_else(|| panic!("{span} event: {v:?}")),
+            )
         })
         .collect()
+}
+
+/// `(trace, built)` of every `index_candidates` event, in log order.
+fn index_builds(log: &std::path::Path) -> Vec<(String, bool)> {
+    span_field(log, "index_candidates", |v| {
+        v.get("built").and_then(Json::as_bool)
+    })
+}
+
+/// `(trace, source)` of every `dataset_load` event, in log order.
+fn dataset_loads(log: &std::path::Path) -> Vec<(String, String)> {
+    span_field(log, "dataset_load", |v| {
+        v.get("dur_us").and_then(Json::as_u64)?;
+        Some(v.get("source").and_then(Json::as_str)?.to_string())
+    })
 }
 
 /// The session's flush interval for a streaming enumeration
@@ -259,6 +282,11 @@ fn metrics_snapshot_matches_queries_issued_and_log_joins_on_trace() {
     assert_eq!(
         index_builds(&log),
         vec![(traces[0].clone(), true), (traces[2].clone(), false)]
+    );
+    // The first query generates the preset; no later query loads it.
+    assert_eq!(
+        dataset_loads(&log),
+        vec![(traces[0].clone(), "preset".to_string())]
     );
 
     let _ = std::fs::remove_file(log);

@@ -8,7 +8,7 @@
 use crate::attributes::AttributeTable;
 use crate::candidates::{AllPairs, CandidatePairs, GridCandidates, InvertedIndexCandidates};
 use crate::metrics::Metric;
-use crate::quantile::{quantiles_from_runs, quantiles_from_top};
+use crate::quantile::{quantiles_from_runs, select_from_top};
 use kr_graph::VertexId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -61,31 +61,32 @@ pub trait SimilarityOracle {
     /// Exact `q`-quantiles from the top of [`value`](Self::value) over
     /// every pair `u < v` of `0..n`, one per entry of `qs` (see
     /// [`crate::quantile::similarity_quantiles_exact`], which checks
-    /// `n >= 2` and every `0 < q <= 1`). The default buffers all
-    /// `n(n-1)/2` values; [`TableOracle`] overrides it with a
-    /// bit-identical counting kernel for keyword metrics.
+    /// `n >= 2` and every `0 < q <= 1`). The default streams the
+    /// `n(n-1)/2` values twice through the rank select, storing none per
+    /// pair; [`TableOracle`] overrides it with a bit-identical counting
+    /// kernel for keyword metrics.
     fn pairwise_quantiles(&self, n: usize, qs: &[f64]) -> Vec<f64> {
         pairwise_quantiles_by_value(self, n, qs)
     }
 }
 
 /// The default [`SimilarityOracle::pairwise_quantiles`]: one `value`
-/// call per pair into one buffer, then partial selections.
+/// call per pair on each of the rank select's two passes.
 fn pairwise_quantiles_by_value<O: SimilarityOracle + ?Sized>(
     oracle: &O,
     n: usize,
     qs: &[f64],
 ) -> Vec<f64> {
-    let mut vals = Vec::with_capacity(n * (n - 1) / 2);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            vals.push(oracle.value(u, v));
+    select_from_top(qs, |select| {
+        for u in 0..n as u32 {
+            for v in (u + 1)..n as u32 {
+                select.push(oracle.value(u, v));
+            }
         }
-    }
-    quantiles_from_top(&mut vals, qs)
+    })
 }
 
-/// Largest per-vertex keyword weight total the row kernel accepts: two
+/// Largest per-vertex keyword weight total the keyword kernel accepts: two
 /// such totals sum to at most 2^53, so every partial sum the merge-based
 /// metrics form is an exactly representable integer.
 const MAX_KERNEL_TOTAL: u64 = 1 << 52;
@@ -93,17 +94,18 @@ const MAX_KERNEL_TOTAL: u64 = 1 << 52;
 /// Largest pair denominator — twice the largest per-vertex weight
 /// total — for which [`KeywordRows::quantiles`] may count `(num, den)`
 /// pairs in a dense `(den + 1)²` table (at most ~2 MiB of counters)
-/// instead of buffering one `f64` per pair. It also needs no more cells
-/// than there are pairs, so the table is never larger than the buffer.
+/// instead of streaming the pairs' values through the rank select. It
+/// also needs no more cells than there are pairs.
 const MAX_TALLY_DEN: u64 = 512;
 
-/// The keyword row kernel for [`Metric::Jaccard`] (`unweighted`) and
-/// [`Metric::WeightedJaccard`]: every list as a row of (dense keyword
-/// slot, integer weight) entries plus its weight total.
+/// The keyword kernel for [`Metric::Jaccard`] (`unweighted`) and
+/// [`Metric::WeightedJaccard`]: every list as a row of dense keyword
+/// slots plus its integer weight total, and every slot's posting list of
+/// (vertex, integer weight) entries in ascending vertex order.
 ///
-/// Row `u` is scattered into a dense array indexed by slot; each later
-/// `v` then costs one pass over its own list: `num = Σ min(w_u, w_v)`
-/// and `den = W_u + W_v − num`, in `u64`. That is exact only when every
+/// For each `u` in turn, the postings of `u`'s keywords after `u`
+/// accumulate `num[v] = Σ min(w_u, w_v)` for every later `v`, and
+/// `den = W_u + W_v − num`, in `u64`. That is exact only when every
 /// list is strictly ascending (the merge's view of a set) and, for the
 /// weighted metric, every weight is an integer `>= 0` with per-vertex
 /// total at most [`MAX_KERNEL_TOTAL`]: then every `f64` partial sum in
@@ -112,21 +114,25 @@ const MAX_TALLY_DEN: u64 = 512;
 /// as [`Metric::evaluate`], and `den == 0` is the same two-empty-sets
 /// case.
 struct KeywordRows {
-    /// `(slot, weight)` of every list, row after row.
-    entries: Vec<(u32, u64)>,
-    /// Row `v` is `entries[offsets[v]..offsets[v + 1]]`.
+    /// The slot of every list entry, row after row.
+    slots: Vec<u32>,
+    /// Row `v` is `slots[offsets[v]..offsets[v + 1]]`.
     offsets: Vec<usize>,
     /// Per-row weight total.
     totals: Vec<u64>,
-    /// Number of distinct keywords.
-    slots: usize,
+    /// `(vertex, weight)` of every list entry, slot after slot, vertices
+    /// ascending within a slot.
+    postings: Vec<(u32, u64)>,
+    /// Slot `s` posts `postings[posting_offsets[s]..posting_offsets[s + 1]]`.
+    posting_offsets: Vec<usize>,
 }
 
 impl KeywordRows {
     /// The rows of `lists`, or `None` when an input breaks the kernel's
     /// exactness preconditions.
     fn new(lists: &[Vec<(u32, f64)>], unweighted: bool) -> Option<Self> {
-        let mut entries: Vec<(u32, u64)> = Vec::new();
+        let mut slots: Vec<u32> = Vec::new();
+        let mut weights: Vec<u64> = Vec::new();
         let mut offsets = vec![0];
         let mut totals = Vec::with_capacity(lists.len());
         for list in lists {
@@ -144,64 +150,79 @@ impl KeywordRows {
                 if total > MAX_KERNEL_TOTAL {
                     return None;
                 }
-                entries.push((k, w as u64));
+                slots.push(k);
+                weights.push(w as u64);
             }
             totals.push(total);
-            offsets.push(entries.len());
+            offsets.push(slots.len());
         }
-        let mut keywords: Vec<u32> = entries.iter().map(|&(k, _)| k).collect();
+        let mut keywords = slots.clone();
         keywords.sort_unstable();
         keywords.dedup();
-        for e in &mut entries {
-            e.0 = keywords.binary_search(&e.0).expect("keyword was collected") as u32;
+        let mut posting_offsets = vec![0; keywords.len() + 1];
+        for k in &mut slots {
+            *k = keywords.binary_search(k).expect("keyword was collected") as u32;
+            posting_offsets[*k as usize + 1] += 1;
+        }
+        for s in 0..keywords.len() {
+            posting_offsets[s + 1] += posting_offsets[s];
+        }
+        // Filled row by row, so each slot lists its vertices ascending.
+        let mut fill = posting_offsets.clone();
+        let mut postings = vec![(0, 0); slots.len()];
+        for v in 0..lists.len() {
+            for i in offsets[v]..offsets[v + 1] {
+                let s = slots[i] as usize;
+                postings[fill[s]] = (v as u32, weights[i]);
+                fill[s] += 1;
+            }
         }
         Some(KeywordRows {
-            entries,
+            slots,
             offsets,
             totals,
-            slots: keywords.len(),
+            postings,
+            posting_offsets,
         })
     }
 
-    fn row(&self, v: usize) -> &[(u32, u64)] {
-        &self.entries[self.offsets[v]..self.offsets[v + 1]]
-    }
-
     /// Calls `sink(num, den)` for every pair `u < v`, row by row (`u`
-    /// ascending, then `v` ascending).
+    /// ascending, then `v` ascending). Row `u` walks the postings of its
+    /// keywords from `u` on; `next[s]` is where slot `s`'s postings not
+    /// yet reached begin, so `u` heads them when its row comes.
     fn for_each_pair(&self, mut sink: impl FnMut(u64, u64)) {
         let n = self.totals.len();
-        let mut dense = vec![0u64; self.slots];
+        let mut num = vec![0u64; n];
+        let mut next = self.posting_offsets.clone();
         for u in 0..n {
-            for &(s, w) in self.row(u) {
-                dense[s as usize] = w;
+            for &s in &self.slots[self.offsets[u]..self.offsets[u + 1]] {
+                let s = s as usize;
+                let (head, wu) = self.postings[next[s]];
+                debug_assert_eq!(head as usize, u);
+                next[s] += 1;
+                for &(v, wv) in &self.postings[next[s]..self.posting_offsets[s + 1]] {
+                    num[v as usize] += wu.min(wv);
+                }
             }
-            for v in (u + 1)..n {
-                let num: u64 = self
-                    .row(v)
-                    .iter()
-                    .map(|&(s, w)| dense[s as usize].min(w))
-                    .sum();
-                sink(num, self.totals[u] + self.totals[v] - num);
-            }
-            for &(s, _) in self.row(u) {
-                dense[s as usize] = 0;
+            let tu = self.totals[u];
+            for (x, &tv) in num[u + 1..].iter_mut().zip(&self.totals[u + 1..]) {
+                sink(*x, tu + tv - *x);
+                *x = 0;
             }
         }
     }
 
     /// [`SimilarityOracle::pairwise_quantiles`] over all pairs of rows:
     /// read off the [`tally`](Self::tally) when it has at most one cell
-    /// per pair, else off a buffer of every pair's value.
+    /// per pair, else off the rank select over two kernel passes.
     fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
         let n = self.totals.len();
-        let pairs = n * (n - 1) / 2;
-        if let Some(runs) = self.tally(pairs) {
+        if let Some(runs) = self.tally(n * (n - 1) / 2) {
             return quantiles_from_runs(&runs, qs);
         }
-        let mut vals = Vec::with_capacity(pairs);
-        self.for_each_pair(|num, den| vals.push(ratio(num, den)));
-        quantiles_from_top(&mut vals, qs)
+        select_from_top(qs, |select| {
+            self.for_each_pair(|num, den| select.push(ratio(num, den)))
+        })
     }
 
     /// Every distinct pair value with its multiplicity, in descending
@@ -349,7 +370,7 @@ impl SimilarityOracle for TableOracle {
         }
     }
 
-    /// The keyword row kernel for (weighted) Jaccard when its exactness
+    /// The keyword kernel for (weighted) Jaccard when its exactness
     /// preconditions hold, the per-pair default otherwise.
     fn pairwise_quantiles(&self, n: usize, qs: &[f64]) -> Vec<f64> {
         if let (m @ (Metric::Jaccard | Metric::WeightedJaccard), AttributeTable::Keywords(lists)) =
@@ -464,7 +485,7 @@ mod tests {
         want
     }
 
-    /// The row kernel's values in pair order, as raw bits, or `None`
+    /// The keyword kernel's values in pair order, as raw bits, or `None`
     /// when it declines the input.
     fn kernel_bits(o: &TableOracle, n: usize) -> Option<Vec<u64>> {
         let AttributeTable::Keywords(lists) = o.attributes() else {
@@ -474,6 +495,37 @@ mod tests {
         let mut bits = Vec::new();
         rows.for_each_pair(|num, den| bits.push(ratio(num, den).to_bits()));
         Some(bits)
+    }
+
+    /// The row kernel the posting lists replaced, as the reference for
+    /// [`KeywordRows::for_each_pair`] on lists it accepts: row `u`
+    /// scattered into a dense keyword array, then one pass over each
+    /// later row, `(num, den)` in pair order.
+    fn row_kernel_pairs(lists: &[Vec<(u32, f64)>], unweighted: bool) -> Vec<(u64, u64)> {
+        let rows: Vec<Vec<(usize, u64)>> = lists
+            .iter()
+            .map(|l| {
+                l.iter()
+                    .map(|&(k, w)| (k as usize, if unweighted { 1 } else { w as u64 }))
+                    .collect()
+            })
+            .collect();
+        let totals: Vec<u64> = rows.iter().map(|r| r.iter().map(|e| e.1).sum()).collect();
+        let mut dense = vec![0u64; rows.iter().flatten().map(|e| e.0 + 1).max().unwrap_or(0)];
+        let mut pairs = Vec::new();
+        for u in 0..rows.len() {
+            for &(k, w) in &rows[u] {
+                dense[k] = w;
+            }
+            for v in (u + 1)..rows.len() {
+                let num: u64 = rows[v].iter().map(|&(k, w)| dense[k].min(w)).sum();
+                pairs.push((num, totals[u] + totals[v] - num));
+            }
+            for &(k, _) in &rows[u] {
+                dense[k] = 0;
+            }
+        }
+        pairs
     }
 
     fn keyword_oracle(lists: Vec<Vec<(u32, f64)>>, metric: Metric) -> TableOracle {
@@ -517,7 +569,7 @@ mod tests {
         );
         let rows = KeywordRows::new(&total(MAX_TALLY_DEN / 2 + 1), false).unwrap();
         assert_eq!(rows.tally(usize::MAX), None);
-        // The buffered reading still answers, with the same value.
+        // The rank select still answers, with the same value.
         assert_eq!(
             rows.quantiles(&[1.0]),
             vec![1.0 / (MAX_TALLY_DEN / 2 + 1) as f64]
@@ -587,6 +639,46 @@ mod tests {
     }
 
     proptest! {
+        /// The posting kernel emits the row kernel's `(num, den)` for
+        /// every pair in the same order, so its tally is the row
+        /// kernel's too. Lists draw integer weights with zeros, empty
+        /// lists are common, and `disjoint` gives every vertex its own
+        /// vocabulary.
+        #[test]
+        fn posting_kernel_equals_row_kernel(
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..10, 0u32..4), 0..6),
+                2..40,
+            ),
+            disjoint in false..true,
+            unweighted in false..true,
+        ) {
+            let lists: Vec<Vec<(u32, f64)>> = lists
+                .into_iter()
+                .enumerate()
+                .map(|(v, l)| {
+                    let mut l: Vec<(u32, f64)> = l
+                        .into_iter()
+                        .map(|(k, w)| (if disjoint { v as u32 * 16 + k } else { k }, f64::from(w)))
+                        .collect();
+                    l.sort_unstable_by_key(|e| e.0);
+                    l.dedup_by_key(|e| e.0);
+                    l
+                })
+                .collect();
+            let rows = KeywordRows::new(&lists, unweighted).expect("integer weights, sorted lists");
+            let want = row_kernel_pairs(&lists, unweighted);
+            let mut got = Vec::new();
+            rows.for_each_pair(|num, den| got.push((num, den)));
+            prop_assert_eq!(&got, &want);
+            if let Some(runs) = rows.tally(usize::MAX) {
+                let tallied = multiset(runs.iter().map(|&(v, c)| (v.to_bits(), c)));
+                let rows_multiset =
+                    multiset(want.iter().map(|&(num, den)| (ratio(num, den).to_bits(), 1)));
+                prop_assert_eq!(tallied, rows_multiset);
+            }
+        }
+
         /// Wherever the kernel runs, its values are those of
         /// `Metric::evaluate` in pair order, and wherever it tallies, the
         /// tallied multiset is theirs too.

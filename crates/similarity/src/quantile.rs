@@ -7,16 +7,25 @@
 //! graphs and a seeded-sample variant for large ones.
 //!
 //! The exact variant makes one pass over all `n(n-1)/2` pairs through
-//! [`SimilarityOracle::pairwise_quantiles`]. For keyword metrics with
-//! small integer weight totals, [`TableOracle`](crate::TableOracle)
-//! counts each pair's exact `(num, den)` in a tally (at most one cell
-//! per pair, ~2 MiB at most) and walks it in value order to each
-//! requested rank: no per-pair value is stored. Every other input, and
-//! the sampled variant's `samples` draws, fill one value buffer once and
-//! read every requested rank out of it with ascending partial
-//! selections: `O(len)` per distinct quantile on top of the fill, never
-//! a full sort. Both readings return
-//! the value a full descending sort holds at that rank, bit for bit.
+//! [`SimilarityOracle::pairwise_quantiles`], the sampled variant one pass
+//! over `samples` seeded draws; neither stores a value per pair. For
+//! keyword metrics with small integer weight totals,
+//! [`TableOracle`](crate::TableOracle) counts each pair's exact
+//! `(num, den)` in a tally (at most one cell per pair, ~2 MiB at most)
+//! and walks it in value order to each requested rank. Every other input
+//! goes through one streaming rank select over a replayable value
+//! stream:
+//!
+//! 1. The first pass counts the values in a histogram over the top 16
+//!    bits of an order-preserving key (2^16 `u32` counters, 256 KiB)
+//!    and locates the bucket of each requested descending rank.
+//! 2. The second pass replays the stream and keeps only the values of
+//!    those buckets (at most one per requested rank).
+//! 3. A partial selection inside each kept bucket reads off its ranks.
+//!
+//! Both readings return the value a full descending sort holds at that
+//! rank, bit for bit. `0.0` and `-0.0`, which only cosine yields and
+//! which `partial_cmp` ranks as equal, share one key.
 
 use crate::oracle::SimilarityOracle;
 use rand::rngs::StdRng;
@@ -49,16 +58,19 @@ pub fn similarity_quantiles_sampled<O: SimilarityOracle>(
     seed: u64,
 ) -> Vec<f64> {
     check_args(n, qs);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut vals = Vec::with_capacity(samples);
-    while vals.len() < samples {
-        let u = rng.random_range(0..n as u32);
-        let v = rng.random_range(0..n as u32);
-        if u != v {
-            vals.push(oracle.value(u, v));
+    select_from_top(qs, |select| {
+        // Re-seeded on each pass, so both passes see the same draws.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut drawn = 0;
+        while drawn < samples {
+            let u = rng.random_range(0..n as u32);
+            let v = rng.random_range(0..n as u32);
+            if u != v {
+                select.push(oracle.value(u, v));
+                drawn += 1;
+            }
         }
-    }
-    quantiles_from_top(&mut vals, qs)
+    })
 }
 
 /// [`similarity_quantiles_exact`] for a single `q`.
@@ -111,27 +123,138 @@ fn rank_from_top(q: f64, len: usize) -> usize {
     ((q * len as f64).ceil() as usize).clamp(1, len) - 1
 }
 
-/// The value at descending rank [`rank_from_top`] for every `q`. Each
-/// distinct rank is selected in ascending order over the suffix the
-/// previous selection left unordered, so the values equal those of a full
-/// descending sort.
-pub(crate) fn quantiles_from_top(vals: &mut [f64], qs: &[f64]) -> Vec<f64> {
-    assert!(!vals.is_empty());
-    let len = vals.len();
+/// Bits of the order-preserving key that index the histogram of
+/// [`select_from_top`]: the sign, the exponent and the top four
+/// mantissa bits, so one bucket spans a sixteenth of an octave.
+const RADIX_BITS: u32 = 16;
+
+/// The sink a value stream feeds in [`select_from_top`]: a histogram
+/// of keys on the counting pass, the values of the kept buckets on the
+/// keeping pass.
+pub(crate) struct TopSelect {
+    /// Counting pass: the number of values per bucket. Keeping pass:
+    /// `1 +` the slot in `kept` of every kept bucket, `0` elsewhere.
+    buckets: Vec<u32>,
+    /// Values counted so far.
+    len: u64,
+    /// Keeping pass: the values of every kept bucket.
+    kept: Vec<Vec<f64>>,
+    counting: bool,
+}
+
+impl TopSelect {
+    /// Feeds the next value of the stream.
+    #[inline]
+    pub(crate) fn push(&mut self, x: f64) {
+        let bucket = bucket(x);
+        if self.counting {
+            assert!(!x.is_nan(), "NaN metric value");
+            self.buckets[bucket] += 1;
+            self.len += 1;
+        } else if let Some(slot) = self.buckets[bucket].checked_sub(1) {
+            self.kept[slot as usize].push(x);
+        }
+    }
+}
+
+/// The histogram bucket of `x`: the top [`RADIX_BITS`] bits of a key
+/// whose unsigned order is the numeric order of the values. `-0.0` is
+/// keyed as `0.0`, so the two zeros tie as they do under `partial_cmp`.
+#[inline]
+fn bucket(x: f64) -> usize {
+    // `-0.0 + 0.0` is `0.0`; every other value is unchanged.
+    let bits = (x + 0.0).to_bits();
+    let key = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (key >> (64 - RADIX_BITS)) as usize
+}
+
+/// The value at descending rank [`rank_from_top`] for every `q` over the
+/// values `replay` feeds its sink, each the value a full descending sort
+/// holds at that rank. `replay` runs twice, once per pass, and must feed
+/// the same values both times. Besides the 256 KiB histogram, only the
+/// values of the buckets that hold a requested rank are stored.
+///
+/// # Panics
+/// Panics when the stream is empty, holds a NaN, or holds more than
+/// `u32::MAX` values.
+pub(crate) fn select_from_top(qs: &[f64], mut replay: impl FnMut(&mut TopSelect)) -> Vec<f64> {
+    let mut select = TopSelect {
+        buckets: vec![0; 1 << RADIX_BITS],
+        len: 0,
+        kept: Vec::new(),
+        counting: true,
+    };
+    replay(&mut select);
+    assert!(select.len > 0, "no values to rank");
+    // No bucket count can have wrapped below this bound.
+    assert!(select.len <= u64::from(u32::MAX), "too many values");
+    let len = select.len as usize;
     let mut ranks: Vec<usize> = qs.iter().map(|&q| rank_from_top(q, len)).collect();
     ranks.sort_unstable();
     ranks.dedup();
-    let mut start = 0;
-    for r in ranks {
-        vals[start..].select_nth_unstable_by(r - start, |a, b| {
-            b.partial_cmp(a).expect("NaN metric value")
-        });
-        start = r + 1;
+    // Walk the buckets down from the largest values: every rank's slot,
+    // and per slot its bucket, its count and the values above it.
+    let mut held: Vec<(usize, usize, usize)> = Vec::new();
+    let mut slot_of_rank = Vec::with_capacity(ranks.len());
+    let mut above = 0;
+    for (b, &count) in select.buckets.iter().enumerate().rev() {
+        let count = count as usize;
+        let first = slot_of_rank.len();
+        while slot_of_rank.len() < ranks.len() && ranks[slot_of_rank.len()] < above + count {
+            slot_of_rank.push(held.len());
+        }
+        if slot_of_rank.len() > first {
+            held.push((b, count, above));
+        }
+        if slot_of_rank.len() == ranks.len() {
+            break;
+        }
+        above += count;
     }
-    qs.iter().map(|&q| vals[rank_from_top(q, len)]).collect()
+    // The histogram becomes the slot map of the keeping pass.
+    select.kept = held
+        .iter()
+        .map(|&(_, count, _)| Vec::with_capacity(count))
+        .collect();
+    select.buckets.fill(0);
+    for (slot, &(b, ..)) in held.iter().enumerate() {
+        select.buckets[b] = slot as u32 + 1;
+    }
+    select.counting = false;
+    replay(&mut select);
+    for (vals, &(_, count, _)) in select.kept.iter().zip(&held) {
+        assert_eq!(vals.len(), count, "the replay fed a different stream");
+    }
+    // Ranks ascend, so each slot's ranks are selected in ascending order
+    // over the suffix the previous selection left unordered.
+    let mut unordered_from = vec![0; held.len()];
+    let values: Vec<f64> = ranks
+        .iter()
+        .zip(&slot_of_rank)
+        .map(|(&rank, &slot)| {
+            let vals = &mut select.kept[slot];
+            let (start, r) = (unordered_from[slot], rank - held[slot].2);
+            vals[start..].select_nth_unstable_by(r - start, |a, b| {
+                b.partial_cmp(a).expect("NaN metric value")
+            });
+            unordered_from[slot] = r + 1;
+            vals[r]
+        })
+        .collect();
+    qs.iter()
+        .map(|&q| {
+            values[ranks
+                .binary_search(&rank_from_top(q, len))
+                .expect("rank was selected")]
+        })
+        .collect()
 }
 
-/// [`quantiles_from_top`] over a tally: `runs` holds values with their
+/// [`select_from_top`] over a tally: `runs` holds values with their
 /// multiplicities in descending value order. The value at a rank is that
 /// of the run whose cumulative count first passes it — the value a
 /// descending sort of the expanded multiset holds there.
@@ -208,15 +331,19 @@ mod tests {
         vals
     }
 
+    /// [`select_from_top`] over a slice.
+    fn select(vals: &[f64], qs: &[f64]) -> Vec<f64> {
+        select_from_top(qs, |sel| vals.iter().for_each(|&x| sel.push(x)))
+    }
+
     fn bits(vals: &[f64]) -> Vec<u64> {
         vals.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn quantiles_from_top_basics() {
-        let mut v = vec![1.0, 2.0, 3.0, 4.0];
+    fn select_from_top_basics() {
         let qs = [0.25, 0.5, 1.0, 0.5];
-        assert_eq!(quantiles_from_top(&mut v, &qs), vec![4.0, 3.0, 1.0, 3.0]);
+        assert_eq!(select(&[1.0, 2.0, 3.0, 4.0], &qs), vec![4.0, 3.0, 1.0, 3.0]);
         let runs = [(4.0, 1), (3.0, 1), (2.0, 1), (1.0, 1)];
         assert_eq!(quantiles_from_runs(&runs, &qs), vec![4.0, 3.0, 1.0, 3.0]);
         // Equal values in separate runs read as one.
@@ -280,10 +407,10 @@ mod tests {
 
     /// Keyword tables for every path of the exact variant. Modes:
     /// 0 small integer weights (the tally once there are at least as
-    /// many pairs as table cells, the kernel's value buffer below that;
+    /// many pairs as table cells, the kernel's rank select below that;
     /// zero weights and empty lists make `den == 0` pairs), 1 all-zero
     /// weights, 2 one fractional weight (the per-pair fallback), 3 one
-    /// total above the tally's bound (the kernel's value buffer), 4 one
+    /// total above the tally's bound (the kernel's rank select), 4 one
     /// unsorted list (the fallback, built around the sorting
     /// constructor).
     fn keyword_table(mut lists: Vec<Vec<(u32, f64)>>, mode: u8) -> AttributeTable {
@@ -304,7 +431,67 @@ mod tests {
         AttributeTable::keywords(lists)
     }
 
+    /// Multisets that stress the rank select. Modes: 0 one value
+    /// repeated, 1 two values (ties straddle every rank), 2 every value
+    /// in one histogram bucket (they differ only in low mantissa bits,
+    /// with repeats), 3 cosine-like values in `[-1, 1]` with heavy ties
+    /// and both zeros, 4 arbitrary non-NaN bit patterns (infinities and
+    /// subnormals included).
+    fn arb_multiset() -> impl Strategy<Value = Vec<f64>> {
+        let len = 1usize..300;
+        prop_oneof![
+            (0..=u64::MAX, len.clone()).prop_map(|(b, len)| vec![non_nan(b); len]),
+            (
+                0..=u64::MAX,
+                0..=u64::MAX,
+                proptest::collection::vec(false..true, 1..300)
+            )
+                .prop_map(|(a, b, pick)| pick
+                    .into_iter()
+                    .map(|p| non_nan(if p { a } else { b }))
+                    .collect()),
+            (0..=u64::MAX, proptest::collection::vec(0u64..64, 1..300)).prop_map(|(top, low)| {
+                // The top 16 bits fix the bucket; keep them off NaN.
+                let top = non_nan(top).to_bits() >> 48 << 48;
+                low.into_iter()
+                    .map(|l| f64::from_bits(top | l << 20))
+                    .collect()
+            }),
+            proptest::collection::vec(-8i32..=8, 1..300).prop_map(|xs| xs
+                .into_iter()
+                .map(|x| match x {
+                    0 => -0.0,
+                    1 => 0.0,
+                    x => f64::from(x) / 8.0,
+                })
+                .collect()),
+            proptest::collection::vec(0..=u64::MAX, 1..300)
+                .prop_map(|bs| bs.into_iter().map(non_nan).collect()),
+        ]
+    }
+
+    /// `f64::from_bits(b)`, with NaN patterns turned into infinities of
+    /// the same sign.
+    fn non_nan(b: u64) -> f64 {
+        let x = f64::from_bits(b);
+        if x.is_nan() {
+            f64::INFINITY.copysign(x)
+        } else {
+            x
+        }
+    }
+
     proptest! {
+        /// The select returns the sort's values. Zeros are compared with
+        /// `==` (the sort may hold either zero at a rank); every other
+        /// value that compares equal has the same bits.
+        #[test]
+        fn select_equals_sort_on_hard_multisets(vals in arb_multiset(), qs in arb_qs()) {
+            let want: Vec<f64> = qs.iter().map(|&q| reference_from_top(&vals, q)).collect();
+            let got = select(&vals, &qs);
+            prop_assert!(got.iter().zip(&want).all(|(a, b)| a == b), "{:?} vs {:?}", got, want);
+        }
+
         #[test]
         fn keyword_quantiles_equal_per_q_sort(
             lists in proptest::collection::vec(
@@ -339,6 +526,27 @@ mod tests {
             let all = all_pair_values(&o, n);
             let want: Vec<f64> = qs.iter().map(|&q| reference_from_top(&all, q)).collect();
             prop_assert_eq!(bits(&similarity_quantiles_exact(&o, n, &qs)), bits(&want));
+        }
+
+        /// Cosine over small integer vectors: negative values, zeros
+        /// and heavy ties.
+        #[test]
+        fn cosine_quantiles_equal_per_q_sort(
+            vecs in proptest::collection::vec(proptest::collection::vec(-2i8..=2, 3), 2..24),
+            qs in arb_qs(),
+        ) {
+            let n = vecs.len();
+            let o = TableOracle::new(
+                AttributeTable::vectors(
+                    vecs.iter().map(|v| v.iter().map(|&x| f64::from(x)).collect()).collect(),
+                ),
+                Metric::Cosine,
+                Threshold::MinSimilarity(0.5),
+            );
+            let all = all_pair_values(&o, n);
+            let want: Vec<f64> = qs.iter().map(|&q| reference_from_top(&all, q)).collect();
+            let got = similarity_quantiles_exact(&o, n, &qs);
+            prop_assert!(got.iter().zip(&want).all(|(a, b)| a == b), "{:?} vs {:?}", got, want);
         }
 
         #[test]

@@ -123,12 +123,7 @@ impl LazyDissimilarity {
     /// Builds from the verified similar pairs (local `(i, j)`, `i < j`)
     /// over `n` vertices. No complement output is produced here.
     pub fn from_similar(n: usize, similar: &[(VertexId, VertexId)], oracle_evals: u64) -> Self {
-        let mut directed = Vec::with_capacity(similar.len() * 2);
-        for &(i, j) in similar {
-            directed.push((i, j));
-            directed.push((j, i));
-        }
-        let sim = Csr::from_pairs(n, &directed);
+        let sim = Csr::from_symmetric_pairs(n, similar);
         let num_similar = sim.total_targets() / 2;
         let obs = sim_obs();
         obs.oracle_evals.add(oracle_evals);
@@ -645,12 +640,7 @@ fn complement_to_csr(
             }
         }
     } else {
-        let mut directed = Vec::with_capacity(num_similar * 2);
-        for &(i, j) in &similar {
-            directed.push((i, j));
-            directed.push((j, i));
-        }
-        let sim = Csr::from_pairs(n, &directed);
+        let sim = Csr::from_symmetric_pairs(n, &similar);
         for u in 0..n as VertexId {
             let row = sim.row(u);
             let mut p = 0usize;
