@@ -1,57 +1,37 @@
-//! Parallel engine vs sequential engine: AdvMax and AdvEnum on the
-//! largest presets, across worker counts. The acceptance bar for the
-//! engine is ≥1.5× over sequential AdvMax at 4 threads on the largest
-//! preset (see README "Building & running").
+//! Pooled vs sequential preprocessing (k-core peel, similarity filter,
+//! component split and arena builds) on the largest presets, across
+//! worker counts, at `k = 3, r = 10` (the dblp-like bench_smoke point).
+//! The search itself is always sequential; `threads` only sizes this
+//! pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kr_bench::BenchDataset;
-use kr_core::{enumerate_maximal, find_maximum, AlgoConfig};
 use kr_datagen::DatasetPreset;
 use std::hint::black_box;
 
-fn bench_parallel_max(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel_max");
+fn bench_preprocess(c: &mut Criterion) {
+    let mut g = c.benchmark_group("parallel_preprocess");
     g.sample_size(10);
-    let ds = BenchDataset::new(DatasetPreset::PokecLike, 1.0);
-    let p = ds.instance(4, 5.0);
-    g.bench_with_input(BenchmarkId::new("AdvMax", "pokec_seq"), &p, |b, p| {
-        b.iter(|| {
-            black_box(
-                find_maximum(p, &AlgoConfig::adv_max())
-                    .core
-                    .map_or(0, |c| c.len()),
-            )
-        })
-    });
-    for threads in [2, 4, 8] {
-        let cfg = AlgoConfig::adv_max_parallel().with_threads(threads);
+    for (name, preset) in [
+        ("dblp", DatasetPreset::DblpLike),
+        ("pokec", DatasetPreset::PokecLike),
+    ] {
+        let p = BenchDataset::new(preset, 1.0).instance(3, 10.0);
         g.bench_with_input(
-            BenchmarkId::new("AdvMax", format!("pokec_par{threads}")),
+            BenchmarkId::new("preprocess", format!("{name}_seq")),
             &p,
-            |b, p| b.iter(|| black_box(find_maximum(p, &cfg).core.map_or(0, |c| c.len()))),
+            |b, p| b.iter(|| black_box(p.preprocess().len())),
         );
+        for threads in [2, 4] {
+            g.bench_with_input(
+                BenchmarkId::new("preprocess", format!("{name}_par{threads}")),
+                &p,
+                |b, p| b.iter(|| black_box(p.preprocess_parallel(threads).len())),
+            );
+        }
     }
     g.finish();
 }
 
-fn bench_parallel_enum(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel_enum");
-    g.sample_size(10);
-    let ds = BenchDataset::new(DatasetPreset::DblpLike, 1.0);
-    let p = ds.instance(4, 5.0);
-    g.bench_with_input(BenchmarkId::new("AdvEnum", "dblp_seq"), &p, |b, p| {
-        b.iter(|| black_box(enumerate_maximal(p, &AlgoConfig::adv_enum()).cores.len()))
-    });
-    for threads in [2, 4, 8] {
-        let cfg = AlgoConfig::adv_enum_parallel().with_threads(threads);
-        g.bench_with_input(
-            BenchmarkId::new("AdvEnum", format!("dblp_par{threads}")),
-            &p,
-            |b, p| b.iter(|| black_box(enumerate_maximal(p, &cfg).cores.len())),
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_parallel_max, bench_parallel_enum);
+criterion_group!(benches, bench_preprocess);
 criterion_main!(benches);

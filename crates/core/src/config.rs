@@ -20,9 +20,7 @@ use std::sync::Arc;
 /// filtered out. Configurations relying on the naive subset post-filter
 /// (NaiveEnum, BasicEnum) ignore the hook — their cores are only known
 /// maximal after the run, and callers read them from
-/// [`crate::EnumResult::cores`] as before. Parallel runs invoke the hook
-/// from the deterministic merge phase, after cross-task deduplication, so
-/// a core is streamed exactly once there too.
+/// [`crate::EnumResult::cores`] as before.
 #[derive(Clone)]
 pub struct CoreHook(Arc<dyn Fn(&KrCore) + Send + Sync>);
 
@@ -58,8 +56,8 @@ impl PartialEq for CoreHook {
 /// run lost a race) cancels the flag and the engine winds down at the next
 /// node, reporting `completed = false` exactly like an exhausted budget.
 ///
-/// The flag is shared: clones observe the same state, so the same token
-/// reaches every task driver of a parallel run through the config. Checks
+/// The flag is shared: clones observe the same state, so the caller keeps
+/// one clone and the engine reads another through the config. Checks
 /// are `Relaxed` loads — cancellation needs no ordering with other memory,
 /// only eventual visibility, and a relaxed load keeps the per-node cost
 /// negligible.
@@ -141,25 +139,6 @@ pub enum CheckOrder {
     LambdaDelta,
 }
 
-/// Donation policy for the work-stealing engine ([`crate::parallel`]).
-/// A parallel query starts as one root task per component; a *running*
-/// task donates the untaken sibling branches of its current DFS path as
-/// fresh tasks, and this policy decides when. Results stay
-/// vertex-set-identical to the sequential engine under every policy —
-/// donated subtrees keep their DFS merge position and their start
-/// incumbent is DFS-prefix knowledge only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Resplit {
-    /// Donate only when the pool is starving (fewer live tasks than
-    /// workers). The default.
-    #[default]
-    Adaptive,
-    /// Donate one pending sibling at every search node regardless of
-    /// pool load. For tests: makes `SearchStats::resplits` deterministic
-    /// on instances deep enough to have pending siblings.
-    Forced,
-}
-
 /// Size upper bound used by the maximum algorithm (Section 6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BoundKind {
@@ -208,16 +187,12 @@ pub struct AlgoConfig {
     /// every search node; the run reports `completed = false` when
     /// exceeded — the harness renders that as the paper's INF.
     pub time_limit_ms: Option<u64>,
-    /// Worker threads for the work-stealing engine ([`crate::parallel`]).
-    /// `1` = run the sequential engine (default); `0` = use all available
-    /// cores; `n > 1` = exactly `n` workers. Parallel runs produce results
-    /// identical to the sequential engine (see the module docs of
-    /// [`crate::parallel`] for why that holds even for the maximum
-    /// search's tie-breaking).
+    /// Preprocessing workers for [`crate::enumerate_maximal`] and
+    /// [`crate::find_maximum`]: `1` = sequential (default), `0` = all
+    /// available cores, `n > 1` = a pool of `n` workers (see
+    /// [`crate::ProblemInstance::preprocess_parallel`]). The search itself
+    /// always runs sequentially; results do not depend on this value.
     pub threads: usize,
-    /// Donation policy for parallel runs (ignored by the sequential
-    /// engine). See [`Resplit`].
-    pub resplit: Resplit,
     /// Streaming callback for enumeration: called once per confirmed
     /// maximal core as it is discovered (see [`CoreHook`] for when the
     /// engine honors it). `None` (default) buffers results as usual.
@@ -252,7 +227,6 @@ impl AlgoConfig {
             node_limit: None,
             time_limit_ms: None,
             threads: 1,
-            resplit: Resplit::default(),
             on_core: None,
             cancel: None,
         }
@@ -324,7 +298,6 @@ impl AlgoConfig {
             node_limit: None,
             time_limit_ms: None,
             threads: 1,
-            resplit: Resplit::default(),
             on_core: None,
             cancel: None,
         }
@@ -351,27 +324,6 @@ impl AlgoConfig {
     /// BasicMax).
     pub fn adv_max_no_bound() -> Self {
         AlgoConfig::basic_max()
-    }
-
-    /// AdvEnum on the work-stealing parallel engine, using all available
-    /// cores (tune with [`Self::with_threads`]). Output is identical to
-    /// [`AlgoConfig::adv_enum`].
-    pub fn adv_enum_parallel() -> Self {
-        AlgoConfig {
-            threads: 0,
-            ..AlgoConfig::adv_enum()
-        }
-    }
-
-    /// AdvMax on the work-stealing parallel engine, using all available
-    /// cores (tune with [`Self::with_threads`]). The shared incumbent
-    /// bound is propagated across workers through an atomic; the returned
-    /// core is identical to [`AlgoConfig::adv_max`]'s.
-    pub fn adv_max_parallel() -> Self {
-        AlgoConfig {
-            threads: 0,
-            ..AlgoConfig::adv_max()
-        }
     }
 
     /// Builder-style override of the search order.
@@ -416,8 +368,8 @@ impl AlgoConfig {
         self
     }
 
-    /// Builder-style override of the worker-thread count (`0` = all
-    /// available cores, `1` = sequential engine).
+    /// Builder-style override of the preprocessing worker count (`0` =
+    /// all available cores, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -435,14 +387,8 @@ impl AlgoConfig {
         self
     }
 
-    /// Builder-style override of the donation policy.
-    pub fn with_resplit(mut self, resplit: Resplit) -> Self {
-        self.resplit = resplit;
-        self
-    }
-
     /// The wall-clock deadline of a run starting now. Taken once per run
-    /// and shared by all of its components and tasks.
+    /// and shared by all of its components.
     pub(crate) fn deadline(&self) -> Option<std::time::Instant> {
         self.time_limit_ms
             .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms))
@@ -484,24 +430,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_configs() {
-        let e = AlgoConfig::adv_enum_parallel();
-        assert_eq!(e.threads, 0);
-        assert_eq!(AlgoConfig::adv_enum(), AlgoConfig { threads: 1, ..e });
-        let m = AlgoConfig::adv_max_parallel();
-        assert_eq!(m.threads, 0);
-        assert_eq!(AlgoConfig::adv_max(), AlgoConfig { threads: 1, ..m });
-        assert_eq!(AlgoConfig::adv_max_parallel().with_threads(4).threads, 4);
-    }
-
-    #[test]
     fn builders_override() {
         let c = AlgoConfig::adv_max()
             .with_lambda(2.0)
             .with_order(SearchOrder::Degree)
             .with_bound(BoundKind::Color)
             .with_branch(BranchPolicy::AlwaysShrink)
-            .with_node_limit(10);
+            .with_node_limit(10)
+            .with_threads(4);
+        assert_eq!(c.threads, 4);
         assert_eq!(c.lambda, 2.0);
         assert_eq!(c.order, SearchOrder::Degree);
         assert_eq!(c.bound, BoundKind::Color);

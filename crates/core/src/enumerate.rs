@@ -19,14 +19,15 @@
 //! subset post-filter of Algorithm 1.
 
 use crate::component::LocalComponent;
-use crate::config::AlgoConfig;
+use crate::config::{AlgoConfig, CoreHook};
 use crate::maximal::check_maximal_with_order;
 use crate::order::FirstBranch;
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
 use crate::search::{SearchState, SearchStats, Status};
-use crate::walk::{merge_stats, Goal, Outcome, Walker};
+use crate::walk::{merge_stats, Goal, Walker};
 use kr_graph::VertexId;
+use std::collections::HashSet;
 
 /// Result of an enumeration run.
 #[derive(Debug, Clone)]
@@ -55,18 +56,10 @@ impl EnumResult {
 }
 
 /// Enumerates all maximal (k,r)-cores of `problem` under `cfg`.
-///
-/// With [`AlgoConfig::threads`] ≠ 1 (and candidate pruning on — NaiveEnum
-/// has no safe split points), the run is dispatched to the work-stealing
-/// engine of [`crate::parallel`], which returns the identical core family.
-/// Node-limited runs stay sequential: a per-worker node budget would
-/// change what "limit reached" means and break that equivalence.
+/// Preprocessing runs on [`AlgoConfig::threads`] workers; the search is
+/// sequential.
 pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
-    if !parallel_eligible(cfg) {
-        return enumerate_sequential(&problem.preprocess(), cfg);
-    }
-    let pool = crate::parallel::query_pool(cfg);
-    crate::parallel::enumerate_on(&problem.preprocess_on(&pool), cfg, &pool)
+    enumerate_maximal_prepared(&problem.preprocess_parallel(cfg.threads), cfg)
 }
 
 /// [`enumerate_maximal`] over components preprocessed earlier (e.g. by
@@ -75,74 +68,30 @@ pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumRes
 /// stem from the same `(k, r)` the query runs with — preprocessing bakes
 /// both the k-core peel and the dissimilarity lists into the arena.
 pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
-    if !parallel_eligible(cfg) {
-        return enumerate_sequential(comps, cfg);
-    }
-    crate::parallel::enumerate_on(comps, cfg, &crate::parallel::query_pool(cfg))
-}
-
-/// [`enumerate_maximal_prepared`] on a caller-provided pool — the
-/// serving layer builds **one** pool per query and threads it through
-/// the preprocessing it may have to run on a cache miss
-/// ([`ProblemInstance::preprocess_on`]) and this search. The pool is
-/// ignored when the configuration is sequential-only (`threads == 1`,
-/// NaiveEnum, or a node-limited run).
-pub fn enumerate_maximal_prepared_on(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-    pool: &rayon::ThreadPool,
-) -> EnumResult {
-    if !parallel_eligible(cfg) {
-        return enumerate_sequential(comps, cfg);
-    }
-    crate::parallel::enumerate_on(comps, cfg, pool)
-}
-
-/// Parallel dispatch guard: NaiveEnum has no safe split points.
-fn parallel_eligible(cfg: &AlgoConfig) -> bool {
-    cfg.prune_candidates && crate::parallel::eligible(cfg)
-}
-
-fn enumerate_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> EnumResult {
     let deadline = cfg.deadline();
-    let walks = comps.iter().map(|comp| {
-        let mut walker = Walker::new(comp, cfg, deadline, EnumGoal::new(cfg, true));
+    let mut cores = Vec::new();
+    let mut stats = SearchStats::default();
+    let mut completed = true;
+    for comp in comps {
+        let mut walker = Walker::new(comp, cfg, deadline, EnumGoal::new(cfg));
         if cfg.prune_candidates {
-            walker.run(&[]);
+            walker.run();
         } else {
             walker.naive_rec(&mut SearchState::new(comp));
         }
-        walker.outcome()
-    });
-    // Each walk streamed its own cores; components are disjoint, so the
-    // merge has nothing new to stream.
-    merge_walks(cfg, walks, false)
-}
-
-/// Merges finished enumeration walks into the result: the union of their
-/// sinks (deduplicated, and streamed when `stream` is set), Algorithm 1
-/// lines 6–8's naive maximal post-filter whenever the Theorem 6 check was
-/// off, and the lexicographic sort.
-pub(crate) fn merge_walks<'a>(
-    cfg: &AlgoConfig,
-    walks: impl IntoIterator<Item = Outcome<EnumGoal<'a>>>,
-    stream: bool,
-) -> EnumResult {
-    let mut all = EnumGoal::new(cfg, stream);
-    let mut stats = SearchStats::default();
-    let mut completed = true;
-    for walk in walks {
-        for core in walk.goal.sink.into_cores() {
-            all.push_core(core);
-        }
-        merge_stats(&mut stats, walk.stats);
-        completed &= !walk.aborted;
+        // Components are vertex-disjoint: no core repeats across them and
+        // none contains another's, so Algorithm 1 lines 6–8's naive
+        // maximal post-filter (whenever the Theorem 6 check was off) runs
+        // per component.
+        let sink = walker.goal.sink;
+        cores.extend(if cfg.maximal_check {
+            sink.into_cores()
+        } else {
+            sink.into_maximal()
+        });
+        merge_stats(&mut stats, walker.stats);
+        completed &= !walker.aborted;
     }
-    let mut cores = if cfg.maximal_check {
-        all.sink.into_cores()
-    } else {
-        all.sink.into_maximal()
-    };
     cores.sort_by(|a, b| a.vertices.cmp(&b.vertices));
     EnumResult {
         cores,
@@ -154,32 +103,26 @@ pub(crate) fn merge_walks<'a>(
 /// The enumeration side of the walk: Algorithm 3 (AdvEnum) and its
 /// ablations. Every leaf piece goes to the sink, after the Theorem 6
 /// maximal check when that is on.
-pub(crate) struct EnumGoal<'a> {
+struct EnumGoal<'a> {
     cfg: &'a AlgoConfig,
     sink: CoreSink,
     /// Leaf pieces already resolved (emitted or rejected as non-maximal):
     /// the same piece reappears at many leaves, and its maximality verdict
     /// cannot change — the candidate universe only depends on the piece.
-    checked: std::collections::HashSet<Vec<VertexId>>,
+    checked: HashSet<Vec<VertexId>>,
     /// The [`AlgoConfig::on_core`] hook, armed only with the Theorem 6
     /// maximal check, where every pushed core is already final (see
-    /// [`crate::config::CoreHook`]). Parallel tasks leave it off:
-    /// cross-task duplicates are only resolved in the merge, which streams
-    /// instead.
-    stream: Option<crate::config::CoreHook>,
+    /// [`CoreHook`]).
+    stream: Option<CoreHook>,
 }
 
 impl<'a> EnumGoal<'a> {
-    pub(crate) fn new(cfg: &'a AlgoConfig, stream: bool) -> Self {
+    fn new(cfg: &'a AlgoConfig) -> Self {
         EnumGoal {
             cfg,
             sink: CoreSink::new(),
-            checked: std::collections::HashSet::new(),
-            stream: if stream && cfg.maximal_check {
-                cfg.on_core.clone()
-            } else {
-                None
-            },
+            checked: HashSet::new(),
+            stream: cfg.on_core.clone().filter(|_| cfg.maximal_check),
         }
     }
 

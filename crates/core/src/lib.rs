@@ -32,7 +32,6 @@ pub mod maximal;
 pub mod maximum;
 pub(crate) mod obs;
 pub mod order;
-pub mod parallel;
 pub mod problem;
 pub mod result;
 pub mod search;
@@ -42,16 +41,14 @@ pub(crate) mod walk;
 pub use cliquebased::{clique_based_maximal, clique_based_maximal_budgeted};
 pub use component::LocalComponent;
 pub use config::{
-    AlgoConfig, BoundKind, BranchPolicy, CancelFlag, CheckOrder, CoreHook, Resplit, SearchOrder,
+    AlgoConfig, BoundKind, BranchPolicy, CancelFlag, CheckOrder, CoreHook, SearchOrder,
 };
 pub use decomp::{
     build_index_for, read_indexed_snapshot_bytes, read_indexed_snapshot_file,
     write_indexed_snapshot_file, CandidateSet, DecompositionIndex,
 };
-pub use enumerate::{
-    enumerate_maximal, enumerate_maximal_prepared, enumerate_maximal_prepared_on, EnumResult,
-};
-pub use maximum::{find_maximum, find_maximum_prepared, find_maximum_prepared_on, MaxResult};
+pub use enumerate::{enumerate_maximal, enumerate_maximal_prepared, EnumResult};
+pub use maximum::{find_maximum, find_maximum_prepared, MaxResult};
 pub use problem::ProblemInstance;
 pub use result::KrCore;
 pub use verify::{is_kr_core, verify_maximal_family};

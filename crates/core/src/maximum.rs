@@ -15,13 +15,11 @@ use crate::bounds::size_upper_bound;
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, BoundKind, BranchPolicy};
 use crate::order::FirstBranch;
-use crate::parallel::MergeEvent;
 use crate::problem::ProblemInstance;
 use crate::result::KrCore;
 use crate::search::{SearchState, SearchStats};
 use crate::walk::{merge_stats, Goal, Walker};
 use kr_graph::VertexId;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Result of a maximum search.
 #[derive(Debug, Clone)]
@@ -34,20 +32,10 @@ pub struct MaxResult {
     pub completed: bool,
 }
 
-/// Finds the maximum (k,r)-core of `problem` under `cfg`.
-///
-/// With [`AlgoConfig::threads`] ≠ 1 the run is dispatched to the
-/// work-stealing engine of [`crate::parallel`], which shares the incumbent
-/// size across workers through an atomic and — for deterministic search
-/// orders — returns the identical core. Node-limited runs stay
-/// sequential: a per-worker node budget would change what "limit reached"
-/// means and break that equivalence.
+/// Finds the maximum (k,r)-core of `problem` under `cfg`. Preprocessing
+/// runs on [`AlgoConfig::threads`] workers; the search is sequential.
 pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
-    if !crate::parallel::eligible(cfg) {
-        return find_maximum_sequential(&problem.preprocess(), cfg);
-    }
-    let pool = crate::parallel::query_pool(cfg);
-    crate::parallel::find_maximum_on(&problem.preprocess_on(&pool), cfg, &pool)
+    find_maximum_prepared(&problem.preprocess_parallel(cfg.threads), cfg)
 }
 
 /// [`find_maximum`] over components preprocessed earlier (e.g. by
@@ -55,26 +43,6 @@ pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
 /// the initial peel/split stage is skipped. The components must stem from
 /// the same `(k, r)` the query runs with.
 pub fn find_maximum_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
-    if !crate::parallel::eligible(cfg) {
-        return find_maximum_sequential(comps, cfg);
-    }
-    crate::parallel::find_maximum_on(comps, cfg, &crate::parallel::query_pool(cfg))
-}
-
-/// [`find_maximum_prepared`] on a caller-provided pool (see
-/// [`crate::enumerate_maximal_prepared_on`] for when the pool is used).
-pub fn find_maximum_prepared_on(
-    comps: &[LocalComponent],
-    cfg: &AlgoConfig,
-    pool: &rayon::ThreadPool,
-) -> MaxResult {
-    if !crate::parallel::eligible(cfg) {
-        return find_maximum_sequential(comps, cfg);
-    }
-    crate::parallel::find_maximum_on(comps, cfg, pool)
-}
-
-fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxResult {
     let mut stats = SearchStats::default();
     let mut completed = true;
     let mut best: Option<KrCore> = None;
@@ -89,9 +57,9 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
             stats.bound_prunes += 1;
             continue;
         }
-        let mut walker = Walker::new(comp, cfg, deadline, MaxGoal::new(cfg, best_len, None));
-        walker.run(&[]);
-        if let Some(piece) = walker.goal.best() {
+        let mut walker = Walker::new(comp, cfg, deadline, MaxGoal::new(cfg, best_len));
+        walker.run();
+        if let Some(piece) = &walker.goal.best {
             best = Some(KrCore::new(comp.globalize(piece)));
         }
         merge_stats(&mut stats, walker.stats);
@@ -107,47 +75,21 @@ fn find_maximum_sequential(comps: &[LocalComponent], cfg: &AlgoConfig) -> MaxRes
 /// The maximum side of the walk (Algorithm 5): the size-bound cut,
 /// Theorem 4 leaves whose largest piece may beat the incumbent, and the
 /// configured [`BranchPolicy`].
-pub(crate) struct MaxGoal<'a> {
+struct MaxGoal<'a> {
     cfg: &'a AlgoConfig,
     /// Size to beat (max of start incumbent and local best).
     best_len: usize,
-    /// Shared incumbent size, published by every task of a parallel
-    /// run. Only consulted with a *strict* comparison (`ub < global`):
-    /// unlike `best_len`, this value may stem from DFS-later subtrees, and
-    /// pruning `ub == global` there could cut the tie-breaking core the
-    /// sequential run would have returned.
-    global: Option<&'a AtomicUsize>,
-    /// DFS-ordered improving finds, plus a marker wherever a sibling was
-    /// donated: what the parallel merge folds.
-    pub(crate) events: Vec<MergeEvent>,
+    /// The best core this walk found (local ids).
+    best: Option<Vec<VertexId>>,
 }
 
 impl<'a> MaxGoal<'a> {
-    pub(crate) fn new(
-        cfg: &'a AlgoConfig,
-        best_len: usize,
-        global: Option<&'a AtomicUsize>,
-    ) -> Self {
+    fn new(cfg: &'a AlgoConfig, best_len: usize) -> Self {
         MaxGoal {
             cfg,
             best_len,
-            global,
-            events: Vec::new(),
+            best: None,
         }
-    }
-
-    /// The best core this walk found (local ids): its last improving find.
-    fn best(&self) -> Option<&[VertexId]> {
-        self.events.iter().rev().find_map(|event| match event {
-            MergeEvent::Found(piece) => Some(piece.as_slice()),
-            MergeEvent::Child(_) => None,
-        })
-    }
-
-    /// Algorithm 5 line 2 pruning: local incumbent with `<=`, shared
-    /// atomic incumbent with `<` (see the `global` field docs).
-    fn bound_cut(&self, ub: usize) -> bool {
-        ub <= self.best_len || self.global.is_some_and(|g| ub < g.load(Ordering::Relaxed))
     }
 }
 
@@ -155,9 +97,9 @@ impl Goal for MaxGoal<'_> {
     /// Upper-bound pruning (Algorithm 5 line 2). The O(1) naive bound
     /// first; the configured one only when the naive one fails to prune.
     fn cut(&mut self, st: &SearchState<'_>, stats: &mut SearchStats) -> bool {
-        let cut = self.bound_cut(st.mc_len() as usize)
+        let cut = st.mc_len() as usize <= self.best_len
             || (self.cfg.bound != BoundKind::Naive
-                && self.bound_cut(size_upper_bound(st, self.cfg.bound) as usize));
+                && size_upper_bound(st, self.cfg.bound) as usize <= self.best_len);
         if cut {
             stats.bound_prunes += 1;
         }
@@ -169,20 +111,12 @@ impl Goal for MaxGoal<'_> {
     }
 
     /// Every connected piece of a Theorem 4 leaf is a (k,r)-core; keep the
-    /// largest and publish its size to the shared bound.
+    /// largest.
     fn leaf(&mut self, st: &SearchState<'_>, _stats: &mut SearchStats) {
         for piece in st.mc_components() {
             if piece.len() > self.best_len && piece.len() > st.k as usize {
                 self.best_len = piece.len();
-                if let Some(g) = self.global {
-                    // `fetch_max` returns the previous value; a smaller
-                    // previous value means this task actually advanced
-                    // the shared incumbent.
-                    if g.fetch_max(self.best_len, Ordering::Relaxed) < self.best_len {
-                        crate::obs::engine_obs().incumbent_updates.inc();
-                    }
-                }
-                self.events.push(MergeEvent::Found(piece));
+                self.best = Some(piece);
             }
         }
     }
@@ -197,16 +131,6 @@ impl Goal for MaxGoal<'_> {
             BranchPolicy::AlwaysShrink => false,
             BranchPolicy::Adaptive => preferred == FirstBranch::Expand,
         }
-    }
-
-    fn incumbent(&self) -> usize {
-        self.best_len
-    }
-
-    /// Marks where the donated task's finds splice in: exactly the DFS
-    /// point where this walk would have searched the sibling.
-    fn donated(&mut self, tid: u64) {
-        self.events.push(MergeEvent::Child(tid));
     }
 }
 
@@ -297,6 +221,47 @@ mod tests {
                     assert!(crate::verify::is_kr_core(&p, c), "{name} invalid core");
                 }
             }
+        }
+    }
+
+    /// Two disjoint, mutually dissimilar 6-cliques, each holding one
+    /// dissimilar pair: four maximum cores of size 5, two per component.
+    /// The search keeps the first component's core, with sequential and
+    /// with pooled preprocessing alike.
+    #[test]
+    fn ties_keep_the_first_components_core() {
+        let mut edges = vec![];
+        let mut pts = vec![];
+        for (c, dx) in [(0u32, 0.0), (6, 100.0)] {
+            for i in 0..6 {
+                for j in (i + 1)..6 {
+                    edges.push((c + i, c + j));
+                }
+            }
+            for (x, y) in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)] {
+                pts.push((x + dx, y));
+            }
+            pts.extend([(dx - 0.9, 0.5), (dx + 1.9, 0.5)]);
+        }
+        let p = ProblemInstance::new(
+            Graph::from_edges(12, &edges),
+            AttributeTable::points(pts),
+            Metric::Euclidean,
+            Threshold::MaxDistance(2.0),
+            2,
+        );
+        let comps = p.preprocess();
+        assert_eq!(comps.len(), 2);
+        let first = comps[0].globalize(&(0..comps[0].len() as VertexId).collect::<Vec<_>>());
+        for threads in [1, 2] {
+            let core = find_maximum(&p, &AlgoConfig::adv_max().with_threads(threads))
+                .core
+                .unwrap();
+            assert_eq!(core.len(), 5, "threads={threads}");
+            assert!(
+                core.vertices.iter().all(|v| first.contains(v)),
+                "threads={threads}"
+            );
         }
     }
 

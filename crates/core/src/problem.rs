@@ -9,6 +9,7 @@ use crate::component::LocalComponent;
 use kr_graph::components::connected_components_of_subset;
 use kr_graph::{k_core, Graph, VertexId};
 use kr_similarity::{AttributeTable, DissimMode, Metric, SimilarityOracle, TableOracle, Threshold};
+use std::sync::Mutex;
 
 /// An attributed-graph problem instance: graph, similarity oracle, and the
 /// `(k, r)` parameters.
@@ -140,24 +141,21 @@ impl ProblemInstance {
         self.preprocess_impl(Some(pool), Some(candidates))
     }
 
-    /// [`Self::preprocess`] on `threads` workers (`0` = all cores): the
-    /// k-core peel runs level-synchronously in parallel and the per-group
-    /// arenas are materialized concurrently (with a single group, its
-    /// candidate-pair verification is shard-split across the pool
-    /// instead). The returned components are identical to the sequential
-    /// ones, in the same order.
+    /// [`Self::preprocess`] on `threads` workers (`0` = all cores, `1` =
+    /// the sequential path): the k-core peel runs level-synchronously in
+    /// parallel and the per-group arenas are materialized concurrently
+    /// (with a single group, its candidate-pair verification is
+    /// shard-split across the pool instead). The returned components are
+    /// identical to the sequential ones, in the same order.
     pub fn preprocess_parallel(&self, threads: usize) -> Vec<LocalComponent> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        self.preprocess_on(&pool)
+        match threads {
+            1 => self.preprocess(),
+            n => self.preprocess_on(&query_pool(n)),
+        }
     }
 
-    /// [`Self::preprocess_parallel`] on a caller-provided pool. The
-    /// parallel engine threads one pool through the whole query — peel,
-    /// arena build, and the search tasks — instead of building a
-    /// short-lived pool per phase.
+    /// [`Self::preprocess_parallel`] on a caller-provided pool, which
+    /// serves the peel and the arena builds alike.
     pub fn preprocess_on(&self, pool: &rayon::ThreadPool) -> Vec<LocalComponent> {
         self.preprocess_impl(Some(pool), None)
     }
@@ -199,7 +197,7 @@ impl ProblemInstance {
                 // Build each arena concurrently; outputs come back in
                 // group order so the result matches the sequential path
                 // exactly.
-                crate::parallel::ordered_pool_map(pool, &groups, |group| {
+                ordered_pool_map(pool, &groups, |group| {
                     LocalComponent::build(&filtered, &self.oracle, group, self.k, self.dissim_mode)
                 })
             }
@@ -248,6 +246,51 @@ impl ProblemInstance {
         let filtered = self.graph.filter_edges(|u, v| self.oracle.is_similar(u, v));
         k_core(&filtered, self.k)
     }
+}
+
+/// A pool of `threads` preprocessing workers; `0` means all available
+/// cores, as rayon reads it.
+fn query_pool(threads: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool")
+}
+
+/// Runs `f` over `items` on `pool`'s workers, returning the outputs in
+/// item order. The association between an item and its output is by
+/// index, so callers never correlate results positionally themselves.
+fn ordered_pool_map<'env, T, U, F>(pool: &rayon::ThreadPool, items: &'env [T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&'env T) -> U + Sync,
+{
+    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let obs = crate::obs::engine_obs();
+    obs.pool_tasks.add(items.len() as u64);
+    // The spawning thread runs `pool.scope`'s body itself; a task that
+    // executes on any other thread crossed the pool's stealing deques.
+    let spawner = std::thread::current().id();
+    pool.scope(|s| {
+        for (item, slot) in items.iter().zip(&slots) {
+            let f = &f;
+            s.spawn(move |_| {
+                if std::thread::current().id() != spawner {
+                    crate::obs::engine_obs().pool_tasks_stolen.inc();
+                }
+                *slot.lock().expect("slot lock") = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("worker completed")
+        })
+        .collect()
 }
 
 #[cfg(test)]

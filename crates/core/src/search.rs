@@ -25,13 +25,6 @@
 use crate::component::LocalComponent;
 use kr_graph::VertexId;
 
-/// One branch decision along a search-tree path: the chosen vertex and
-/// whether it was expanded (`true`) or shrunk (`false`). A sequence of
-/// decisions from the root identifies a search-tree node; the parallel
-/// engine ships these prefixes to workers, which replay them on a fresh
-/// [`SearchState`] (see [`crate::parallel`]).
-pub type Decision = (VertexId, bool);
-
 /// Where a vertex currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
@@ -59,12 +52,10 @@ pub struct SearchStats {
     pub bound_prunes: u64,
     /// Maximal checks performed (Theorem 6).
     pub maximal_checks: u64,
-    /// Donation events: a running parallel task noticed the pool had room
-    /// and donated pending sibling branches of its DFS path.
+    /// Always 0: the search is sequential and never splits. Kept only
+    /// until the benchmark package stops reading it for its
+    /// `parallel.resplits` metric.
     pub resplits: u64,
-    /// Tasks created by those donations (in addition to the one root task
-    /// per component).
-    pub resplit_subtasks: u64,
 }
 
 /// Mutable search-node state over one component.

@@ -1,17 +1,13 @@
-//! PR 9 equivalence properties: the lazy dissimilarity view and the
-//! re-splitting parallel engine must be invisible in results.
+//! The lazy dissimilarity view must be invisible in results.
 //!
 //! * Lazy ≡ eager: forcing [`DissimMode::Lazy`] (vs `Eager`) on random
 //!   instances changes no enumerated core family and no maximum core —
-//!   sequentially and under the parallel engine, with adaptive and
-//!   forced donation, in both threshold directions (Euclidean `MaxDistance`
-//!   and Jaccard `MinSimilarity`).
-//! * Re-splitting fires: on an adversarial skewed instance (a chain of
-//!   bridged cliques whose tree is deep and lopsided), `Resplit::Forced`
-//!   must record at least one donation — and still return sequential
-//!   results.
+//!   with sequential and with pooled preprocessing, in both threshold
+//!   directions (Euclidean `MaxDistance` and Jaccard `MinSimilarity`).
+//! * Lazy mode touches fewer rows: on a chain of bridged cliques the
+//!   search materializes only part of the dissimilarity rows.
 
-use kr_core::{enumerate_maximal, find_maximum, AlgoConfig, ProblemInstance, Resplit};
+use kr_core::{enumerate_maximal, find_maximum, AlgoConfig, ProblemInstance};
 use kr_graph::{Graph, VertexId};
 use kr_similarity::{AttributeTable, DissimMode, Metric, Threshold};
 use proptest::prelude::*;
@@ -67,9 +63,10 @@ fn clamp_edges(edges: &[(VertexId, VertexId)], n: usize) -> Vec<(VertexId, Verte
         .collect()
 }
 
-/// Every engine variant under test must reproduce the eager sequential
-/// result on `p` exactly (core family and maximum core vertex set).
-fn assert_all_engines_agree(p: &ProblemInstance) {
+/// Sequential and pooled preprocessing, each over the eager and the lazy
+/// view, must reproduce the eager sequential result on `p` exactly (core
+/// family and maximum core vertex set).
+fn assert_all_modes_agree(p: &ProblemInstance) {
     let eager = p.clone().with_dissim_mode(DissimMode::Eager);
     let lazy = p.clone().with_dissim_mode(DissimMode::Lazy);
 
@@ -78,13 +75,7 @@ fn assert_all_engines_agree(p: &ProblemInstance) {
 
     let enum_cfgs = [
         ("seq", AlgoConfig::adv_enum()),
-        ("par2", AlgoConfig::adv_enum_parallel().with_threads(2)),
-        (
-            "par2-forced",
-            AlgoConfig::adv_enum_parallel()
-                .with_threads(2)
-                .with_resplit(Resplit::Forced),
-        ),
+        ("pool2", AlgoConfig::adv_enum().with_threads(2)),
     ];
     for (name, cfg) in &enum_cfgs {
         for (mode, inst) in [("eager", &eager), ("lazy", &lazy)] {
@@ -96,13 +87,7 @@ fn assert_all_engines_agree(p: &ProblemInstance) {
 
     let max_cfgs = [
         ("seq", AlgoConfig::adv_max()),
-        ("par2", AlgoConfig::adv_max_parallel().with_threads(2)),
-        (
-            "par2-forced",
-            AlgoConfig::adv_max_parallel()
-                .with_threads(2)
-                .with_resplit(Resplit::Forced),
-        ),
+        ("pool2", AlgoConfig::adv_max().with_threads(2)),
     ];
     for (name, cfg) in &max_cfgs {
         for (mode, inst) in [("eager", &eager), ("lazy", &lazy)] {
@@ -122,34 +107,32 @@ proptest! {
 
     /// MaxDistance direction: random geometric instances.
     #[test]
-    fn lazy_eager_and_resplit_agree_geometric(
+    fn lazy_and_eager_agree_geometric(
         n in 6usize..13,
         edges in proptest::collection::vec((0u32..13, 0u32..13), 8..60),
         coords in proptest::collection::vec((0.0f64..20.0, 0.0f64..20.0), 13),
         r in 2.0f64..18.0,
     ) {
         let edges = clamp_edges(&edges, n);
-        assert_all_engines_agree(&geo_instance(n, &edges, &coords, r));
+        assert_all_modes_agree(&geo_instance(n, &edges, &coords, r));
     }
 
     /// MinSimilarity direction: random keyword instances under Jaccard.
     #[test]
-    fn lazy_eager_and_resplit_agree_keywords(
+    fn lazy_and_eager_agree_keywords(
         n in 6usize..13,
         edges in proptest::collection::vec((0u32..13, 0u32..13), 8..60),
         keyword_bits in proptest::collection::vec(1u8..=255, 13),
         r in 0.1f64..0.9,
     ) {
         let edges = clamp_edges(&edges, n);
-        assert_all_engines_agree(&keyword_instance(n, &edges, &keyword_bits, r));
+        assert_all_modes_agree(&keyword_instance(n, &edges, &keyword_bits, r));
     }
 }
 
-/// Adversarial skewed-tree instance: a chain of `c` 4-cliques, each
-/// bridged to the next through a shared vertex, laid out on a line so
-/// only *adjacent* cliques are similar. The expand/shrink tree is deep
-/// (one long spine) and lopsided, which is exactly the shape that
-/// strands a static frontier split.
+/// A chain of `c` 4-cliques, each bridged to the next through a shared
+/// vertex, laid out on a line so only *adjacent* cliques are similar:
+/// one component whose far-apart pairs are all dissimilar.
 fn chain_of_cliques(c: usize) -> ProblemInstance {
     let mut edges = Vec::new();
     let mut pts = Vec::new();
@@ -179,64 +162,6 @@ fn chain_of_cliques(c: usize) -> ProblemInstance {
         Threshold::MaxDistance(7.0),
         2,
     )
-}
-
-#[test]
-fn forced_resplit_fires_and_preserves_enumeration() {
-    let p = chain_of_cliques(6);
-    let seq = enumerate_maximal(&p, &AlgoConfig::adv_enum());
-    assert!(seq.completed);
-    assert!(!seq.cores.is_empty());
-    for threads in [2, 4] {
-        let cfg = AlgoConfig::adv_enum_parallel()
-            .with_threads(threads)
-            .with_resplit(Resplit::Forced);
-        let par = enumerate_maximal(&p, &cfg);
-        assert!(par.completed);
-        assert_eq!(par.cores, seq.cores, "threads={threads}");
-        assert!(
-            par.stats.resplits >= 1,
-            "forced re-splitting must donate at least once (threads={threads})"
-        );
-        assert!(par.stats.resplit_subtasks >= par.stats.resplits);
-    }
-}
-
-#[test]
-fn forced_resplit_fires_and_preserves_maximum() {
-    let p = chain_of_cliques(6);
-    let seq = find_maximum(&p, &AlgoConfig::adv_max());
-    assert!(seq.completed);
-    for threads in [2, 4] {
-        let cfg = AlgoConfig::adv_max_parallel()
-            .with_threads(threads)
-            .with_resplit(Resplit::Forced);
-        let par = find_maximum(&p, &cfg);
-        assert!(par.completed);
-        assert_eq!(
-            par.core.as_ref().map(|c| &c.vertices),
-            seq.core.as_ref().map(|c| &c.vertices),
-            "threads={threads}"
-        );
-    }
-}
-
-#[test]
-fn adaptive_resplit_defaults_on_and_preserves_results() {
-    // The shipped default (`Resplit::Adaptive`) on the skewed chain:
-    // donation only happens under measured starvation, so `resplits` may
-    // legitimately be zero — results must be identical regardless.
-    let p = chain_of_cliques(6);
-    assert_eq!(AlgoConfig::adv_enum_parallel().resplit, Resplit::Adaptive);
-    let seq = enumerate_maximal(&p, &AlgoConfig::adv_enum());
-    let par = enumerate_maximal(&p, &AlgoConfig::adv_enum_parallel().with_threads(4));
-    assert_eq!(par.cores, seq.cores);
-    let seq_max = find_maximum(&p, &AlgoConfig::adv_max());
-    let par_max = find_maximum(&p, &AlgoConfig::adv_max_parallel().with_threads(4));
-    assert_eq!(
-        par_max.core.as_ref().map(|c| &c.vertices),
-        seq_max.core.as_ref().map(|c| &c.vertices),
-    );
 }
 
 /// Lazy mode on the chain, exercised end to end: the searches must agree

@@ -1,6 +1,6 @@
-//! Property tests for the parallel engine: parallel pruning must never
-//! lose a maximal core, and the parallel maximum search must return the
-//! very core the sequential search returns.
+//! Property tests for pooled preprocessing (`threads` > 1): the
+//! enumeration must never lose a maximal core, and the maximum search
+//! must return the very core a `threads = 1` run returns.
 
 use kr_core::{enumerate_maximal, find_maximum, AlgoConfig, KrCore, ProblemInstance};
 use kr_graph::{Graph, VertexId};
@@ -59,16 +59,16 @@ fn brute_maximal(p: &ProblemInstance) -> Vec<KrCore> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Parallel pruning never loses a maximal core: every brute-force
-    /// maximal (k,r)-core appears in the parallel enumeration, at every
-    /// thread count (and nothing extra appears either).
+    /// Pooled preprocessing never loses a maximal core: every brute-force
+    /// maximal (k,r)-core appears in the enumeration, at every thread
+    /// count (and nothing extra appears either).
     #[test]
     fn parallel_enum_never_loses_a_core(p in arb_instance(10)) {
         let expect = brute_maximal(&p);
         for threads in [2, 3, 8] {
             let par = enumerate_maximal(
                 &p,
-                &AlgoConfig::adv_enum_parallel().with_threads(threads),
+                &AlgoConfig::adv_enum().with_threads(threads),
             );
             prop_assert!(par.completed, "threads={} aborted", threads);
             for core in &expect {
@@ -83,16 +83,16 @@ proptest! {
         }
     }
 
-    /// The parallel maximum search returns the exact same vertex set as
-    /// the sequential search — tie-breaking included (the shared atomic
-    /// bound is only consulted strictly, see kr_core::parallel docs).
+    /// The maximum search after pooled preprocessing returns the exact
+    /// same vertex set as a `threads = 1` run — tie-breaking included
+    /// (the pool returns the components in the sequential order).
     #[test]
     fn parallel_max_identical_to_sequential(p in arb_instance(10)) {
         let seq = find_maximum(&p, &AlgoConfig::adv_max());
         for threads in [2, 3, 8] {
             let par = find_maximum(
                 &p,
-                &AlgoConfig::adv_max_parallel().with_threads(threads),
+                &AlgoConfig::adv_max().with_threads(threads),
             );
             prop_assert!(par.completed, "threads={} aborted", threads);
             prop_assert_eq!(
@@ -104,9 +104,8 @@ proptest! {
         }
     }
 
-    /// BasicMax on the parallel engine (naive bound, no maximal check)
-    /// also reproduces its sequential twin, exercising the merge path
-    /// without the (k,k')-core bound.
+    /// BasicMax (naive bound, no maximal check) after pooled
+    /// preprocessing also reproduces its `threads = 1` twin.
     #[test]
     fn parallel_basic_max_identical_to_sequential(p in arb_instance(9)) {
         let seq = find_maximum(&p, &AlgoConfig::basic_max());

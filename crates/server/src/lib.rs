@@ -18,8 +18,9 @@
 //!   the wire `metrics` request, and the structured-trace sink every
 //!   query's span events go to (see `docs/OBSERVABILITY.md`);
 //! * `session` / [`server`] — one thread per connection dispatching
-//!   queries onto the engines (which thread one worker pool per query
-//!   through preprocessing and search), with budget-clamped cancellation,
+//!   queries onto the engines (the search runs on the session thread; a
+//!   cache miss may preprocess on a short-lived worker pool), with
+//!   budget-clamped cancellation,
 //!   a connection cap (`busy` rejection frames), per-dataset admission
 //!   limits, mid-query client-abort detection, and clean shutdown;
 //! * [`client`] — the blocking client that backs `krcore-cli query` and

@@ -118,7 +118,9 @@ pub struct QuerySpec {
     pub r: f64,
     /// Algorithm family.
     pub algo: Algo,
-    /// Worker threads (`1` = sequential, `0` = all cores).
+    /// Preprocessing workers on a cache miss (`1` = sequential, `0` =
+    /// all cores; clamped to the machine's cores). The search always runs
+    /// sequentially.
     pub threads: usize,
     /// Wall-clock budget; clamped by the server's own ceiling.
     pub time_limit_ms: Option<u64>,

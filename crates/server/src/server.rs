@@ -1,9 +1,9 @@
 //! The accept loop and server lifecycle.
 //!
 //! One OS thread per connection handles protocol framing and blocks on
-//! its client's socket; the *compute* of a query runs on the worker pool
-//! the engine builds per query (`kr_core::parallel` — one pool threaded
-//! through preprocessing and the subtask phase). Sessions poll their
+//! its client's socket, and a query's search runs on that session
+//! thread; only a cache miss's preprocessing may run on a short-lived
+//! worker pool sized by the query's `threads`. Sessions poll their
 //! socket with a short read timeout so that a server-wide shutdown flag
 //! is observed promptly, which is what makes `shutdown` clean: the accept
 //! loop stops, every session thread drains, and `run` returns.

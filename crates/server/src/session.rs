@@ -23,7 +23,7 @@
 //! (see [`FrameWriter::client_gone`]) — a client that hung up mid-query
 //! is detected within one flush interval, trips a [`kr_core::CancelFlag`]
 //! and the engine winds down at its next search node instead of burning
-//! the worker pool on an answer nobody reads. Aborted queries count in
+//! CPU on an answer nobody reads. Aborted queries count in
 //! `server.client_aborts` (not `server.query_errors`) and emit a
 //! `client_abort` span event.
 //!
@@ -44,8 +44,8 @@ use crate::protocol::{
 use crate::server::{ServerState, SessionPermit};
 use crate::sync::lock;
 use kr_core::{
-    enumerate_maximal_prepared, enumerate_maximal_prepared_on, find_maximum_prepared,
-    find_maximum_prepared_on, AlgoConfig, CancelFlag, CoreHook, KrCore, LocalComponent,
+    enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig, CancelFlag, CoreHook, KrCore,
+    LocalComponent,
 };
 use kr_obs::{next_trace_id, Counter, Field, PhaseTimer};
 use kr_similarity::{SimilarityOracle, TableOracle};
@@ -491,6 +491,23 @@ fn clamp_limit(requested: Option<u64>, ceiling: Option<u64>) -> Option<u64> {
     }
 }
 
+/// Preprocessing workers for a cache miss: the request's `threads`,
+/// clamped to the machine's available parallelism, with `0` meaning that
+/// value. The rayon shim starts one OS thread per worker in every
+/// parallel phase, so an unclamped wire value (up to 1024) would let one
+/// miss spawn that many threads per phase. `1` returns before the
+/// lookup, which reads cgroup files on Linux.
+fn pool_workers(requested: usize) -> usize {
+    if requested == 1 {
+        return 1;
+    }
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match requested {
+        0 => available,
+        n => n.min(available),
+    }
+}
+
 /// The dataset a query or mutation names. The call that loads it —
 /// generating a preset or reading a snapshot file — logs a
 /// `dataset_load` span, so a first query's load is not left unexplained.
@@ -600,20 +617,6 @@ fn run_query(
     // mutation bumps it, so a post-mutation query can never be served a
     // component set the cache-repair pass has not revalidated.
     let version = dataset.version();
-    // One worker pool for the whole query: a cache miss preprocesses on
-    // it and the parallel engine then runs its subtask phase on the same
-    // pool (`threads == 1` stays pool-free on the sequential engine).
-    let threads = spec.threads;
-    let pool = if threads == 1 {
-        None
-    } else {
-        Some(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool"),
-        )
-    };
     let preprocess_ms = std::cell::Cell::new(None::<u64>);
     let residual = std::cell::Cell::new(None::<u64>);
     let lookup = PhaseTimer::start(sink, &trace, "cache_lookup");
@@ -634,9 +637,17 @@ fn run_query(
         residual.set(Some(candidates.vertices.len() as u64));
         let t_pre = PhaseTimer::start(sink, &trace, "preprocess");
         let problem = dataset.problem(spec.k, spec.r);
-        let comps = match &pool {
-            None => problem.preprocess_with_candidates(&candidates.vertices),
-            Some(pool) => problem.preprocess_with_candidates_on(&candidates.vertices, pool),
+        // Only a miss preprocesses, so only a miss builds a worker pool;
+        // a hit or a `threads: 1` query stays pool-free.
+        let comps = match pool_workers(spec.threads) {
+            1 => problem.preprocess_with_candidates(&candidates.vertices),
+            n => problem.preprocess_with_candidates_on(
+                &candidates.vertices,
+                &rayon::ThreadPoolBuilder::new()
+                    .num_threads(n)
+                    .build()
+                    .expect("thread pool"),
+            ),
         };
         let dur_us = t_pre.finish_with(&[("components", Field::from(comps.len()))]);
         metrics.preprocess_us.record(dur_us);
@@ -671,8 +682,7 @@ fn run_query(
         (QueryKind::Enumerate, Algo::Basic) => AlgoConfig::basic_enum(),
         (QueryKind::Maximum, Algo::Adv) => AlgoConfig::adv_max(),
         (QueryKind::Maximum, Algo::Basic) => AlgoConfig::basic_max(),
-    }
-    .with_threads(threads);
+    };
     if let Some(ms) = clamp_limit(spec.time_limit_ms, state.config.max_time_limit_ms) {
         cfg = cfg.with_time_limit_ms(ms);
     }
@@ -710,17 +720,11 @@ fn run_query(
     let search = PhaseTimer::start(sink, &trace, "search");
     let (cores, completed, nodes) = match kind {
         QueryKind::Enumerate => {
-            let res = match &pool {
-                None => enumerate_maximal_prepared(&comps, &cfg),
-                Some(pool) => enumerate_maximal_prepared_on(&comps, &cfg, pool),
-            };
+            let res = enumerate_maximal_prepared(&comps, &cfg);
             (res.cores, res.completed, res.stats.nodes)
         }
         QueryKind::Maximum => {
-            let res = match &pool {
-                None => find_maximum_prepared(&comps, &cfg),
-                Some(pool) => find_maximum_prepared_on(&comps, &cfg, pool),
-            };
+            let res = find_maximum_prepared(&comps, &cfg);
             (
                 res.core.into_iter().collect(),
                 res.completed,
@@ -1067,6 +1071,16 @@ mod tests {
             elapsed_ms: 0,
             nodes: 7,
         }
+    }
+
+    #[test]
+    fn pool_workers_clamps_to_available_parallelism() {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool_workers(0), available);
+        assert_eq!(pool_workers(1), 1);
+        assert_eq!(pool_workers(1024), available);
+        assert_eq!(pool_workers(available), available);
+        assert_eq!(pool_workers(2), 2.min(available));
     }
 
     fn wire(frames: &[Frame]) -> Vec<u8> {

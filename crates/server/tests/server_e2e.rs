@@ -169,28 +169,41 @@ fn two_concurrent_clients_get_complete_correct_streams() {
     handle.shutdown_and_join().expect("clean shutdown");
 }
 
+/// `threads` only sizes a cache miss's preprocessing pool, clamped to
+/// the machine's cores: a cold miss at `threads: 1024` streams the same
+/// core frames, in the same order, as one at `threads: 1`, and a later
+/// query at another thread count hits the same cache entry.
 #[test]
-fn parallel_engine_answers_match_sequential_over_the_wire() {
-    let handle = spawn_server();
-    let mut client = Client::connect(handle.addr()).expect("connect");
+fn threads_only_size_the_miss_pool_over_the_wire() {
     let base = spec(DatasetPreset::GowallaLike, 3, 8.0);
-    let seq = client.enumerate(base.clone()).expect("sequential");
-    let par = client
-        .enumerate(QuerySpec {
-            threads: 4,
-            ..base.clone()
-        })
-        .expect("parallel");
-    let (mut a, mut b) = (seq.cores.clone(), par.cores.clone());
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-    assert_eq!(
-        par.cache,
-        CacheOutcome::Hit,
-        "same key regardless of threads"
-    );
-    handle.shutdown_and_join().expect("clean shutdown");
+    let cold = [1, 1024].map(|threads| {
+        let handle = spawn_server();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let cold = client
+            .enumerate(QuerySpec {
+                threads,
+                ..base.clone()
+            })
+            .expect("cold query");
+        assert_eq!(cold.cache, CacheOutcome::Miss, "threads={threads}");
+        assert!(cold.completed, "threads={threads}");
+        let warm = client
+            .enumerate(QuerySpec {
+                threads: 4,
+                ..base.clone()
+            })
+            .expect("warm query");
+        assert_eq!(
+            warm.cache,
+            CacheOutcome::Hit,
+            "same key regardless of threads"
+        );
+        assert_eq!(warm.cores, cold.cores, "threads={threads}");
+        handle.shutdown_and_join().expect("clean shutdown");
+        (cold.cores, cold.nodes)
+    });
+    assert!(!cold[0].0.is_empty(), "test instance must emit cores");
+    assert_eq!(cold[0], cold[1], "threads 1 vs 1024");
 }
 
 #[test]

@@ -177,6 +177,7 @@ impl LazyDissimilarity {
     /// Streams the dissimilar partners of `u` in ascending order
     /// *without* memoizing: the memoized row if one exists, else a
     /// complement walk over the similarity row.
+    #[inline]
     pub fn for_each(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
         if let Some(row) = self.rows[u as usize].get() {
             for &w in row.iter() {
@@ -221,6 +222,7 @@ impl LazyDissimilarity {
     }
 
     /// Ascending walk of `{0..n} \ (sim(u) ∪ {u})`.
+    #[inline]
     fn complement_walk(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
         let row = self.sim.row(u);
         let mut p = 0usize;

@@ -24,8 +24,9 @@
 //!   or use `--permille X` to calibrate r as the top-X‰ pairwise quantile);
 //! * `--algo` picks the configuration (`adv` default, `basic`, `naive`,
 //!   `clique`);
-//! * `--threads N` runs the work-stealing parallel engine on `N` workers
-//!   (`0` = all cores; default 1 = sequential; `adv`/`basic` only);
+//! * `--threads N` preprocesses on `N` workers (`0` = all cores; default
+//!   1 = sequential; `adv`/`basic` only); the search runs sequentially.
+//!   For `query` it sizes the server's preprocessing pool on a cache miss;
 //! * `--time-limit-ms` bounds the run (prints a warning when exceeded);
 //! * `ingest` streams a SNAP edge list + attribute TSV (attribute rows
 //!   keyed by the file's original sparse ids) into a verified `.krb`

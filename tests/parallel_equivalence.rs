@@ -1,13 +1,14 @@
-//! Cross-engine equivalence on every dataset preset: the parallel engine
-//! must return vertex-set-identical results to the sequential engine for
-//! both the enumeration and the maximum search, at every thread count.
+//! Pooled preprocessing is invisible in results on every dataset preset:
+//! with `threads` > 1 the k-core peel and the arena builds run on a worker
+//! pool, and the enumeration and the maximum search must still return
+//! vertex-set-identical results to a `threads = 1` run.
 
 use kr_bench::BenchDataset;
 use krcore::prelude::*;
 
 /// Representative (scale, k, r) per preset: small enough for CI, large
-/// enough that the preprocessed graph has several components and the
-/// search trees split into many subtasks.
+/// enough that the preprocessed graph has several components, so the
+/// pool builds several arenas concurrently.
 fn cases() -> Vec<(DatasetPreset, f64, u32, f64)> {
     vec![
         (DatasetPreset::BrightkiteLike, 0.25, 3, 8.0),
@@ -25,11 +26,9 @@ fn adv_enum_parallel_matches_sequential_on_all_presets() {
         let seq = krcore::core::enumerate_maximal(&p, &AlgoConfig::adv_enum());
         assert!(seq.completed, "{preset:?} sequential aborted");
         for threads in [2, 4] {
-            let par = krcore::core::enumerate_maximal(
-                &p,
-                &AlgoConfig::adv_enum_parallel().with_threads(threads),
-            );
-            assert!(par.completed, "{preset:?} parallel aborted");
+            let par =
+                krcore::core::enumerate_maximal(&p, &AlgoConfig::adv_enum().with_threads(threads));
+            assert!(par.completed, "{preset:?} threads={threads} aborted");
             assert_eq!(
                 par.cores, seq.cores,
                 "{preset:?} (k={k}, r={r}, threads={threads}): core families differ"
@@ -46,11 +45,8 @@ fn adv_max_parallel_matches_sequential_on_all_presets() {
         let seq = krcore::core::find_maximum(&p, &AlgoConfig::adv_max());
         assert!(seq.completed, "{preset:?} sequential aborted");
         for threads in [2, 4] {
-            let par = krcore::core::find_maximum(
-                &p,
-                &AlgoConfig::adv_max_parallel().with_threads(threads),
-            );
-            assert!(par.completed, "{preset:?} parallel aborted");
+            let par = krcore::core::find_maximum(&p, &AlgoConfig::adv_max().with_threads(threads));
+            assert!(par.completed, "{preset:?} threads={threads} aborted");
             assert_eq!(
                 par.core.as_ref().map(|c| &c.vertices),
                 seq.core.as_ref().map(|c| &c.vertices),
@@ -59,7 +55,7 @@ fn adv_max_parallel_matches_sequential_on_all_presets() {
             if let Some(core) = &par.core {
                 assert!(
                     krcore::core::is_kr_core(&p, core),
-                    "{preset:?}: parallel result is not a (k,r)-core"
+                    "{preset:?} threads={threads}: result is not a (k,r)-core"
                 );
             }
         }
