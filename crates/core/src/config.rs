@@ -127,15 +127,17 @@ pub enum BranchPolicy {
     Adaptive,
 }
 
-/// Candidate order inside the maximal-check sub-search (Algorithm 4 /
-/// Figure 11(f)).
+/// Vertex order inside the maximal-check sub-search (Algorithm 4 /
+/// Figure 11(f)). Each value selects the [`SearchOrder`] the search walker
+/// uses inside the check; the check always expands first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckOrder {
-    /// Highest degree first, expand-first (the paper's choice).
+    /// [`SearchOrder::Degree`] (the paper's choice).
     Degree,
-    /// Enumeration-style Δ1-then-Δ2 analog.
+    /// [`SearchOrder::Delta1ThenDelta2`], AdvEnum's order.
     Delta1ThenDelta2,
-    /// Maximum-style λΔ1 − Δ2 analog.
+    /// [`SearchOrder::LambdaDelta`] with [`AlgoConfig::lambda`], AdvMax's
+    /// order.
     LambdaDelta,
 }
 
@@ -169,7 +171,7 @@ pub struct AlgoConfig {
     pub maximal_check: bool,
     /// Vertex visiting order.
     pub order: SearchOrder,
-    /// Candidate order for the maximal-check sub-search.
+    /// Vertex order for the maximal-check sub-search.
     pub check_order: CheckOrder,
     /// Branch policy (maximum search only).
     pub branch: BranchPolicy,

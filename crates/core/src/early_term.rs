@@ -5,7 +5,9 @@
 //! vertices) can always be re-attached:
 //!
 //! * **(i)** some `e ∈ SF_C(E)` (excluded, similar to all of `C`, and by
-//!   the E-invariant to all of `M`) has `deg(e, M) ≥ k`;
+//!   the E-invariant to all of `M`) has `deg(e, M) ≥ k` and at least one
+//!   neighbor in `M` (the attachment requirement of (ii), which only
+//!   bites at `k = 0`);
 //! * **(ii)** some `U ⊆ SF_{C∪E}(E)` has `deg(u, M ∪ U) ≥ k` for every
 //!   `u ∈ U` *and is attached to `M`* (the attachment requirement keeps
 //!   `R ∪ U` connected — the paper leaves it implicit; dropping it would
@@ -27,8 +29,9 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
     }
     let n = st.comp.len();
     // Condition (i): one scan of E.
+    let attached = st.k.max(1);
     for v in 0..n as VertexId {
-        if st.status(v) == Status::Excluded && st.dp_c(v) == 0 && st.deg_m(v) >= st.k {
+        if st.status(v) == Status::Excluded && st.dp_c(v) == 0 && st.deg_m(v) >= attached {
             return true;
         }
     }

@@ -2,14 +2,20 @@
 //!
 //! Given a freshly found (k,r)-core `R` and the relevant excluded set `E`
 //! (plus any co-leaf vertices outside `R`), `R` is maximal iff no non-empty
-//! subset `U` of those vertices yields a (k,r)-core `R ∪ U`. The check is
-//! itself a small expand/shrink search: candidates dissimilar to `R` are
-//! dropped up front, the rest are branched on with the degree order and
-//! expand-first policy of Section 7.4, and the search exits at the first
-//! strictly larger core found.
+//! subset `U` of those vertices yields a connected (k,r)-core `R ∪ U`.
+//! Candidates dissimilar to `R` (Theorem 3) or short of `k` neighbors in
+//! `R` plus the other candidates (Theorem 2) are dropped up front, on
+//! plain marks; most checks end there. The rest are searched by the
+//! search walker AdvEnum and AdvMax share, started from `M = R` and
+//! `C` = the candidates, with the degree order and expand-first policy of
+//! Section 7.4. The walk stops at the first Theorem 4 leaf whose piece
+//! around `R` is strictly larger than `R`.
 
 use crate::component::LocalComponent;
-use crate::config::CheckOrder;
+use crate::config::{AlgoConfig, CheckOrder, SearchOrder};
+use crate::order::FirstBranch;
+use crate::search::{SearchState, SearchStats};
+use crate::walk::{Goal, Walker};
 use kr_graph::VertexId;
 
 /// Returns true iff `core` (local ids, a valid (k,r)-core of `comp`)
@@ -26,11 +32,8 @@ pub fn check_maximal(
 }
 
 /// [`check_maximal`] with an explicit candidate order — the ablation of
-/// Figure 11(f). `Degree` (the paper's pick for this sub-search) chooses
-/// the candidate with the most neighbors inside `M ∪ C`; the other two
-/// approximate the enumeration/maximum orders on the check's smaller
-/// state: `Δ1` counts a candidate's dissimilar partners among the
-/// remaining candidates, `Δ2` its degree share.
+/// Figure 11(f). `order` selects the walker's [`SearchOrder`] inside the
+/// check (`lambda` weighs [`SearchOrder::LambdaDelta`]).
 pub fn check_maximal_with_order(
     comp: &LocalComponent,
     k: u32,
@@ -39,248 +42,89 @@ pub fn check_maximal_with_order(
     order: CheckOrder,
     lambda: f64,
 ) -> bool {
-    let n = comp.len();
-    let mut in_m = vec![false; n];
+    // `live`: R plus the candidates still in play.
+    let mut live = vec![false; comp.len()];
     for &v in core {
-        in_m[v as usize] = true;
+        live[v as usize] = true;
     }
-    // Pre-filter: keep only candidates similar to every member of R.
-    let cand: Vec<VertexId> = candidates
+    // Pre-filter: keep only candidates similar to every member of R, then
+    // peel those short of k live neighbors.
+    let mut cand: Vec<VertexId> = candidates
         .iter()
         .copied()
-        .filter(|&x| !in_m[x as usize])
-        .filter(|&x| !comp.any_dissimilar_where(x, |w| in_m[w as usize]))
+        .filter(|&x| !live[x as usize])
+        .filter(|&x| !comp.any_dissimilar_where(x, |w| live[w as usize]))
         .collect();
+    for &x in &cand {
+        live[x as usize] = true;
+    }
+    let mut before = 0;
+    while before != cand.len() {
+        before = cand.len();
+        cand.retain(|&x| {
+            let nbrs = comp.neighbors(x);
+            live[x as usize] = nbrs.iter().filter(|&&w| live[w as usize]).count() >= k as usize;
+            live[x as usize]
+        });
+    }
     if cand.is_empty() {
         return true;
     }
-    let mut m_list: Vec<VertexId> = core.to_vec();
-    let r_len = core.len();
-    !extend_search(comp, k, &mut in_m, &mut m_list, r_len, cand, order, lambda)
+    let cfg = AlgoConfig {
+        order: match order {
+            CheckOrder::Degree => SearchOrder::Degree,
+            CheckOrder::Delta1ThenDelta2 => SearchOrder::Delta1ThenDelta2,
+            CheckOrder::LambdaDelta => SearchOrder::LambdaDelta,
+        },
+        lambda,
+        // Sound here too, but its per-node scans cost more than they cut.
+        early_termination: false,
+        ..AlgoConfig::adv_enum()
+    };
+    let mut st = SearchState::seeded(comp, k, core, &cand);
+    let goal = CheckGoal {
+        core,
+        inner: core.iter().map(|&v| st.deg_m(v) as u64).sum(),
+        found: false,
+    };
+    let mut walker = Walker::new(comp, &cfg, None, goal);
+    walker.run_from(&mut st);
+    !walker.goal.found
 }
 
-/// Depth-first extension search; true iff some strictly larger core was
-/// found.
-#[allow(clippy::too_many_arguments)]
-fn extend_search(
-    comp: &LocalComponent,
-    k: u32,
-    in_m: &mut Vec<bool>,
-    m_list: &mut Vec<VertexId>,
-    r_len: usize,
-    mut cand: Vec<VertexId>,
-    order: CheckOrder,
-    lambda: f64,
-) -> bool {
-    // Pruning fixpoint: a candidate needs degree >= k inside M ∪ C to ever
-    // satisfy the constraint (Theorem 2), and must be reachable from R
-    // through M ∪ C to ever join a *connected* superset core.
-    let mut in_c = vec![false; comp.len()];
-    loop {
-        let before = cand.len();
-        for x in in_c.iter_mut() {
-            *x = false;
-        }
-        for &c in &cand {
-            in_c[c as usize] = true;
-        }
-        cand.retain(|&c| {
-            let d = comp
-                .neighbors(c)
-                .iter()
-                .filter(|&&w| in_m[w as usize] || in_c[w as usize])
-                .count() as u32;
-            if d < k {
-                in_c[c as usize] = false;
-                false
-            } else {
-                true
-            }
-        });
-        // Connectivity: BFS from R over M ∪ C. Unreachable candidates can
-        // never contribute; an unreachable *chosen* vertex kills the branch.
-        let mut seen = vec![false; comp.len()];
-        let mut stack = vec![m_list[0]];
-        seen[m_list[0] as usize] = true;
-        while let Some(v) = stack.pop() {
-            for &w in comp.neighbors(v) {
-                let wi = w as usize;
-                if !seen[wi] && (in_m[wi] || in_c[wi]) {
-                    seen[wi] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        if m_list.iter().any(|&v| !seen[v as usize]) {
-            return false;
-        }
-        cand.retain(|&c| {
-            if seen[c as usize] {
-                true
-            } else {
-                in_c[c as usize] = false;
-                false
-            }
-        });
-        if cand.len() == before {
-            break;
-        }
-    }
-    // Is the current M = R ∪ chosen a strictly larger (k,r)-core?
-    if m_list.len() > r_len
-        && chosen_satisfy_structure(comp, k, in_m, &m_list[r_len..])
-        && is_m_connected(comp, in_m, m_list)
-    {
-        return true;
-    }
-    if cand.is_empty() {
-        return false;
-    }
-    // Dead-branch cut: chosen vertices can never exceed their degree in
-    // the full M ∪ C; if one cannot reach k even there, no subset helps.
-    for &x in &m_list[r_len..] {
-        let d = comp
-            .neighbors(x)
-            .iter()
-            .filter(|&&w| in_m[w as usize] || in_c[w as usize])
-            .count() as u32;
-        if d < k {
-            return false;
-        }
-    }
-    // Singleton accept: one candidate alone may already extend M.
-    for &c in &cand {
-        let d = comp
-            .neighbors(c)
-            .iter()
-            .filter(|&&w| in_m[w as usize])
-            .count() as u32;
-        if d >= k {
-            in_m[c as usize] = true;
-            m_list.push(c);
-            let ok = chosen_satisfy_structure(comp, k, in_m, &m_list[r_len..])
-                && is_m_connected(comp, in_m, m_list);
-            m_list.pop();
-            in_m[c as usize] = false;
-            if ok {
-                return true;
-            }
-        }
-    }
-    // All-similar accept: with no dissimilar pair left among candidates,
-    // M ∪ C itself is a valid extension — the fixpoint guarantees candidate
-    // degrees and R-reachability, and chosen degrees were just verified
-    // against the full M ∪ C.
-    let any_dissimilar = cand
-        .iter()
-        .any(|&c| comp.any_dissimilar_where(c, |w| in_c[w as usize]));
-    if !any_dissimilar {
-        return true;
-    }
-    // Full counts (not just existence) — only the non-default orders pay
-    // for them.
-    let dis_of = |c: VertexId| {
-        let mut d = 0usize;
-        comp.for_each_dissimilar(c, |w| {
-            if in_c[w as usize] {
-                d += 1;
-            }
-        });
-        d
-    };
-    let deg_of = |c: VertexId| {
-        comp.neighbors(c)
-            .iter()
-            .filter(|&&w| in_m[w as usize] || in_c[w as usize])
-            .count()
-    };
-    let u = match order {
-        // Highest degree within M ∪ C (Section 7.4, the winner here).
-        CheckOrder::Degree => cand
-            .iter()
-            .copied()
-            .max_by_key(|&c| deg_of(c))
-            .expect("non-empty candidates"),
-        // Enumeration-style: most dissimilar partners first, degree ties.
-        CheckOrder::Delta1ThenDelta2 => cand
-            .iter()
-            .copied()
-            .max_by_key(|&c| (dis_of(c), deg_of(c)))
-            .expect("non-empty candidates"),
-        // Maximum-style score.
-        CheckOrder::LambdaDelta => {
-            let total_dis = cand.iter().map(|&c| dis_of(c)).sum::<usize>().max(1) as f64;
-            let total_deg = cand.iter().map(|&c| deg_of(c)).sum::<usize>().max(1) as f64;
-            cand.iter()
-                .copied()
-                .max_by(|&a, &b| {
-                    let sa = lambda * dis_of(a) as f64 / total_dis - deg_of(a) as f64 / total_deg;
-                    let sb = lambda * dis_of(b) as f64 / total_dis - deg_of(b) as f64 / total_deg;
-                    sa.partial_cmp(&sb).expect("no NaN")
-                })
-                .expect("non-empty candidates")
-        }
-    };
-
-    // Expand branch first.
-    let expand_cand: Vec<VertexId> = cand
-        .iter()
-        .copied()
-        .filter(|&c| c != u && !comp.are_dissimilar(c, u))
-        .collect();
-    in_m[u as usize] = true;
-    m_list.push(u);
-    if extend_search(comp, k, in_m, m_list, r_len, expand_cand, order, lambda) {
-        // Leave state dirty — caller stops immediately on success.
-        m_list.pop();
-        in_m[u as usize] = false;
-        return true;
-    }
-    m_list.pop();
-    in_m[u as usize] = false;
-
-    // Shrink branch.
-    let shrink_cand: Vec<VertexId> = cand.iter().copied().filter(|&c| c != u).collect();
-    extend_search(comp, k, in_m, m_list, r_len, shrink_cand, order, lambda)
+/// The check side of the walk: every node keeps `R ⊆ M`, and the walk
+/// stops at the first leaf that extends `R`.
+struct CheckGoal<'c> {
+    core: &'c [VertexId],
+    /// `Σ_{v ∈ R} deg(v, R)`, i.e. twice the edges inside `R`.
+    inner: u64,
+    found: bool,
 }
 
-/// Chosen vertices must reach degree >= k inside M (R vertices already do,
-/// inside R).
-fn chosen_satisfy_structure(
-    comp: &LocalComponent,
-    k: u32,
-    in_m: &[bool],
-    chosen: &[VertexId],
-) -> bool {
-    chosen.iter().all(|&c| {
-        let d = comp
-            .neighbors(c)
-            .iter()
-            .filter(|&&w| in_m[w as usize])
-            .count() as u32;
-        d >= k
-    })
-}
+impl Goal for CheckGoal<'_> {
+    fn is_leaf(&self, st: &SearchState<'_>) -> bool {
+        st.all_candidates_similarity_free()
+    }
 
-/// BFS connectivity of the current M.
-fn is_m_connected(comp: &LocalComponent, in_m: &[bool], m_list: &[VertexId]) -> bool {
-    if m_list.len() <= 1 {
-        return true;
+    /// A Theorem 4 leaf's `M ∪ C` is pairwise similar, so the piece holding
+    /// the connected `R ⊆ M` is a (k,r)-core. It is larger than `R` iff
+    /// some `R` vertex has a neighbor in `M ∪ C` outside `R`.
+    fn leaf(&mut self, st: &SearchState<'_>, _stats: &mut SearchStats) {
+        let reach: u64 = self.core.iter().map(|&v| st.deg_mc(v) as u64).sum();
+        self.found = reach > self.inner;
     }
-    let mut seen = vec![false; comp.len()];
-    let mut stack = vec![m_list[0]];
-    seen[m_list[0] as usize] = true;
-    let mut count = 0usize;
-    while let Some(v) = stack.pop() {
-        count += 1;
-        for &w in comp.neighbors(v) {
-            if in_m[w as usize] && !seen[w as usize] {
-                seen[w as usize] = true;
-                stack.push(w);
-            }
-        }
+
+    fn include_sf(&self) -> bool {
+        false
     }
-    count == m_list.len()
+
+    fn expand_first(&self, _preferred: FirstBranch) -> bool {
+        true
+    }
+
+    fn done(&self) -> bool {
+        self.found
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //!
 //! * `engine.pool_tasks` — preprocessing shards submitted to a worker
 //!   pool: one per component arena built concurrently by a pooled
-//!   [`crate::ProblemInstance::preprocess_on`].
+//!   [`crate::ProblemInstance::preprocess_parallel`] or
+//!   [`crate::ProblemInstance::preprocess_with_candidates_on`].
 //! * `engine.pool_tasks_stolen` — those shards executed by a worker other
 //!   than the spawning thread, i.e. shards that crossed the pool's
 //!   work-stealing deques. `stolen / pool_tasks` measures how much the

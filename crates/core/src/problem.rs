@@ -131,8 +131,8 @@ impl ProblemInstance {
         self.preprocess_impl(None, Some(candidates))
     }
 
-    /// [`Self::preprocess_with_candidates`] on a caller-provided pool
-    /// (the parallel analogue of [`Self::preprocess_on`]).
+    /// [`Self::preprocess_with_candidates`] on a caller-provided pool,
+    /// which serves the peel and the arena builds alike.
     pub fn preprocess_with_candidates_on(
         &self,
         candidates: &[VertexId],
@@ -150,14 +150,8 @@ impl ProblemInstance {
     pub fn preprocess_parallel(&self, threads: usize) -> Vec<LocalComponent> {
         match threads {
             1 => self.preprocess(),
-            n => self.preprocess_on(&query_pool(n)),
+            n => self.preprocess_impl(Some(&query_pool(n)), None),
         }
-    }
-
-    /// [`Self::preprocess_parallel`] on a caller-provided pool, which
-    /// serves the peel and the arena builds alike.
-    pub fn preprocess_on(&self, pool: &rayon::ThreadPool) -> Vec<LocalComponent> {
-        self.preprocess_impl(Some(pool), None)
     }
 
     fn preprocess_impl(

@@ -116,6 +116,44 @@ impl<'a> SearchState<'a> {
         }
     }
 
+    /// A node state below the root: `M = chosen`, `C = cands`, every
+    /// other vertex `Gone` and `E` empty — the maximal check's start
+    /// (Algorithm 4). The counters come from the rows of `chosen ∪ cands`
+    /// only. `cands` must be similar to every `chosen` vertex (Eq. 1).
+    pub(crate) fn seeded(
+        comp: &'a LocalComponent,
+        k: u32,
+        chosen: &[VertexId],
+        cands: &[VertexId],
+    ) -> Self {
+        let n = comp.len();
+        let mut st = SearchState {
+            comp,
+            k,
+            status: vec![Status::Gone; n],
+            deg_mc: vec![0; n],
+            deg_m: vec![0; n],
+            dp_c: vec![0; n],
+            dp_e: vec![0; n],
+            n_m: 0,
+            n_c: 0,
+            n_e: 0,
+            sum_dp_c: 0,
+            sum_deg_mc: 0,
+            sf_count: 0,
+            trail: Vec::new(),
+            pending: Vec::new(),
+            failed: false,
+        };
+        for &v in chosen {
+            st.apply_transition(v, Status::Gone, Status::Chosen, false);
+        }
+        for &v in cands {
+            st.apply_transition(v, Status::Gone, Status::Cand, false);
+        }
+        st
+    }
+
     /// Current status of `v`.
     #[inline]
     pub fn status(&self, v: VertexId) -> Status {

@@ -1,12 +1,14 @@
-//! The one expand/shrink search walker behind AdvEnum and AdvMax.
+//! The one expand/shrink search walker behind AdvEnum, AdvMax and the
+//! maximal check.
 //!
-//! Algorithm 3 (enumeration) and Algorithm 5 (maximum) walk the same
-//! binary tree over `(M, C, E)` with the same per-node steps: the budget
-//! check, Remark 1 promotion, early termination (Theorem 5), the vertex
-//! choice and the two branches. They differ in three places only — a
-//! size-bound cut, what happens at a leaf, and which branch goes first —
-//! and those are a [`Goal`]'s job (`enumerate::EnumGoal`,
-//! `maximum::MaxGoal`). A [`Walker`] runs one goal over one component.
+//! Algorithm 3 (enumeration), Algorithm 5 (maximum) and Algorithm 4 (the
+//! maximal check) walk the same binary tree over `(M, C, E)` with the same
+//! per-node steps: the budget check, Remark 1 promotion, early termination
+//! (Theorem 5), the vertex choice and the two branches. They differ in a
+//! few places only — a size-bound cut, what happens at a leaf, which
+//! branch goes first and when to stop — and those are a [`Goal`]'s job
+//! (`enumerate::EnumGoal`, `maximum::MaxGoal`, `maximal::CheckGoal`). A
+//! [`Walker`] runs one goal over one component.
 
 use crate::component::LocalComponent;
 use crate::config::AlgoConfig;
@@ -30,9 +32,13 @@ pub(crate) trait Goal {
     fn include_sf(&self) -> bool;
     /// Whether to expand first, given the chooser's preferred branch.
     fn expand_first(&self, preferred: FirstBranch) -> bool;
+    /// Stops the walk: the goal has its answer.
+    fn done(&self) -> bool {
+        false
+    }
 }
 
-/// One search over one component, from its root.
+/// One search over one component.
 pub(crate) struct Walker<'a, G> {
     pub(crate) comp: &'a LocalComponent,
     pub(crate) cfg: &'a AlgoConfig,
@@ -64,6 +70,9 @@ impl<'a, G: Goal> Walker<'a, G> {
 
     /// Counts a node and checks the budget; false when the walk must stop.
     pub(crate) fn enter(&mut self) -> bool {
+        if self.goal.done() {
+            return false;
+        }
         self.stats.nodes += 1;
         if self.cfg.budget_exceeded(self.stats.nodes, self.deadline) {
             self.aborted = true;
@@ -72,15 +81,19 @@ impl<'a, G: Goal> Walker<'a, G> {
         true
     }
 
-    /// Searches the whole component: the root prune, then the tree.
+    /// Searches the whole component.
     pub(crate) fn run(&mut self) {
-        let mut st = SearchState::new(self.comp);
+        self.run_from(&mut SearchState::new(self.comp));
+    }
+
+    /// Searches the tree below `st`: the structure prune, then the tree.
+    pub(crate) fn run_from(&mut self, st: &mut SearchState<'_>) {
         if st.prune_root() {
-            self.rec(&mut st);
+            self.rec(st);
         }
     }
 
-    fn rec(&mut self, st: &mut SearchState<'a>) {
+    fn rec(&mut self, st: &mut SearchState<'_>) {
         if !self.enter() {
             return;
         }
@@ -125,14 +138,16 @@ fn apply(st: &mut SearchState<'_>, (u, expand): (VertexId, bool)) -> bool {
 }
 
 /// Remark 1 of the paper: a similarity-free candidate already adjacent to
-/// `k` chosen vertices can be moved straight into `M` — every maximal
-/// (k,r)-core below this node must contain it (it extends any core that
-/// omits it). The move evicts `E` members dissimilar to the promoted
-/// vertex and cannot fail structurally (no `M ∪ C` vertex is removed).
+/// `k` chosen vertices (and to at least one, so `M` stays connected at
+/// `k = 0`) can be moved straight into `M` — every maximal (k,r)-core
+/// below this node must contain it (it extends any core that omits it).
+/// The move evicts `E` members dissimilar to the promoted vertex and
+/// cannot fail structurally (no `M ∪ C` vertex is removed).
 fn promote_free_candidates(st: &mut SearchState<'_>) {
+    let attached = st.k.max(1);
     loop {
         let u = (0..st.comp.len() as VertexId)
-            .find(|&v| st.status(v) == Status::Cand && st.dp_c(v) == 0 && st.deg_m(v) >= st.k);
+            .find(|&v| st.status(v) == Status::Cand && st.dp_c(v) == 0 && st.deg_m(v) >= attached);
         match u {
             Some(u) => {
                 let ok = st.expand(u);

@@ -11,14 +11,14 @@ use kr_similarity::{AttributeTable, Metric, Threshold};
 use proptest::prelude::*;
 
 /// Random instance: n vertices, random edges, random 1-D positions in a
-/// small range so similar/dissimilar pairs both occur, k in 1..=3.
+/// small range so similar/dissimilar pairs both occur, k in 0..=3.
 fn arb_instance(n_max: usize) -> impl Strategy<Value = ProblemInstance> {
     (4..=n_max).prop_flat_map(|n| {
         let max_edges = n * (n - 1) / 2;
         (
             proptest::collection::vec((0..n as VertexId, 0..n as VertexId), 0..=max_edges.min(36)),
             proptest::collection::vec(0.0f64..10.0, n),
-            1u32..=3,
+            0u32..=3,
             1.0f64..9.0,
         )
             .prop_map(move |(edges, xs, k, r)| {

@@ -173,35 +173,16 @@ fn k_core_peel_inner(g: &Graph, k: u32, mut alive: Vec<bool>) -> Vec<VertexId> {
 }
 
 /// Vertices of the k-core of `g`, computed by parallel level-synchronous
-/// peeling on `threads` workers (`0` = all available cores).
+/// peeling on a caller-provided pool, so one pool can be threaded through
+/// every phase of a query instead of being rebuilt per phase.
 ///
 /// Returns exactly the same vertex set as [`k_core`] (the k-core is
 /// unique), in the same ascending order. The algorithm keeps one atomic
 /// degree counter per vertex; each peeling round removes the current
 /// sub-`k` frontier in parallel, and the worker whose decrement drops a
 /// neighbor from `k` to `k - 1` claims it for the next frontier, so every
-/// vertex is peeled exactly once. Small graphs (or `threads == 1`) fall
-/// back to the sequential peel, which is faster below ~100k edges.
-pub fn k_core_parallel(g: &Graph, k: u32, threads: usize) -> Vec<VertexId> {
-    let threads = if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    };
-    if threads <= 1 || g.num_vertices() < 2048 {
-        return k_core(g, k);
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    k_core_on(g, k, &pool)
-}
-
-/// [`k_core_parallel`] on a caller-provided pool, so one pool can be
-/// threaded through every phase of a query instead of being rebuilt per
-/// phase. Falls back to the sequential peel when the pool has a single
-/// worker or the graph is small.
+/// vertex is peeled exactly once. A single-worker pool or a small graph
+/// falls back to the sequential peel, which is faster below ~100k edges.
 pub fn k_core_on(g: &Graph, k: u32, pool: &rayon::ThreadPool) -> Vec<VertexId> {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Mutex;
@@ -406,8 +387,15 @@ mod tests {
         }
     }
 
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+    }
+
     /// Deterministic pseudo-random graph big enough (n ≥ 2048) to take the
-    /// genuinely parallel path in [`k_core_parallel`].
+    /// genuinely parallel path in [`k_core_on`].
     fn large_graph() -> Graph {
         let n = 3000usize;
         let mut edges = Vec::new();
@@ -436,7 +424,7 @@ mod tests {
         for k in [0, 1, 2, 3, 4, 6, 10] {
             let seq = k_core(&g, k);
             for threads in [2, 4] {
-                assert_eq!(k_core_parallel(&g, k, threads), seq, "k={k} t={threads}");
+                assert_eq!(k_core_on(&g, k, &pool(threads)), seq, "k={k} t={threads}");
             }
         }
     }
@@ -444,8 +432,8 @@ mod tests {
     #[test]
     fn parallel_falls_back_on_small_graphs() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert_eq!(k_core_parallel(&g, 2, 8), k_core(&g, 2));
-        assert_eq!(k_core_parallel(&g, 2, 0), k_core(&g, 2));
+        assert_eq!(k_core_on(&g, 2, &pool(8)), k_core(&g, 2));
+        assert_eq!(k_core_on(&g, 2, &pool(0)), k_core(&g, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline stand-in for `rayon`: a scoped, work-stealing thread pool on
 //! plain `std`.
 //!
-//! The subset provided is what the (k,r)-core parallel engine needs:
+//! The subset provided is what the (k,r)-core preprocessing pool needs:
 //!
 //! * [`ThreadPoolBuilder`] → [`ThreadPool`] with a `num_threads` knob;
 //! * [`ThreadPool::scope`] / free-standing [`scope`] — structured
@@ -10,12 +10,13 @@
 //! * [`join`] and [`current_num_threads`].
 //!
 //! Scheduling is genuine work-stealing: each worker owns a deque, pushes
-//! its spawns on the back (LIFO, cache-friendly for branch-and-bound
-//! splits), pops its own back, and steals from other workers' fronts
-//! (FIFO, grabbing the oldest — typically largest — subtask). Workers are
-//! spawned per `scope` call via `std::thread::scope` rather than kept hot
-//! in a global pool; for the coarse-grained search tasks this engine
-//! schedules, thread start-up is noise. Panics in tasks are captured and
+//! its spawns on the back (LIFO, cache-friendly), pops its own back, and
+//! steals from other workers' fronts (FIFO, grabbing the oldest —
+//! typically largest — task). Workers are spawned per `scope` call via
+//! `std::thread::scope` rather than kept hot in a global pool; for the
+//! coarse-grained preprocessing shards the pool runs (k-core peel rounds,
+//! component arenas, candidate-verification shards), thread start-up is
+//! noise. Panics in tasks are captured and
 //! re-thrown from the scope call after all workers stop, mirroring rayon's
 //! behavior.
 //!

@@ -686,18 +686,6 @@ pub fn build_dissimilarity_lists<O: SimilarityOracle>(
     complement_to_csr(members.len(), similar, evals)
 }
 
-/// [`build_dissimilarity_lists`] with candidate verification shard-split
-/// across `pool` (the query's one-pool-per-query worker pool). The result
-/// — including the CSR layout — is identical to the serial build.
-pub fn build_dissimilarity_lists_on<O: SimilarityOracle + Sync>(
-    oracle: &O,
-    members: &[VertexId],
-    pool: &rayon::ThreadPool,
-) -> DissimilarityLists {
-    let (similar, evals) = verify_candidates_on(oracle, members, pool);
-    complement_to_csr(members.len(), similar, evals)
-}
-
 /// Whether `Auto` picks the lazy representation: only components large
 /// enough for the `O(n²)` complement to hurt, and only when the
 /// complement actually dominates (at least half of all pairs
@@ -851,7 +839,11 @@ mod tests {
             .num_threads(3)
             .build()
             .expect("pool");
-        let sharded = build_dissimilarity_lists_on(&o, &members, &pool);
+        let DissimilarityView::Eager(sharded) =
+            build_dissimilarity_view_on(&o, &members, &pool, DissimMode::Eager)
+        else {
+            panic!("eager mode builds eager lists");
+        };
         assert_eq!(serial.csr, sharded.csr);
         assert_eq!(serial.num_pairs, sharded.num_pairs);
         assert_eq!(serial.oracle_evals, sharded.oracle_evals);

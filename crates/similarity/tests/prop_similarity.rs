@@ -2,9 +2,10 @@
 
 use kr_similarity::metrics::{cosine, euclidean, jaccard, weighted_jaccard};
 use kr_similarity::{
-    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_lists_on,
+    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view_on,
     build_similarity_graph, build_similarity_graph_brute, similarity_quantile_exact,
-    AttributeTable, Metric, SimilarityOracle, TableOracle, Threshold,
+    AttributeTable, DissimMode, DissimilarityView, Metric, SimilarityOracle, TableOracle,
+    Threshold,
 };
 use proptest::prelude::*;
 
@@ -34,7 +35,11 @@ fn assert_indexed_matches_brute(oracle: &TableOracle, n: usize) -> Result<(), Te
         .num_threads(3)
         .build()
         .expect("pool");
-    let sharded = build_dissimilarity_lists_on(oracle, &members, &pool);
+    let DissimilarityView::Eager(sharded) =
+        build_dissimilarity_view_on(oracle, &members, &pool, DissimMode::Eager)
+    else {
+        panic!("eager mode builds eager lists");
+    };
     prop_assert_eq!(&sharded.csr, &brute.csr);
     prop_assert_eq!(sharded.oracle_evals, fast.oracle_evals);
     Ok(())
