@@ -1,6 +1,6 @@
 //! CI bench-smoke gate: quick-mode enumeration benchmarks on two presets,
 //! recorded as one JSON trajectory point and compared against a
-//! checked-in baseline (CI gates against the newest, `BENCH_pr10.json`; the
+//! checked-in baseline (CI gates against the newest, `BENCH_pr26.json`; the
 //! older `BENCH_*.json` files are earlier points of the same trajectory).
 //!
 //! ```text
@@ -9,12 +9,14 @@
 //! ```
 //!
 //! Wall-clock on a CI runner is not comparable to wall-clock on the
-//! machine that recorded the baseline, so every run also times a fixed
-//! CPU-bound calibration loop and the gate compares *normalized* times
-//! (`wall_ms / calib_ms`). A point regresses when its normalized time
-//! exceeds the baseline's by more than `BENCH_SMOKE_MAX_REGRESSION_PCT`
-//! percent (default 25). A missing baseline is not an error — the gate
-//! arms itself once the first baseline is committed.
+//! machine that recorded the baseline, so the gate compares *normalized*
+//! times: every timed sample is bracketed by two runs of a fixed
+//! calibration loop, and a point's normalized time is the median over
+//! its samples of wall time / mean of the two (schema 7), which tracks
+//! the drift of a shared box within one run. A point regresses when its normalized time exceeds the
+//! baseline's by more than `BENCH_SMOKE_MAX_REGRESSION_PCT` percent
+//! (default 25). A missing baseline is not an error — the gate arms
+//! itself once the first baseline is committed.
 //!
 //! Schema 2 (PR 4) adds two fields per point, both gated:
 //!
@@ -78,6 +80,12 @@
 //!   dissimilar at the cached entry's `r`, so the invalidate-and-repair
 //!   pass must *repair* (keep) the warm entry on every single batch —
 //!   one invalidation fails the run.
+//!
+//! Schema 7 gates `normalized` (above) per point, drops the top-level
+//! `calib_ms`, and reports `preprocess_ms` / `indexed_preprocess_ms` as
+//! medians over alternating pairs, whose median ratio the index gate
+//! reads. `write` takes 3× the samples. `check`
+//! rejects older baselines as unreadable (exit 2).
 
 use kr_bench::BenchDataset;
 use kr_core::{enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig};
@@ -86,11 +94,15 @@ use kr_graph::{Graph, VertexId};
 use kr_server::{Client, QuerySpec, Server, ServerConfig};
 use kr_similarity::{AttributeTable, Metric, Threshold};
 use std::hint::black_box;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Timed samples per benchmark point; the minimum is reported (least
-/// scheduler noise).
-const SAMPLES: usize = 5;
+/// Timed samples per enumeration point; the median normalized sample is
+/// gated and the minimum wall time reported.
+const SAMPLES: usize = 7;
+
+/// Timed samples of the corridor point (~2 s each).
+const CORRIDOR_SAMPLES: usize = 5;
 
 /// Default regression gate, percent over baseline normalized time.
 const DEFAULT_MAX_REGRESSION_PCT: f64 = 25.0;
@@ -104,12 +116,16 @@ const MAX_ORACLE_EVALS_REGRESSION_PCT: f64 = 10.0;
 /// In-run gate on the decomposition-index miss path: on the DblpLike
 /// point, `preprocess_with_candidates` over the index-resolved candidates
 /// must be at least this many times faster than full preprocessing. Both
-/// sides are best-of-3 on the same machine in the same process, so the
-/// ratio is stable. The metric-aware candidate indexes (PR 4) already
+/// sides alternate over [`PREPROCESS_PAIRS`] pairs on the same machine
+/// in the same process and the gate reads the median per-pair ratio, so
+/// the ratio is stable. The metric-aware candidate indexes (PR 4) already
 /// made full preprocessing cheap on this point, so the decomposition
 /// index's remaining win is modest — measured ~1.2× locally — and the
 /// gate guards that it stays a win at all, not a fictional margin.
 const MIN_INDEX_SPEEDUP: f64 = 1.05;
+
+/// Alternating full / indexed preprocessing pairs per point.
+const PREPROCESS_PAIRS: usize = 21;
 
 /// In-run gate on the lazy dissimilarity view: on the `geo-corridor`
 /// point the bound-pruned maximum search must leave at least 70% of the
@@ -124,9 +140,14 @@ struct Point {
     k: u32,
     r: f64,
     wall_ms: f64,
+    /// Median normalized sample time (see the module doc).
+    normalized: f64,
     preprocess_ms: f64,
     index_build_ms: f64,
     indexed_preprocess_ms: f64,
+    /// Median over alternating pairs of full / indexed preprocessing
+    /// time (0 where the index path is not measured).
+    index_speedup: f64,
     oracle_evals: u64,
     p50_us: u64,
     p99_us: u64,
@@ -166,23 +187,90 @@ fn quick_cases() -> Vec<(DatasetPreset, f64, u32, f64)> {
     ]
 }
 
-/// Fixed CPU-bound workload used to normalize wall-clock across machines.
-fn calibration_ms() -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut acc = 0u64;
-        for _ in 0..20_000_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            acc = acc.wrapping_add(x);
+/// One run of a fixed calibration loop, in ms: the unit wall times are
+/// normalized by. Two xorshift streams index a 256 KiB table and steer
+/// unpredictable branches: like the search, and unlike a register-only
+/// loop, it slows down when a neighbour contends for the core.
+fn calibration_sample_ms() -> f64 {
+    static TABLE: OnceLock<Vec<u32>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..1 << 16)
+            .map(|_| {
+                x = xorshift(x);
+                x as u32
+            })
+            .collect()
+    });
+    let mask = table.len() - 1;
+    let t = Instant::now();
+    let (mut x, mut y) = (0x9E37_79B9_7F4A_7C15u64, 0x2545_F491_4F6C_DD1Du64);
+    let (mut a, mut b) = (0u64, 0u64);
+    for _ in 0..4_000_000 {
+        x = xorshift(x);
+        y = xorshift(y);
+        let (p, q) = (table[x as usize & mask], table[y as usize & mask]);
+        if p & 1 == 0 {
+            a = a.wrapping_add(u64::from(q));
+        } else {
+            b ^= u64::from(p);
         }
-        black_box(acc);
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        if q & 2 == 0 {
+            b = b.wrapping_add(1);
+        }
     }
-    best
+    black_box((a, b));
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+fn xorshift(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// Timed samples of `run`, each bracketed by calibration samples.
+struct Timed {
+    /// Best sample wall time in ms.
+    best_ms: f64,
+    /// Median over samples of wall / mean(calibration before, after).
+    normalized: f64,
+    /// The samples through the log-linear histogram the server feeds for
+    /// `server.query_latency_us`, so quantiles carry its bucket rounding.
+    latency: kr_obs::HistogramSnapshot,
+}
+
+fn timed(samples: usize, mut run: impl FnMut()) -> Timed {
+    let hist = kr_obs::Histogram::default();
+    let (mut best_ms, mut ratios) = (f64::INFINITY, Vec::with_capacity(samples));
+    let mut before = calibration_sample_ms();
+    for _ in 0..samples {
+        let t = Instant::now();
+        run();
+        let elapsed = t.elapsed();
+        let after = calibration_sample_ms();
+        hist.record_duration(elapsed);
+        let wall = elapsed.as_secs_f64() * 1e3;
+        best_ms = best_ms.min(wall);
+        ratios.push(wall / ((before + after) / 2.0));
+        before = after;
+    }
+    Timed {
+        best_ms,
+        normalized: median(&mut ratios),
+        latency: hist.snapshot(),
+    }
+}
+
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
 }
 
 /// Optional snapshot-backed point: when `BENCH_SMOKE_SNAPSHOT` names a
@@ -228,61 +316,67 @@ fn measure_instance(
     k: u32,
     r: f64,
     p: &kr_core::ProblemInstance,
+    samples: usize,
 ) -> Point {
-    let mut preprocess_ms = f64::INFINITY;
-    let mut comps = Vec::new();
-    for _ in 0..3 {
-        let t = Instant::now();
-        comps = p.preprocess();
-        preprocess_ms = preprocess_ms.min(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let comps = p.preprocess();
     // The decomposition-index miss path: build once (amortized per
     // dataset in the server), then preprocess only the index-resolved
-    // candidates.
+    // candidates. Full and indexed preprocessing alternate (which goes
+    // first alternates too), and the speedup is the median of the
+    // per-pair ratios, so drift of the box hits both sides alike.
     let t = Instant::now();
     let index = kr_core::DecompositionIndex::build_default(p.graph(), p.oracle());
     let index_build_ms = t.elapsed().as_secs_f64() * 1e3;
     let candidates = index.candidates(k, p.oracle().threshold());
-    let mut indexed_preprocess_ms = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let indexed_comps = black_box(p.preprocess_with_candidates(&candidates.vertices));
-        indexed_preprocess_ms = indexed_preprocess_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(
-            indexed_comps.len(),
-            comps.len(),
-            "indexed preprocessing must reproduce the component split"
-        );
+    let (mut full_ms, mut indexed_ms) = (Vec::new(), Vec::new());
+    for pair in 0..PREPROCESS_PAIRS {
+        for indexed in [pair % 2 == 1, pair % 2 == 0] {
+            let t = Instant::now();
+            let components = black_box(if indexed {
+                p.preprocess_with_candidates(&candidates.vertices).len()
+            } else {
+                p.preprocess().len()
+            });
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(
+                components,
+                comps.len(),
+                "indexed preprocessing must reproduce the component split"
+            );
+            if indexed {
+                &mut indexed_ms
+            } else {
+                &mut full_ms
+            }
+            .push(ms);
+        }
     }
+    let mut speedups: Vec<f64> = full_ms
+        .iter()
+        .zip(&indexed_ms)
+        .map(|(f, i)| f / i.max(1e-6))
+        .collect();
     let oracle_evals = comps.iter().map(|c| c.oracle_evals).sum();
     let peak_component_bytes = comps.iter().map(|c| c.memory_bytes()).max().unwrap_or(0);
     let cfg = AlgoConfig::adv_enum();
-    let mut best = f64::INFINITY;
-    // The same log-linear histogram the server feeds for
-    // `server.query_latency_us`, so the reported quantiles carry
-    // production bucket rounding.
-    let hist = kr_obs::Histogram::default();
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
+    let run = timed(samples, || {
         black_box(enumerate_maximal_prepared(&comps, &cfg).cores.len());
-        let elapsed = t.elapsed();
-        hist.record_duration(elapsed);
-        best = best.min(elapsed.as_secs_f64() * 1e3);
-    }
-    let snap = hist.snapshot();
+    });
     let (lazy_rows, lazy_entries, eager_entries) = lazy_tally(&comps);
     Point {
         preset: name,
         scale,
         k,
         r,
-        wall_ms: best,
-        preprocess_ms,
+        wall_ms: run.best_ms,
+        normalized: run.normalized,
+        preprocess_ms: median(&mut full_ms),
         index_build_ms,
-        indexed_preprocess_ms,
+        indexed_preprocess_ms: median(&mut indexed_ms),
+        index_speedup: median(&mut speedups),
         oracle_evals,
-        p50_us: snap.quantile(0.5),
-        p99_us: snap.quantile(0.99),
+        p50_us: run.latency.quantile(0.5),
+        p99_us: run.latency.quantile(0.99),
         peak_component_bytes,
         lazy_rows_materialized: lazy_rows,
         dissim_pairs_avoided: eager_entries - lazy_entries,
@@ -328,12 +422,12 @@ fn corridor_instance(clusters: usize, size: usize, k: u32, r: f64) -> kr_core::P
 }
 
 /// Measures the corridor point: maximum search (not enumeration — see
-/// the module doc), best-of-3 at ~1.5 s a sample. The decomposition-index
+/// the module doc), `samples` at ~2 s each. The decomposition-index
 /// fields stay 0: the miss-path story is told by the DblpLike point and
 /// repeating it here would double the corridor's wall for no new signal.
 /// Returns the point plus the gate inputs (materialized directed entries,
 /// eager directed entries).
-fn measure_corridor() -> (Point, (u64, u64)) {
+fn measure_corridor(samples: usize) -> (Point, (u64, u64)) {
     const CLUSTERS: usize = 26;
     const SIZE: usize = 40;
     const K: u32 = 3;
@@ -348,33 +442,28 @@ fn measure_corridor() -> (Point, (u64, u64)) {
     }
     let oracle_evals = comps.iter().map(|c| c.oracle_evals).sum();
     let cfg = AlgoConfig::adv_max();
-    let hist = kr_obs::Histogram::default();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
+    let run = timed(samples, || {
         let res = black_box(find_maximum_prepared(&comps, &cfg));
         assert!(res.completed, "corridor maximum search must complete");
-        let elapsed = t.elapsed();
-        hist.record_duration(elapsed);
-        best = best.min(elapsed.as_secs_f64() * 1e3);
-    }
+    });
     // Tallied after the samples: rows memoize across runs on the same
     // components, so this is the steady-state footprint of the workload.
     let (lazy_rows, lazy_entries, eager_entries) = lazy_tally(&comps);
     let peak_component_bytes = comps.iter().map(|c| c.memory_bytes()).max().unwrap_or(0);
-    let snap = hist.snapshot();
     let point = Point {
         preset: "geo-corridor".to_string(),
         scale: 1.0,
         k: K,
         r: R,
-        wall_ms: best,
+        wall_ms: run.best_ms,
+        normalized: run.normalized,
         preprocess_ms,
         index_build_ms: 0.0,
         indexed_preprocess_ms: 0.0,
+        index_speedup: 0.0,
         oracle_evals,
-        p50_us: snap.quantile(0.5),
-        p99_us: snap.quantile(0.99),
+        p50_us: run.latency.quantile(0.5),
+        p99_us: run.latency.quantile(0.99),
         peak_component_bytes,
         lazy_rows_materialized: lazy_rows,
         dissim_pairs_avoided: eager_entries - lazy_entries,
@@ -451,10 +540,9 @@ fn measure_mutation() -> (f64, f64) {
 /// Mutation batches in the schema-6 write-path measurement.
 const MUTATION_BATCHES: usize = 200;
 
-fn render(calib_ms: f64, updates_per_sec: f64, repair_ms: f64, points: &[Point]) -> String {
+fn render(updates_per_sec: f64, repair_ms: f64, points: &[Point]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": 6,\n");
-    out.push_str(&format!("  \"calib_ms\": {calib_ms:.3},\n"));
+    out.push_str("{\n  \"schema\": 7,\n");
     out.push_str(&format!(
         "  \"updates_per_sec\": {updates_per_sec:.1},\n  \"repair_ms\": {repair_ms:.4},\n"
     ));
@@ -463,7 +551,8 @@ fn render(calib_ms: f64, updates_per_sec: f64, repair_ms: f64, points: &[Point])
         let comma = if i + 1 < points.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"preset\": \"{}\", \"scale\": {}, \"k\": {}, \"r\": {}, \
-             \"wall_ms\": {:.3}, \"preprocess_ms\": {:.3}, \"index_build_ms\": {:.3}, \
+             \"wall_ms\": {:.3}, \"normalized\": {:.5}, \"preprocess_ms\": {:.3}, \
+             \"index_build_ms\": {:.3}, \
              \"indexed_preprocess_ms\": {:.3}, \"oracle_evals\": {}, \
              \"p50_us\": {}, \"p99_us\": {}, \
              \"peak_component_bytes\": {}, \
@@ -473,6 +562,7 @@ fn render(calib_ms: f64, updates_per_sec: f64, repair_ms: f64, points: &[Point])
             p.k,
             p.r,
             p.wall_ms,
+            p.normalized,
             p.preprocess_ms,
             p.index_build_ms,
             p.indexed_preprocess_ms,
@@ -514,30 +604,30 @@ struct BaselinePoint {
     scale: f64,
     k: f64,
     r: f64,
-    wall_ms: f64,
+    normalized: f64,
     oracle_evals: f64,
 }
 
-fn parse_baseline(text: &str) -> Option<(f64, Vec<BaselinePoint>)> {
-    let (calib_ms, mut pos) = scan_num(text, "calib_ms", 0)?;
+fn parse_baseline(text: &str) -> Option<Vec<BaselinePoint>> {
+    let mut pos = 0;
     let mut points = Vec::new();
     while let Some((preset, next)) = scan_str(text, "preset", pos) {
         let (scale, next) = scan_num(text, "scale", next)?;
         let (k, next) = scan_num(text, "k", next)?;
         let (r, next) = scan_num(text, "r", next)?;
-        let (wall_ms, next) = scan_num(text, "wall_ms", next)?;
+        let (normalized, next) = scan_num(text, "normalized", next)?;
         let (oracle_evals, next) = scan_num(text, "oracle_evals", next)?;
         points.push(BaselinePoint {
             preset,
             scale,
             k,
             r,
-            wall_ms,
+            normalized,
             oracle_evals,
         });
         pos = next;
     }
-    Some((calib_ms, points))
+    (!points.is_empty()).then_some(points)
 }
 
 fn main() {
@@ -550,8 +640,10 @@ fn main() {
         }
     };
 
-    let calib_ms = calibration_ms();
-    println!("calibration: {calib_ms:.3} ms");
+    // `write` takes 3× the samples, so the baseline sits near the median
+    // of the box's drift.
+    let factor = if mode == "write" { 3 } else { 1 };
+    let samples = factor * SAMPLES;
     // One instance lives at a time: each dataset is built, measured, and
     // dropped before the next — peak memory is the largest single case,
     // not the sum (the snapshot case is meant for real Table 3 data).
@@ -566,7 +658,7 @@ fn main() {
             p.k,
             p.r,
             p.wall_ms,
-            p.wall_ms / calib_ms,
+            p.normalized,
             p.preprocess_ms,
             p.indexed_preprocess_ms,
             p.index_build_ms,
@@ -583,18 +675,18 @@ fn main() {
         .map(|(preset, scale, k, r)| {
             let ds = BenchDataset::new(preset, scale);
             let instance = ds.instance(k, r);
-            let p = measure_instance(preset.name().to_string(), scale, k, r, &instance);
+            let p = measure_instance(preset.name().to_string(), scale, k, r, &instance, samples);
             report(&p);
             p
         })
         .collect();
-    let (corridor_point, corridor_gate) = measure_corridor();
+    let (corridor_point, corridor_gate) = measure_corridor(factor * CORRIDOR_SAMPLES);
     report(&corridor_point);
     points.push(corridor_point);
     if let Some((name, problem, k, r)) = snapshot_case() {
         // Snapshot points carry scale 1 by convention: the file pins the
         // dataset, there is nothing to scale.
-        let p = measure_instance(name, 1.0, k, r, &problem);
+        let p = measure_instance(name, 1.0, k, r, &problem, samples);
         report(&p);
         points.push(p);
     }
@@ -609,8 +701,7 @@ fn main() {
     );
 
     if mode == "write" {
-        std::fs::write(path, render(calib_ms, updates_per_sec, repair_ms, &points))
-            .expect("write baseline");
+        std::fs::write(path, render(updates_per_sec, repair_ms, &points)).expect("write baseline");
         println!("baseline written to {path}");
         return;
     }
@@ -622,7 +713,7 @@ fn main() {
             return;
         }
     };
-    let Some((base_calib, base_points)) = parse_baseline(&text) else {
+    let Some(base_points) = parse_baseline(&text) else {
         eprintln!("baseline {path} is unreadable");
         std::process::exit(2);
     };
@@ -636,7 +727,7 @@ fn main() {
     // machine, so no baseline or calibration is involved. DblpLike is the
     // gated point (keyword metric, the heavier preprocessing of the two).
     for p in points.iter().filter(|p| p.preset == "dblp-like") {
-        let speedup = p.preprocess_ms / p.indexed_preprocess_ms.max(1e-6);
+        let speedup = p.index_speedup;
         let verdict = if speedup < MIN_INDEX_SPEEDUP {
             failed = true;
             "REGRESSION"
@@ -684,8 +775,7 @@ fn main() {
             );
             continue;
         };
-        let now = p.wall_ms / calib_ms;
-        let then = base.wall_ms / base_calib;
+        let (now, then) = (p.normalized, base.normalized);
         let delta_pct = (now / then - 1.0) * 100.0;
         let verdict = if delta_pct > max_pct {
             failed = true;

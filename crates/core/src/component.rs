@@ -16,8 +16,7 @@
 
 use kr_graph::{Csr, Graph, VertexId};
 use kr_similarity::{
-    build_dissimilarity_view, build_dissimilarity_view_on, DissimMode, DissimilarityLists,
-    DissimilarityView, SimilarityOracle,
+    build_dissimilarity_view, DissimMode, DissimilarityLists, DissimilarityView, SimilarityOracle,
 };
 
 /// A renumbered connected component of the preprocessed k-core.
@@ -57,33 +56,6 @@ impl LocalComponent {
         k: u32,
         mode: DissimMode,
     ) -> Self {
-        Self::build_impl(graph, members, k, |locals| {
-            build_dissimilarity_view(oracle, locals, mode)
-        })
-    }
-
-    /// [`LocalComponent::build`] with the candidate-pair verification
-    /// shard-split across `pool` (the query's worker pool). The arena is
-    /// identical to the serial build, byte for byte.
-    pub fn build_on<O: SimilarityOracle + Sync>(
-        graph: &Graph,
-        oracle: &O,
-        members: &[VertexId],
-        k: u32,
-        mode: DissimMode,
-        pool: &rayon::ThreadPool,
-    ) -> Self {
-        Self::build_impl(graph, members, k, |locals| {
-            build_dissimilarity_view_on(oracle, locals, pool, mode)
-        })
-    }
-
-    fn build_impl(
-        graph: &Graph,
-        members: &[VertexId],
-        k: u32,
-        dissim: impl FnOnce(&[VertexId]) -> DissimilarityView,
-    ) -> Self {
         let mut local_to_global = members.to_vec();
         local_to_global.sort_unstable();
         let n = local_to_global.len();
@@ -103,7 +75,7 @@ impl LocalComponent {
             }
         }
         let adj = Csr::from_pairs(n, &adj_pairs);
-        let d = dissim(&local_to_global);
+        let d = build_dissimilarity_view(oracle, &local_to_global, mode);
         LocalComponent {
             adj,
             num_dissimilar_pairs: d.num_pairs(),

@@ -189,11 +189,9 @@ pub struct AlgoConfig {
     /// every search node; the run reports `completed = false` when
     /// exceeded — the harness renders that as the paper's INF.
     pub time_limit_ms: Option<u64>,
-    /// Preprocessing workers for [`crate::enumerate_maximal`] and
-    /// [`crate::find_maximum`]: `1` = sequential (default), `0` = all
-    /// available cores, `n > 1` = a pool of `n` workers (see
-    /// [`crate::ProblemInstance::preprocess_parallel`]). The search itself
-    /// always runs sequentially; results do not depend on this value.
+    /// Accepted and ignored: preprocessing and the search both run
+    /// sequentially. Kept so configurations that set it still build;
+    /// default `1`.
     pub threads: usize,
     /// Streaming callback for enumeration: called once per confirmed
     /// maximal core as it is discovered (see [`CoreHook`] for when the
@@ -370,8 +368,8 @@ impl AlgoConfig {
         self
     }
 
-    /// Builder-style override of the preprocessing worker count (`0` =
-    /// all available cores, `1` = sequential).
+    /// Builder-style override of [`AlgoConfig::threads`], which nothing
+    /// reads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -56,10 +56,8 @@ impl EnumResult {
 }
 
 /// Enumerates all maximal (k,r)-cores of `problem` under `cfg`.
-/// Preprocessing runs on [`AlgoConfig::threads`] workers; the search is
-/// sequential.
 pub fn enumerate_maximal(problem: &ProblemInstance, cfg: &AlgoConfig) -> EnumResult {
-    enumerate_maximal_prepared(&problem.preprocess_parallel(cfg.threads), cfg)
+    enumerate_maximal_prepared(&problem.preprocess(), cfg)
 }
 
 /// [`enumerate_maximal`] over components preprocessed earlier (e.g. by

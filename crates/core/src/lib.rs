@@ -30,7 +30,6 @@ pub mod early_term;
 pub mod enumerate;
 pub mod maximal;
 pub mod maximum;
-pub(crate) mod obs;
 pub mod order;
 pub mod problem;
 pub mod result;

@@ -32,10 +32,9 @@ pub struct MaxResult {
     pub completed: bool,
 }
 
-/// Finds the maximum (k,r)-core of `problem` under `cfg`. Preprocessing
-/// runs on [`AlgoConfig::threads`] workers; the search is sequential.
+/// Finds the maximum (k,r)-core of `problem` under `cfg`.
 pub fn find_maximum(problem: &ProblemInstance, cfg: &AlgoConfig) -> MaxResult {
-    find_maximum_prepared(&problem.preprocess_parallel(cfg.threads), cfg)
+    find_maximum_prepared(&problem.preprocess(), cfg)
 }
 
 /// [`find_maximum`] over components preprocessed earlier (e.g. by
@@ -226,8 +225,7 @@ mod tests {
 
     /// Two disjoint, mutually dissimilar 6-cliques, each holding one
     /// dissimilar pair: four maximum cores of size 5, two per component.
-    /// The search keeps the first component's core, with sequential and
-    /// with pooled preprocessing alike.
+    /// The search keeps the first component's core.
     #[test]
     fn ties_keep_the_first_components_core() {
         let mut edges = vec![];
@@ -253,16 +251,9 @@ mod tests {
         let comps = p.preprocess();
         assert_eq!(comps.len(), 2);
         let first = comps[0].globalize(&(0..comps[0].len() as VertexId).collect::<Vec<_>>());
-        for threads in [1, 2] {
-            let core = find_maximum(&p, &AlgoConfig::adv_max().with_threads(threads))
-                .core
-                .unwrap();
-            assert_eq!(core.len(), 5, "threads={threads}");
-            assert!(
-                core.vertices.iter().all(|v| first.contains(v)),
-                "threads={threads}"
-            );
-        }
+        let core = find_maximum(&p, &AlgoConfig::adv_max()).core.unwrap();
+        assert_eq!(core.len(), 5);
+        assert!(core.vertices.iter().all(|v| first.contains(v)));
     }
 
     #[test]

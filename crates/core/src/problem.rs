@@ -9,7 +9,6 @@ use crate::component::LocalComponent;
 use kr_graph::components::connected_components_of_subset;
 use kr_graph::{k_core, Graph, VertexId};
 use kr_similarity::{AttributeTable, DissimMode, Metric, SimilarityOracle, TableOracle, Threshold};
-use std::sync::Mutex;
 
 /// An attributed-graph problem instance: graph, similarity oracle, and the
 /// `(k, r)` parameters.
@@ -113,7 +112,7 @@ impl ProblemInstance {
     /// the paper's "start from the subgraph holding the highest-degree
     /// vertex" strategy for the maximum search.
     pub fn preprocess(&self) -> Vec<LocalComponent> {
-        self.preprocess_impl(None, None)
+        self.preprocess_impl(None)
     }
 
     /// [`Self::preprocess`] restricted to a candidate vertex set (usually
@@ -128,37 +127,10 @@ impl ProblemInstance {
     /// vertices outside the k-core never influence the component split,
     /// the arenas, or the seed-component ordering.
     pub fn preprocess_with_candidates(&self, candidates: &[VertexId]) -> Vec<LocalComponent> {
-        self.preprocess_impl(None, Some(candidates))
+        self.preprocess_impl(Some(candidates))
     }
 
-    /// [`Self::preprocess_with_candidates`] on a caller-provided pool,
-    /// which serves the peel and the arena builds alike.
-    pub fn preprocess_with_candidates_on(
-        &self,
-        candidates: &[VertexId],
-        pool: &rayon::ThreadPool,
-    ) -> Vec<LocalComponent> {
-        self.preprocess_impl(Some(pool), Some(candidates))
-    }
-
-    /// [`Self::preprocess`] on `threads` workers (`0` = all cores, `1` =
-    /// the sequential path): the k-core peel runs level-synchronously in
-    /// parallel and the per-group arenas are materialized concurrently
-    /// (with a single group, its candidate-pair verification is
-    /// shard-split across the pool instead). The returned components are
-    /// identical to the sequential ones, in the same order.
-    pub fn preprocess_parallel(&self, threads: usize) -> Vec<LocalComponent> {
-        match threads {
-            1 => self.preprocess(),
-            n => self.preprocess_impl(Some(&query_pool(n)), None),
-        }
-    }
-
-    fn preprocess_impl(
-        &self,
-        pool: Option<&rayon::ThreadPool>,
-        candidates: Option<&[VertexId]>,
-    ) -> Vec<LocalComponent> {
+    fn preprocess_impl(&self, candidates: Option<&[VertexId]>) -> Vec<LocalComponent> {
         // 1. Remove edges between dissimilar endpoints — only evaluating
         //    the oracle inside the candidate set, when one is given. The
         //    filtered graph keeps the global vertex numbering either way,
@@ -170,10 +142,7 @@ impl ProblemInstance {
                 .filter_edges_within(c, |u, v| self.oracle.is_similar(u, v)),
         };
         // 2. k-core of the filtered graph.
-        let core_vertices = match pool {
-            None => k_core(&filtered, self.k),
-            Some(pool) => kr_graph::k_core_on(&filtered, self.k, pool),
-        };
+        let core_vertices = k_core(&filtered, self.k);
         if core_vertices.is_empty() {
             return Vec::new();
         }
@@ -182,44 +151,11 @@ impl ProblemInstance {
         let groups = labels.groups();
         // 4. Local components (skips any group smaller than k + 1, which
         //    cannot host a (k,r)-core).
-        let groups: Vec<Vec<VertexId>> = groups
+        let mut comps: Vec<LocalComponent> = groups
             .into_iter()
             .filter(|g| g.len() > self.k as usize)
+            .map(|g| LocalComponent::build(&filtered, &self.oracle, &g, self.k, self.dissim_mode))
             .collect();
-        let mut comps: Vec<LocalComponent> = match pool {
-            Some(pool) if pool.current_num_threads() > 1 && groups.len() > 1 => {
-                // Build each arena concurrently; outputs come back in
-                // group order so the result matches the sequential path
-                // exactly.
-                ordered_pool_map(pool, &groups, |group| {
-                    LocalComponent::build(&filtered, &self.oracle, group, self.k, self.dissim_mode)
-                })
-            }
-            Some(pool) if pool.current_num_threads() > 1 => {
-                // A single (often giant) component: parallelism comes
-                // from shard-splitting its candidate-pair verification
-                // across the same pool instead.
-                groups
-                    .into_iter()
-                    .map(|g| {
-                        LocalComponent::build_on(
-                            &filtered,
-                            &self.oracle,
-                            &g,
-                            self.k,
-                            self.dissim_mode,
-                            pool,
-                        )
-                    })
-                    .collect()
-            }
-            _ => groups
-                .into_iter()
-                .map(|g| {
-                    LocalComponent::build(&filtered, &self.oracle, &g, self.k, self.dissim_mode)
-                })
-                .collect(),
-        };
         // Put the component with the highest-degree vertex first; order the
         // rest by size descending.
         let best_seed = comps
@@ -240,51 +176,6 @@ impl ProblemInstance {
         let filtered = self.graph.filter_edges(|u, v| self.oracle.is_similar(u, v));
         k_core(&filtered, self.k)
     }
-}
-
-/// A pool of `threads` preprocessing workers; `0` means all available
-/// cores, as rayon reads it.
-fn query_pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
-}
-
-/// Runs `f` over `items` on `pool`'s workers, returning the outputs in
-/// item order. The association between an item and its output is by
-/// index, so callers never correlate results positionally themselves.
-fn ordered_pool_map<'env, T, U, F>(pool: &rayon::ThreadPool, items: &'env [T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&'env T) -> U + Sync,
-{
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let obs = crate::obs::engine_obs();
-    obs.pool_tasks.add(items.len() as u64);
-    // The spawning thread runs `pool.scope`'s body itself; a task that
-    // executes on any other thread crossed the pool's stealing deques.
-    let spawner = std::thread::current().id();
-    pool.scope(|s| {
-        for (item, slot) in items.iter().zip(&slots) {
-            let f = &f;
-            s.spawn(move |_| {
-                if std::thread::current().id() != spawner {
-                    crate::obs::engine_obs().pool_tasks_stolen.inc();
-                }
-                *slot.lock().expect("slot lock") = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("worker completed")
-        })
-        .collect()
 }
 
 #[cfg(test)]

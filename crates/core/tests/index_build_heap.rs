@@ -12,7 +12,7 @@ use kr_datagen::DatasetPreset;
 use kr_similarity::{TableOracle, Threshold};
 
 #[test]
-fn default_build_on_dblp_like_peaks_below_4_mib() {
+fn dblp_like_default_build_peaks_below_4_mib() {
     let d = DatasetPreset::DblpLike.generate_scaled(1.0);
     let oracle = TableOracle::new(d.attributes, d.metric, Threshold::MinSimilarity(0.5));
     let (ix, peak) = peak_during(|| DecompositionIndex::build_default(&d.graph, &oracle));

@@ -11,7 +11,7 @@ use kr_datagen::DatasetPreset;
 use kr_similarity::{TableOracle, Threshold};
 
 #[test]
-fn default_build_on_gowalla_like_peaks_below_the_pair_buffer() {
+fn gowalla_like_default_build_peaks_below_the_pair_buffer() {
     for (scale, bound) in [(0.25, 0.5), (1.0, 2.0)] {
         let d = DatasetPreset::GowallaLike.generate_scaled(scale);
         let oracle = TableOracle::new(d.attributes, d.metric, Threshold::MaxDistance(1.0));

@@ -121,18 +121,17 @@ pub fn k_core_of_subset(g: &Graph, k: u32, subset: &[VertexId]) -> Vec<VertexId>
     k_core_peel(g, k, alive)
 }
 
-/// The `graph.kcore_peel_us` histogram on the process-global registry:
-/// one sample per peel (sequential or parallel), in microseconds. The
-/// handle is cached so the registry lock is taken once per process.
-fn peel_hist() -> &'static std::sync::Arc<kr_obs::Histogram> {
-    static H: std::sync::OnceLock<std::sync::Arc<kr_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| kr_obs::global().histogram("graph.kcore_peel_us"))
-}
-
+/// Peels the `alive` part of `g` to its k-core, recording the time in
+/// the process-global `graph.kcore_peel_us` histogram (one sample per
+/// peel; the handle is cached, so the registry lock is taken once).
 fn k_core_peel(g: &Graph, k: u32, alive: Vec<bool>) -> Vec<VertexId> {
+    static PEEL_US: std::sync::OnceLock<std::sync::Arc<kr_obs::Histogram>> =
+        std::sync::OnceLock::new();
     let t0 = std::time::Instant::now();
     let out = k_core_peel_inner(g, k, alive);
-    peel_hist().record_duration(t0.elapsed());
+    PEEL_US
+        .get_or_init(|| kr_obs::global().histogram("graph.kcore_peel_us"))
+        .record_duration(t0.elapsed());
     out
 }
 
@@ -170,105 +169,6 @@ fn k_core_peel_inner(g: &Graph, k: u32, mut alive: Vec<bool>) -> Vec<VertexId> {
         }
     }
     (0..n as VertexId).filter(|&v| alive[v as usize]).collect()
-}
-
-/// Vertices of the k-core of `g`, computed by parallel level-synchronous
-/// peeling on a caller-provided pool, so one pool can be threaded through
-/// every phase of a query instead of being rebuilt per phase.
-///
-/// Returns exactly the same vertex set as [`k_core`] (the k-core is
-/// unique), in the same ascending order. The algorithm keeps one atomic
-/// degree counter per vertex; each peeling round removes the current
-/// sub-`k` frontier in parallel, and the worker whose decrement drops a
-/// neighbor from `k` to `k - 1` claims it for the next frontier, so every
-/// vertex is peeled exactly once. A single-worker pool or a small graph
-/// falls back to the sequential peel, which is faster below ~100k edges.
-pub fn k_core_on(g: &Graph, k: u32, pool: &rayon::ThreadPool) -> Vec<VertexId> {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Mutex;
-
-    let n = g.num_vertices();
-    let threads = pool.current_num_threads();
-    if threads <= 1 || n < 2048 {
-        return k_core(g, k);
-    }
-    if k == 0 {
-        return (0..n as VertexId).collect();
-    }
-    let t0 = std::time::Instant::now();
-
-    let deg: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let chunk = n.div_ceil(threads).max(1);
-
-    // Initial degrees and sub-k frontier, chunked over the vertex range.
-    let frontier = Mutex::new(Vec::new());
-    pool.scope(|s| {
-        for lo in (0..n).step_by(chunk) {
-            let deg = &deg;
-            let frontier = &frontier;
-            s.spawn(move |_| {
-                let hi = (lo + chunk).min(n);
-                let mut local = Vec::new();
-                for (v, slot) in (lo..hi).zip(&deg[lo..hi]) {
-                    let d = g.degree(v as VertexId) as u32;
-                    slot.store(d, Ordering::Relaxed);
-                    if d < k {
-                        local.push(v as VertexId);
-                    }
-                }
-                frontier.lock().expect("frontier lock").extend(local);
-            });
-        }
-    });
-    let mut frontier = frontier.into_inner().expect("frontier lock");
-
-    // Peeling rounds: remove the frontier, claim neighbors crossing k.
-    // Small rounds (deep cascades usually shrink to a handful of
-    // vertices) are processed inline — spawning a scope per tiny round
-    // would cost more in thread churn than the round itself.
-    while !frontier.is_empty() {
-        if frontier.len() < 512 {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &u in g.neighbors(v) {
-                    if deg[u as usize].fetch_sub(1, Ordering::AcqRel) == k {
-                        next.push(u);
-                    }
-                }
-            }
-            frontier = next;
-            continue;
-        }
-        let round_chunk = frontier.len().div_ceil(threads).max(1);
-        let next = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for piece in frontier.chunks(round_chunk) {
-                let deg = &deg;
-                let next = &next;
-                s.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for &v in piece {
-                        for &u in g.neighbors(v) {
-                            // fetch_sub returns the previous value; only
-                            // the decrement that crosses the threshold
-                            // claims u, so each vertex is claimed once.
-                            if deg[u as usize].fetch_sub(1, Ordering::AcqRel) == k {
-                                local.push(u);
-                            }
-                        }
-                    }
-                    next.lock().expect("next lock").extend(local);
-                });
-            }
-        });
-        frontier = next.into_inner().expect("next lock");
-    }
-
-    let out: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| deg[v as usize].load(Ordering::Relaxed) >= k)
-        .collect();
-    peel_hist().record_duration(t0.elapsed());
-    out
 }
 
 /// Naive reference k-core (repeated full scans); used as a test oracle.
@@ -387,15 +287,8 @@ mod tests {
         }
     }
 
-    fn pool(threads: usize) -> rayon::ThreadPool {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-    }
-
-    /// Deterministic pseudo-random graph big enough (n ≥ 2048) to take the
-    /// genuinely parallel path in [`k_core_on`].
+    /// Deterministic pseudo-random graph: a ring plus random chords, so
+    /// degrees vary and peeling cascades run deep.
     fn large_graph() -> Graph {
         let n = 3000usize;
         let mut edges = Vec::new();
@@ -419,21 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_on_large_graph() {
+    fn matches_naive_on_large_graph() {
         let g = large_graph();
         for k in [0, 1, 2, 3, 4, 6, 10] {
-            let seq = k_core(&g, k);
-            for threads in [2, 4] {
-                assert_eq!(k_core_on(&g, k, &pool(threads)), seq, "k={k} t={threads}");
-            }
+            assert_eq!(k_core(&g, k), k_core_naive(&g, k), "k={k}");
         }
-    }
-
-    #[test]
-    fn parallel_falls_back_on_small_graphs() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert_eq!(k_core_on(&g, 2, &pool(8)), k_core(&g, 2));
-        assert_eq!(k_core_on(&g, 2, &pool(0)), k_core(&g, 2));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use io::{
     read_edge_list, read_edge_list_file, read_edge_list_streaming, read_edge_list_streaming_file,
     read_edge_list_streaming_with, ByteSource, IoError, LoadProgress, LoadedGraph,
 };
-pub use kcore::{core_decomposition, k_core, k_core_of_subset, k_core_on, CoreDecomposition};
+pub use kcore::{core_decomposition, k_core, k_core_of_subset, CoreDecomposition};
 pub use maintain::{coreness_after_insert, coreness_after_remove, AdjacencyList, NeighborSource};
 pub use order::degeneracy_order;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};

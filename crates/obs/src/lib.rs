@@ -18,7 +18,7 @@
 //!   slow-query log.
 //!
 //! Library crates record into the process-global registry ([`global`])
-//! under a crate-prefixed name (`graph.*`, `similarity.*`, `engine.*`);
+//! under a crate-prefixed name (`graph.*`, `similarity.*`);
 //! the server owns its own [`Registry`] instance for `server.*` metrics
 //! so that concurrently-running server instances (e.g. in one test
 //! process) keep independent query-latency totals.

@@ -41,6 +41,25 @@ pub fn r_band(r: f64) -> i64 {
     (r / R_BAND_WIDTH).round() as i64
 }
 
+/// Whether `x` lies strictly on the dissimilar side of every `r` in
+/// band `band`: above it for a distance metric, below it for a
+/// similarity. [`r_band`] is monotone, so comparing bands is sound even
+/// though no single `r` stands for the band.
+pub(crate) fn beyond_band(distance: bool, x: f64, band: i64) -> bool {
+    if distance {
+        r_band(x) > band
+    } else {
+        r_band(x) < band
+    }
+}
+
+/// Whether [`r_band`] gives `r` a band of its own: from ~9.22e9 on,
+/// `r / R_BAND_WIDTH` rounds past `i64::MAX` and every such `r` would
+/// share the saturated band. The wire rejects those thresholds.
+pub(crate) fn r_band_fits(r: f64) -> bool {
+    (r / R_BAND_WIDTH).round() < i64::MAX as f64
+}
+
 /// Cache key: dataset identity (name + scale, as registered by the
 /// dataset registry) plus the query parameters preprocessing depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -602,6 +621,19 @@ mod tests {
     fn r_band_absorbs_float_noise() {
         assert_eq!(key("d", 3, 0.3), key("d", 3, 0.3 + 1e-16));
         assert_ne!(key("d", 3, 0.3), key("d", 3, 0.31));
+    }
+
+    #[test]
+    fn only_values_outside_the_band_count_as_dissimilar() {
+        // 0.1 + 0.2 and 0.3 share a band; r_band(0.3) * R_BAND_WIDTH is
+        // 0.30000000000000004, above both.
+        for r in [0.3, 0.1 + 0.2, 5.0, 2f64.sqrt()] {
+            let band = r_band(r);
+            assert!(!beyond_band(false, r, band), "similarity at r = {r}");
+            assert!(!beyond_band(true, r, band), "distance at r = {r}");
+            assert!(beyond_band(false, r - 1e-6, band));
+            assert!(beyond_band(true, r + 1e-6, band));
+        }
     }
 
     #[test]

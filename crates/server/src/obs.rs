@@ -6,8 +6,8 @@
 //! of queries the instance served, which a process-global registry
 //! could not guarantee with several servers in one process (tests, or
 //! one binary hosting multiple listeners). Library-layer metrics
-//! (`graph.*`, `similarity.*`, `engine.*`) accumulate on the
-//! process-global registry and are merged in at snapshot time.
+//! (`graph.*`, `similarity.*`) accumulate on the process-global
+//! registry and are merged in at snapshot time.
 
 use crate::protocol::ProtoError;
 use kr_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
@@ -105,8 +105,7 @@ impl ServerMetrics {
     }
 
     /// What a `metrics` wire request returns: this instance's registry
-    /// merged with the process-global one (`graph.*`, `similarity.*`,
-    /// `engine.*`).
+    /// merged with the process-global one (`graph.*`, `similarity.*`).
     pub fn wire_snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot().merge(&kr_obs::global().snapshot())
     }

@@ -30,7 +30,7 @@
 //! optional on decode (frames from older servers parse with an empty
 //! trace), so v1 stays backward compatible.
 
-use crate::cache::CacheStats;
+use crate::cache::{r_band_fits, CacheStats};
 use crate::datasets::AttributeValue;
 use crate::json::{self, Json, JsonError};
 use kr_graph::VertexId;
@@ -772,8 +772,10 @@ fn spec_from_json(v: &Json) -> Result<QuerySpec, ProtoError> {
     let r = v
         .get("r")
         .and_then(Json::as_f64)
-        .filter(|r| r.is_finite() && *r >= 0.0)
-        .ok_or_else(|| malformed("'r' must be a finite number >= 0"))?;
+        .filter(|&r| r.is_finite() && r >= 0.0 && r_band_fits(r))
+        .ok_or_else(|| {
+            malformed("'r' must be a finite number >= 0 and below 2^63 * 1e-9 (about 9.22e9)")
+        })?;
     let scale = scale_from_json(v)?;
     let algo = match v.get("algo") {
         None => Algo::Adv,
@@ -1626,6 +1628,8 @@ mod tests {
         for bad in [
             r#"{"v":1,"cmd":"enumerate","dataset":"x","k":0,"r":1}"#,
             r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3,"r":-1}"#,
+            r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3,"r":1e10}"#,
+            r#"{"v":1,"cmd":"maximum","dataset":"x","k":3,"r":9.3e9}"#,
             r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3}"#,
             r#"{"v":1,"cmd":"enumerate","k":3,"r":1}"#,
             r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3,"r":1,"scale":0}"#,
@@ -1636,6 +1640,13 @@ mod tests {
                 matches!(Request::parse(bad), Err(ProtoError::Malformed(_))),
                 "{bad}"
             );
+        }
+        // Thresholds from 0 up to just below the saturation point parse.
+        for good in [
+            r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3,"r":0}"#,
+            r#"{"v":1,"cmd":"enumerate","dataset":"x","k":3,"r":9.2e9}"#,
+        ] {
+            assert!(Request::parse(good).is_ok(), "{good}");
         }
     }
 }

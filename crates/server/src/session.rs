@@ -35,7 +35,7 @@
 //! preprocessing histograms, request/rejection counters, the in-flight
 //! gauge), which a `metrics` request returns over the wire.
 
-use crate::cache::{r_band, CacheKey, R_BAND_WIDTH};
+use crate::cache::{beyond_band, r_band, CacheKey, R_BAND_WIDTH};
 use crate::datasets::{GraphUpdate, HostedDataset, MutationOutcome};
 use crate::json::Json;
 use crate::protocol::{
@@ -48,7 +48,6 @@ use kr_core::{
     LocalComponent,
 };
 use kr_obs::{next_trace_id, Counter, Field, PhaseTimer};
-use kr_similarity::{SimilarityOracle, TableOracle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -491,23 +490,6 @@ fn clamp_limit(requested: Option<u64>, ceiling: Option<u64>) -> Option<u64> {
     }
 }
 
-/// Preprocessing workers for a cache miss: the request's `threads`,
-/// clamped to the machine's available parallelism, with `0` meaning that
-/// value. The rayon shim starts one OS thread per worker in every
-/// parallel phase, so an unclamped wire value (up to 1024) would let one
-/// miss spawn that many threads per phase. `1` returns before the
-/// lookup, which reads cgroup files on Linux.
-fn pool_workers(requested: usize) -> usize {
-    if requested == 1 {
-        return 1;
-    }
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match requested {
-        0 => available,
-        n => n.min(available),
-    }
-}
-
 /// The dataset a query or mutation names. The call that loads it —
 /// generating a preset or reading a snapshot file — logs a
 /// `dataset_load` span, so a first query's load is not left unexplained.
@@ -637,18 +619,7 @@ fn run_query(
         residual.set(Some(candidates.vertices.len() as u64));
         let t_pre = PhaseTimer::start(sink, &trace, "preprocess");
         let problem = dataset.problem(spec.k, spec.r);
-        // Only a miss preprocesses, so only a miss builds a worker pool;
-        // a hit or a `threads: 1` query stays pool-free.
-        let comps = match pool_workers(spec.threads) {
-            1 => problem.preprocess_with_candidates(&candidates.vertices),
-            n => problem.preprocess_with_candidates_on(
-                &candidates.vertices,
-                &rayon::ThreadPoolBuilder::new()
-                    .num_threads(n)
-                    .build()
-                    .expect("thread pool"),
-            ),
-        };
+        let comps = problem.preprocess_with_candidates(&candidates.vertices);
         let dur_us = t_pre.finish_with(&[("components", Field::from(comps.len()))]);
         metrics.preprocess_us.record(dur_us);
         preprocess_ms.set(Some(dur_us / 1_000));
@@ -984,10 +955,15 @@ fn repair_cache(
                 // version chain in a way we can reason about cheaply.
                 None => return false,
             };
-            let r = key.r_band as f64 * R_BAND_WIDTH;
-            let threshold = dataset.threshold(r);
-            let oracle =
-                TableOracle::from_shared(view.attributes.clone(), dataset.metric(), threshold);
+            // The entry serves every `r` of its band, so each keep
+            // decision below must hold for all of them: a pair counts as
+            // dissimilar only when its value's band lies strictly on the
+            // dissimilar side of the entry's band.
+            let distance = dataset.metric().is_distance();
+            let dissimilar = |u, v| {
+                let value = dataset.metric().evaluate(&view.attributes, u, v);
+                beyond_band(distance, value, key.r_band)
+            };
             // Vertices resident in this entry's preprocessed components.
             let in_comps = |w: kr_graph::VertexId| -> bool {
                 comps
@@ -996,12 +972,12 @@ fn repair_cache(
             };
             // A removed edge cannot change the entry when it was never
             // part of the entry's k-core subgraph: either the pair is
-            // dissimilar at this r (the preprocess filter drops it) or an
-            // endpoint sits outside every cached component (the unique
+            // dissimilar at this band (the preprocess filter drops it) or
+            // an endpoint sits outside every cached component (the unique
             // maximal k-core of the filtered subgraph is intact without
             // it).
             for &(u, v) in &delta.removed {
-                if !oracle.is_similar(u, v) {
+                if dissimilar(u, v) {
                     continue;
                 }
                 if !in_comps(u) || !in_comps(v) {
@@ -1011,18 +987,27 @@ fn repair_cache(
             }
             // An inserted edge cannot change the entry when it never
             // enters the candidate-induced similar subgraph: the pair is
-            // dissimilar at this r, or — provided no vertex's band
+            // dissimilar at this band, or — provided no vertex's band
             // coreness moved anywhere (`core_updates == 0`, so candidate
             // sets are exactly what they were) — an endpoint is not an
-            // index candidate at this `(k, r)`.
+            // index candidate at a threshold looser than every `r` of the
+            // band: the next band's, or the structural coreness when that
+            // one is not strictly looser.
             if !delta.inserted.is_empty() {
                 let candidates = if outcome.core_updates == 0 {
-                    Some(index.candidates(key.k, threshold).vertices)
+                    let step = if distance { 1 } else { -1 };
+                    let looser = key
+                        .r_band
+                        .checked_add(step)
+                        .map(|b| b as f64 * R_BAND_WIDTH)
+                        .filter(|&r| beyond_band(distance, r, key.r_band))
+                        .unwrap_or(step as f64 * f64::INFINITY);
+                    Some(index.candidates(key.k, dataset.threshold(looser)).vertices)
                 } else {
                     None
                 };
                 for &(u, v) in &delta.inserted {
-                    if !oracle.is_similar(u, v) {
+                    if dissimilar(u, v) {
                         continue;
                     }
                     match &candidates {
@@ -1071,16 +1056,6 @@ mod tests {
             elapsed_ms: 0,
             nodes: 7,
         }
-    }
-
-    #[test]
-    fn pool_workers_clamps_to_available_parallelism() {
-        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(pool_workers(0), available);
-        assert_eq!(pool_workers(1), 1);
-        assert_eq!(pool_workers(1024), available);
-        assert_eq!(pool_workers(available), available);
-        assert_eq!(pool_workers(2), 2.min(available));
     }
 
     fn wire(frames: &[Frame]) -> Vec<u8> {

@@ -137,3 +137,48 @@ fn operations_doc_covers_every_serve_flag() {
         );
     }
 }
+
+/// The request-field row for `field` in PROTOCOL.md's `enumerate` table.
+fn field_row(doc: &str, field: &str) -> String {
+    let prefix = format!("| `{field}` |");
+    doc.lines()
+        .find(|l| l.starts_with(&prefix))
+        .unwrap_or_else(|| panic!("docs/PROTOCOL.md has no row for `{field}`"))
+        .to_string()
+}
+
+/// A minimal `enumerate` request with one extra field.
+fn enumerate_with(extra: &str) -> String {
+    format!(r#"{{"v":1,"cmd":"enumerate","id":"d","dataset":"x","k":3,{extra}}}"#)
+}
+
+#[test]
+fn protocol_doc_pins_threads_as_accepted_validated_and_ignored() {
+    let doc = repo_file("docs/PROTOCOL.md");
+    let row = field_row(&doc, "threads");
+    for phrase in ["integer ≤ 1024", "ignored"] {
+        assert!(
+            row.contains(phrase),
+            "`threads` row lacks {phrase:?}: {row}"
+        );
+    }
+    assert!(
+        doc.contains("The `threads` request field is accepted, validated and ignored"),
+        "PROTOCOL.md's compat notes must say `threads` is ignored"
+    );
+    // The codec keeps the documented range.
+    for threads in [0, 1, 1024] {
+        let line = enumerate_with(&format!(r#""r":1,"threads":{threads}"#));
+        Request::parse(&line).unwrap_or_else(|e| panic!("threads {threads} rejected: {e:?}"));
+    }
+    assert!(Request::parse(&enumerate_with(r#""r":1,"threads":1025"#)).is_err());
+}
+
+#[test]
+fn protocol_doc_pins_the_r_upper_bound() {
+    let doc = repo_file("docs/PROTOCOL.md");
+    let row = field_row(&doc, "r");
+    assert!(row.contains("9.22 × 10⁹"), "`r` row lacks its bound: {row}");
+    assert!(Request::parse(&enumerate_with(r#""r":9.2e9"#)).is_ok());
+    assert!(Request::parse(&enumerate_with(r#""r":9.3e9"#)).is_err());
+}

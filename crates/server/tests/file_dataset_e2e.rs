@@ -9,8 +9,8 @@
 use kr_core::{enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig, CoreHook, KrCore};
 use kr_datagen::DatasetPreset;
 use kr_server::{
-    cache::r_band, dataset_key, CacheKey, CacheOutcome, Client, Frame, QuerySpec, Request, Server,
-    ServerConfig,
+    cache::r_band, dataset_key, CacheKey, CacheOutcome, Client, ClientError, ErrorCode, Frame,
+    QuerySpec, Request, Server, ServerConfig,
 };
 use kr_similarity::{write_snapshot_file, Threshold};
 use std::io::{BufRead, BufReader, Write};
@@ -227,4 +227,41 @@ fn binding_with_missing_snapshot_fails_fast() {
         Err(err) => assert!(err.to_string().contains("ghost"), "{err}"),
         Ok(_) => panic!("missing file must fail at bind"),
     }
+}
+
+/// Above ~9.22e9 every `r` would round to the same saturated cache band,
+/// so a query at one such `r` could be served the answer of another. The
+/// wire rejects those thresholds instead, and the connection stays
+/// usable.
+#[test]
+fn thresholds_past_the_band_range_are_rejected() {
+    // A triangle whose sides are all ~1.5e10 long.
+    let path = std::env::temp_dir().join(format!("kr_file_e2e_far_{}.krb", std::process::id()));
+    let graph = kr_graph::Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
+    let points =
+        kr_similarity::AttributeTable::points(vec![(0.0, 0.0), (1.5e10, 0.0), (0.75e10, 1.3e10)]);
+    write_snapshot_file(
+        &path,
+        &graph,
+        &[0, 1, 2],
+        &points,
+        kr_similarity::Metric::Euclidean,
+    )
+    .expect("write snapshot");
+    let handle = serve_file("far", &path);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for r in [1e10, 2e10] {
+        match client.enumerate(QuerySpec::new("far", 2, r)) {
+            Err(ClientError::Server { code, .. }) => {
+                assert_eq!(code, ErrorCode::BadRequest, "r={r}")
+            }
+            other => panic!("r={r} must be rejected, got {other:?}"),
+        }
+    }
+    let within = client
+        .enumerate(QuerySpec::new("far", 2, 9e9))
+        .expect("a threshold inside the band range still answers");
+    assert!(within.cores.is_empty(), "every side is longer than 9e9");
+    handle.shutdown_and_join().expect("clean shutdown");
+    let _ = std::fs::remove_file(path);
 }

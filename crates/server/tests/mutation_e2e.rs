@@ -8,10 +8,12 @@
 //! recomputes and matches the direct engine on the mutated graph).
 
 use kr_core::{enumerate_maximal, AlgoConfig};
+use kr_graph::Graph;
 use kr_server::{
     AttributeValue, CacheOutcome, Client, ClientError, ErrorCode, QuerySpec, Server, ServerConfig,
 };
-use kr_similarity::AttributeTable;
+use kr_similarity::{write_snapshot_file, AttributeTable, Metric};
+use std::path::PathBuf;
 
 const DATASET: &str = "gowalla-like";
 const SCALE: f64 = 0.2;
@@ -277,4 +279,83 @@ fn invalid_batches_are_rejected_atomically_over_the_wire() {
     assert_eq!(again.cores, probe.cores);
 
     handle.shutdown_and_join().expect("clean shutdown");
+}
+
+/// Vertex 2 shares keywords with both 0 and 1; the pair (0, 1) has a
+/// Jaccard similarity of exactly 3/10 (3 shared of 10 keywords), the
+/// query threshold below. The graph is the path 0–2–1 when `with_01` is
+/// false and the triangle when it is true.
+fn boundary_keyword_server(tag: &str, with_01: bool) -> (kr_server::ServerHandle, PathBuf) {
+    let mut edges = vec![(0, 2), (2, 1)];
+    if with_01 {
+        edges.push((0, 1));
+    }
+    let kw = |ids: std::ops::Range<u32>| ids.map(|t| (t, 1.0)).collect::<Vec<_>>();
+    let attrs = AttributeTable::keywords(vec![kw(0..7), kw(4..10), kw(0..10)]);
+    let path = std::env::temp_dir().join(format!("kr_mutation_{tag}_{}.krb", std::process::id()));
+    write_snapshot_file(
+        &path,
+        &Graph::from_edges(3, &edges),
+        &[0, 1, 2],
+        &attrs,
+        Metric::Jaccard,
+    )
+    .expect("write snapshot");
+    let handle = Server::bind(ServerConfig {
+        file_datasets: vec![(BOUNDARY.to_string(), path.display().to_string())],
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn();
+    (handle, path)
+}
+
+const BOUNDARY: &str = "boundary";
+
+/// `k = 2, r = 0.3` on the boundary dataset: the pair (0, 1) sits exactly
+/// on the threshold, so it is similar.
+fn boundary_spec() -> QuerySpec {
+    QuerySpec::new(BOUNDARY, 2, 0.3)
+}
+
+/// Inserting an edge whose similarity equals `r` exactly completes a
+/// triangle: the cached empty answer must not survive the repair pass.
+#[test]
+fn inserting_an_edge_at_exactly_r_invalidates_the_entry() {
+    let (handle, path) = boundary_keyword_server("insert", false);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let first = client.enumerate(boundary_spec()).expect("cold query");
+    assert!(first.cores.is_empty(), "a path holds no 2-core");
+
+    let res = client
+        .add_edges(BOUNDARY, 1.0, vec![(0, 1)])
+        .expect("mutate");
+    assert_eq!((res.applied, res.repairs), (1, 0), "{res:?}");
+    let second = client.enumerate(boundary_spec()).expect("re-query");
+    assert_eq!(second.cache, CacheOutcome::Miss);
+    assert_eq!(second.cores, vec![vec![0, 1, 2]]);
+
+    handle.shutdown_and_join().expect("clean shutdown");
+    let _ = std::fs::remove_file(path);
+}
+
+/// Removing an edge whose similarity equals `r` exactly breaks the only
+/// (k,r)-core: the cached triangle must not survive the repair pass.
+#[test]
+fn removing_an_edge_at_exactly_r_invalidates_the_entry() {
+    let (handle, path) = boundary_keyword_server("remove", true);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let first = client.enumerate(boundary_spec()).expect("cold query");
+    assert_eq!(first.cores, vec![vec![0, 1, 2]]);
+
+    let res = client
+        .remove_edges(BOUNDARY, 1.0, vec![(0, 1)])
+        .expect("mutate");
+    assert_eq!((res.applied, res.repairs), (1, 0), "{res:?}");
+    let second = client.enumerate(boundary_spec()).expect("re-query");
+    assert_eq!(second.cache, CacheOutcome::Miss);
+    assert!(second.cores.is_empty(), "{:?}", second.cores);
+
+    handle.shutdown_and_join().expect("clean shutdown");
+    let _ = std::fs::remove_file(path);
 }

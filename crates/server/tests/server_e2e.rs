@@ -8,6 +8,8 @@ use kr_server::{
     Algo, CacheOutcome, Client, ErrorCode, Frame, QuerySpec, Request, Server, ServerConfig,
 };
 use kr_similarity::Threshold;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 const SCALE: f64 = 0.2;
 
@@ -169,41 +171,73 @@ fn two_concurrent_clients_get_complete_correct_streams() {
     handle.shutdown_and_join().expect("clean shutdown");
 }
 
-/// `threads` only sizes a cache miss's preprocessing pool, clamped to
-/// the machine's cores: a cold miss at `threads: 1024` streams the same
-/// core frames, in the same order, as one at `threads: 1`, and a later
-/// query at another thread count hits the same cache entry.
+/// A cold miss's raw `core` frame lines (trace id blanked, since every
+/// query stamps its own) and the `done` frame's node count.
+fn cold_core_lines(spec: QuerySpec) -> (Vec<String>, u64) {
+    let handle = spawn_server();
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    let req = Request::Enumerate {
+        id: "q".to_string(),
+        spec,
+    };
+    (&stream)
+        .write_all(format!("{}\n", req.to_line()).as_bytes())
+        .expect("send");
+    let mut cores = Vec::new();
+    let nodes = loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("frame");
+        match Frame::parse(line.trim_end()).expect("frame parses") {
+            Frame::Core { trace, .. } => cores.push(line.replace(&trace, "")),
+            Frame::Done {
+                nodes,
+                cache,
+                completed,
+                ..
+            } => {
+                assert_eq!(cache, CacheOutcome::Miss);
+                assert!(completed);
+                break nodes;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    handle.shutdown_and_join().expect("clean shutdown");
+    (cores, nodes)
+}
+
+/// `threads` is accepted and ignored: a cold miss at `threads` 0, 1 and
+/// 1024 streams byte-identical `core` frames after the same search work,
+/// and a later query at another value hits the same cache entry.
 #[test]
-fn threads_only_size_the_miss_pool_over_the_wire() {
+fn threads_is_ignored_over_the_wire() {
     let base = spec(DatasetPreset::GowallaLike, 3, 8.0);
-    let cold = [1, 1024].map(|threads| {
-        let handle = spawn_server();
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let cold = client
-            .enumerate(QuerySpec {
-                threads,
-                ..base.clone()
-            })
-            .expect("cold query");
-        assert_eq!(cold.cache, CacheOutcome::Miss, "threads={threads}");
-        assert!(cold.completed, "threads={threads}");
-        let warm = client
-            .enumerate(QuerySpec {
-                threads: 4,
-                ..base.clone()
-            })
-            .expect("warm query");
-        assert_eq!(
-            warm.cache,
-            CacheOutcome::Hit,
-            "same key regardless of threads"
-        );
-        assert_eq!(warm.cores, cold.cores, "threads={threads}");
-        handle.shutdown_and_join().expect("clean shutdown");
-        (cold.cores, cold.nodes)
+    let runs = [0, 1, 1024].map(|threads| {
+        cold_core_lines(QuerySpec {
+            threads,
+            ..base.clone()
+        })
     });
-    assert!(!cold[0].0.is_empty(), "test instance must emit cores");
-    assert_eq!(cold[0], cold[1], "threads 1 vs 1024");
+    assert!(!runs[1].0.is_empty(), "test instance must emit cores");
+    assert_eq!(runs[0], runs[1], "threads 0 vs 1");
+    assert_eq!(runs[2], runs[1], "threads 1024 vs 1");
+
+    let handle = spawn_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let cold = client.enumerate(base.clone()).expect("cold query");
+    let warm = client
+        .enumerate(QuerySpec { threads: 4, ..base })
+        .expect("warm query");
+    assert_eq!(
+        warm.cache,
+        CacheOutcome::Hit,
+        "same key regardless of threads"
+    );
+    assert_eq!(warm.cores, cold.cores);
+    handle.shutdown_and_join().expect("clean shutdown");
 }
 
 #[test]

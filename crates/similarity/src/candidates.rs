@@ -52,12 +52,6 @@ pub trait CandidatePairs {
     /// Short name for diagnostics ("grid", "inverted", "all-pairs").
     fn strategy(&self) -> &'static str;
 
-    /// The materialized pair list, when the index stores one (lets the
-    /// sharded verifier chunk without re-collecting).
-    fn as_pairs(&self) -> Option<&[(u32, u32)]> {
-        None
-    }
-
     /// Pairs the index *proved* similar — the consumer records them as
     /// similar without any metric evaluation. Disjoint from the
     /// candidate set; `(i, j)` with `i < j`, each exactly once.
@@ -118,10 +112,6 @@ impl CandidatePairs for PairList {
 
     fn strategy(&self) -> &'static str {
         self.strategy
-    }
-
-    fn as_pairs(&self) -> Option<&[(u32, u32)]> {
-        Some(&self.pairs)
     }
 
     fn known_similar(&self) -> &[(u32, u32)] {
@@ -467,7 +457,6 @@ mod tests {
         assert!(!survivors.contains(&(0, 2)));
         assert!(!survivors.contains(&(1, 3)));
         assert_eq!(g.strategy(), "grid");
-        assert!(g.as_pairs().is_some());
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use quantile::{
 };
 pub use simgraph::{
     build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view,
-    build_dissimilarity_view_on, build_similarity_graph, build_similarity_graph_brute, DissimMode,
-    DissimilarityLists, DissimilarityView, LazyDissimilarity, LAZY_MIN_N,
+    build_similarity_graph, build_similarity_graph_brute, DissimMode, DissimilarityLists,
+    DissimilarityView, LazyDissimilarity, LAZY_MIN_N,
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_bytes, read_snapshot_file, snapshot_to_bytes, write_snapshot,

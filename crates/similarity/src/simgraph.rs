@@ -507,68 +507,6 @@ fn verify_candidates<O: SimilarityOracle + ?Sized>(
     (similar, evals)
 }
 
-/// Candidate count below which sharding is pure overhead.
-const MIN_SHARDED_CANDIDATES: usize = 2048;
-
-/// [`verify_candidates`], shard-split across `pool`: the candidate list
-/// is chunked, each chunk verified on a worker, and the per-chunk results
-/// concatenated in chunk order — the output is identical to the serial
-/// path, including order.
-fn verify_candidates_on<O: SimilarityOracle + Sync + ?Sized>(
-    oracle: &O,
-    members: &[VertexId],
-    pool: &rayon::ThreadPool,
-) -> (Vec<(VertexId, VertexId)>, u64) {
-    let threads = pool.current_num_threads();
-    if threads <= 1 {
-        return verify_candidates(oracle, members);
-    }
-    let index = oracle.candidates(members);
-    // Only indexes that already hold a materialized pair list are worth
-    // sharding; collecting a lazy index (the all-pairs fallback) would
-    // allocate an O(n²) transient just to chunk it — stream it serially
-    // instead, exactly like the pre-index preprocessing did.
-    let Some(candidates) = index.as_pairs() else {
-        let mut similar = index.known_similar().to_vec();
-        let mut evals = 0u64;
-        index.for_each(&mut |i, j| {
-            evals += 1;
-            if oracle.is_similar(members[i as usize], members[j as usize]) {
-                similar.push((i, j));
-            }
-        });
-        return (similar, evals);
-    };
-    if candidates.len() < MIN_SHARDED_CANDIDATES {
-        let mut similar = index.known_similar().to_vec();
-        similar.extend(
-            candidates
-                .iter()
-                .copied()
-                .filter(|&(i, j)| oracle.is_similar(members[i as usize], members[j as usize])),
-        );
-        return (similar, candidates.len() as u64);
-    }
-    let chunk = (candidates.len() / (threads * 4)).max(MIN_SHARDED_CANDIDATES / 4);
-    // Slot 0 holds the index's known-similar pairs so the concatenation
-    // matches the serial path's order exactly (known first, then the
-    // verified candidates in candidate order).
-    let mut slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); candidates.len().div_ceil(chunk) + 1];
-    slots[0] = index.known_similar().to_vec();
-    pool.scope(|s| {
-        for (slot, shard) in slots[1..].iter_mut().zip(candidates.chunks(chunk)) {
-            s.spawn(move |_| {
-                *slot = shard
-                    .iter()
-                    .copied()
-                    .filter(|&(i, j)| oracle.is_similar(members[i as usize], members[j as usize]))
-                    .collect();
-            });
-        }
-    });
-    (slots.concat(), candidates.len() as u64)
-}
-
 /// Builds the similarity graph over `members` (a set of *global* vertex
 /// ids), renumbered to `0..members.len()` in the order given.
 ///
@@ -713,18 +651,6 @@ pub fn build_dissimilarity_view<O: SimilarityOracle>(
     view_from_similar(members.len(), similar, evals, mode)
 }
 
-/// [`build_dissimilarity_view`] with candidate verification shard-split
-/// across `pool`. The result is identical to the serial build.
-pub fn build_dissimilarity_view_on<O: SimilarityOracle + Sync>(
-    oracle: &O,
-    members: &[VertexId],
-    pool: &rayon::ThreadPool,
-    mode: DissimMode,
-) -> DissimilarityView {
-    let (similar, evals) = verify_candidates_on(oracle, members, pool);
-    view_from_similar(members.len(), similar, evals, mode)
-}
-
 fn view_from_similar(
     n: usize,
     similar: Vec<(VertexId, VertexId)>,
@@ -824,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_matches_serial() {
+    fn eager_view_matches_brute_force() {
         let pts: Vec<(f64, f64)> = (0..40)
             .map(|i| ((i % 7) as f64 * 3.0, (i / 7) as f64 * 3.0))
             .collect();
@@ -834,19 +760,15 @@ mod tests {
             Threshold::MaxDistance(4.0),
         );
         let members: Vec<VertexId> = (0..40).collect();
-        let serial = build_dissimilarity_lists(&o, &members);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build()
-            .expect("pool");
-        let DissimilarityView::Eager(sharded) =
-            build_dissimilarity_view_on(&o, &members, &pool, DissimMode::Eager)
+        let brute = build_dissimilarity_lists_brute(&o, &members);
+        let DissimilarityView::Eager(eager) =
+            build_dissimilarity_view(&o, &members, DissimMode::Eager)
         else {
             panic!("eager mode builds eager lists");
         };
-        assert_eq!(serial.csr, sharded.csr);
-        assert_eq!(serial.num_pairs, sharded.num_pairs);
-        assert_eq!(serial.oracle_evals, sharded.oracle_evals);
+        assert_eq!(brute.csr, eager.csr);
+        assert_eq!(brute.num_pairs, eager.num_pairs);
+        assert!(eager.oracle_evals < brute.oracle_evals);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use kr_similarity::metrics::{cosine, euclidean, jaccard, weighted_jaccard};
 use kr_similarity::{
-    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view_on,
+    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view,
     build_similarity_graph, build_similarity_graph_brute, similarity_quantile_exact,
     AttributeTable, DissimMode, DissimilarityView, Metric, SimilarityOracle, TableOracle,
     Threshold,
@@ -30,18 +30,14 @@ fn assert_indexed_matches_brute(oracle: &TableOracle, n: usize) -> Result<(), Te
     let g_fast = build_similarity_graph(oracle, &members);
     let g_brute = build_similarity_graph_brute(oracle, &members);
     prop_assert_eq!(g_fast, g_brute);
-    // Pool-sharded verification must match the serial path exactly.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(3)
-        .build()
-        .expect("pool");
-    let DissimilarityView::Eager(sharded) =
-        build_dissimilarity_view_on(oracle, &members, &pool, DissimMode::Eager)
+    // The eager view preprocessing builds must match it too.
+    let DissimilarityView::Eager(eager) =
+        build_dissimilarity_view(oracle, &members, DissimMode::Eager)
     else {
         panic!("eager mode builds eager lists");
     };
-    prop_assert_eq!(&sharded.csr, &brute.csr);
-    prop_assert_eq!(sharded.oracle_evals, fast.oracle_evals);
+    prop_assert_eq!(&eager.csr, &brute.csr);
+    prop_assert_eq!(eager.oracle_evals, fast.oracle_evals);
     Ok(())
 }
 

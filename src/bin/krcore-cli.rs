@@ -24,9 +24,8 @@
 //!   or use `--permille X` to calibrate r as the top-X‰ pairwise quantile);
 //! * `--algo` picks the configuration (`adv` default, `basic`, `naive`,
 //!   `clique`);
-//! * `--threads N` preprocesses on `N` workers (`0` = all cores; default
-//!   1 = sequential; `adv`/`basic` only); the search runs sequentially.
-//!   For `query` it sizes the server's preprocessing pool on a cache miss;
+//! * `--threads N` is accepted and ignored (preprocessing and the search
+//!   run sequentially); it will be removed in the next release;
 //! * `--time-limit-ms` bounds the run (prints a warning when exceeded);
 //! * `ingest` streams a SNAP edge list + attribute TSV (attribute rows
 //!   keyed by the file's original sparse ids) into a verified `.krb`
@@ -81,7 +80,6 @@ struct Args {
     algo: String,
     out: Option<String>,
     time_limit_ms: Option<u64>,
-    threads: usize,
 }
 
 fn usage() -> ! {
@@ -123,7 +121,6 @@ fn parse_args() -> Args {
         algo: "adv".into(),
         out: None,
         time_limit_ms: None,
-        threads: 1,
     };
     while let Some(flag) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
@@ -139,7 +136,8 @@ fn parse_args() -> Args {
             "--time-limit-ms" => {
                 args.time_limit_ms = Some(val().parse().unwrap_or_else(|_| usage()))
             }
-            "--threads" => args.threads = val().parse().unwrap_or_else(|_| usage()),
+            // Accepted so existing scripts keep working; nothing reads it.
+            "--threads" => drop(val()),
             _ => usage(),
         }
     }
@@ -156,10 +154,6 @@ fn parse_args() -> Args {
     }
     if args.permille.is_some() && args.points.is_some() {
         eprintln!("--permille only applies to keyword similarity");
-        exit(2);
-    }
-    if args.threads != 1 && matches!(args.algo.as_str(), "naive" | "clique") {
-        eprintln!("--threads only applies to the adv/basic configurations");
         exit(2);
     }
     args
@@ -241,7 +235,6 @@ fn main() {
     if let Some(ms) = args.time_limit_ms {
         cfg = cfg.with_time_limit_ms(ms);
     }
-    cfg = cfg.with_threads(args.threads);
 
     let t0 = std::time::Instant::now();
     match args.command.as_str() {
@@ -300,7 +293,6 @@ fn main() {
                 Some(ms) => cfg.with_time_limit_ms(ms),
                 None => cfg,
             };
-            let cfg = cfg.with_threads(args.threads);
             let res = find_maximum(&problem, &cfg);
             if !res.completed {
                 eprintln!("warning: time budget exceeded; result may be suboptimal");
@@ -528,7 +520,6 @@ fn cmd_query() {
     let mut r: Option<f64> = None;
     let mut scale: Option<f64> = None;
     let mut algo = Algo::Adv;
-    let mut threads: usize = 1;
     let mut time_limit_ms: Option<u64> = None;
     let mut node_limit: Option<u64> = None;
     let mut out: Option<String> = None;
@@ -551,7 +542,8 @@ fn cmd_query() {
                     _ => usage(),
                 }
             }
-            "--threads" => threads = val().parse().unwrap_or_else(|_| usage()),
+            // Accepted so existing scripts keep working; nothing reads it.
+            "--threads" => drop(val()),
             "--time-limit-ms" => time_limit_ms = Some(val().parse().unwrap_or_else(|_| usage())),
             "--node-limit" => node_limit = Some(val().parse().unwrap_or_else(|_| usage())),
             "--out" => out = Some(val()),
@@ -687,7 +679,6 @@ fn cmd_query() {
                 spec.scale = scale;
             }
             spec.algo = algo;
-            spec.threads = threads;
             spec.time_limit_ms = time_limit_ms;
             spec.node_limit = node_limit;
             let result = if cmd == "enum" {
