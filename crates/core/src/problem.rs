@@ -9,12 +9,18 @@ use crate::component::LocalComponent;
 use kr_graph::components::connected_components_of_subset;
 use kr_graph::{k_core, Graph, VertexId};
 use kr_similarity::{AttributeTable, DissimMode, Metric, SimilarityOracle, TableOracle, Threshold};
+use std::sync::Arc;
 
 /// An attributed-graph problem instance: graph, similarity oracle, and the
 /// `(k, r)` parameters.
+///
+/// The graph and the oracle's attribute table sit behind [`Arc`]s, so an
+/// instance can share a resident dataset's storage instead of copying
+/// it, and cloning an instance or [`ProblemInstance::with_params`] copies
+/// no graph or attribute data.
 #[derive(Debug, Clone)]
 pub struct ProblemInstance {
-    graph: Graph,
+    graph: Arc<Graph>,
     oracle: TableOracle,
     k: u32,
     dissim_mode: DissimMode,
@@ -22,19 +28,21 @@ pub struct ProblemInstance {
 
 impl ProblemInstance {
     /// Builds an instance. `threshold` carries `r`; `k` is the degree
-    /// threshold.
+    /// threshold. `graph` and `attrs` are taken owned or already shared
+    /// (`Arc`); shared ones are not copied.
     ///
     /// # Panics
     /// Panics if the attribute table does not cover all vertices, or the
     /// metric/threshold directions disagree (see
     /// [`TableOracle::new`]).
     pub fn new(
-        graph: Graph,
-        attrs: AttributeTable,
+        graph: impl Into<Arc<Graph>>,
+        attrs: impl Into<Arc<AttributeTable>>,
         metric: Metric,
         threshold: Threshold,
         k: u32,
     ) -> Self {
+        let (graph, attrs) = (graph.into(), attrs.into());
         assert_eq!(
             attrs.len(),
             graph.num_vertices(),
@@ -42,14 +50,15 @@ impl ProblemInstance {
         );
         ProblemInstance {
             graph,
-            oracle: TableOracle::new(attrs, metric, threshold),
+            oracle: TableOracle::from_shared(attrs, metric, threshold),
             k,
             dissim_mode: DissimMode::Auto,
         }
     }
 
     /// Builds an instance directly from an oracle.
-    pub fn from_oracle(graph: Graph, oracle: TableOracle, k: u32) -> Self {
+    pub fn from_oracle(graph: impl Into<Arc<Graph>>, oracle: TableOracle, k: u32) -> Self {
+        let graph = graph.into();
         assert_eq!(oracle.attributes().len(), graph.num_vertices());
         ProblemInstance {
             graph,
@@ -93,7 +102,8 @@ impl ProblemInstance {
     }
 
     /// Returns a copy of the instance with different `(k, r)` — cheap way
-    /// to drive parameter sweeps off one dataset.
+    /// to drive parameter sweeps off one dataset: the graph and the
+    /// attribute table are shared, not copied.
     pub fn with_params(&self, k: u32, threshold: Threshold) -> Self {
         ProblemInstance {
             graph: self.graph.clone(),

@@ -194,11 +194,6 @@ fn read_edge_list_with_limit<R: Read>(reader: R, limit: usize) -> Result<LoadedG
     })
 }
 
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file(path: impl AsRef<Path>) -> Result<LoadedGraph, IoError> {
-    read_edge_list(std::fs::File::open(path)?)
-}
-
 /// A chunked byte producer the streaming loader pulls from.
 ///
 /// The blanket impl covers every [`std::io::Read`] — a plain `File`, an

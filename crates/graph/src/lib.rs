@@ -44,7 +44,7 @@ pub use components::{connected_components, is_connected, ComponentLabels};
 pub use csr::Csr;
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use io::{
-    read_edge_list, read_edge_list_file, read_edge_list_streaming, read_edge_list_streaming_file,
+    read_edge_list, read_edge_list_streaming, read_edge_list_streaming_file,
     read_edge_list_streaming_with, ByteSource, IoError, LoadProgress, LoadedGraph,
 };
 pub use kcore::{core_decomposition, k_core, k_core_of_subset, CoreDecomposition};

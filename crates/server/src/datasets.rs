@@ -250,10 +250,15 @@ impl HostedDataset {
     /// Builds the `(k, r)` problem instance for a query on this dataset
     /// (against the current view).
     pub fn problem(&self, k: u32, r: f64) -> ProblemInstance {
-        let view = self.view();
+        self.problem_on(&self.view(), k, r)
+    }
+
+    /// The `(k, r)` problem instance over `view`'s graph and attribute
+    /// table, shared with the view, not copied.
+    pub fn problem_on(&self, view: &DatasetView, k: u32, r: f64) -> ProblemInstance {
         ProblemInstance::new(
-            (*view.graph).clone(),
-            (*view.attributes).clone(),
+            view.graph.clone(),
+            view.attributes.clone(),
             self.metric,
             self.threshold(r),
             k,
@@ -263,39 +268,33 @@ impl HostedDataset {
     /// The dataset's decomposition index, building it on first call (one
     /// build per dataset version).
     pub fn decomposition(&self) -> Arc<DecompositionIndex> {
-        self.decomposition_with_version().0
+        let (view, _) = self.indexed_view();
+        view.index.expect("an indexed view carries the index")
     }
 
-    /// [`Self::decomposition`], plus whether this call ran the build
-    /// (and so paid for it) rather than finding the index in place.
-    pub fn decomposition_reporting_build(&self) -> (Arc<DecompositionIndex>, bool) {
-        let (index, _, built) = self.decomposition_with_version();
-        (index, built)
-    }
-
-    /// [`Self::decomposition`] plus the dataset version the index
-    /// describes and whether this call built it. The first build runs
-    /// without blocking writers; if a mutation lands meanwhile the build
-    /// is stale, and the one rebuild holds the mutation lock so no batch
-    /// can invalidate it.
-    fn decomposition_with_version(&self) -> (Arc<DecompositionIndex>, u64, bool) {
-        if let Some(found) = self.build_decomposition() {
+    /// A view whose `index` is set, plus whether this call built that
+    /// index (and so paid for it) rather than finding it in place. The
+    /// index describes exactly the view's graph and attributes. The
+    /// first build runs without blocking writers; if a mutation lands
+    /// meanwhile the build is stale, and the one rebuild holds the
+    /// mutation lock so no batch can invalidate it.
+    pub fn indexed_view(&self) -> (DatasetView, bool) {
+        if let Some(found) = self.try_indexed_view() {
             return found;
         }
         let _batch = lock(&self.mutate);
-        let (index, version, _) = self
-            .build_decomposition()
-            .expect("no mutation lands while the mutation lock is held");
-        (index, version, true)
+        self.try_indexed_view()
+            .expect("no mutation lands while the mutation lock is held")
     }
 
-    /// Returns the current index, building and installing it when
-    /// absent (then flagged `true`). `None` when a mutation landed
-    /// mid-build: the index then describes the old graph and is dropped.
-    fn build_decomposition(&self) -> Option<(Arc<DecompositionIndex>, u64, bool)> {
-        let view = self.view();
-        if let Some(ix) = view.index {
-            return Some((ix, view.version, false));
+    /// One attempt at [`Self::indexed_view`]: the current view, with the
+    /// index built and installed when absent (then flagged `true`).
+    /// `None` when a mutation landed mid-build: the index then describes
+    /// the old graph and is dropped.
+    fn try_indexed_view(&self) -> Option<(DatasetView, bool)> {
+        let mut view = self.view();
+        if view.index.is_some() {
+            return Some((view, false));
         }
         let oracle = TableOracle::from_shared(
             view.attributes.clone(),
@@ -308,7 +307,8 @@ impl HostedDataset {
             return None;
         }
         st.index = Some(built.clone());
-        Some((built, view.version, true))
+        view.index = Some(built);
+        Some((view, true))
     }
 
     /// Validates one update against vertex count `n` and the attribute
@@ -731,8 +731,9 @@ mod tests {
     fn decomposition_builds_once_and_is_shared() {
         let reg = DatasetRegistry::new();
         let ds = reg.get("gowalla-like", 0.05).unwrap();
-        let (a, built_a) = ds.decomposition_reporting_build();
-        let (b, built_b) = ds.decomposition_reporting_build();
+        let (a, built_a) = ds.indexed_view();
+        let (b, built_b) = ds.indexed_view();
+        let (a, b) = (a.index.unwrap(), b.index.unwrap());
         assert!(Arc::ptr_eq(&a, &b), "one build per dataset");
         assert!(built_a && !built_b, "only the first call builds");
         assert_eq!(a.num_vertices(), ds.view().graph.num_vertices());
@@ -932,7 +933,8 @@ mod tests {
         while ds.version() == 0 {
             std::thread::yield_now();
         }
-        let (index, version, _) = ds.decomposition_with_version();
+        let (indexed, _) = ds.indexed_view();
+        let (index, version) = (indexed.index.unwrap(), indexed.version);
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
 
@@ -976,5 +978,57 @@ mod tests {
         }
         writer.join().unwrap();
         assert!(ds.version() > 0);
+    }
+
+    /// Each component's global vertex set, sorted.
+    fn vertex_sets(comps: &[kr_core::LocalComponent]) -> Vec<Vec<VertexId>> {
+        comps
+            .iter()
+            .map(|c| {
+                let mut ids = c.globalize(&(0..c.len() as VertexId).collect::<Vec<_>>());
+                ids.sort_unstable();
+                ids
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_miss_preprocesses_its_own_view_even_after_a_write() {
+        // A triangle 0-1-2 plus vertex 3 hanging off 2: the 2-core is the
+        // triangle until `add_edge(0, 3)` grows it to all four vertices.
+        let before = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let attrs = AttributeTable::points(vec![(0.0, 0.0); 4]);
+        let ds = HostedDataset::new(
+            "t@1".into(),
+            before.clone(),
+            attrs.clone(),
+            Metric::Euclidean,
+        );
+        let (k, r) = (2, 1.0);
+        let (view, _) = ds.indexed_view();
+        // The miss's instance runs on the view's own graph and attribute
+        // table, not on copies.
+        let problem = ds.problem_on(&view, k, r);
+        assert!(std::ptr::eq(problem.graph(), &*view.graph));
+        assert!(std::ptr::eq(
+            problem.oracle().attributes(),
+            &*view.attributes
+        ));
+
+        ds.apply_batch(&[GraphUpdate::AddEdge(0, 3)]).unwrap();
+        // Built after the write, the entry still answers the view's
+        // version: the same components as a from-scratch run on the
+        // graph before the write.
+        let index = view.index.as_deref().expect("an indexed view");
+        let candidates = index.candidates(k, ds.threshold(r)).vertices;
+        let entry = problem.preprocess_with_candidates(&candidates);
+        let scratch = ProblemInstance::new(before, attrs, Metric::Euclidean, ds.threshold(r), k);
+        assert_eq!(vertex_sets(&entry), vertex_sets(&scratch.preprocess()));
+        assert_eq!(vertex_sets(&entry), vec![vec![0, 1, 2]]);
+        // A view taken after the write sees the grown core.
+        let (after, _) = ds.indexed_view();
+        assert_eq!(after.version, view.version + 1);
+        let grown = ds.problem_on(&after, k, r).preprocess();
+        assert_eq!(vertex_sets(&grown), vec![vec![0, 1, 2, 3]]);
     }
 }

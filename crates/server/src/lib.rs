@@ -10,9 +10,8 @@
 //! * [`protocol`] — a versioned, line-delimited JSON wire protocol
 //!   (std-only; the codec lives in [`json`]);
 //! * [`cache`] — an LRU cache of preprocessed [`kr_core::LocalComponent`]
-//!   sets keyed by `(dataset, k, r-band)`, sharded by key hash and shared
-//!   across connections via `Arc`, with hit/miss/eviction statistics
-//!   merged across shards;
+//!   sets keyed by `(dataset, k, r-band)`, one map under one lock, shared
+//!   across connections via `Arc`, with hit/miss/eviction statistics;
 //! * [`datasets`] — resident, lazily-generated preset datasets;
 //! * [`obs`] — the per-instance `server.*` metrics registry surfaced by
 //!   the wire `metrics` request, and the structured-trace sink every
@@ -57,7 +56,7 @@ pub mod server;
 pub(crate) mod session;
 pub(crate) mod sync;
 
-pub use cache::{CacheKey, CacheStats, ComponentCache, LookupOutcome, DEFAULT_SHARDS};
+pub use cache::{CacheKey, CacheStats, ComponentCache, LookupOutcome};
 pub use client::{Client, ClientError, MutationResult, QueryResult};
 pub use datasets::{
     dataset_key, AttributeValue, DatasetRegistry, DatasetView, GraphUpdate, HostedDataset,

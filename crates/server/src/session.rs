@@ -595,34 +595,33 @@ fn run_query(
         k: spec.k,
         r_band: r_band(spec.r),
     };
-    // The version pins which graph state a cache entry answers for: a
-    // mutation bumps it, so a post-mutation query can never be served a
-    // component set the cache-repair pass has not revalidated.
-    let version = dataset.version();
-    let preprocess_ms = std::cell::Cell::new(None::<u64>);
-    let residual = std::cell::Cell::new(None::<u64>);
+    // The miss's (preprocess µs, candidate vertices), set by the build.
+    let miss_cost = std::cell::Cell::new(None::<(u64, u64)>);
     let lookup = PhaseTimer::start(sink, &trace, "cache_lookup");
-    let (comps, outcome) = state.cache.get_or_build(&key, version, || {
-        // Resolve the query to a candidate vertex set through the
-        // dataset's (k,r)-core decomposition index before the timer
-        // starts: the index is built once per dataset (or loaded from
-        // the snapshot), so its cost is not part of this miss's
-        // preprocessing bill. `built` tells the one miss that paid for
-        // the build apart from the lookups.
+    // One view answers the whole lookup: the key's version, the index
+    // candidates, and the graph and attributes preprocessing runs on, so
+    // a write landing mid-miss cannot mix two versions in one entry. The
+    // version pins which graph state an entry answers for: a mutation
+    // bumps it, so a post-mutation query is never served a component set
+    // the cache-repair pass has not revalidated. The view comes with the
+    // decomposition index, built once per dataset (or loaded from the
+    // snapshot) outside any miss's preprocessing bill; `built` marks the
+    // one query that paid for the build.
+    let (view, built) = dataset.indexed_view();
+    let (comps, outcome) = state.cache.get_or_build(&key, view.version, || {
         let t_index = PhaseTimer::start(sink, &trace, "index_candidates");
-        let (index, built) = dataset.decomposition_reporting_build();
+        let index = view.index.as_deref().expect("an indexed view");
         let candidates = index.candidates(spec.k, dataset.threshold(spec.r));
         t_index.finish_with(&[
             ("vertices", Field::from(candidates.vertices.len())),
             ("built", Field::from(built)),
         ]);
-        residual.set(Some(candidates.vertices.len() as u64));
         let t_pre = PhaseTimer::start(sink, &trace, "preprocess");
-        let problem = dataset.problem(spec.k, spec.r);
+        let problem = dataset.problem_on(&view, spec.k, spec.r);
         let comps = problem.preprocess_with_candidates(&candidates.vertices);
         let dur_us = t_pre.finish_with(&[("components", Field::from(comps.len()))]);
         metrics.preprocess_us.record(dur_us);
-        preprocess_ms.set(Some(dur_us / 1_000));
+        miss_cost.set(Some((dur_us, candidates.vertices.len() as u64)));
         comps
     });
     let hit = outcome.hit;
@@ -633,14 +632,9 @@ fn run_query(
     // clients racing a cold key both run the build; counting both would
     // double-bill `preprocess_ms` / `oracle_evals` for one resident
     // entry.
-    if outcome.won {
-        if let Some(ms) = preprocess_ms.get() {
-            let evals = comps.iter().map(|c| c.oracle_evals).sum();
-            state.cache.record_preprocess(ms, evals);
-        }
-        if let Some(vertices) = residual.get() {
-            state.cache.record_index(vertices);
-        }
+    if let (true, Some((us, vertices))) = (outcome.won, miss_cost.get()) {
+        let evals = comps.iter().map(|c| c.oracle_evals).sum();
+        state.cache.record_miss(us, evals, vertices);
     }
     let cache = if hit {
         CacheOutcome::Hit

@@ -2,7 +2,7 @@
 //!
 //! A panic while a thread holds a `std::sync` lock poisons it, and a
 //! bare `.lock().expect(...)` then turns one bad query into a
-//! permanently bricked shard / registry / admission book: every later
+//! permanently bricked cache / registry / admission book: every later
 //! session panics on the same mutex forever. All of the server's
 //! guarded state is re-validated on every use (cache entries are
 //! checked against the dataset version, the admission book is a simple

@@ -1,6 +1,6 @@
 //! End-to-end hardening tests: the connection cap, mid-stream client
-//! aborts, per-dataset admission control, and sharded cache accounting,
-//! all driven over real sockets. Pins the PR's acceptance invariants:
+//! aborts, per-dataset admission control, and cache accounting, all
+//! driven over real sockets. Pins the PR's acceptance invariants:
 //!
 //! * at the cap, the overflow connect is answered with a typed `busy`
 //!   frame (never a silent hang or a dropped socket), and a slot freed
@@ -10,9 +10,7 @@
 //!   query error — and the in-flight gauge drains back to zero;
 //! * a query bounced by the admission limit gets a `busy` error on a
 //!   connection that stays usable;
-//! * the shard-merged cache stats account exactly for a replayed
-//!   workload (the shard-vs-single-lock equivalence itself is unit-
-//!   tested next to the cache).
+//! * the cache stats account exactly for a replayed workload.
 //! * a request line nested far past the JSON parser's depth cap gets a
 //!   typed `bad_request` frame, and the server keeps answering.
 //! * a cosine dataset with finite components too large to square is
@@ -293,10 +291,8 @@ fn sharded_cache_stats_account_exactly_for_a_replayed_workload() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Deterministic replay over six distinct (k, r) keys, three rounds:
-    // round one is all misses, later rounds all hits. The cache behind
-    // this is sharded by key hash; its merged stats must account for the
-    // replay exactly as the old single-lock cache did (the strict
-    // shard-vs-single-lock equivalence is unit-tested in `cache`).
+    // round one is all misses, later rounds all hits, and the stats must
+    // account for the replay exactly.
     let keys: Vec<(u32, f64)> = vec![(3, 8.0), (3, 9.0), (3, 10.0), (4, 8.0), (4, 9.0), (5, 8.0)];
     let mut hits = 0u64;
     let mut misses = 0u64;
@@ -319,8 +315,8 @@ fn sharded_cache_stats_account_exactly_for_a_replayed_workload() {
         }
     }
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.misses, misses, "merged shard stats must match");
-    assert_eq!(stats.hits, hits, "merged shard stats must match");
+    assert_eq!(stats.misses, misses, "cache stats must match the replay");
+    assert_eq!(stats.hits, hits, "cache stats must match the replay");
     assert_eq!(stats.entries, keys.len(), "all keys resident");
     assert_eq!(stats.evictions, 0, "capacity was never exceeded");
 

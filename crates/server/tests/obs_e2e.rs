@@ -15,7 +15,9 @@
 //!   index build on its `index_candidates` event, and later misses
 //!   report none;
 //! * the first query on a dataset logs its load as a `dataset_load`
-//!   span, and later queries log none.
+//!   span, and later queries log none;
+//! * `stats.preprocess_ms` is the `server.preprocess_us` histogram's sum
+//!   in whole milliseconds, not a sum of per-miss truncations.
 
 use kr_server::json::Json;
 use kr_server::{
@@ -367,4 +369,36 @@ fn every_frame_of_a_query_carries_its_trace_and_joins_the_log() {
     );
 
     let _ = std::fs::remove_file(log);
+}
+
+#[test]
+fn stats_preprocess_ms_is_the_preprocess_histogram_sum_in_ms() {
+    let handle = Server::bind(ServerConfig::default()).expect("bind").spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    // Forty serial misses, most of them well under a millisecond:
+    // truncating each to whole milliseconds before summing would lose
+    // most of their time.
+    let keys: Vec<(u32, f64)> = (2..=5)
+        .flat_map(|k| (0..10).map(move |i| (k, 6.0 + 0.5 * i as f64)))
+        .collect();
+    for &(k, r) in &keys {
+        let spec = QuerySpec {
+            scale: SCALE,
+            ..QuerySpec::new("gowalla-like", k, r)
+        };
+        assert_eq!(
+            client.enumerate(spec).expect("query").cache,
+            CacheOutcome::Miss
+        );
+    }
+    let stats = client.stats().expect("stats");
+    let hist = histogram(&client.metrics().expect("metrics"), "server.preprocess_us").clone();
+    assert_eq!((stats.misses, hist.count), (40, 40));
+    assert_eq!(
+        stats.preprocess_ms,
+        hist.sum / 1_000,
+        "preprocess_us sum {} µs",
+        hist.sum
+    );
+    handle.shutdown_and_join().expect("clean shutdown");
 }

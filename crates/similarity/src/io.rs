@@ -92,54 +92,6 @@ fn parse_keywords(
     Ok(list)
 }
 
-/// Reads a point table covering vertices `0..n`. Missing vertices default
-/// to the origin; out-of-range ids are an error.
-pub fn read_points<R: Read>(reader: R, n: usize) -> Result<AttributeTable, AttrIoError> {
-    let mut pts = vec![(0.0f64, 0.0f64); n];
-    for (line_no, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let line_no = line_no + 1;
-        let id: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing vertex id"))?;
-        if id >= n {
-            return Err(parse_err(line_no, format!("vertex {id} out of range {n}")));
-        }
-        pts[id] = parse_point(&mut it, line_no)?;
-    }
-    Ok(AttributeTable::points(pts))
-}
-
-/// Reads a keyword table covering vertices `0..n`. Missing vertices get
-/// empty keyword lists.
-pub fn read_keywords<R: Read>(reader: R, n: usize) -> Result<AttributeTable, AttrIoError> {
-    let mut lists: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for (line_no, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let line_no = line_no + 1;
-        let mut it = t.split_whitespace();
-        let id: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(line_no, "missing vertex id"))?;
-        if id >= n {
-            return Err(parse_err(line_no, format!("vertex {id} out of range {n}")));
-        }
-        lists[id] = parse_keywords(&mut it, line_no)?;
-    }
-    Ok(AttributeTable::keywords(lists))
-}
-
 /// Join statistics of a mapped attribute load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AttrJoinStats {
@@ -216,8 +168,9 @@ pub fn read_points_mapped<R: Read>(
 }
 
 /// Reads a weighted keyword table keyed by **original** vertex ids (same
-/// join semantics as [`read_points_mapped`]; token grammar of
-/// [`read_keywords`]). Vertices without a row get empty keyword lists.
+/// join semantics as [`read_points_mapped`]; `kw:weight` tokens, a bare
+/// `kw` meaning weight 1). Vertices without a row get empty keyword
+/// lists.
 pub fn read_keywords_mapped<R: Read>(
     reader: R,
     id_map: &HashMap<u64, VertexId>,
@@ -269,12 +222,25 @@ pub fn write_attributes<W: Write>(table: &AttributeTable, writer: W) -> std::io:
 mod tests {
     use super::*;
 
+    /// The identity id map over `0..n`: file ids are dense ids.
+    fn identity(n: u32) -> HashMap<u64, VertexId> {
+        (0..n).map(|v| (u64::from(v), v)).collect()
+    }
+
+    fn points(data: &str, n: u32) -> Result<AttributeTable, AttrIoError> {
+        read_points_mapped(data.as_bytes(), &identity(n), n as usize).map(|(t, _)| t)
+    }
+
+    fn keywords(data: &str, n: u32) -> Result<AttributeTable, AttrIoError> {
+        read_keywords_mapped(data.as_bytes(), &identity(n), n as usize).map(|(t, _)| t)
+    }
+
     #[test]
     fn points_roundtrip() {
         let t = AttributeTable::points(vec![(1.0, 2.0), (3.5, -4.25)]);
         let mut buf = Vec::new();
         write_attributes(&t, &mut buf).unwrap();
-        let back = read_points(&buf[..], 2).unwrap();
+        let back = points(std::str::from_utf8(&buf).unwrap(), 2).unwrap();
         assert_eq!(t, back);
     }
 
@@ -283,14 +249,13 @@ mod tests {
         let t = AttributeTable::keywords(vec![vec![(3, 2.0), (1, 1.0)], vec![], vec![(7, 0.5)]]);
         let mut buf = Vec::new();
         write_attributes(&t, &mut buf).unwrap();
-        let back = read_keywords(&buf[..], 3).unwrap();
+        let back = keywords(std::str::from_utf8(&buf).unwrap(), 3).unwrap();
         assert_eq!(t, back);
     }
 
     #[test]
     fn bare_keyword_defaults_to_unit_weight() {
-        let data = "0\t5\t6:2.5\n";
-        let t = read_keywords(data.as_bytes(), 1).unwrap();
+        let t = keywords("0\t5\t6:2.5\n", 1).unwrap();
         match t {
             AttributeTable::Keywords(lists) => {
                 assert_eq!(lists[0], vec![(5, 1.0), (6, 2.5)]);
@@ -301,8 +266,7 @@ mod tests {
 
     #[test]
     fn missing_vertices_defaulted() {
-        let data = "1\t9.0\t9.0\n";
-        let t = read_points(data.as_bytes(), 3).unwrap();
+        let t = points("1\t9.0\t9.0\n", 3).unwrap();
         match t {
             AttributeTable::Points(p) => {
                 assert_eq!(p[0], (0.0, 0.0));
@@ -314,28 +278,30 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_vertex_rejected() {
-        let data = "5\t1.0\t1.0\n";
-        assert!(read_points(data.as_bytes(), 3).is_err());
+    fn bad_weight_rejected() {
+        assert!(keywords("0\t5:abc\n", 1).is_err());
+        assert!(keywords("0\tx:1\n", 1).is_err());
     }
 
     #[test]
-    fn bad_weight_rejected() {
-        let data = "0\t5:abc\n";
-        assert!(read_keywords(data.as_bytes(), 1).is_err());
+    fn missing_vertex_id_or_coordinate_rejected() {
+        for data in ["x\t1.0\t1.0\n", "0\t1.0\n"] {
+            match points(data, 1) {
+                Err(AttrIoError::Parse { line_no: 1, .. }) => {}
+                other => panic!("{data:?}: expected parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn non_finite_coordinates_rejected() {
         for data in ["0\tnan\t1.0\n", "0\t1.0\tinf\n", "0\t-inf\t0\n"] {
-            match read_points(data.as_bytes(), 1) {
+            match points(data, 1) {
                 Err(AttrIoError::Parse { line_no: 1, msg }) => {
                     assert!(msg.contains("non-finite point"), "{msg}")
                 }
                 other => panic!("{data:?}: expected parse error, got {other:?}"),
             }
-            let map: HashMap<u64, VertexId> = [(0u64, 0u32)].into_iter().collect();
-            assert!(read_points_mapped(data.as_bytes(), &map, 1).is_err());
         }
     }
 
@@ -347,20 +313,28 @@ mod tests {
             "0\t5:-1\n",
             "0\t5:1e308\t5:1e308\n",
         ] {
-            match read_keywords(data.as_bytes(), 1) {
+            match keywords(data, 1) {
                 Err(AttrIoError::Parse { line_no: 1, .. }) => {}
                 other => panic!("{data:?}: expected parse error, got {other:?}"),
             }
-            let map: HashMap<u64, VertexId> = [(0u64, 0u32)].into_iter().collect();
-            assert!(read_keywords_mapped(data.as_bytes(), &map, 1).is_err());
         }
-        assert!(read_keywords("0\t5:0\n".as_bytes(), 1).is_ok());
+        assert!(keywords("0\t5:0\n", 1).is_ok());
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let data = "# header\n\n0\t1.0\t2.0\n";
-        assert!(read_points(data.as_bytes(), 1).is_ok());
+        let (t, stats) =
+            read_points_mapped("# header\n\n0\t1.0\t2.0\n".as_bytes(), &identity(1), 1).unwrap();
+        assert_eq!(t, AttributeTable::points(vec![(1.0, 2.0)]));
+        assert_eq!(stats.lines, 1);
+    }
+
+    #[test]
+    fn parse_errors_report_the_physical_line() {
+        match points("# header\n\n0\tnope\t2.0\n", 1) {
+            Err(AttrIoError::Parse { line_no, .. }) => assert_eq!(line_no, 3),
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     fn sparse_id_map() -> HashMap<u64, VertexId> {

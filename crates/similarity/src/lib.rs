@@ -30,8 +30,7 @@ pub mod snapshot;
 pub use attributes::AttributeTable;
 pub use candidates::{AllPairs, CandidatePairs, GridCandidates, InvertedIndexCandidates};
 pub use io::{
-    read_keywords, read_keywords_mapped, read_points, read_points_mapped, write_attributes,
-    AttrIoError, AttrJoinStats,
+    read_keywords_mapped, read_points_mapped, write_attributes, AttrIoError, AttrJoinStats,
 };
 pub use metrics::Metric;
 pub use oracle::{SimilarityOracle, TableOracle, Threshold};

@@ -20,8 +20,6 @@ fn main() {
         _ => DatasetPreset::GowallaLike,
     };
     let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.5);
-    let ds = krcore::core::ProblemInstance::new; // silence unused-import lints in rustdoc builds
-    let _ = ds;
 
     let bench = kr_bench_dataset(preset, scale);
     println!(

@@ -60,11 +60,11 @@
 use krcore::core::{
     clique_based_maximal, enumerate_maximal, find_maximum, AlgoConfig, ProblemInstance,
 };
-use krcore::graph::io::{read_edge_list_file, read_edge_list_streaming_with};
+use krcore::graph::io::{read_edge_list_streaming_with, LoadedGraph};
 use krcore::server::{Algo, Client, QuerySpec, Server, ServerConfig};
 use krcore::similarity::{
-    read_keywords, read_keywords_mapped, read_points, read_points_mapped, top_permille_threshold,
-    write_snapshot_file, AttributeTable, Metric, TableOracle, Threshold,
+    read_keywords_mapped, read_points_mapped, top_permille_threshold, write_snapshot_file,
+    AttrJoinStats, AttributeTable, Metric, TableOracle, Threshold,
 };
 use std::io::Write;
 use std::process::exit;
@@ -81,6 +81,9 @@ struct Args {
     out: Option<String>,
     time_limit_ms: Option<u64>,
 }
+
+/// Default edge-record interval of the edge-list loader's progress lines.
+const PROGRESS_EVERY_EDGES: u64 = 1_000_000;
 
 fn usage() -> ! {
     eprintln!(
@@ -167,47 +170,13 @@ fn main() {
         _ => {}
     }
     let args = parse_args();
-    let loaded = match read_edge_list_file(&args.edges) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("failed to read {}: {e}", args.edges);
-            exit(1);
-        }
-    };
-    let n = loaded.graph.num_vertices();
-    eprintln!(
-        "loaded {} vertices / {} edges from {}",
-        n,
-        loaded.graph.num_edges(),
-        args.edges
+    let (loaded, attrs, metric, _) = load_attributed_graph(
+        &args.edges,
+        args.points.as_deref(),
+        args.keywords.as_deref(),
+        PROGRESS_EVERY_EDGES,
     );
-
-    let (attrs, metric): (AttributeTable, Metric) = if let Some(path) = &args.points {
-        let f = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("failed to open {path}: {e}");
-            exit(1)
-        });
-        match read_points(f, n) {
-            Ok(t) => (t, Metric::Euclidean),
-            Err(e) => {
-                eprintln!("failed to parse {path}: {e}");
-                exit(1);
-            }
-        }
-    } else {
-        let path = args.keywords.as_ref().expect("validated");
-        let f = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("failed to open {path}: {e}");
-            exit(1)
-        });
-        match read_keywords(f, n) {
-            Ok(t) => (t, Metric::WeightedJaccard),
-            Err(e) => {
-                eprintln!("failed to parse {path}: {e}");
-                exit(1);
-            }
-        }
-    };
+    let n = loaded.graph.num_vertices();
 
     let threshold = match (metric, args.r, args.permille) {
         (Metric::Euclidean, Some(r), _) => Threshold::MaxDistance(r),
@@ -321,38 +290,19 @@ fn main() {
     }
 }
 
-/// `krcore-cli ingest`: stream an edge list + attribute file into a
-/// verified binary snapshot (`.krb`) that `serve --dataset` can host.
-fn cmd_ingest() {
-    let mut edges: Option<String> = None;
-    let mut points: Option<String> = None;
-    let mut keywords: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut with_index = false;
-    let mut progress_every: u64 = 1_000_000;
-    let mut it = std::env::args().skip(2);
-    while let Some(arg) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match arg.as_str() {
-            "--points" => points = Some(val()),
-            "--keywords" => keywords = Some(val()),
-            "-o" | "--out" => out = Some(val()),
-            "--with-index" => with_index = true,
-            "--progress-every" => progress_every = val().parse().unwrap_or_else(|_| usage()),
-            _ if edges.is_none() && !arg.starts_with('-') => edges = Some(arg),
-            _ => usage(),
-        }
-    }
-    let (Some(edges), Some(out)) = (edges, out) else {
-        usage()
-    };
-    if points.is_some() == keywords.is_some() {
-        eprintln!("exactly one of --points / --keywords is required");
-        exit(2);
-    }
-
+/// Streams the edge list at `edges` and joins the attribute file
+/// (`points` or `keywords`, exactly one given) onto it by the edge list's
+/// original ids, reporting load progress and the join counts on stderr.
+/// Shared by `ingest` and the one-shot commands; exits 1 when a file
+/// cannot be read or parsed.
+fn load_attributed_graph(
+    edges: &str,
+    points: Option<&str>,
+    keywords: Option<&str>,
+    progress_every: u64,
+) -> (LoadedGraph, AttributeTable, Metric, AttrJoinStats) {
     let t0 = std::time::Instant::now();
-    let source = std::fs::File::open(&edges).unwrap_or_else(|e| {
+    let source = std::fs::File::open(edges).unwrap_or_else(|e| {
         eprintln!("failed to open {edges}: {e}");
         exit(1)
     });
@@ -378,37 +328,68 @@ fn cmd_ingest() {
         t0.elapsed()
     );
 
-    let id_map = &loaded.id_map;
-    let (attrs, metric, stats) = if let Some(path) = &points {
-        let f = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("failed to open {path}: {e}");
-            exit(1)
-        });
-        match read_points_mapped(f, id_map, n) {
-            Ok((t, s)) => (t, Metric::Euclidean, s),
-            Err(e) => {
-                eprintln!("failed to parse {path}: {e}");
-                exit(1);
-            }
-        }
-    } else {
-        let path = keywords.as_ref().expect("validated");
-        let f = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("failed to open {path}: {e}");
-            exit(1)
-        });
-        match read_keywords_mapped(f, id_map, n) {
-            Ok((t, s)) => (t, Metric::WeightedJaccard, s),
-            Err(e) => {
-                eprintln!("failed to parse {path}: {e}");
-                exit(1);
-            }
-        }
+    let (path, metric) = match (points, keywords) {
+        (Some(path), _) => (path, Metric::Euclidean),
+        (None, Some(path)) => (path, Metric::WeightedJaccard),
+        (None, None) => usage(),
     };
+    let f = std::fs::File::open(path).unwrap_or_else(|e| {
+        eprintln!("failed to open {path}: {e}");
+        exit(1)
+    });
+    let read = if metric == Metric::Euclidean {
+        read_points_mapped(f, &loaded.id_map, n)
+    } else {
+        read_keywords_mapped(f, &loaded.id_map, n)
+    };
+    let (attrs, stats) = read.unwrap_or_else(|e| {
+        eprintln!("failed to parse {path}: {e}");
+        exit(1)
+    });
     eprintln!(
         "joined attributes: {} rows matched, {} rows for vertices absent from the graph",
         stats.matched, stats.unmatched
     );
+    (loaded, attrs, metric, stats)
+}
+
+/// `krcore-cli ingest`: stream an edge list + attribute file into a
+/// verified binary snapshot (`.krb`) that `serve --dataset` can host.
+fn cmd_ingest() {
+    let mut edges: Option<String> = None;
+    let mut points: Option<String> = None;
+    let mut keywords: Option<String> = None;
+    let mut out: Option<String> = None;
+    let mut with_index = false;
+    let mut progress_every = PROGRESS_EVERY_EDGES;
+    let mut it = std::env::args().skip(2);
+    while let Some(arg) = it.next() {
+        let mut val = || it.next().unwrap_or_else(|| usage());
+        match arg.as_str() {
+            "--points" => points = Some(val()),
+            "--keywords" => keywords = Some(val()),
+            "-o" | "--out" => out = Some(val()),
+            "--with-index" => with_index = true,
+            "--progress-every" => progress_every = val().parse().unwrap_or_else(|_| usage()),
+            _ if edges.is_none() && !arg.starts_with('-') => edges = Some(arg),
+            _ => usage(),
+        }
+    }
+    let (Some(edges), Some(out)) = (edges, out) else {
+        usage()
+    };
+    if points.is_some() == keywords.is_some() {
+        eprintln!("exactly one of --points / --keywords is required");
+        exit(2);
+    }
+
+    let (loaded, attrs, metric, stats) = load_attributed_graph(
+        &edges,
+        points.as_deref(),
+        keywords.as_deref(),
+        progress_every,
+    );
+    let n = loaded.graph.num_vertices();
 
     let write_result = if with_index {
         let t_ix = std::time::Instant::now();

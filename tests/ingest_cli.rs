@@ -152,3 +152,79 @@ fn ingest_requires_exactly_one_attribute_file() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("exactly one"));
 }
+
+/// Runs `krcore-cli enum` and returns its cores, one sorted id list per
+/// stdout line, after checking that it exited 0.
+fn enum_cores(args: &[&std::ffi::OsStr]) -> Vec<Vec<u64>> {
+    let output = cli()
+        .arg("enum")
+        .args(args)
+        .output()
+        .expect("run krcore-cli enum");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "enum must exit 0: {stderr}");
+    let mut cores: Vec<Vec<u64>> = String::from_utf8_lossy(&output.stdout)
+        .lines()
+        .map(|line| {
+            let mut ids: Vec<u64> = line.split('\t').map(|id| id.parse().unwrap()).collect();
+            ids.sort_unstable();
+            ids
+        })
+        .collect();
+    cores.sort();
+    cores
+}
+
+#[test]
+fn one_shot_enum_joins_sparse_attribute_ids_like_ingest() {
+    // The fixture served through `ingest` + `serve` answers the core
+    // `0 1 2 3` in dense ids, which is 100 200 300 400 in the file's ids.
+    let (edges, points) = (fixture("tiny.edges"), fixture("tiny.points.tsv"));
+    let cores = enum_cores(&[
+        "--edges".as_ref(),
+        edges.as_os_str(),
+        "--points".as_ref(),
+        points.as_os_str(),
+        "--k".as_ref(),
+        "3".as_ref(),
+        "--r".as_ref(),
+        "2".as_ref(),
+    ]);
+    assert_eq!(cores, vec![vec![100, 200, 300, 400]]);
+}
+
+#[test]
+fn one_shot_enum_answer_does_not_depend_on_first_seen_id_order() {
+    // A 4-clique on 1..=4 in a unit square plus a pendant 0 far away.
+    // Densified in first-seen order, the permuted file sends original id
+    // 3 to dense id 0; the attribute row of id 0 must still land on the
+    // pendant, not on vertex 3.
+    let dir = std::env::temp_dir();
+    let points = dir.join(format!("kr_order_{}.points.tsv", std::process::id()));
+    std::fs::write(
+        &points,
+        "0\t100.0\t100.0\n1\t0.0\t0.0\n2\t1.0\t0.0\n3\t0.0\t1.0\n4\t1.0\t1.0\n",
+    )
+    .unwrap();
+    let clique = "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n";
+    for (tag, edge_list) in [
+        ("sorted", format!("0 1\n{clique}")),
+        ("permuted", format!("3 4\n0 1\n{clique}")),
+    ] {
+        let edges = dir.join(format!("kr_order_{tag}_{}.edges", std::process::id()));
+        std::fs::write(&edges, edge_list).unwrap();
+        let cores = enum_cores(&[
+            "--edges".as_ref(),
+            edges.as_os_str(),
+            "--points".as_ref(),
+            points.as_os_str(),
+            "--k".as_ref(),
+            "3".as_ref(),
+            "--r".as_ref(),
+            "2".as_ref(),
+        ]);
+        assert_eq!(cores, vec![vec![1, 2, 3, 4]], "{tag} edge list");
+        let _ = std::fs::remove_file(edges);
+    }
+    let _ = std::fs::remove_file(points);
+}

@@ -164,35 +164,48 @@ fn cores_respect_planted_structure() {
 #[test]
 fn snap_roundtrip_preserves_results() {
     // Export the graph as a SNAP edge list, re-import, and verify the
-    // mining results are identical (vertex ids are preserved because the
-    // export enumerates vertices in order).
+    // mining results are identical. The re-import drops isolated
+    // vertices and densifies ids in first-seen order, so its attribute
+    // table is rebuilt through `original_ids`, and its cores are mapped
+    // back to the original ids before comparing.
     let d = DatasetPreset::GowallaLike.generate_scaled(0.2);
     let mut buf = Vec::new();
     krcore::graph::io::write_edge_list(&d.graph, &mut buf).unwrap();
     let loaded = krcore::graph::io::read_edge_list(&buf[..]).unwrap();
-    // Densification preserves first-seen order, which for our export is
-    // ascending — but isolated vertices are dropped; compare via the
-    // induced problem on the loaded graph only if sizes match.
-    if loaded.graph.num_vertices() == d.graph.num_vertices() {
-        let p1 = ProblemInstance::new(
-            d.graph.clone(),
-            d.attributes.clone(),
-            d.metric,
-            Threshold::MaxDistance(8.0),
-            3,
-        );
-        let p2 = ProblemInstance::new(
-            loaded.graph,
-            d.attributes.clone(),
-            d.metric,
-            Threshold::MaxDistance(8.0),
-            3,
-        );
-        assert_eq!(
-            enumerate_maximal(&p1, &AlgoConfig::adv_enum()).cores,
-            enumerate_maximal(&p2, &AlgoConfig::adv_enum()).cores
-        );
-    }
+    let AttributeTable::Points(pts) = &d.attributes else {
+        panic!("gowalla-like carries points");
+    };
+    let attrs = AttributeTable::points(
+        loaded
+            .original_ids
+            .iter()
+            .map(|&id| pts[id as usize])
+            .collect(),
+    );
+    let families = [
+        (d.graph.clone(), d.attributes.clone(), None),
+        (loaded.graph, attrs, Some(&loaded.original_ids)),
+    ]
+    .map(|(graph, attrs, ids)| {
+        let p = ProblemInstance::new(graph, attrs, d.metric, Threshold::MaxDistance(8.0), 3);
+        let mut cores: Vec<Vec<u64>> = enumerate_maximal(&p, &AlgoConfig::adv_enum())
+            .cores
+            .iter()
+            .map(|c| {
+                let mut core: Vec<u64> = c
+                    .vertices
+                    .iter()
+                    .map(|&v| ids.map_or(u64::from(v), |ids| ids[v as usize]))
+                    .collect();
+                core.sort_unstable();
+                core
+            })
+            .collect();
+        cores.sort();
+        cores
+    });
+    assert!(!families[0].is_empty(), "no cores to compare");
+    assert_eq!(families[0], families[1]);
 }
 
 #[test]
