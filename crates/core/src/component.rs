@@ -59,22 +59,23 @@ impl LocalComponent {
         let mut local_to_global = members.to_vec();
         local_to_global.sort_unstable();
         let n = local_to_global.len();
-        let mut global_to_local = std::collections::HashMap::with_capacity(n);
-        for (i, &g) in local_to_global.iter().enumerate() {
-            global_to_local.insert(g, i as VertexId);
-        }
-        // Adjacency rows fill in increasing local id, so the CSR can be
-        // appended in place; only each row's tail needs sorting (global
-        // neighbor order does not imply local order).
-        let mut adj_pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        for (i, &g) in local_to_global.iter().enumerate() {
-            for &u in graph.neighbors(g) {
-                if let Some(&lu) = global_to_local.get(&u) {
-                    adj_pairs.push((i as VertexId, lu));
+        // The id map and the edge list are dropped before the
+        // dissimilarity view is built, so they never add to its peak.
+        let adj = {
+            let mut global_to_local = std::collections::HashMap::with_capacity(n);
+            for (i, &g) in local_to_global.iter().enumerate() {
+                global_to_local.insert(g, i as VertexId);
+            }
+            let mut adj_pairs: Vec<(VertexId, VertexId)> = Vec::new();
+            for (i, &g) in local_to_global.iter().enumerate() {
+                for &u in graph.neighbors(g) {
+                    if let Some(&lu) = global_to_local.get(&u) {
+                        adj_pairs.push((i as VertexId, lu));
+                    }
                 }
             }
-        }
-        let adj = Csr::from_pairs(n, &adj_pairs);
+            Csr::from_pairs(n, &adj_pairs)
+        };
         let d = build_dissimilarity_view(oracle, &local_to_global, mode);
         LocalComponent {
             adj,

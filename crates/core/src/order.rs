@@ -59,6 +59,12 @@ pub struct Chooser {
     /// Scratch: stamp marking first-hop removals.
     stamp: Vec<u32>,
     stamp_gen: u32,
+    /// Scratch: the branching candidates of the node being chosen at.
+    candidates: Vec<VertexId>,
+    /// Scratch: the expand branch's first-hop removals.
+    first_hop: Vec<VertexId>,
+    /// Scratch: second-hop vertices whose degree drop is pending.
+    touched: Vec<VertexId>,
 }
 
 impl Chooser {
@@ -71,6 +77,9 @@ impl Chooser {
             drop: vec![0; n],
             stamp: vec![0; n],
             stamp_gen: 0,
+            candidates: Vec::new(),
+            first_hop: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -83,31 +92,35 @@ impl Chooser {
         st: &SearchState<'_>,
         include_sf: bool,
     ) -> Option<(VertexId, FirstBranch)> {
-        let candidates: Vec<VertexId> = (0..st.comp.len() as VertexId)
-            .filter(|&v| st.status(v) == Status::Cand && (include_sf || st.dp_c(v) > 0))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        match self.order {
+        // The reused list is taken out of `self` while the estimators
+        // borrow `self` mutably, and put back before returning.
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        candidates.extend(
+            (0..st.comp.len() as VertexId)
+                .filter(|&v| st.status(v) == Status::Cand && (include_sf || st.dp_c(v) > 0)),
+        );
+        let chosen = match self.order {
+            _ if candidates.is_empty() => None,
             SearchOrder::Random => {
                 let v = candidates[self.rng.random_range(0..candidates.len())];
                 Some((v, FirstBranch::Expand))
             }
             SearchOrder::Degree => {
                 let v = candidates
-                    .into_iter()
+                    .iter()
+                    .copied()
                     .max_by_key(|&v| st.deg_mc(v))
                     .expect("non-empty");
                 Some((v, FirstBranch::Expand))
             }
-            SearchOrder::Delta1 => {
-                self.choose_scored(st, candidates, |e| (e.expand.delta1 + e.shrink.delta1, 0.0))
-            }
-            SearchOrder::Delta2 => self.choose_scored(st, candidates, |e| {
+            SearchOrder::Delta1 => self.choose_scored(st, &candidates, |e| {
+                (e.expand.delta1 + e.shrink.delta1, 0.0)
+            }),
+            SearchOrder::Delta2 => self.choose_scored(st, &candidates, |e| {
                 (-(e.expand.delta2 + e.shrink.delta2), 0.0)
             }),
-            SearchOrder::Delta1ThenDelta2 => self.choose_scored(st, candidates, |e| {
+            SearchOrder::Delta1ThenDelta2 => self.choose_scored(st, &candidates, |e| {
                 (
                     e.expand.delta1 + e.shrink.delta1,
                     -(e.expand.delta2 + e.shrink.delta2),
@@ -131,18 +144,20 @@ impl Chooser {
                 }
                 best.map(|(v, _, f)| (v, f))
             }
-        }
+        };
+        self.candidates = candidates;
+        chosen
     }
 
     /// Lexicographic `(primary, secondary)` maximization over candidates.
     fn choose_scored(
         &mut self,
         st: &SearchState<'_>,
-        candidates: Vec<VertexId>,
+        candidates: &[VertexId],
         score: impl Fn(&VertexEstimate) -> (f64, f64),
     ) -> Option<(VertexId, FirstBranch)> {
         let mut best: Option<(VertexId, (f64, f64))> = None;
-        for &v in &candidates {
+        for &v in candidates {
             let est = self.estimate(st, v);
             let s = score(&est);
             let better = match best {
@@ -162,13 +177,15 @@ impl Chooser {
         let edges_total = st.edges_mc().max(1) as f64;
         // Expand: first-hop removals are the candidates dissimilar to v
         // (streamed — ordering heuristics never materialize lazy rows).
-        let mut first_expand: Vec<VertexId> = Vec::new();
+        let mut first_expand = std::mem::take(&mut self.first_hop);
+        first_expand.clear();
         st.comp.for_each_dissimilar(v, |w| {
             if st.status(w) == Status::Cand {
                 first_expand.push(w);
             }
         });
         let (dp_e, ed_e) = self.two_hop(st, &first_expand);
+        self.first_hop = first_expand;
         // Shrink: the first-hop removal is v itself.
         let (dp_s, ed_s) = self.two_hop(st, &[v]);
         VertexEstimate {
@@ -213,7 +230,8 @@ impl Chooser {
             }
         }
         // Second hop: accumulate degree drops on surviving neighbors.
-        let mut touched: Vec<VertexId> = Vec::new();
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
         for &d in first {
             for &w in st.comp.neighbors(d) {
                 let wi = w as usize;
@@ -234,6 +252,7 @@ impl Chooser {
             }
             self.drop[wi] = 0;
         }
+        self.touched = touched;
         (dp_removed.max(0) as f64, edges_removed.max(0) as f64)
     }
 }

@@ -63,26 +63,78 @@ impl Csr {
     /// `0..n` via counting sort — no per-row allocations. Duplicate pairs
     /// are dropped.
     pub fn from_pairs(n: usize, pairs: &[(VertexId, VertexId)]) -> Self {
-        Csr::counting_sort(n, || pairs.iter().copied())
+        Csr::counting_sort(n, |emit| {
+            for &(u, v) in pairs {
+                emit(u, v);
+            }
+        })
     }
 
     /// [`Csr::from_pairs`] over every undirected pair `{u, v}` filed
     /// under both endpoints — the CSR of `pairs` plus every pair
     /// reversed — without materializing that doubled list.
     pub fn from_symmetric_pairs(n: usize, pairs: &[(VertexId, VertexId)]) -> Self {
-        Csr::counting_sort(n, || pairs.iter().flat_map(|&(u, v)| [(u, v), (v, u)]))
+        Csr::from_symmetric_visit(n, |visit| {
+            for &(u, v) in pairs {
+                visit(u, v);
+            }
+        })
     }
 
-    /// Counting sort of the directed pairs `pairs()` yields (it runs
-    /// twice: once to count, once to fill), then per-row sort and dedup.
-    fn counting_sort<I: Iterator<Item = (VertexId, VertexId)>>(
+    /// [`Csr::from_symmetric_pairs`] fed by a visitor instead of a list:
+    /// `for_each_pair` must hand every undirected pair to its argument,
+    /// and is called twice (once to count the rows, once to fill them),
+    /// so the pairs are never materialized. It must visit the same pairs
+    /// both times.
+    ///
+    /// # Panics
+    /// Panics when a pair names a row `>= n`, or when the second call
+    /// files a different number of targets under some row than the
+    /// first.
+    pub fn from_symmetric_visit(
         n: usize,
-        pairs: impl Fn() -> I,
+        for_each_pair: impl Fn(&mut dyn FnMut(VertexId, VertexId)),
     ) -> Self {
-        let mut degree = vec![0u32; n];
-        for (u, _) in pairs() {
-            degree[u as usize] += 1;
+        Csr::counting_sort(n, |emit| {
+            for_each_pair(&mut |u, v| {
+                emit(u, v);
+                emit(v, u);
+            })
+        })
+    }
+
+    /// Builds row by row from rows whose sizes sum to `total` (the
+    /// arena is allocated once at that size): `row(u)` yields row `u`'s
+    /// targets for `u` in `0..n`, in ascending order. No counting pass
+    /// and no sort.
+    ///
+    /// # Panics
+    /// Panics when a row is not strictly ascending.
+    pub fn from_ascending_rows<I: IntoIterator<Item = VertexId>>(
+        n: usize,
+        total: usize,
+        mut row: impl FnMut(VertexId) -> I,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(total);
+        offsets.push(0u32);
+        for u in 0..n {
+            let start = targets.len();
+            targets.extend(row(u as VertexId));
+            assert!(
+                targets[start..].windows(2).all(|w| w[0] < w[1]),
+                "row {u} is not strictly ascending"
+            );
+            offsets.push(targets.len() as u32);
         }
+        Csr { offsets, targets }
+    }
+
+    /// Counting sort of the directed pairs `for_each` emits (it runs
+    /// twice: once to count, once to fill), then per-row sort and dedup.
+    fn counting_sort(n: usize, for_each: impl Fn(&mut dyn FnMut(VertexId, VertexId))) -> Self {
+        let mut degree = vec![0u32; n];
+        for_each(&mut |u, _| degree[u as usize] += 1);
         let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0u32;
         offsets.push(0u32);
@@ -90,12 +142,20 @@ impl Csr {
             acc += d;
             offsets.push(acc);
         }
+        drop(degree);
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; acc as usize];
-        for (u, v) in pairs() {
+        for_each(&mut |u, v| {
             targets[cursor[u as usize] as usize] = v;
             cursor[u as usize] += 1;
-        }
+        });
+        // A second visit that emitted fewer pairs than the first would
+        // leave stale zeros behind the cursors.
+        assert!(
+            cursor.iter().zip(&offsets[1..]).all(|(c, end)| c == end),
+            "the pair visitor emitted different pairs on its two passes"
+        );
+        drop(cursor);
         let mut csr = Csr { offsets, targets };
         csr.sort_dedup_rows();
         csr
@@ -183,6 +243,12 @@ impl Csr {
             .unwrap_or(0)
     }
 
+    /// The backing arrays: row offsets (`num_rows() + 1` entries) and
+    /// the flat, per-row-sorted target arena.
+    pub fn into_parts(self) -> (Vec<u32>, Vec<VertexId>) {
+        (self.offsets, self.targets)
+    }
+
     /// Heap footprint of the two backing arrays in bytes — the arena's
     /// whole variable-size cost (there are no per-row allocations).
     pub fn heap_bytes(&self) -> usize {
@@ -240,6 +306,43 @@ mod tests {
         assert_eq!(c.row(2), &[0]);
         assert_eq!(c.row(3), &[1]);
         assert_eq!(c.total_targets(), 4);
+    }
+
+    #[test]
+    fn from_symmetric_visit_files_both_directions() {
+        let c = Csr::from_symmetric_visit(3, |visit| {
+            visit(0, 2);
+            visit(1, 2);
+        });
+        assert_eq!(c, Csr::from_pairs(3, &[(0, 2), (2, 0), (1, 2), (2, 1)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "different pairs")]
+    fn from_symmetric_visit_rejects_a_visitor_that_changes() {
+        let calls = std::cell::Cell::new(0);
+        Csr::from_symmetric_visit(3, |visit| {
+            calls.set(calls.get() + 1);
+            visit(0, 1);
+            if calls.get() == 1 {
+                visit(1, 2);
+            }
+        });
+    }
+
+    #[test]
+    fn from_ascending_rows_allocates_the_arena_once() {
+        let rows = [vec![1, 2], vec![], vec![0, 1]];
+        let c = Csr::from_ascending_rows(3, 4, |u| rows[u as usize].clone());
+        assert_eq!(c, Csr::from_lists(&rows));
+        assert_eq!(c.heap_bytes(), 4 * 4 + 4 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 is not strictly ascending")]
+    fn from_ascending_rows_rejects_an_unsorted_row() {
+        let rows = [vec![1], vec![2, 0, 2], vec![]];
+        Csr::from_ascending_rows(3, 4, |u| rows[u as usize].clone());
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! precondition for their pruning argument does not hold (non-positive
 //! thresholds, negative weights, astronomically scaled coordinates).
 //!
+//! The known-similar class is handed to the consumer through a visitor
+//! ([`CandidatePairs::for_each_known_similar`]) with an `O(blocks)` count
+//! ([`CandidatePairs::num_known_similar`]), so an index may keep it as
+//! blocks of pairs and never materialize the pairs they cover.
+//!
 //! * [`GridCandidates`] — uniform spatial grid for Euclidean points with
 //!   cell side `r / 16`: the axis-aligned distance bounds between two
 //!   cell rectangles classify whole cell pairs at once (max possible
@@ -25,7 +30,11 @@
 //!   the thin annulus of cell pairs straddling distance `r` are ever
 //!   verified. Sub-`r` cells matter: real clusters are *denser* than
 //!   `r`, and classifying their pairs similar for free is where most of
-//!   the evaluation saving comes from.
+//!   the evaluation saving comes from. The known-similar pairs are kept
+//!   as cell blocks over the cell-sorted member ids — every pair inside
+//!   a cell, and each cell against a run of provably-similar cells — so
+//!   a dense cluster costs a few blocks, not one entry per pair; only
+//!   the straddling candidate pairs are listed one by one.
 //! * [`InvertedIndexCandidates`] — inverted keyword index for (weighted)
 //!   Jaccard: a score-accumulation join. Walking the shared-token
 //!   postings accumulates each touched pair's exact intersection weight,
@@ -46,18 +55,24 @@ pub trait CandidatePairs {
     fn num_candidates(&self) -> usize;
 
     /// Visits every candidate pair `(i, j)` with `i < j`, each exactly
-    /// once. Visit order is unspecified.
+    /// once. Visit order is unspecified but the same on every call, so a
+    /// consumer may record one verdict per visit and replay them.
     fn for_each(&self, visit: &mut dyn FnMut(u32, u32));
 
     /// Short name for diagnostics ("grid", "inverted", "all-pairs").
     fn strategy(&self) -> &'static str;
 
-    /// Pairs the index *proved* similar — the consumer records them as
-    /// similar without any metric evaluation. Disjoint from the
-    /// candidate set; `(i, j)` with `i < j`, each exactly once.
-    fn known_similar(&self) -> &[(u32, u32)] {
-        &[]
+    /// Number of pairs the index *proved* similar, without visiting
+    /// them.
+    fn num_known_similar(&self) -> usize {
+        0
     }
+
+    /// Visits the pairs the index *proved* similar — the consumer
+    /// records them as similar without any metric evaluation. Disjoint
+    /// from the candidate set; `(i, j)` with `i < j`, each exactly once,
+    /// in unspecified order.
+    fn for_each_known_similar(&self, _visit: &mut dyn FnMut(u32, u32)) {}
 }
 
 /// Brute-force fallback: every pair is a candidate.
@@ -91,12 +106,12 @@ impl CandidatePairs for AllPairs {
     }
 }
 
-/// Materialized candidate list (what the index builders produce).
+/// Materialized pair lists (what the inverted keyword index produces:
+/// it touches each classified pair individually anyway).
 #[derive(Debug, Clone)]
 pub struct PairList {
     pairs: Vec<(u32, u32)>,
     known_similar: Vec<(u32, u32)>,
-    strategy: &'static str,
 }
 
 impl CandidatePairs for PairList {
@@ -111,11 +126,93 @@ impl CandidatePairs for PairList {
     }
 
     fn strategy(&self) -> &'static str {
-        self.strategy
+        "inverted"
     }
 
-    fn known_similar(&self) -> &[(u32, u32)] {
-        &self.known_similar
+    fn num_known_similar(&self) -> usize {
+        self.known_similar.len()
+    }
+
+    fn for_each_known_similar(&self, visit: &mut dyn FnMut(u32, u32)) {
+        for &(i, j) in &self.known_similar {
+            visit(i, j);
+        }
+    }
+}
+
+/// The grid's classification of a member set: the known-similar pairs as
+/// cell blocks over the cell-sorted member ids, and the straddling
+/// candidate pairs as a list.
+#[derive(Debug, Clone)]
+pub struct GridPairs {
+    /// Member ids sorted by cell, ascending within each cell.
+    order: Vec<u32>,
+    /// `order[cells[c]..cells[c + 1]]` holds occupied cell `c`; every
+    /// pair inside one cell is known-similar.
+    cells: Vec<u32>,
+    /// Known-similar cross-cell blocks `(c, lo, hi)`: every member of
+    /// cell `c` against every member in `order[lo..hi]` (a run of
+    /// consecutive occupied cells after `c`).
+    blocks: Vec<(u32, u32, u32)>,
+    /// Candidate pairs, `i < j`.
+    pairs: Vec<(u32, u32)>,
+}
+
+impl GridPairs {
+    fn cell(&self, c: u32) -> &[u32] {
+        &self.order[self.cells[c as usize] as usize..self.cells[c as usize + 1] as usize]
+    }
+}
+
+impl CandidatePairs for GridPairs {
+    fn num_candidates(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn for_each(&self, visit: &mut dyn FnMut(u32, u32)) {
+        for &(i, j) in &self.pairs {
+            visit(i, j);
+        }
+    }
+
+    fn strategy(&self) -> &'static str {
+        "grid"
+    }
+
+    fn num_known_similar(&self) -> usize {
+        let within: usize = self
+            .cells
+            .windows(2)
+            .map(|w| {
+                let len = (w[1] - w[0]) as usize;
+                len * len.saturating_sub(1) / 2
+            })
+            .sum();
+        let across: usize = self
+            .blocks
+            .iter()
+            .map(|&(c, lo, hi)| self.cell(c).len() * (hi - lo) as usize)
+            .sum();
+        within + across
+    }
+
+    fn for_each_known_similar(&self, visit: &mut dyn FnMut(u32, u32)) {
+        // Within-cell pairs: each cell's members are ascending.
+        for c in 0..self.cells.len() as u32 - 1 {
+            let members = self.cell(c);
+            for (pos, &i) in members.iter().enumerate() {
+                for &j in &members[pos + 1..] {
+                    visit(i, j);
+                }
+            }
+        }
+        for &(c, lo, hi) in &self.blocks {
+            for &i in self.cell(c) {
+                for &j in &self.order[lo as usize..hi as usize] {
+                    visit(i.min(j), i.max(j));
+                }
+            }
+        }
     }
 }
 
@@ -156,12 +253,13 @@ impl GridCandidates {
     /// — the caller must fall back to [`AllPairs`]. For `r < 0` (or NaN)
     /// no pair can satisfy `dist ≤ r`, so every pair is dissimilar and
     /// both certain sets are empty.
-    pub fn try_new(points: &[(f64, f64)], r: f64) -> Option<PairList> {
+    pub fn try_new(points: &[(f64, f64)], r: f64) -> Option<GridPairs> {
         if r < 0.0 || r.is_nan() {
-            return Some(PairList {
+            return Some(GridPairs {
+                order: Vec::new(),
+                cells: vec![0],
+                blocks: Vec::new(),
                 pairs: Vec::new(),
-                known_similar: Vec::new(),
-                strategy: "grid",
             });
         }
         if r == 0.0 {
@@ -192,6 +290,7 @@ impl GridCandidates {
                 start = i;
             }
         }
+        let order: Vec<u32> = tagged.into_iter().map(|(_, i)| i).collect();
         // Conservative classification thresholds (squared). If r² itself
         // overflows to infinity the bound comparisons degenerate
         // (`inf <= inf` would classify pairs past r as known-similar):
@@ -202,6 +301,9 @@ impl GridCandidates {
         if !r_hi2.is_finite() {
             return None;
         }
+        // Within-cell pairs are known-similar: max separation is one
+        // cell diagonal, far inside r at this subdivision.
+        debug_assert!(2.0 * side * side <= r_lo2);
         // Beyond this Chebyshev cell distance the minimum possible
         // separation already exceeds r.
         let reach = GRID_SUBDIV as i64 + 1;
@@ -223,27 +325,8 @@ impl GridCandidates {
             }
         }
         let mut pairs = Vec::new();
-        let mut known_similar = Vec::new();
-        let members =
-            |range: &std::ops::Range<usize>| tagged[range.clone()].iter().map(|&(_, i)| i);
-        let push_cross =
-            |out: &mut Vec<(u32, u32)>, a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
-                for (_, i) in &tagged[a.clone()] {
-                    for (_, j) in &tagged[b.clone()] {
-                        out.push(if i < j { (*i, *j) } else { (*j, *i) });
-                    }
-                }
-            };
+        let mut blocks: Vec<(u32, u32, u32)> = Vec::new();
         for (a, ((ax, ay), arange)) in occupied.iter().enumerate() {
-            // Within-cell pairs: max separation is one cell diagonal,
-            // far inside r at this subdivision.
-            debug_assert!(2.0 * side * side <= r_lo2);
-            let cell_members: Vec<u32> = members(arange).collect();
-            for (pos, &i) in cell_members.iter().enumerate() {
-                for &j in &cell_members[pos + 1..] {
-                    known_similar.push((i, j));
-                }
-            }
             // Distance bounds between two half-open cell rectangles:
             // axis separation lies in ((|d|-1)·side, (|d|+1)·side).
             // Rows ascending in cx, cells ascending in cy: later cells
@@ -271,17 +354,33 @@ impl GridCandidates {
                     }
                     let max2 = span(dx).powi(2) + span(dy).powi(2);
                     if max2 <= r_lo2 {
-                        push_cross(&mut known_similar, arange, brange);
+                        // Cells come in ascending occupied index, so a
+                        // run of known-similar cells is one run of
+                        // `order`: extend the last block when it ends
+                        // where this cell starts.
+                        let (c, lo, hi) = (a as u32, brange.start as u32, brange.end as u32);
+                        match blocks.last_mut() {
+                            Some(last) if last.0 == c && last.2 == lo => last.2 = hi,
+                            _ => blocks.push((c, lo, hi)),
+                        }
                     } else {
-                        push_cross(&mut pairs, arange, brange);
+                        for &i in &order[arange.clone()] {
+                            for &j in &order[brange.clone()] {
+                                pairs.push((i.min(j), i.max(j)));
+                            }
+                        }
                     }
                 }
             }
         }
-        Some(PairList {
+        let mut cells = Vec::with_capacity(occupied.len() + 1);
+        cells.push(0);
+        cells.extend(occupied.iter().map(|(_, range)| range.end as u32));
+        Some(GridPairs {
+            order,
+            cells,
+            blocks,
             pairs,
-            known_similar,
-            strategy: "grid",
         })
     }
 }
@@ -406,7 +505,6 @@ impl InvertedIndexCandidates {
         Some(PairList {
             pairs,
             known_similar,
-            strategy: "inverted",
         })
     }
 }
@@ -434,11 +532,25 @@ mod tests {
         assert_eq!(c.strategy(), "all-pairs");
     }
 
+    /// The known-similar pairs, sorted; checks the visitor against the
+    /// `O(blocks)` count and the `i < j` contract.
+    fn known(c: &dyn CandidatePairs) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        c.for_each_known_similar(&mut |i, j| {
+            assert!(i < j, "known pair ({i}, {j}) out of order");
+            out.push((i, j));
+        });
+        assert_eq!(out.len(), c.num_known_similar());
+        out.sort_unstable();
+        assert!(out.windows(2).all(|w| w[0] < w[1]), "known pair repeated");
+        out
+    }
+
     /// Candidates ∪ known-similar, sorted (what a consumer treats as
     /// possibly-or-certainly similar).
     fn not_pruned(c: &dyn CandidatePairs) -> Vec<(u32, u32)> {
         let mut out = collect(c);
-        out.extend_from_slice(c.known_similar());
+        out.extend(known(c));
         out.sort_unstable();
         out
     }
@@ -450,7 +562,7 @@ mod tests {
         // proved similar without any metric evaluation.
         let pts = vec![(0.0, 0.0), (1.0, 0.5), (100.0, 0.0), (101.0, 0.5)];
         let g = GridCandidates::try_new(&pts, 2.0).expect("grid applies");
-        let known = g.known_similar();
+        let known = known(&g);
         assert!(known.contains(&(0, 1)));
         assert!(known.contains(&(2, 3)));
         let survivors = not_pruned(&g);
@@ -468,7 +580,7 @@ mod tests {
         let got = collect(&g);
         assert!(got.contains(&(0, 1)));
         assert!(got.contains(&(2, 3)));
-        assert!(!g.known_similar().contains(&(0, 1)));
+        assert!(!known(&g).contains(&(0, 1)));
     }
 
     #[test]
@@ -493,8 +605,12 @@ mod tests {
         let r = 7.0;
         let g = GridCandidates::try_new(&pts, r).expect("grid applies");
         let survivors = not_pruned(&g);
-        let known: std::collections::HashSet<(u32, u32)> =
-            g.known_similar().iter().copied().collect();
+        let known: std::collections::HashSet<(u32, u32)> = known(&g).into_iter().collect();
+        let candidates = collect(&g);
+        assert!(
+            candidates.iter().all(|p| !known.contains(p)),
+            "known-similar and candidate sets overlap"
+        );
         for i in 0..pts.len() {
             for j in i + 1..pts.len() {
                 let d2 = (pts[i].0 - pts[j].0).powi(2) + (pts[i].1 - pts[j].1).powi(2);
@@ -530,6 +646,21 @@ mod tests {
     fn grid_negative_r_prunes_everything() {
         let g = GridCandidates::try_new(&[(0.0, 0.0), (0.0, 0.0)], -1.0).expect("empty set");
         assert_eq!(g.num_candidates(), 0);
+        assert!(known(&g).is_empty());
+    }
+
+    #[test]
+    fn grid_keeps_a_dense_cluster_as_a_few_blocks() {
+        // 400 points in a 10 × 10 square at r = 100: every pair is
+        // provably similar, and the grid holds them as at most four
+        // cells plus a handful of cross-cell blocks, not 79 800 pairs.
+        let pts: Vec<(f64, f64)> = (0..400)
+            .map(|i| ((i % 20) as f64 * 0.5, (i / 20) as f64 * 0.5))
+            .collect();
+        let g = GridCandidates::try_new(&pts, 100.0).expect("grid applies");
+        assert_eq!(g.num_candidates(), 0);
+        assert_eq!(known(&g).len(), 400 * 399 / 2);
+        assert!(g.cells.len() <= 5 && g.blocks.len() <= 4, "{:?}", g.blocks);
     }
 
     #[test]
@@ -540,7 +671,7 @@ mod tests {
         let ix = InvertedIndexCandidates::try_new(&[a, b, c], false, 0.2).expect("index applies");
         // WJ(a, b) = 1/3 ≥ 0.2: the accumulator proves it similar with
         // zero metric evaluations.
-        assert!(ix.known_similar().contains(&(0, 1)));
+        assert!(known(&ix).contains(&(0, 1)));
         // Disjoint keyword sets never touch the accumulator: dissimilar
         // for free.
         let survivors = not_pruned(&ix);
@@ -555,7 +686,7 @@ mod tests {
         let ix = InvertedIndexCandidates::try_new(&[e, a, e], false, 0.5).expect("index applies");
         // Empty-vs-empty similarity is 1.0 by convention: known similar.
         // Empty-vs-nonempty is 0.0: pruned.
-        assert!(ix.known_similar().contains(&(0, 2)));
+        assert!(known(&ix).contains(&(0, 2)));
         let survivors = not_pruned(&ix);
         assert!(!survivors.contains(&(0, 1)));
         assert!(!survivors.contains(&(1, 2)));
@@ -566,7 +697,7 @@ mod tests {
         let a: &[(u32, f64)] = &[(1, 1.0)];
         let ix = InvertedIndexCandidates::try_new(&[a, a], false, 1.5).expect("index applies");
         assert_eq!(ix.num_candidates(), 0);
-        assert!(ix.known_similar().is_empty());
+        assert!(known(&ix).is_empty());
     }
 
     #[test]
@@ -576,7 +707,7 @@ mod tests {
         let a: &[(u32, f64)] = &[(1, 2.0), (5, 1.0)];
         let ix = InvertedIndexCandidates::try_new(&[a, a], false, 1.0).expect("index applies");
         assert_eq!(collect(&ix), vec![(0, 1)]);
-        assert!(ix.known_similar().is_empty());
+        assert!(known(&ix).is_empty());
     }
 
     #[test]
@@ -604,6 +735,6 @@ mod tests {
         let big: Vec<(u32, f64)> = (1..=10).map(|t| (t, 1.0)).collect();
         let ix = InvertedIndexCandidates::try_new(&[small, &big], true, 0.5).expect("index");
         assert_eq!(ix.num_candidates(), 0);
-        assert!(ix.known_similar().is_empty());
+        assert!(known(&ix).is_empty());
     }
 }

@@ -17,6 +17,7 @@
 //! metric evaluations changes, which [`DissimilarityLists::oracle_evals`]
 //! records.
 
+use crate::candidates::CandidatePairs;
 use crate::oracle::SimilarityOracle;
 use kr_graph::{Csr, Graph, GraphBuilder, VertexId};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -120,10 +121,10 @@ pub struct LazyDissimilarity {
 }
 
 impl LazyDissimilarity {
-    /// Builds from the verified similar pairs (local `(i, j)`, `i < j`)
-    /// over `n` vertices. No complement output is produced here.
-    pub fn from_similar(n: usize, similar: &[(VertexId, VertexId)], oracle_evals: u64) -> Self {
-        let sim = Csr::from_symmetric_pairs(n, similar);
+    /// Builds from the similarity CSR (both directions) over its rows.
+    /// No complement output is produced here.
+    fn from_sim_csr(sim: Csr, oracle_evals: u64) -> Self {
+        let n = sim.num_rows();
         let num_similar = sim.total_targets() / 2;
         let obs = sim_obs();
         obs.oracle_evals.add(oracle_evals);
@@ -487,24 +488,69 @@ impl PartialEq for DissimilarityView {
 
 impl Eq for DissimilarityView {}
 
-/// Verifies the candidate set serially; returns the similar pairs — the
-/// index's known-similar pairs (free) followed by the verified
-/// candidates, as local `(i, j)`, `i < j` — and the number of metric
-/// evaluations spent.
-fn verify_candidates<O: SimilarityOracle + ?Sized>(
-    oracle: &O,
-    members: &[VertexId],
-) -> (Vec<(VertexId, VertexId)>, u64) {
-    let index = oracle.candidates(members);
-    let mut similar = index.known_similar().to_vec();
-    let mut evals = 0u64;
-    index.for_each(&mut |i, j| {
-        evals += 1;
-        if oracle.is_similar(members[i as usize], members[j as usize]) {
-            similar.push((i, j));
+/// A member set's similar pairs as its candidate index classified them:
+/// the index's known-similar pairs plus the candidates the metric
+/// verified, visited on demand and never materialized as a pair list.
+/// Verification runs once, in [`SimilarPairs::verify`]: one metric
+/// evaluation per candidate, each verdict kept as one bit in candidate
+/// visit order so later visits replay it.
+struct SimilarPairs {
+    index: Box<dyn CandidatePairs>,
+    /// Bit `t` is set iff the `t`-th visited candidate is similar.
+    verdicts: Vec<u64>,
+    num_verified: usize,
+    oracle_evals: u64,
+}
+
+impl SimilarPairs {
+    /// Builds `members`' candidate index and verifies every candidate
+    /// serially.
+    fn verify<O: SimilarityOracle + ?Sized>(oracle: &O, members: &[VertexId]) -> Self {
+        let index = oracle.candidates(members);
+        let mut verdicts: Vec<u64> = Vec::with_capacity(index.num_candidates().div_ceil(64));
+        let mut visited = 0usize;
+        let mut num_verified = 0usize;
+        index.for_each(&mut |i, j| {
+            if visited.is_multiple_of(64) {
+                verdicts.push(0);
+            }
+            if oracle.is_similar(members[i as usize], members[j as usize]) {
+                verdicts[visited / 64] |= 1 << (visited % 64);
+                num_verified += 1;
+            }
+            visited += 1;
+        });
+        SimilarPairs {
+            index,
+            verdicts,
+            num_verified,
+            oracle_evals: visited as u64,
         }
-    });
-    (similar, evals)
+    }
+
+    /// Number of similar pairs, `O(blocks)`.
+    fn len(&self) -> usize {
+        self.index.num_known_similar() + self.num_verified
+    }
+
+    /// Visits every similar pair `(i, j)`, `i < j`, once: the
+    /// known-similar pairs, then the verified candidates.
+    fn for_each(&self, visit: &mut dyn FnMut(VertexId, VertexId)) {
+        self.index.for_each_known_similar(visit);
+        let mut at = 0usize;
+        self.index.for_each(&mut |i, j| {
+            if self.verdicts[at / 64] >> (at % 64) & 1 == 1 {
+                visit(i, j);
+            }
+            at += 1;
+        });
+    }
+
+    /// The similarity CSR over `n` vertices (both directions), by a
+    /// count-then-fill over [`SimilarPairs::for_each`].
+    fn csr(&self, n: usize) -> Csr {
+        Csr::from_symmetric_visit(n, |visit| self.for_each(visit))
+    }
 }
 
 /// Builds the similarity graph over `members` (a set of *global* vertex
@@ -513,13 +559,11 @@ fn verify_candidates<O: SimilarityOracle + ?Sized>(
 /// Index-accelerated: only candidate pairs are verified (see module
 /// docs); the result equals [`build_similarity_graph_brute`].
 pub fn build_similarity_graph<O: SimilarityOracle>(oracle: &O, members: &[VertexId]) -> Graph {
-    let (similar, evals) = verify_candidates(oracle, members);
-    sim_obs().oracle_evals.add(evals);
-    let mut b = GraphBuilder::with_capacity(members.len(), similar.len());
-    for (i, j) in similar {
-        b.add_edge(i, j);
-    }
-    b.build()
+    let similar = SimilarPairs::verify(oracle, members);
+    sim_obs().oracle_evals.add(similar.oracle_evals);
+    let (offsets, targets) = similar.csr(members.len()).into_parts();
+    Graph::from_csr_parts(offsets.into_iter().map(|o| o as usize).collect(), targets)
+        .expect("a candidate index yields a simple undirected similarity graph")
 }
 
 /// Brute-force reference for [`build_similarity_graph`]:
@@ -546,66 +590,76 @@ pub fn build_similarity_graph_brute<O: SimilarityOracle>(
 /// the CSR-merge complement.
 const BITMAP_COMPLEMENT_MAX_N: usize = 4096;
 
-/// Lays similar pairs out as the complementary dissimilarity CSR: every
-/// unordered non-similar pair is emitted in both directions and packed
-/// with the same counting sort the brute-force path used, so the layout
-/// is byte-identical regardless of how the pairs were discovered.
-fn complement_to_csr(
-    n: usize,
-    similar: Vec<(VertexId, VertexId)>,
-    oracle_evals: u64,
-) -> DissimilarityLists {
-    let num_similar = similar.len();
-    let total = n * n.saturating_sub(1) / 2;
-    let num_pairs = total - num_similar;
-    let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(num_pairs * 2);
-    if n <= BITMAP_COMPLEMENT_MAX_N {
-        // Dense n×n bitmap: no sorting anywhere — flags set per similar
-        // pair, complement rows emitted in naturally ascending order.
-        let mut bits = vec![0u64; (n * n).div_ceil(64)];
-        let mut set = |i: usize, j: usize| {
-            let at = i * n + j;
-            bits[at / 64] |= 1u64 << (at % 64);
-        };
-        for &(i, j) in &similar {
-            set(i as usize, j as usize);
-            set(j as usize, i as usize);
-        }
-        for u in 0..n {
-            for v in 0..n {
-                let at = u * n + v;
-                if v != u && bits[at / 64] & (1u64 << (at % 64)) == 0 {
-                    pairs.push((u as VertexId, v as VertexId));
-                }
-            }
-        }
+/// Writes the complement of `similar` over `n` vertices straight into
+/// the dissimilarity CSR: rows come out ascending with their total known
+/// up front (`n(n-1) - 2·|similar|` entries), so the arena is allocated
+/// once and nothing is sorted. Up to [`BITMAP_COMPLEMENT_MAX_N`]
+/// vertices the similar pairs are flagged in an `n×n` bitmap
+/// ([`bitmap_complement`]); above it each row is the complement walk of
+/// the similarity CSR's row ([`sim_csr_complement`]).
+fn complement_lists(n: usize, similar: &SimilarPairs) -> DissimilarityLists {
+    let csr = if n <= BITMAP_COMPLEMENT_MAX_N {
+        bitmap_complement(n, similar)
     } else {
-        let sim = Csr::from_symmetric_pairs(n, &similar);
-        for u in 0..n as VertexId {
-            let row = sim.row(u);
-            let mut p = 0usize;
-            for v in 0..n as VertexId {
-                if v == u {
-                    continue;
-                }
-                if p < row.len() && row[p] == v {
-                    p += 1;
-                    continue;
-                }
-                pairs.push((u, v));
-            }
-        }
-    }
-    debug_assert_eq!(pairs.len(), num_pairs * 2);
+        sim_csr_complement(n, similar)
+    };
+    let num_pairs = csr.total_targets() / 2;
     let obs = sim_obs();
-    obs.oracle_evals.add(oracle_evals);
+    obs.oracle_evals.add(similar.oracle_evals);
     obs.dissim_builds.inc();
     obs.dissim_pairs.add(num_pairs as u64);
     DissimilarityLists {
-        csr: Csr::from_pairs(n, &pairs),
+        csr,
         num_pairs,
-        oracle_evals,
+        oracle_evals: similar.oracle_evals,
     }
+}
+
+/// Directed dissimilar entries over `n` vertices: every ordered pair of
+/// distinct vertices minus both directions of each similar pair.
+fn complement_size(n: usize, similar: &SimilarPairs) -> usize {
+    (n * n.saturating_sub(1)).saturating_sub(2 * similar.len())
+}
+
+fn bitmap_complement(n: usize, similar: &SimilarPairs) -> Csr {
+    let mut bits = vec![0u64; (n * n).div_ceil(64)];
+    let mut set = |i: usize, j: usize| {
+        let at = i * n + j;
+        bits[at / 64] |= 1u64 << (at % 64);
+    };
+    similar.for_each(&mut |i, j| {
+        set(i as usize, j as usize);
+        set(j as usize, i as usize);
+    });
+    let bits = &bits;
+    Csr::from_ascending_rows(n, complement_size(n, similar), |u| {
+        let u = u as usize;
+        (0..n)
+            .filter(move |&v| {
+                let at = u * n + v;
+                v != u && bits[at / 64] & (1u64 << (at % 64)) == 0
+            })
+            .map(|v| v as VertexId)
+    })
+}
+
+fn sim_csr_complement(n: usize, similar: &SimilarPairs) -> Csr {
+    let sim = similar.csr(n);
+    let sim = &sim;
+    Csr::from_ascending_rows(n, complement_size(n, similar), |u| {
+        let row = sim.row(u);
+        let mut p = 0usize;
+        (0..n as VertexId).filter(move |&v| {
+            if v == u {
+                return false;
+            }
+            if p < row.len() && row[p] == v {
+                p += 1;
+                return false;
+            }
+            true
+        })
+    })
 }
 
 /// Builds dissimilarity lists over `members` (global ids), renumbered to
@@ -620,15 +674,14 @@ pub fn build_dissimilarity_lists<O: SimilarityOracle>(
     oracle: &O,
     members: &[VertexId],
 ) -> DissimilarityLists {
-    let (similar, evals) = verify_candidates(oracle, members);
-    complement_to_csr(members.len(), similar, evals)
+    complement_lists(members.len(), &SimilarPairs::verify(oracle, members))
 }
 
 /// Whether `Auto` picks the lazy representation: only components large
 /// enough for the `O(n²)` complement to hurt, and only when the
 /// complement actually dominates (at least half of all pairs
 /// dissimilar) — otherwise the eager CSR is small and its single
-/// counting-sort pass wins.
+/// pass wins.
 fn auto_picks_lazy(n: usize, num_similar: usize) -> bool {
     let total = n * n.saturating_sub(1) / 2;
     n >= LAZY_MIN_N && 2 * (total - num_similar) >= total
@@ -641,31 +694,28 @@ fn auto_picks_lazy(n: usize, num_similar: usize) -> bool {
 /// index, same `oracle_evals`); `mode` only decides whether the
 /// complement is materialized now ([`DissimilarityView::Eager`], equal
 /// to [`build_dissimilarity_lists`]) or on demand
-/// ([`DissimilarityView::Lazy`]).
+/// ([`DissimilarityView::Lazy`]). Neither representation materializes
+/// a list of similar or dissimilar pairs on the way: both are filled
+/// from the candidate index's visitor.
 pub fn build_dissimilarity_view<O: SimilarityOracle>(
     oracle: &O,
     members: &[VertexId],
     mode: DissimMode,
 ) -> DissimilarityView {
-    let (similar, evals) = verify_candidates(oracle, members);
-    view_from_similar(members.len(), similar, evals, mode)
-}
-
-fn view_from_similar(
-    n: usize,
-    similar: Vec<(VertexId, VertexId)>,
-    evals: u64,
-    mode: DissimMode,
-) -> DissimilarityView {
+    let n = members.len();
+    let similar = SimilarPairs::verify(oracle, members);
     let lazy = match mode {
         DissimMode::Eager => false,
         DissimMode::Lazy => true,
         DissimMode::Auto => auto_picks_lazy(n, similar.len()),
     };
     if lazy {
-        DissimilarityView::Lazy(LazyDissimilarity::from_similar(n, &similar, evals))
+        DissimilarityView::Lazy(LazyDissimilarity::from_sim_csr(
+            similar.csr(n),
+            similar.oracle_evals,
+        ))
     } else {
-        DissimilarityView::Eager(complement_to_csr(n, similar, evals))
+        DissimilarityView::Eager(complement_lists(n, &similar))
     }
 }
 
@@ -700,12 +750,266 @@ pub fn build_dissimilarity_lists_brute<O: SimilarityOracle>(
     }
 }
 
+/// The pair-list build this module used before the visitor path: the
+/// known-similar pairs copied into a list, the verified candidates
+/// appended, and each representation built from that list (the eager one
+/// through a second list of every dissimilar pair in both directions).
+/// The visitor path must reproduce it byte for byte.
+#[cfg(test)]
+mod pair_list_reference {
+    use super::*;
+
+    fn verify_candidates<O: SimilarityOracle + ?Sized>(
+        oracle: &O,
+        members: &[VertexId],
+    ) -> (Vec<(VertexId, VertexId)>, u64) {
+        let index = oracle.candidates(members);
+        let mut similar = Vec::new();
+        index.for_each_known_similar(&mut |i, j| similar.push((i, j)));
+        let mut evals = 0u64;
+        index.for_each(&mut |i, j| {
+            evals += 1;
+            if oracle.is_similar(members[i as usize], members[j as usize]) {
+                similar.push((i, j));
+            }
+        });
+        (similar, evals)
+    }
+
+    fn complement_to_csr(n: usize, similar: &[(VertexId, VertexId)]) -> Csr {
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        if n <= BITMAP_COMPLEMENT_MAX_N {
+            let mut bits = vec![0u64; (n * n).div_ceil(64)];
+            let mut set = |i: usize, j: usize| {
+                let at = i * n + j;
+                bits[at / 64] |= 1u64 << (at % 64);
+            };
+            for &(i, j) in similar {
+                set(i as usize, j as usize);
+                set(j as usize, i as usize);
+            }
+            for u in 0..n {
+                for v in 0..n {
+                    let at = u * n + v;
+                    if v != u && bits[at / 64] & (1u64 << (at % 64)) == 0 {
+                        pairs.push((u as VertexId, v as VertexId));
+                    }
+                }
+            }
+        } else {
+            let sim = Csr::from_symmetric_pairs(n, similar);
+            for u in 0..n as VertexId {
+                for v in 0..n as VertexId {
+                    if v != u && !sim.contains(u, v) {
+                        pairs.push((u, v));
+                    }
+                }
+            }
+        }
+        Csr::from_pairs(n, &pairs)
+    }
+
+    pub fn build_view<O: SimilarityOracle + ?Sized>(
+        oracle: &O,
+        members: &[VertexId],
+        mode: DissimMode,
+    ) -> DissimilarityView {
+        let n = members.len();
+        let (similar, evals) = verify_candidates(oracle, members);
+        let lazy = match mode {
+            DissimMode::Eager => false,
+            DissimMode::Lazy => true,
+            DissimMode::Auto => auto_picks_lazy(n, similar.len()),
+        };
+        if lazy {
+            let sim = Csr::from_symmetric_pairs(n, &similar);
+            DissimilarityView::Lazy(LazyDissimilarity::from_sim_csr(sim, evals))
+        } else {
+            let csr = complement_to_csr(n, &similar);
+            DissimilarityView::Eager(DissimilarityLists {
+                num_pairs: csr.total_targets() / 2,
+                csr,
+                oracle_evals: evals,
+            })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attributes::AttributeTable;
     use crate::metrics::Metric;
     use crate::oracle::{TableOracle, Threshold};
+    use proptest::prelude::*;
+
+    /// The visitor-built view in every mode equals the brute-force lists
+    /// and reproduces the pair-list reference exactly: the same
+    /// representation, the same CSR bytes and capacity, the same metric
+    /// evaluations. The similarity graph equals its brute-force
+    /// reference too.
+    fn check_against_references<O: SimilarityOracle>(
+        oracle: &O,
+        members: &[VertexId],
+    ) -> Result<(), TestCaseError> {
+        let brute = DissimilarityView::Eager(build_dissimilarity_lists_brute(oracle, members));
+        for mode in [DissimMode::Eager, DissimMode::Lazy, DissimMode::Auto] {
+            let view = build_dissimilarity_view(oracle, members, mode);
+            let reference = pair_list_reference::build_view(oracle, members, mode);
+            prop_assert!(view == brute, "{mode:?} view differs from brute force");
+            prop_assert_eq!(view.oracle_evals(), reference.oracle_evals());
+            prop_assert_eq!(view.num_pairs(), reference.num_pairs());
+            prop_assert_eq!(view.heap_bytes(), reference.heap_bytes());
+            match (&view, &reference) {
+                (DissimilarityView::Eager(a), DissimilarityView::Eager(b)) => {
+                    prop_assert_eq!(&a.csr, &b.csr);
+                    // The complement walk above the bitmap cap writes the
+                    // same bytes.
+                    let similar = SimilarPairs::verify(oracle, members);
+                    let walked = sim_csr_complement(members.len(), &similar);
+                    prop_assert_eq!(walked.heap_bytes(), a.csr.heap_bytes());
+                    prop_assert_eq!(&walked, &a.csr);
+                }
+                (DissimilarityView::Lazy(a), DissimilarityView::Lazy(b)) => {
+                    prop_assert_eq!(&a.sim, &b.sim);
+                }
+                _ => prop_assert!(false, "{mode:?} picked another representation"),
+            }
+        }
+        let lists = build_dissimilarity_lists(oracle, members);
+        prop_assert!(DissimilarityView::Eager(lists) == brute);
+        prop_assert_eq!(
+            build_similarity_graph(oracle, members),
+            build_similarity_graph_brute(oracle, members)
+        );
+        Ok(())
+    }
+
+    /// Members in a vertex-id order that is not ascending when `reverse`.
+    fn members(n: usize, reverse: bool) -> Vec<VertexId> {
+        let mut m: Vec<VertexId> = (0..n as VertexId).collect();
+        if reverse {
+            m.reverse();
+        }
+        m
+    }
+
+    proptest! {
+        /// Grid index. Lattice coordinates in steps of 1/8: at `r = 2`
+        /// (mode 0) every point sits on a cell boundary (cell side
+        /// `r / 16`); mode 1 puts the threshold exactly on a pair's
+        /// distance (a zero distance takes the all-pairs fallback);
+        /// mode 2 draws it freely.
+        #[test]
+        fn visitor_views_match_references_on_points(
+            cells in proptest::collection::vec((-60i32..60, -60i32..60), 2..40),
+            mode in 0u8..3,
+            pick in 0usize..10_000,
+            r_free in 0.2f64..12.0,
+            reverse in false..true,
+        ) {
+            let pts: Vec<(f64, f64)> =
+                cells.iter().map(|&(x, y)| (x as f64 / 8.0, y as f64 / 8.0)).collect();
+            let n = pts.len();
+            let (a, b) = (pick % n, (pick / n) % n);
+            let dist = ((pts[a].0 - pts[b].0).powi(2) + (pts[a].1 - pts[b].1).powi(2)).sqrt();
+            let r = match mode {
+                0 => 2.0,
+                1 => dist,
+                _ => r_free,
+            };
+            let oracle = TableOracle::new(
+                AttributeTable::points(pts),
+                Metric::Euclidean,
+                Threshold::MaxDistance(r),
+            );
+            check_against_references(&oracle, &members(n, reverse))?;
+        }
+
+        /// Inverted keyword index, plain and weighted Jaccard; the
+        /// threshold lies exactly on a pair's similarity when `on_pair`
+        /// (a zero similarity takes the all-pairs fallback).
+        #[test]
+        fn visitor_views_match_references_on_keywords(
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..8, 1u32..4), 0..5),
+                2..30,
+            ),
+            weighted in false..true,
+            on_pair in false..true,
+            pick in 0usize..10_000,
+            r_free in 0.05f64..1.0,
+            reverse in false..true,
+        ) {
+            let lists: Vec<Vec<(u32, f64)>> = lists
+                .into_iter()
+                .map(|l| l.into_iter().map(|(t, w)| (t, w as f64)).collect())
+                .collect();
+            let n = lists.len();
+            let metric = if weighted { Metric::WeightedJaccard } else { Metric::Jaccard };
+            let table = AttributeTable::keywords(lists);
+            let probe = TableOracle::new(table.clone(), metric, Threshold::MinSimilarity(0.5));
+            let r = if on_pair {
+                probe.value((pick % n) as VertexId, ((pick / n) % n) as VertexId)
+            } else {
+                r_free
+            };
+            let oracle = TableOracle::new(table, metric, Threshold::MinSimilarity(r));
+            check_against_references(&oracle, &members(n, reverse))?;
+        }
+
+        /// All-pairs fallback (Cosine has no index), the threshold exactly
+        /// on a pair's similarity when `on_pair`.
+        #[test]
+        fn visitor_views_match_references_on_all_pairs(
+            vecs in proptest::collection::vec(proptest::collection::vec(-3i32..4, 3), 2..30),
+            on_pair in false..true,
+            pick in 0usize..10_000,
+            r_free in -1.0f64..1.0,
+        ) {
+            let vecs: Vec<Vec<f64>> =
+                vecs.into_iter().map(|v| v.into_iter().map(f64::from).collect()).collect();
+            let n = vecs.len();
+            let table = AttributeTable::vectors(vecs);
+            let probe = TableOracle::new(table.clone(), Metric::Cosine, Threshold::MinSimilarity(0.0));
+            let r = if on_pair {
+                probe.value((pick % n) as VertexId, ((pick / n) % n) as VertexId)
+            } else {
+                r_free
+            };
+            let oracle = TableOracle::new(table, Metric::Cosine, Threshold::MinSimilarity(r));
+            prop_assert_eq!(oracle.candidates(&members(n, false)).strategy(), "all-pairs");
+            check_against_references(&oracle, &members(n, false))?;
+        }
+    }
+
+    /// `Auto` picks the lazy view above [`LAZY_MIN_N`] on a
+    /// dissimilarity-heavy corridor (three rings of 342 points, 6.0
+    /// apart, max distance 9.0), and the eager one once the threshold
+    /// makes every pair similar — both equal to the references.
+    #[test]
+    fn auto_mode_matches_references_above_the_lazy_cutoff() {
+        let mut pts = Vec::new();
+        for c in 0..3 {
+            for i in 0..342 {
+                let ang = i as f64 / 342.0 * std::f64::consts::TAU;
+                pts.push((c as f64 * 6.0 + ang.cos(), ang.sin()));
+            }
+        }
+        let members = members(pts.len(), false);
+        for (r, lazy) in [(4.5, true), (20.0, false)] {
+            let oracle = TableOracle::new(
+                AttributeTable::points(pts.clone()),
+                Metric::Euclidean,
+                Threshold::MaxDistance(r),
+            );
+            assert_eq!(
+                build_dissimilarity_view(&oracle, &members, DissimMode::Auto).is_lazy(),
+                lazy
+            );
+            check_against_references(&oracle, &members).unwrap();
+        }
+    }
 
     fn geo_oracle() -> TableOracle {
         TableOracle::new(
