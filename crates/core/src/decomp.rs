@@ -31,8 +31,9 @@
 //! --with-index`, or lazily by the server registry). The build streams
 //! the pairwise values for all band quantiles at once, storing none per
 //! pair, and evaluates the metric once per edge, shared by every band:
-//! about 0.02 s on the 2000-vertex dblp-like preset, where a pass per
-//! quantile took 4–5 s. It is persisted as an
+//! about 12 ms on the 2000-vertex dblp-like preset and 13 ms on the
+//! 1600-vertex gowalla-like one (bench_smoke `index_build_ms`), where a
+//! pass per quantile took 4–5 s. It is persisted as an
 //! optional `.krb` section ([`kr_graph::snapshot::section::DECOMP_INDEX`])
 //! so old readers skip it and old snapshots still serve without it. See
 //! `docs/KRB_FORMAT.md` for the byte layout.
@@ -150,16 +151,22 @@ impl DecompositionIndex {
     /// Cost: the pairwise values for all twelve quantiles — `n(n-1)/2`
     /// of them, or a fixed sample above the cutoff — plus one metric
     /// value per edge and one peel per band; no value is stored per
-    /// pair. Keyword metrics with small integer weight totals
-    /// (dblp-like, pokec-like) go through [`TableOracle`]'s posting-list
-    /// kernel in one pass, which tallies the pairs' exact `(num, den)`
-    /// in a table of bounded size. Every other input (points, cosine,
-    /// other keyword weights) is streamed twice through an exact rank
+    /// pair. [`TableOracle`] runs the exact pass through bit-identical
+    /// kernels. Keyword metrics with small integer weight totals
+    /// (dblp-like, pokec-like) sum every pair's exact `(num, den)` in
+    /// `u16` in one pass — along dense weight rows for the keywords an
+    /// eighth of the vertices list, along posting lists for the rest —
+    /// and tally them in a table of bounded size. Euclidean points
+    /// stream their squared distances, and every other input (cosine,
+    /// other keyword weights) its values, twice through an exact rank
     /// select that keeps a 256 KiB histogram plus the values of the few
-    /// histogram buckets holding a requested rank. At n = 2000 on
-    /// dblp-like and n = 1600 on gowalla-like the build peaks near
-    /// 1 MiB and 1.5 MiB of heap, where a buffer of every pair's value
-    /// alone took 16 MB and 10 MB.
+    /// histogram buckets holding a requested rank; points root only the
+    /// selected squares. bench_smoke's `index_build_ms` reads ~12 ms on
+    /// dblp-like (n = 2000) and ~13 ms on gowalla-like (n = 1600),
+    /// against ~24 and ~31 ms with 64-bit posting lists and a
+    /// per-pair distance loop. The builds peak near 1 MiB and 1.5 MiB of
+    /// heap, where a buffer of every pair's value alone took 16 MB and
+    /// 10 MB.
     pub fn build_default(graph: &Graph, oracle: &TableOracle) -> Self {
         let n = graph.num_vertices();
         if n < 2 {

@@ -23,7 +23,7 @@
 //! A hosted dataset is no longer frozen at load time: `add_edge` /
 //! `remove_edge` / `set_attribute` requests flow through
 //! [`HostedDataset::apply_batch`]. The graph, attributes, and
-//! decomposition index live behind one `RwLock`'d [`DatasetState`] whose
+//! decomposition index live behind one `RwLock`'d state whose
 //! **version** increments on every effective batch; queries take an
 //! immutable [`DatasetView`] snapshot and the component cache keys its
 //! entries by that version, so a query racing a mutation computes against

@@ -490,6 +490,11 @@ fn clamp_limit(requested: Option<u64>, ceiling: Option<u64>) -> Option<u64> {
     }
 }
 
+/// Whole microseconds since `start`, for a span's `dur_us`.
+fn elapsed_us(start: Instant) -> u64 {
+    start.elapsed().as_micros().min(u64::MAX as u128) as u64
+}
+
 /// The dataset a query or mutation names. The call that loads it —
 /// generating a preset or reading a snapshot file — logs a
 /// `dataset_load` span, so a first query's load is not left unexplained.
@@ -502,12 +507,11 @@ fn load_dataset(
     let start = Instant::now();
     let (dataset, loaded) = state.datasets.get_reporting_load(name, scale)?;
     if let Some(source) = loaded {
-        let dur_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         state.trace.event(
             trace,
             "dataset_load",
             &[
-                ("dur_us", Field::U(dur_us)),
+                ("dur_us", Field::U(elapsed_us(start))),
                 ("source", Field::from(source)),
             ],
         );
@@ -606,8 +610,21 @@ fn run_query(
     // the cache-repair pass has not revalidated. The view comes with the
     // decomposition index, built once per dataset (or loaded from the
     // snapshot) outside any miss's preprocessing bill; `built` marks the
-    // one query that paid for the build.
+    // one query that paid for the build, which logs it as `index_build`.
+    let t_build = Instant::now();
     let (view, built) = dataset.indexed_view();
+    if built {
+        let index = view.index.as_deref().expect("an indexed view");
+        sink.event(
+            &trace,
+            "index_build",
+            &[
+                ("dur_us", Field::U(elapsed_us(t_build))),
+                ("bands", Field::from(index.bands().len())),
+                ("vertices", Field::from(index.num_vertices())),
+            ],
+        );
+    }
     let (comps, outcome) = state.cache.get_or_build(&key, view.version, || {
         let t_index = PhaseTimer::start(sink, &trace, "index_candidates");
         let index = view.index.as_deref().expect("an indexed view");

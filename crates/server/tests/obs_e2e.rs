@@ -12,8 +12,8 @@
 //!   enumeration its first flush, one per elapsed flush interval and
 //!   `done`;
 //! * the first miss on a dataset without a stored index reports the
-//!   index build on its `index_candidates` event, and later misses
-//!   report none;
+//!   index build on its `index_candidates` event and logs it as one
+//!   `index_build` span per dataset, and later misses report none;
 //! * the first query on a dataset logs its load as a `dataset_load`
 //!   span, and later queries log none;
 //! * `stats.preprocess_ms` is the `server.preprocess_us` histogram's sum
@@ -125,6 +125,18 @@ fn span_field<T>(
 fn index_builds(log: &std::path::Path) -> Vec<(String, bool)> {
     span_field(log, "index_candidates", |v| {
         v.get("built").and_then(Json::as_bool)
+    })
+}
+
+/// `(trace, (bands, vertices))` of every `index_build` event, in log
+/// order; each must carry `dur_us`.
+fn index_build_spans(log: &std::path::Path) -> Vec<(String, (u64, u64))> {
+    span_field(log, "index_build", |v| {
+        v.get("dur_us").and_then(Json::as_u64)?;
+        Some((
+            v.get("bands").and_then(Json::as_u64)?,
+            v.get("vertices").and_then(Json::as_u64)?,
+        ))
     })
 }
 
@@ -367,6 +379,45 @@ fn every_frame_of_a_query_carries_its_trace_and_joins_the_log() {
             .any(|(t, s)| t == &err_trace && s == "request_error"),
         "malformed request must log a request_error event"
     );
+
+    let _ = std::fs::remove_file(log);
+}
+
+#[test]
+fn index_build_span_is_logged_once_per_dataset() {
+    let log = log_path("index_build");
+    let handle = spawn_traced(&log);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let dblp = |k: u32| QuerySpec {
+        scale: SCALE,
+        ..QuerySpec::new("dblp-like", k, 0.3)
+    };
+    // Two datasets, each with a cold miss, a hit and a second miss.
+    let mut traces = Vec::new();
+    for spec in [spec(3), spec(3), spec(4), dblp(3), dblp(3), dblp(4)] {
+        traces.push(client.enumerate(spec).expect("query").trace);
+    }
+    handle.shutdown_and_join().expect("clean shutdown");
+
+    // One build per dataset, on its first miss; none on the hits or on
+    // the second misses.
+    let builds = index_build_spans(&log);
+    let built: Vec<String> = builds.iter().map(|(t, _)| t.clone()).collect();
+    assert_eq!(
+        built,
+        vec![traces[0].clone(), traces[3].clone()],
+        "{builds:?}"
+    );
+    for (_, (bands, vertices)) in &builds {
+        assert!(*bands > 0 && *vertices > 0, "{builds:?}");
+    }
+    // The `built` flag of `index_candidates` names the same queries.
+    let flagged: Vec<String> = index_builds(&log)
+        .into_iter()
+        .filter(|&(_, b)| b)
+        .map(|(t, _)| t)
+        .collect();
+    assert_eq!(flagged, built);
 
     let _ = std::fs::remove_file(log);
 }

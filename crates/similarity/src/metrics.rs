@@ -43,9 +43,7 @@ impl Metric {
                 weighted_jaccard(&lists[u as usize], &lists[v as usize])
             }
             (Metric::Euclidean, AttributeTable::Points(pts)) => {
-                let (ax, ay) = pts[u as usize];
-                let (bx, by) = pts[v as usize];
-                ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
+                squared_distance(pts[u as usize], pts[v as usize]).sqrt()
             }
             (Metric::Euclidean, AttributeTable::Vectors(vs)) => {
                 euclidean(&vs[u as usize], &vs[v as usize])
@@ -119,6 +117,14 @@ pub fn weighted_jaccard(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
     } else {
         num / den
     }
+}
+
+/// Squared Euclidean distance of two points: the value
+/// [`Metric::Euclidean`] takes the square root of, so any code that ranks
+/// point pairs by it ranks them exactly as by their distance.
+#[inline]
+pub(crate) fn squared_distance((ax, ay): (f64, f64), (bx, by): (f64, f64)) -> f64 {
+    (ax - bx).powi(2) + (ay - by).powi(2)
 }
 
 /// Euclidean distance of two equal-length vectors.

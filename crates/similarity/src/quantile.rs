@@ -14,7 +14,8 @@
 //! `(num, den)` in a tally (at most one cell per pair, ~2 MiB at most)
 //! and walks it in value order to each requested rank. Every other input
 //! goes through one streaming rank select over a replayable value
-//! stream:
+//! stream (Euclidean points through `TableOracle` feed it their squared
+//! distances and take the root of the selected values only):
 //!
 //! 1. The first pass counts the values in a histogram over the top 16
 //!    bits of an order-preserving key (2^16 `u32` counters, 256 KiB)
