@@ -67,6 +67,12 @@
 //!   [`MAX_LAZY_MATERIALIZED_FRAC`] of the directed entries an eager
 //!   build would allocate.
 //!
+//! A second in-run gate (no schema change) bounds the corridor point's
+//! `peak_component_bytes` by [`corridor_component_bound`]: twice the
+//! `n·⌈n/64⌉` words of bit rows the lazy view keeps its similar pairs
+//! in. A lazy view that kept a similarity CSR again (486 928 B on this
+//! corridor) fails it.
+//!
 //! Schema 6 (PR 10) adds the write path, measured end to end through an
 //! in-process server (two top-level fields, informational — wall-clock
 //! across a socket is too noisy to gate):
@@ -133,6 +139,15 @@ const PREPROCESS_PAIRS: usize = 21;
 /// search), so there is no noise allowance; measured ~0.2% locally, the
 /// gate guards the mechanism, not the margin.
 const MAX_LAZY_MATERIALIZED_FRAC: f64 = 0.30;
+
+/// In-run gate on the corridor's footprint: the largest component may
+/// take at most twice the bit rows of an `n`-vertex lazy view
+/// (`n·⌈n/64⌉` words; ~283 KB for the 1 040-vertex corridor), leaving
+/// room for its adjacency and row table. Deterministic, like the lazy
+/// gate above.
+fn corridor_component_bound(n: usize) -> usize {
+    2 * n * n.div_ceil(64) * std::mem::size_of::<u64>()
+}
 
 struct Point {
     preset: String,
@@ -426,8 +441,8 @@ fn corridor_instance(clusters: usize, size: usize, k: u32, r: f64) -> kr_core::P
 /// fields stay 0: the miss-path story is told by the DblpLike point and
 /// repeating it here would double the corridor's wall for no new signal.
 /// Returns the point plus the gate inputs (materialized directed entries,
-/// eager directed entries).
-fn measure_corridor(samples: usize) -> (Point, (u64, u64)) {
+/// eager directed entries, vertices).
+fn measure_corridor(samples: usize) -> (Point, (u64, u64, usize)) {
     const CLUSTERS: usize = 26;
     const SIZE: usize = 40;
     const K: u32 = 3;
@@ -468,7 +483,7 @@ fn measure_corridor(samples: usize) -> (Point, (u64, u64)) {
         lazy_rows_materialized: lazy_rows,
         dissim_pairs_avoided: eager_entries - lazy_entries,
     };
-    (point, (lazy_entries, eager_entries))
+    (point, (lazy_entries, eager_entries, CLUSTERS * SIZE))
 }
 
 /// Measures the write path end to end (schema 6): an in-process server
@@ -681,6 +696,7 @@ fn main() {
         })
         .collect();
     let (corridor_point, corridor_gate) = measure_corridor(factor * CORRIDOR_SAMPLES);
+    let corridor_peak = corridor_point.peak_component_bytes;
     report(&corridor_point);
     points.push(corridor_point);
     if let Some((name, problem, k, r)) = snapshot_case() {
@@ -745,7 +761,7 @@ fn main() {
     // resolving to a lazy view at all — that is itself a regression (the
     // auto-mode heuristic or the instance drifted).
     {
-        let (materialized, eager_entries) = corridor_gate;
+        let (materialized, eager_entries, _) = corridor_gate;
         let frac = materialized as f64 / (eager_entries as f64).max(1.0);
         let verdict = if eager_entries == 0 || frac > MAX_LAZY_MATERIALIZED_FRAC {
             failed = true;
@@ -759,6 +775,20 @@ fn main() {
             "geo-corridor",
             frac * 100.0,
             MAX_LAZY_MATERIALIZED_FRAC * 100.0
+        );
+    }
+    // In-run footprint gate: deterministic, no baseline involved.
+    {
+        let bound = corridor_component_bound(corridor_gate.2);
+        let verdict = if corridor_peak > bound {
+            failed = true;
+            "REGRESSION"
+        } else {
+            "ok"
+        };
+        println!(
+            "{:<16} largest component {corridor_peak} B  (gate {bound} B)  {verdict}",
+            "geo-corridor"
         );
     }
     for p in &points {
@@ -805,8 +835,8 @@ fn main() {
         eprintln!(
             "bench-smoke gate failed: wall time regressed > {max_pct}%, oracle evals \
              regressed > {MAX_ORACLE_EVALS_REGRESSION_PCT}%, the index miss path lost \
-             its speedup, or the lazy view materialized > {:.0}% of the corridor \
-             complement",
+             its speedup, the lazy view materialized > {:.0}% of the corridor \
+             complement, or a corridor component outgrew its bit-row bound",
             MAX_LAZY_MATERIALIZED_FRAC * 100.0
         );
         std::process::exit(1);

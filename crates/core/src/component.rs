@@ -192,8 +192,8 @@ impl LocalComponent {
         self.adj.row_len(u)
     }
 
-    /// Number of dissimilar partners of local vertex `u` (`O(1)` in
-    /// both representations).
+    /// Number of dissimilar partners of local vertex `u`, never
+    /// materializing. See [`DissimilarityView::count`].
     #[inline]
     pub fn dissimilar_count(&self, u: VertexId) -> usize {
         self.dis.count(u)

@@ -7,11 +7,13 @@
 //! 6.0 apart, max distance 9.0: neighbouring rings are similar, rings two
 //! apart are not):
 //! * 6 rings × 171 points (1 026 vertices, 56% of pairs dissimilar): the
-//!   lazy view, whose similarity CSR holds ~233 000 pairs the grid proves
-//!   similar without a metric evaluation;
+//!   lazy view, whose bit rows flag the ~233 000 pairs the grid proves
+//!   similar without a metric evaluation in 17 words a vertex, so the
+//!   whole component stays under 256 KiB (a similarity CSR of those
+//!   pairs took 1.86 MB);
 //! * 9 rings × 100 points (900 vertices, 69% dissimilar): the eager
-//!   complement CSR, written from an `n×n` bitmap of the similar pairs,
-//!   which the bound allows on top.
+//!   complement CSR, written from `n²/8` bytes of bit rows of the
+//!   similar pairs, which the bound allows on top.
 
 mod heap;
 
@@ -65,6 +67,12 @@ fn component_build_peaks_at_about_its_final_size() {
         assert_eq!(comp.is_dissimilarity_lazy(), lazy, "{rings} × {size}");
         assert!(comp.num_dissimilar_pairs * 2 > n * (n - 1) / 2);
         let size_bytes = comp.memory_bytes();
+        if lazy {
+            assert!(
+                size_bytes <= 256 * 1024,
+                "{rings} × {size}: the lazy component takes {size_bytes} B"
+            );
+        }
         let bitmap = if lazy { 0 } else { (n * n).div_ceil(64) * 8 };
         let bound = size_bytes + size_bytes / 4 + bitmap;
         let mib = |b: usize| b as f64 / MIB as f64;

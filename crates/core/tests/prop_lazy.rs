@@ -84,19 +84,61 @@ fn assert_all_modes_agree(p: &ProblemInstance) {
     );
 }
 
+/// Vertex counts on both sides of the lazy view's 64-vertex row words.
+const WORD_EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+
+/// A one-component geometric instance over `n` vertices for `n` past
+/// the 13 random coordinates: a circulant ring (each vertex joined to
+/// its two ring successors) plus the random `edges`, vertex `i` placed
+/// at `x = i/2` with `coords[i % 13]` as jitter in `[0, 1)²`. Only
+/// ring neighbours within about `2r` positions stay similar, so the lazy
+/// view's rows are mostly complement, up to the last word's padding.
+fn ring_instance(
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+    coords: &[(f64, f64)],
+    r: f64,
+) -> ProblemInstance {
+    let ring = n as VertexId;
+    let mut edges = edges.to_vec();
+    edges.extend((0..ring).flat_map(|i| [(i, (i + 1) % ring), (i, (i + 2) % ring)]));
+    let pts: Vec<(f64, f64)> = (0..n)
+        .map(|i| {
+            let (dx, dy) = coords[i % coords.len()];
+            (i as f64 / 2.0 + dx / 20.0, dy / 20.0)
+        })
+        .collect();
+    ProblemInstance::new(
+        Graph::from_edges(n, &edges),
+        AttributeTable::points(pts),
+        Metric::Euclidean,
+        Threshold::MaxDistance(r),
+        2,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// MaxDistance direction: random geometric instances.
+    /// MaxDistance direction: random geometric instances, and rings of
+    /// [`WORD_EDGES`] vertices whose one component fills the lazy view's
+    /// last row word to every possible edge.
     #[test]
     fn lazy_and_eager_agree_geometric(
-        n in 6usize..13,
+        n in prop_oneof![6usize..13, (0..WORD_EDGES.len()).prop_map(|i| WORD_EDGES[i])],
         edges in proptest::collection::vec((0u32..13, 0u32..13), 8..60),
         coords in proptest::collection::vec((0.0f64..20.0, 0.0f64..20.0), 13),
         r in 2.0f64..18.0,
     ) {
         let edges = clamp_edges(&edges, n);
-        assert_all_modes_agree(&geo_instance(n, &edges, &coords, r));
+        if n <= coords.len() {
+            assert_all_modes_agree(&geo_instance(n, &edges, &coords, r));
+        } else {
+            let p = ring_instance(n, &edges, &coords, r);
+            let comps = p.clone().with_dissim_mode(DissimMode::Lazy).preprocess();
+            prop_assert!(comps.len() == 1 && comps[0].len() == n);
+            assert_all_modes_agree(&p);
+        }
     }
 
     /// MinSimilarity direction: random keyword instances under Jaccard.

@@ -6,7 +6,7 @@
 //! **dissimilar** pairs inside each candidate component, which is exactly
 //! what the `DP(·)` counters of the paper range over.
 //!
-//! Since PR 4 both builders are **index-accelerated**: the oracle's
+//! Both builders are **index-accelerated**: the oracle's
 //! [`SimilarityOracle::candidates`] hook produces a sound candidate set
 //! (spatial grid for Euclidean, inverted keyword index for Jaccard — see
 //! [`crate::candidates`]), only candidates are verified with the metric,
@@ -16,6 +16,12 @@
 //! and property-tested against the indexed path); only the number of
 //! metric evaluations changes, which [`DissimilarityLists::oracle_evals`]
 //! records.
+//!
+//! The verified similar pairs are flagged once in bit rows of `⌈n/64⌉`
+//! words per vertex (a similarity CSR above 4 096 vertices), read
+//! through one ascending word-at-a-time walk: its set bits write the
+//! similarity graph, its zero bits the eager complement CSR, and the
+//! lazy view keeps the rows themselves as its storage.
 
 use crate::candidates::CandidatePairs;
 use crate::oracle::SimilarityOracle;
@@ -91,8 +97,7 @@ fn sim_obs() -> &'static SimObs {
 }
 
 /// Lazily materialized dissimilarity lists: the complement of the
-/// (sparse) similarity CSR, with per-vertex rows memoized on first
-/// slice access.
+/// similar pairs, with per-vertex rows memoized on first slice access.
 ///
 /// On dissimilarity-heavy components the eager complement is `O(n²)`
 /// output while the search only ever *slices* the rows of vertices it
@@ -102,10 +107,14 @@ fn sim_obs() -> &'static SimObs {
 /// ([`LazyDissimilarity::count`] is `n - 1 - |sim(u)|`). Streaming
 /// visits partners in ascending order, exactly like an eager CSR row,
 /// so consumers observe identical sequences in both modes.
+///
+/// Up to 4 096 vertices the similar pairs are a bit matrix of
+/// `⌈n/64⌉` words per row (`n²/8` bytes, whatever the share of similar
+/// pairs); above that, a similarity CSR.
 #[derive(Debug)]
 pub struct LazyDissimilarity {
-    /// Similarity adjacency (both directions), the complement's source.
-    sim: Csr,
+    /// The similar pairs (both directions), the complement's source.
+    sim: SimRows,
     /// Total number of dissimilar (unordered) pairs — known exactly
     /// without materializing anything: `n(n-1)/2 - |sim|`.
     num_pairs: usize,
@@ -121,11 +130,11 @@ pub struct LazyDissimilarity {
 }
 
 impl LazyDissimilarity {
-    /// Builds from the similarity CSR (both directions) over its rows.
-    /// No complement output is produced here.
-    fn from_sim_csr(sim: Csr, oracle_evals: u64) -> Self {
-        let n = sim.num_rows();
-        let num_similar = sim.total_targets() / 2;
+    /// Builds over the similar pairs' rows. No complement output is
+    /// produced here.
+    fn new(sim: SimRows, oracle_evals: u64) -> Self {
+        let n = sim.len();
+        let num_similar = (0..n as VertexId).map(|u| sim.row_len(u)).sum::<usize>() / 2;
         let obs = sim_obs();
         obs.oracle_evals.add(oracle_evals);
         obs.dissim_builds.inc();
@@ -141,12 +150,12 @@ impl LazyDissimilarity {
 
     /// Number of vertices covered.
     pub fn len(&self) -> usize {
-        self.sim.num_rows()
+        self.sim.len()
     }
 
     /// True iff there are no vertices.
     pub fn is_empty(&self) -> bool {
-        self.sim.is_empty()
+        self.len() == 0
     }
 
     /// Total dissimilar (unordered) pairs — exact, `O(1)`.
@@ -164,7 +173,7 @@ impl LazyDissimilarity {
     pub fn row(&self, u: VertexId) -> &[VertexId] {
         self.rows[u as usize].get_or_init(|| {
             let mut out = Vec::with_capacity(self.count(u));
-            self.complement_walk(u, |w| out.push(w));
+            out.extend(self.sim.dissimilar(u));
             let obs = sim_obs();
             obs.lazy_rows_materialized.inc();
             obs.dissim_pairs.add(out.len() as u64);
@@ -176,8 +185,8 @@ impl LazyDissimilarity {
     }
 
     /// Streams the dissimilar partners of `u` in ascending order
-    /// *without* memoizing: the memoized row if one exists, else a
-    /// complement walk over the similarity row.
+    /// *without* memoizing: the memoized row if one exists, else the
+    /// complement of the similarity row.
     #[inline]
     pub fn for_each(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
         if let Some(row) = self.rows[u as usize].get() {
@@ -186,7 +195,7 @@ impl LazyDissimilarity {
             }
         } else {
             sim_obs().lazy_rows_skipped.inc();
-            self.complement_walk(u, f);
+            self.sim.dissimilar(u).for_each(f);
         }
     }
 
@@ -205,50 +214,19 @@ impl LazyDissimilarity {
             return row.iter().any(|&w| pred(w));
         }
         sim_obs().lazy_rows_skipped.inc();
-        let row = self.sim.row(u);
-        let mut p = 0usize;
-        for v in 0..self.sim.num_rows() as VertexId {
-            if v == u {
-                continue;
-            }
-            if p < row.len() && row[p] == v {
-                p += 1;
-                continue;
-            }
-            if pred(v) {
-                return true;
-            }
-        }
-        false
+        self.sim.dissimilar(u).any(pred)
     }
 
-    /// Ascending walk of `{0..n} \ (sim(u) ∪ {u})`.
-    #[inline]
-    fn complement_walk(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
-        let row = self.sim.row(u);
-        let mut p = 0usize;
-        for v in 0..self.sim.num_rows() as VertexId {
-            if v == u {
-                continue;
-            }
-            if p < row.len() && row[p] == v {
-                p += 1;
-                continue;
-            }
-            f(v);
-        }
-    }
-
-    /// Whether `u` and `v` are dissimilar (`O(log |sim(u)|)`, no
-    /// materialization).
+    /// Whether `u` and `v` are dissimilar (one bit test, or a binary
+    /// search above the bit-row cutoff; no materialization).
     pub fn are_dissimilar(&self, u: VertexId, v: VertexId) -> bool {
         u != v && !self.sim.contains(u, v)
     }
 
-    /// Number of dissimilar partners of `u` (`O(1)`, no
-    /// materialization).
+    /// Number of dissimilar partners of `u` (a popcount of `u`'s bit
+    /// row, or `O(1)` above the cutoff; no materialization).
     pub fn count(&self, u: VertexId) -> usize {
-        self.sim.num_rows() - 1 - self.sim.row_len(u)
+        self.len() - 1 - self.sim.row_len(u)
     }
 
     /// Rows memoized so far.
@@ -263,9 +241,9 @@ impl LazyDissimilarity {
         self.materialized_entries.load(Ordering::Relaxed)
     }
 
-    /// Current heap footprint: the similarity CSR, the row table, and
-    /// every memoized row. **Grows** as the search materializes rows —
-    /// cache accounting must re-read it, not snapshot it at build time.
+    /// Current heap footprint: the similar pairs' rows, the row table,
+    /// and every memoized row. **Grows** as the search materializes rows
+    /// — cache accounting must re-read it, not snapshot it at build time.
     pub fn heap_bytes(&self) -> usize {
         self.sim.heap_bytes()
             + self.rows.capacity() * std::mem::size_of::<OnceLock<Box<[VertexId]>>>()
@@ -288,9 +266,10 @@ impl Clone for LazyDissimilarity {
 
 impl PartialEq for LazyDissimilarity {
     /// Semantic equality: same complement, regardless of which rows
-    /// happen to be memoized.
+    /// happen to be memoized or how the similar pairs are stored.
     fn eq(&self, other: &Self) -> bool {
-        self.sim == other.sim
+        self.len() == other.len()
+            && (0..self.len() as VertexId).all(|u| self.sim.similar(u).eq(other.sim.similar(u)))
     }
 }
 
@@ -312,19 +291,22 @@ pub enum DissimMode {
 
 /// Smallest component `Auto` will consider for the lazy representation:
 /// below this the full complement is at most a few MB and the eager
-/// build's single pass beats per-row bookkeeping.
+/// build's single pass beats per-row bookkeeping. From here up to 4 096
+/// vertices a lazy view keeps `n²/8` bytes of similarity bit rows, at
+/// least 128 KiB, whatever the share of similar pairs.
 pub const LAZY_MIN_N: usize = 1024;
 
 /// Eager-or-lazy dissimilarity lists behind one interface. Eager
 /// components keep byte-identical behavior (same CSR, same slices);
-/// lazy ones answer everything from the similarity CSR, memoizing a
+/// lazy ones answer everything from the similar pairs' rows (bit rows
+/// up to 4 096 vertices, a similarity CSR above), memoizing a
 /// complement row only when [`DissimilarityView::row`] is called.
 #[derive(Debug, Clone)]
 pub enum DissimilarityView {
     /// Fully materialized complement (small or similarity-heavy
     /// components, and the brute-force reference path).
     Eager(DissimilarityLists),
-    /// Complement-on-demand over the similarity CSR.
+    /// Complement-on-demand over the similar pairs' rows.
     Lazy(LazyDissimilarity),
 }
 
@@ -398,7 +380,9 @@ impl DissimilarityView {
         }
     }
 
-    /// Number of dissimilar partners of `u` (`O(1)` in both modes).
+    /// Number of dissimilar partners of `u`, never materializing (a
+    /// popcount of `⌈n/64⌉` words on a lazy view of bit rows, `O(1)`
+    /// otherwise).
     pub fn count(&self, u: VertexId) -> usize {
         match self {
             DissimilarityView::Eager(d) => d.csr.row_len(u),
@@ -545,11 +529,194 @@ impl SimilarPairs {
             at += 1;
         });
     }
+}
 
-    /// The similarity CSR over `n` vertices (both directions), by a
-    /// count-then-fill over [`SimilarPairs::for_each`].
-    fn csr(&self, n: usize) -> Csr {
-        Csr::from_symmetric_visit(n, |visit| self.for_each(visit))
+/// Components up to this many vertices keep their similar pairs as bit
+/// rows (`n²/8` bytes, 2 MiB at the cap); larger ones as a CSR, the only
+/// representation that fits giant inputs.
+const BIT_ROWS_MAX_N: usize = 4096;
+
+/// A member set's similar pairs over local ids `0..n`, filed under both
+/// endpoints: the lazy view's storage, and the source every eager
+/// complement and similarity graph is written from. Rows are read as
+/// 64-vertex words ([`SimRows::similar`], [`SimRows::dissimilar`]) in
+/// both layouts.
+#[derive(Debug, Clone)]
+enum SimRows {
+    /// Row `u` is the `⌈n/64⌉` words at `u·⌈n/64⌉`; bit `v` is set iff
+    /// `u` and `v` are similar. Bit `u` and the padding past `n` stay
+    /// clear.
+    Bits { n: usize, words: Vec<u64> },
+    /// Sorted similar partners per row.
+    Csr(Csr),
+}
+
+impl SimRows {
+    /// Bit rows up to [`BIT_ROWS_MAX_N`] vertices, a CSR above.
+    fn build(n: usize, similar: &SimilarPairs) -> Self {
+        if n <= BIT_ROWS_MAX_N {
+            SimRows::bits(n, similar)
+        } else {
+            SimRows::csr(n, similar)
+        }
+    }
+
+    /// Flags every similar pair in both rows; no sort, no count pass.
+    fn bits(n: usize, similar: &SimilarPairs) -> Self {
+        let stride = n.div_ceil(64);
+        let mut words = vec![0u64; n * stride];
+        let mut set = |u: usize, v: usize| words[u * stride + v / 64] |= 1 << (v % 64);
+        similar.for_each(&mut |i, j| {
+            set(i as usize, j as usize);
+            set(j as usize, i as usize);
+        });
+        SimRows::Bits { n, words }
+    }
+
+    /// The similarity CSR, by a count-then-fill over
+    /// [`SimilarPairs::for_each`].
+    fn csr(n: usize, similar: &SimilarPairs) -> Self {
+        SimRows::Csr(Csr::from_symmetric_visit(n, |visit| {
+            similar.for_each(visit)
+        }))
+    }
+
+    /// Number of vertices covered.
+    fn len(&self) -> usize {
+        match self {
+            SimRows::Bits { n, .. } => *n,
+            SimRows::Csr(csr) => csr.num_rows(),
+        }
+    }
+
+    /// Whether `u` and `v` are similar.
+    fn contains(&self, u: VertexId, v: VertexId) -> bool {
+        match self {
+            SimRows::Bits { n, words } => {
+                words[u as usize * n.div_ceil(64) + v as usize / 64] >> (v % 64) & 1 == 1
+            }
+            SimRows::Csr(csr) => csr.contains(u, v),
+        }
+    }
+
+    /// Number of similar partners of `u`.
+    fn row_len(&self, u: VertexId) -> usize {
+        match self {
+            SimRows::Bits { n, words } => {
+                let stride = n.div_ceil(64);
+                let at = u as usize * stride;
+                words[at..at + stride]
+                    .iter()
+                    .map(|w| w.count_ones() as usize)
+                    .sum()
+            }
+            SimRows::Csr(csr) => csr.row_len(u),
+        }
+    }
+
+    /// Heap footprint in bytes.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            SimRows::Bits { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
+            SimRows::Csr(csr) => csr.heap_bytes(),
+        }
+    }
+
+    /// Word `k` of `u`'s row: bit `b` is set iff `u` is similar to
+    /// `64k + b`. The CSR layout gathers it from the row's entries
+    /// starting at `*cursor`, which it advances past them (words must be
+    /// asked for in ascending `k`).
+    #[inline(always)]
+    fn word(&self, u: VertexId, k: usize, cursor: &mut usize) -> u64 {
+        match self {
+            SimRows::Bits { n, words } => words[u as usize * n.div_ceil(64) + k],
+            SimRows::Csr(csr) => {
+                let row = csr.row(u);
+                let end = (k + 1) * 64;
+                let mut word = 0u64;
+                while let Some(&v) = row.get(*cursor).filter(|&&v| (v as usize) < end) {
+                    word |= 1 << (v % 64);
+                    *cursor += 1;
+                }
+                word
+            }
+        }
+    }
+
+    /// The similar partners of `u`, ascending.
+    #[inline]
+    fn similar(&self, u: VertexId) -> RowWalk<'_> {
+        RowWalk::new(self, u, 0)
+    }
+
+    /// The dissimilar partners of `u` (every other vertex not similar to
+    /// it), ascending.
+    #[inline]
+    fn dissimilar(&self, u: VertexId) -> RowWalk<'_> {
+        RowWalk::new(self, u, !0)
+    }
+}
+
+/// Ascending walk over the set bits of one [`SimRows`] row, each word
+/// XOR-ed with `flip` first: `0` walks the similar partners, `!0` the
+/// complement. Bit `u` and the padding past `n` are masked off either
+/// way.
+struct RowWalk<'a> {
+    rows: &'a SimRows,
+    u: VertexId,
+    flip: u64,
+    /// The next word to load (the current one is `next - 1`), and the
+    /// row's word count.
+    next: usize,
+    words: usize,
+    /// The last word's bits below `n`.
+    last: u64,
+    /// Bits of the current word not yet visited.
+    bits: u64,
+    /// CSR position of the next entry [`SimRows::word`] gathers.
+    cursor: usize,
+}
+
+impl<'a> RowWalk<'a> {
+    #[inline]
+    fn new(rows: &'a SimRows, u: VertexId, flip: u64) -> Self {
+        let n = rows.len();
+        RowWalk {
+            rows,
+            u,
+            flip,
+            next: 0,
+            words: n.div_ceil(64),
+            last: !0 >> ((64 - n % 64) % 64),
+            bits: 0,
+            cursor: 0,
+        }
+    }
+}
+
+impl Iterator for RowWalk<'_> {
+    type Item = VertexId;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<VertexId> {
+        while self.bits == 0 {
+            if self.next == self.words {
+                return None;
+            }
+            let k = self.next;
+            let mut bits = self.rows.word(self.u, k, &mut self.cursor) ^ self.flip;
+            if k + 1 == self.words {
+                bits &= self.last;
+            }
+            if k == self.u as usize / 64 {
+                bits &= !(1 << (self.u % 64));
+            }
+            self.next += 1;
+            self.bits = bits;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(((self.next - 1) * 64 + b) as VertexId)
     }
 }
 
@@ -559,9 +726,14 @@ impl SimilarPairs {
 /// Index-accelerated: only candidate pairs are verified (see module
 /// docs); the result equals [`build_similarity_graph_brute`].
 pub fn build_similarity_graph<O: SimilarityOracle>(oracle: &O, members: &[VertexId]) -> Graph {
+    let n = members.len();
     let similar = SimilarPairs::verify(oracle, members);
     sim_obs().oracle_evals.add(similar.oracle_evals);
-    let (offsets, targets) = similar.csr(members.len()).into_parts();
+    let csr = match SimRows::build(n, &similar) {
+        SimRows::Csr(csr) => csr,
+        bits => Csr::from_ascending_rows(n, 2 * similar.len(), |u| bits.similar(u)),
+    };
+    let (offsets, targets) = csr.into_parts();
     Graph::from_csr_parts(offsets.into_iter().map(|o| o as usize).collect(), targets)
         .expect("a candidate index yields a simple undirected similarity graph")
 }
@@ -585,24 +757,13 @@ pub fn build_similarity_graph_brute<O: SimilarityOracle>(
     b.build()
 }
 
-/// Components up to this many vertices take the bitmap complement path
-/// (`n²/8` bytes of scratch, 2 MiB at the cap); larger ones fall back to
-/// the CSR-merge complement.
-const BITMAP_COMPLEMENT_MAX_N: usize = 4096;
-
 /// Writes the complement of `similar` over `n` vertices straight into
-/// the dissimilarity CSR: rows come out ascending with their total known
-/// up front (`n(n-1) - 2·|similar|` entries), so the arena is allocated
-/// once and nothing is sorted. Up to [`BITMAP_COMPLEMENT_MAX_N`]
-/// vertices the similar pairs are flagged in an `n×n` bitmap
-/// ([`bitmap_complement`]); above it each row is the complement walk of
-/// the similarity CSR's row ([`sim_csr_complement`]).
+/// the dissimilarity CSR: each row is the [`SimRows::dissimilar`] walk,
+/// ascending, with the total known up front (`n(n-1) - 2·|similar|`
+/// entries), so the arena is allocated once and nothing is sorted.
 fn complement_lists(n: usize, similar: &SimilarPairs) -> DissimilarityLists {
-    let csr = if n <= BITMAP_COMPLEMENT_MAX_N {
-        bitmap_complement(n, similar)
-    } else {
-        sim_csr_complement(n, similar)
-    };
+    let rows = SimRows::build(n, similar);
+    let csr = Csr::from_ascending_rows(n, complement_size(n, similar), |u| rows.dissimilar(u));
     let num_pairs = csr.total_targets() / 2;
     let obs = sim_obs();
     obs.oracle_evals.add(similar.oracle_evals);
@@ -619,47 +780,6 @@ fn complement_lists(n: usize, similar: &SimilarPairs) -> DissimilarityLists {
 /// distinct vertices minus both directions of each similar pair.
 fn complement_size(n: usize, similar: &SimilarPairs) -> usize {
     (n * n.saturating_sub(1)).saturating_sub(2 * similar.len())
-}
-
-fn bitmap_complement(n: usize, similar: &SimilarPairs) -> Csr {
-    let mut bits = vec![0u64; (n * n).div_ceil(64)];
-    let mut set = |i: usize, j: usize| {
-        let at = i * n + j;
-        bits[at / 64] |= 1u64 << (at % 64);
-    };
-    similar.for_each(&mut |i, j| {
-        set(i as usize, j as usize);
-        set(j as usize, i as usize);
-    });
-    let bits = &bits;
-    Csr::from_ascending_rows(n, complement_size(n, similar), |u| {
-        let u = u as usize;
-        (0..n)
-            .filter(move |&v| {
-                let at = u * n + v;
-                v != u && bits[at / 64] & (1u64 << (at % 64)) == 0
-            })
-            .map(|v| v as VertexId)
-    })
-}
-
-fn sim_csr_complement(n: usize, similar: &SimilarPairs) -> Csr {
-    let sim = similar.csr(n);
-    let sim = &sim;
-    Csr::from_ascending_rows(n, complement_size(n, similar), |u| {
-        let row = sim.row(u);
-        let mut p = 0usize;
-        (0..n as VertexId).filter(move |&v| {
-            if v == u {
-                return false;
-            }
-            if p < row.len() && row[p] == v {
-                p += 1;
-                return false;
-            }
-            true
-        })
-    })
 }
 
 /// Builds dissimilarity lists over `members` (global ids), renumbered to
@@ -710,8 +830,8 @@ pub fn build_dissimilarity_view<O: SimilarityOracle>(
         DissimMode::Auto => auto_picks_lazy(n, similar.len()),
     };
     if lazy {
-        DissimilarityView::Lazy(LazyDissimilarity::from_sim_csr(
-            similar.csr(n),
+        DissimilarityView::Lazy(LazyDissimilarity::new(
+            SimRows::build(n, &similar),
             similar.oracle_evals,
         ))
     } else {
@@ -778,7 +898,7 @@ mod pair_list_reference {
 
     fn complement_to_csr(n: usize, similar: &[(VertexId, VertexId)]) -> Csr {
         let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        if n <= BITMAP_COMPLEMENT_MAX_N {
+        if n <= BIT_ROWS_MAX_N {
             let mut bits = vec![0u64; (n * n).div_ceil(64)];
             let mut set = |i: usize, j: usize| {
                 let at = i * n + j;
@@ -823,7 +943,7 @@ mod pair_list_reference {
         };
         if lazy {
             let sim = Csr::from_symmetric_pairs(n, &similar);
-            DissimilarityView::Lazy(LazyDissimilarity::from_sim_csr(sim, evals))
+            DissimilarityView::Lazy(LazyDissimilarity::new(SimRows::Csr(sim), evals))
         } else {
             let csr = complement_to_csr(n, &similar);
             DissimilarityView::Eager(DissimilarityLists {
@@ -846,32 +966,72 @@ mod tests {
     /// The visitor-built view in every mode equals the brute-force lists
     /// and reproduces the pair-list reference exactly: the same
     /// representation, the same CSR bytes and capacity, the same metric
-    /// evaluations. The similarity graph equals its brute-force
-    /// reference too.
+    /// evaluations. The reference's lazy view keeps a similarity CSR;
+    /// up to [`BIT_ROWS_MAX_N`] vertices the built one keeps bit rows
+    /// instead, whose size is exactly `n·⌈n/64⌉` words. Every lazy query
+    /// is checked against the brute-force rows at every vertex, the
+    /// last word's included. The similarity graph equals its
+    /// brute-force reference too.
     fn check_against_references<O: SimilarityOracle>(
         oracle: &O,
         members: &[VertexId],
     ) -> Result<(), TestCaseError> {
+        let n = members.len();
         let brute = DissimilarityView::Eager(build_dissimilarity_lists_brute(oracle, members));
+        let similar = SimilarPairs::verify(oracle, members);
         for mode in [DissimMode::Eager, DissimMode::Lazy, DissimMode::Auto] {
             let view = build_dissimilarity_view(oracle, members, mode);
             let reference = pair_list_reference::build_view(oracle, members, mode);
             prop_assert!(view == brute, "{mode:?} view differs from brute force");
+            prop_assert!(
+                view == reference,
+                "{mode:?} view differs from its reference"
+            );
             prop_assert_eq!(view.oracle_evals(), reference.oracle_evals());
             prop_assert_eq!(view.num_pairs(), reference.num_pairs());
-            prop_assert_eq!(view.heap_bytes(), reference.heap_bytes());
             match (&view, &reference) {
                 (DissimilarityView::Eager(a), DissimilarityView::Eager(b)) => {
+                    prop_assert_eq!(view.heap_bytes(), reference.heap_bytes());
                     prop_assert_eq!(&a.csr, &b.csr);
-                    // The complement walk above the bitmap cap writes the
-                    // same bytes.
-                    let similar = SimilarPairs::verify(oracle, members);
-                    let walked = sim_csr_complement(members.len(), &similar);
+                    // The zero-bit walk over the CSR layout (above the
+                    // bit-row cap) writes the same bytes.
+                    let rows = SimRows::csr(n, &similar);
+                    let walked = Csr::from_ascending_rows(n, complement_size(n, &similar), |u| {
+                        rows.dissimilar(u)
+                    });
                     prop_assert_eq!(walked.heap_bytes(), a.csr.heap_bytes());
                     prop_assert_eq!(&walked, &a.csr);
                 }
                 (DissimilarityView::Lazy(a), DissimilarityView::Lazy(b)) => {
-                    prop_assert_eq!(&a.sim, &b.sim);
+                    let SimRows::Csr(sim) = &b.sim else {
+                        unreachable!("the reference keeps a similarity CSR");
+                    };
+                    let rows_bytes = if n <= BIT_ROWS_MAX_N {
+                        n * n.div_ceil(64) * std::mem::size_of::<u64>()
+                    } else {
+                        sim.heap_bytes()
+                    };
+                    prop_assert_eq!(
+                        view.heap_bytes(),
+                        reference.heap_bytes() - sim.heap_bytes() + rows_bytes
+                    );
+                    for u in 0..n as VertexId {
+                        let expect = brute.row(u);
+                        prop_assert_eq!(a.count(u), expect.len());
+                        let mut visited = Vec::new();
+                        prop_assert!(!a.any_where(u, |w| {
+                            visited.push(w);
+                            false
+                        }));
+                        prop_assert_eq!(&visited[..], expect);
+                        for v in 0..n as VertexId {
+                            prop_assert_eq!(a.are_dissimilar(u, v), brute.are_dissimilar(u, v));
+                        }
+                    }
+                    if let Some(last) = (n as VertexId).checked_sub(1) {
+                        prop_assert_eq!(a.row(last), brute.row(last));
+                        prop_assert_eq!(a.materialized_rows(), 1);
+                    }
                 }
                 _ => prop_assert!(false, "{mode:?} picked another representation"),
             }
@@ -894,6 +1054,23 @@ mod tests {
         m
     }
 
+    /// Member counts on both sides of the bit rows' 64-vertex words.
+    const WORD_EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
+
+    /// Vectors of `item()` draws, as many as `small` allows or as one of
+    /// [`WORD_EDGES`].
+    fn sized<S: Strategy + 'static>(
+        item: impl Fn() -> S + 'static,
+        small: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<S::Value>> {
+        let small = proptest::collection::vec(item(), small);
+        prop_oneof![
+            small,
+            (0..WORD_EDGES.len())
+                .prop_flat_map(move |i| proptest::collection::vec(item(), WORD_EDGES[i])),
+        ]
+    }
+
     proptest! {
         /// Grid index. Lattice coordinates in steps of 1/8: at `r = 2`
         /// (mode 0) every point sits on a cell boundary (cell side
@@ -902,7 +1079,7 @@ mod tests {
         /// mode 2 draws it freely.
         #[test]
         fn visitor_views_match_references_on_points(
-            cells in proptest::collection::vec((-60i32..60, -60i32..60), 2..40),
+            cells in sized(|| (-60i32..60, -60i32..60), 2..40),
             mode in 0u8..3,
             pick in 0usize..10_000,
             r_free in 0.2f64..12.0,
@@ -931,10 +1108,7 @@ mod tests {
         /// (a zero similarity takes the all-pairs fallback).
         #[test]
         fn visitor_views_match_references_on_keywords(
-            lists in proptest::collection::vec(
-                proptest::collection::vec((0u32..8, 1u32..4), 0..5),
-                2..30,
-            ),
+            lists in sized(|| proptest::collection::vec((0u32..8, 1u32..4), 0..5), 2..30),
             weighted in false..true,
             on_pair in false..true,
             pick in 0usize..10_000,
@@ -962,7 +1136,7 @@ mod tests {
         /// on a pair's similarity when `on_pair`.
         #[test]
         fn visitor_views_match_references_on_all_pairs(
-            vecs in proptest::collection::vec(proptest::collection::vec(-3i32..4, 3), 2..30),
+            vecs in sized(|| proptest::collection::vec(-3i32..4, 3), 2..30),
             on_pair in false..true,
             pick in 0usize..10_000,
             r_free in -1.0f64..1.0,
@@ -1143,7 +1317,7 @@ mod tests {
         // Second slice access hits the memo (counters unchanged).
         assert_eq!(lazy.row(3), &[0, 1, 2]);
         assert_eq!(lazy.materialized_rows(), 1);
-        // Streaming a memoized row uses the memo, not the complement walk.
+        // Streaming a memoized row uses the memo, not the row walk.
         let mut streamed = Vec::new();
         lazy.for_each(3, |w| streamed.push(w));
         assert_eq!(streamed, vec![0, 1, 2]);
