@@ -118,21 +118,15 @@ impl DecompositionIndex {
         bands.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite bands"));
         bands.dedup();
         let structural = core_decomposition(graph).core;
-        // One metric evaluation per edge, shared by every band's filter.
-        let edges: Vec<((VertexId, VertexId), f64)> = graph
-            .edges()
-            .map(|(u, v)| ((u, v), oracle.value(u, v)))
-            .collect();
+        // One metric evaluation per edge, shared by every band's filter,
+        // which keeps the parent's sorted rows.
+        let values = graph.edge_values(|u, v| oracle.value(u, v));
         let band_core = bands
             .iter()
             .map(|&b| {
                 let threshold = band_threshold(distance, b);
-                let kept: Vec<(VertexId, VertexId)> = edges
-                    .iter()
-                    .filter(|&&(_, value)| threshold.is_similar_value(value))
-                    .map(|&(e, _)| e)
-                    .collect();
-                core_decomposition(&Graph::from_edges(graph.num_vertices(), &kept)).core
+                let band = graph.retain_edges_by_value(&values, |x| threshold.is_similar_value(x));
+                core_decomposition(&band).core
             })
             .collect();
         DecompositionIndex {

@@ -199,6 +199,66 @@ impl Graph {
         Ok(g)
     }
 
+    /// One value per adjacency entry, aligned to the neighbor arena of
+    /// [`Graph::csr_parts`]: `f(u, v)` runs once per undirected edge,
+    /// `u < v`, in [`Graph::edges`] order, and its result fills both the
+    /// `(u, v)` and the `(v, u)` entry.
+    pub fn edge_values<T: Copy + Default>(
+        &self,
+        mut f: impl FnMut(VertexId, VertexId) -> T,
+    ) -> Vec<T> {
+        let mut values = vec![T::default(); self.neighbors.len()];
+        // `next[v]`: the entry in v's row of v's next neighbor above v.
+        // Rows are visited in ascending order, so the rows mirroring v's
+        // upper entries arrive in the order those entries are sorted.
+        let mut next = vec![0usize; self.num_vertices()];
+        for u in 0..self.num_vertices() {
+            let row = self.offsets[u]..self.offsets[u + 1];
+            let upper =
+                row.start + self.neighbors[row.clone()].partition_point(|&v| v < u as VertexId);
+            for i in row.start..upper {
+                let v = self.neighbors[i] as usize;
+                values[i] = values[next[v]];
+                next[v] += 1;
+            }
+            next[u] = upper;
+            for (value, &v) in values[upper..row.end]
+                .iter_mut()
+                .zip(&self.neighbors[upper..row.end])
+            {
+                *value = f(u as VertexId, v);
+            }
+        }
+        values
+    }
+
+    /// The subgraph of the edges whose value passes `keep`, with `values`
+    /// aligned as [`Graph::edge_values`] returns them (both entries of an
+    /// edge must hold the same value). Filters the sorted rows in place
+    /// of a rebuild, so no sort runs.
+    ///
+    /// # Panics
+    /// Panics when `values` does not hold one value per adjacency entry.
+    pub fn retain_edges_by_value<T: Copy>(&self, values: &[T], keep: impl Fn(T) -> bool) -> Graph {
+        assert_eq!(values.len(), self.neighbors.len(), "one value per entry");
+        let kept = values.iter().filter(|&&x| keep(x)).count();
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut neighbors = Vec::with_capacity(kept);
+        offsets.push(0);
+        for w in self.offsets.windows(2) {
+            let row = w[0]..w[1];
+            neighbors.extend(
+                self.neighbors[row.clone()]
+                    .iter()
+                    .zip(&values[row])
+                    .filter(|&(_, &x)| keep(x))
+                    .map(|(&v, _)| v),
+            );
+            offsets.push(neighbors.len());
+        }
+        Graph { offsets, neighbors }
+    }
+
     /// Retains only edges for which `keep(u, v)` returns true.
     pub fn filter_edges(&self, mut keep: impl FnMut(VertexId, VertexId) -> bool) -> Graph {
         let mut b = GraphBuilder::new(self.num_vertices());

@@ -17,6 +17,23 @@ fn arb_graph(n_max: usize) -> impl Strategy<Value = Graph> {
 
 proptest! {
     #[test]
+    fn value_filter_equals_rebuild_filter(g in arb_graph(14), seed in 0u64..1000, cut in 0u64..8) {
+        // A hash of the edge stands in for a metric value.
+        let value = |u: VertexId, v: VertexId| {
+            (u64::from(u) * 31 + u64::from(v)).wrapping_mul(seed | 1) % 8
+        };
+        let mut calls = Vec::new();
+        let values = g.edge_values(|u, v| {
+            calls.push((u, v));
+            value(u, v)
+        });
+        // One call per undirected edge, in `edges()` order.
+        prop_assert_eq!(calls, g.edges().collect::<Vec<_>>());
+        let kept = g.retain_edges_by_value(&values, |x| x < cut);
+        prop_assert_eq!(&kept, &g.filter_edges(|u, v| value(u, v) < cut));
+    }
+
+    #[test]
     fn kcore_matches_naive(g in arb_graph(14), k in 0u32..5) {
         prop_assert_eq!(k_core(&g, k), k_core_naive(&g, k));
     }

@@ -14,11 +14,22 @@
 //! into distinct entries, and so the key is hashable at all. The band is
 //! far finer than any meaningful threshold difference in the paper's
 //! parameter sweeps.
+//!
+//! **Stored answers.** An AdvEnum / AdvMax answer (and a BasicEnum /
+//! BasicMax one) depends only on the components, so each entry also
+//! keeps one complete answer per `(command, algo)` in its
+//! [`CachedComponents`]. The session fills a slot on an entry's first
+//! hit, after checking the answer with `kr_core::verify`, and later hits
+//! replay it without searching. The slots live and die with the entry:
+//! a repair keeps them, an invalidation, a stale rebuild or an eviction
+//! drops them.
 
+use crate::protocol::Algo;
 use crate::sync::lock;
 use kr_core::LocalComponent;
+use kr_graph::VertexId;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Width of one r-band: thresholds are quantized to this grid.
 pub const R_BAND_WIDTH: f64 = 1e-9;
@@ -70,13 +81,15 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Flat memory footprint of all resident component sets, in bytes.
-    /// Exact, not an estimate: the CSR arenas have no per-vertex
-    /// allocations, so [`LocalComponent::memory_bytes`] covers every heap
-    /// byte an entry owns. Re-sampled from the live entries at snapshot
-    /// time rather than ledgered at insert: lazily materialized
-    /// dissimilarity rows grow an entry *after* it is cached, and the
-    /// snapshot must account for them.
+    /// Flat memory footprint of all resident component sets and their
+    /// stored answers, in bytes. Exact, not an estimate: the CSR arenas
+    /// have no per-vertex allocations, so [`LocalComponent::memory_bytes`]
+    /// covers every heap byte a component owns, and an answer's bytes
+    /// are its vectors' capacities. Re-sampled
+    /// from the live entries at snapshot time rather than ledgered at
+    /// insert: lazily materialized dissimilarity rows and stored answers
+    /// grow an entry *after* it is cached, and the snapshot must account
+    /// for them.
     pub resident_bytes: u64,
     /// Total wall-clock milliseconds spent preprocessing on cache
     /// misses: the microseconds of every miss, summed, then divided by
@@ -121,8 +134,99 @@ pub struct LookupOutcome {
     pub won: bool,
 }
 
+/// The command a query runs; with its [`Algo`] it picks an entry's
+/// stored-answer slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QueryKind {
+    /// All maximal (k,r)-cores.
+    Enumerate,
+    /// One maximum (k,r)-core.
+    Maximum,
+}
+
+/// A complete answer a search produced on a cache entry's components and
+/// `kr_core::verify` accepted. An answer depends only on the components,
+/// so it stays exact for as long as the entry does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct StoredAnswer {
+    /// The cores, each sorted, in the order the run that produced them
+    /// sent them: discovery order for a streaming enumeration.
+    pub cores: Vec<Vec<VertexId>>,
+    /// Search nodes that run visited.
+    pub nodes: u64,
+}
+
+impl StoredAnswer {
+    /// Heap and inline bytes of the answer.
+    pub fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.cores.capacity() * std::mem::size_of::<Vec<VertexId>>()
+            + self
+                .cores
+                .iter()
+                .map(|c| c.capacity() * std::mem::size_of::<VertexId>())
+                .sum::<usize>()
+    }
+}
+
+/// What one cache entry shares through its `Arc`: the preprocessed
+/// components, read as a slice, and one stored-answer slot per
+/// `(command, algo)`, empty until a hit fills it.
+#[derive(Debug)]
+pub struct CachedComponents {
+    comps: Vec<LocalComponent>,
+    /// Indexed by [`CachedComponents::answer`].
+    answers: [OnceLock<StoredAnswer>; 4],
+}
+
+impl CachedComponents {
+    /// Components with every answer slot empty.
+    pub(crate) fn new(comps: Vec<LocalComponent>) -> Self {
+        CachedComponents {
+            comps,
+            answers: Default::default(),
+        }
+    }
+
+    /// The stored-answer slot of `kind` queries under `algo`.
+    pub(crate) fn answer(&self, kind: QueryKind, algo: Algo) -> &OnceLock<StoredAnswer> {
+        let i = match kind {
+            QueryKind::Enumerate => 0,
+            QueryKind::Maximum => 2,
+        } + match algo {
+            Algo::Adv => 0,
+            Algo::Basic => 1,
+        };
+        &self.answers[i]
+    }
+
+    /// Flat footprint **right now**: the components plus every stored
+    /// answer. Not a constant: a component built with a lazy
+    /// dissimilarity view grows as searches materialize rows, and hits
+    /// fill answer slots, so footprints are re-sampled per snapshot
+    /// instead of recorded once at insert.
+    pub(crate) fn memory_bytes(&self) -> u64 {
+        let comps: usize = self.comps.iter().map(LocalComponent::memory_bytes).sum();
+        let answers: usize = self
+            .answers
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(StoredAnswer::memory_bytes)
+            .sum();
+        (comps + answers) as u64
+    }
+}
+
+impl std::ops::Deref for CachedComponents {
+    type Target = [LocalComponent];
+
+    fn deref(&self) -> &[LocalComponent] {
+        &self.comps
+    }
+}
+
 struct Entry {
-    comps: Arc<Vec<LocalComponent>>,
+    comps: Arc<CachedComponents>,
     /// Dataset version the components were preprocessed against. A
     /// lookup at a different version bypasses the entry (stale data is
     /// never served); a mutation's repair pass bumps it in place when
@@ -130,14 +234,6 @@ struct Entry {
     version: u64,
     /// Last-use tick for LRU eviction.
     used: u64,
-}
-
-/// Flat footprint of one cached component set **right now**. Not a
-/// constant: a component built with a lazy dissimilarity view grows as
-/// searches materialize rows, so footprints are re-sampled per snapshot
-/// instead of recorded once at insert.
-fn entry_bytes(comps: &[LocalComponent]) -> u64 {
-    comps.iter().map(|c| c.memory_bytes() as u64).sum()
 }
 
 /// Everything the cache's one lock guards: the LRU map and every
@@ -174,7 +270,8 @@ impl ComponentCache {
     }
 
     /// Looks up `key` at dataset `version`, running `build` on a miss.
-    /// Returns the shared component set and what the lookup did.
+    /// Returns the shared component set, with its stored-answer slots,
+    /// and what the lookup did. A miss's slots start empty.
     ///
     /// A resident entry counts as a hit only when its recorded dataset
     /// version matches `version`: an entry preprocessed before a
@@ -194,7 +291,7 @@ impl ComponentCache {
         key: &CacheKey,
         version: u64,
         build: impl FnOnce() -> Vec<LocalComponent>,
-    ) -> (Arc<Vec<LocalComponent>>, LookupOutcome) {
+    ) -> (Arc<CachedComponents>, LookupOutcome) {
         {
             let mut inner = lock(&self.inner);
             inner.tick += 1;
@@ -217,7 +314,7 @@ impl ComponentCache {
                 // hit; the insert below replaces it.
             }
         }
-        let comps = Arc::new(build());
+        let comps = Arc::new(CachedComponents::new(build()));
         let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
@@ -270,8 +367,9 @@ impl ComponentCache {
     /// resident entry belonging to `dataset` is either **repaired** —
     /// `keep` proved the mutation's deltas cannot have changed its
     /// component set, so its version is bumped to `new_version` in place
-    /// and the preprocessed arenas keep serving — or **invalidated**
-    /// (dropped; the next query rebuilds). Returns `(repairs,
+    /// and the preprocessed arenas and their stored answers keep serving
+    /// — or **invalidated** (dropped with its stored answers; the next
+    /// query rebuilds). Returns `(repairs,
     /// invalidations)`; the totals also accumulate into
     /// [`CacheStats::repairs`] / [`CacheStats::invalidations`].
     ///
@@ -285,7 +383,7 @@ impl ComponentCache {
         new_version: u64,
         mut keep: impl FnMut(&CacheKey, &[LocalComponent]) -> bool,
     ) -> (u64, u64) {
-        let sampled: Vec<(CacheKey, Arc<Vec<LocalComponent>>, u64)> = lock(&self.inner)
+        let sampled: Vec<(CacheKey, Arc<CachedComponents>, u64)> = lock(&self.inner)
             .map
             .iter()
             .filter(|(k, e)| k.dataset == dataset && e.version < new_version)
@@ -341,8 +439,8 @@ impl ComponentCache {
         CacheStats {
             entries: inner.map.len(),
             // Exact at snapshot time: lazy dissimilarity rows materialized
-            // since insert are included (see `entry_bytes`).
-            resident_bytes: inner.map.values().map(|e| entry_bytes(&e.comps)).sum(),
+            // and answers stored since insert are included.
+            resident_bytes: inner.map.values().map(|e| e.comps.memory_bytes()).sum(),
             preprocess_ms: inner.preprocess_us / 1_000,
             ..inner.counts
         }
@@ -561,7 +659,7 @@ mod tests {
     #[test]
     fn resident_bytes_track_inserts_and_evictions() {
         let cache = ComponentCache::new(1);
-        let per_entry = entry_bytes(&dummy());
+        let per_entry = CachedComponents::new(dummy()).memory_bytes();
         assert!(per_entry > 0);
         cache.get_or_build(&key("a", 1, 0.1), 0, dummy);
         assert_eq!(cache.stats().resident_bytes, per_entry);
@@ -574,6 +672,74 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.resident_bytes, per_entry);
         assert_eq!(stats.evictions, 1);
+    }
+
+    fn answer() -> StoredAnswer {
+        StoredAnswer {
+            cores: vec![vec![0, 1], vec![2, 3, 4]],
+            nodes: 9,
+        }
+    }
+
+    #[test]
+    fn stored_answers_count_in_resident_bytes() {
+        let cache = ComponentCache::new(2);
+        let k1 = key("d", 1, 0.1);
+        let (comps, _) = cache.get_or_build(&k1, 0, dummy);
+        let before = cache.stats().resident_bytes;
+        let stored = answer();
+        let bytes = stored.memory_bytes() as u64;
+        assert!(bytes > std::mem::size_of::<StoredAnswer>() as u64);
+        comps
+            .answer(QueryKind::Enumerate, Algo::Adv)
+            .set(stored)
+            .unwrap();
+        assert_eq!(cache.stats().resident_bytes, before + bytes);
+        // Each (command, algo) has its own slot.
+        for (kind, algo) in [
+            (QueryKind::Enumerate, Algo::Basic),
+            (QueryKind::Maximum, Algo::Adv),
+            (QueryKind::Maximum, Algo::Basic),
+        ] {
+            assert!(comps.answer(kind, algo).get().is_none());
+        }
+        let (again, _) = cache.get_or_build(&k1, 0, || panic!("cached"));
+        assert_eq!(
+            again.answer(QueryKind::Enumerate, Algo::Adv).get(),
+            Some(&answer())
+        );
+    }
+
+    #[test]
+    fn answers_survive_repair_and_die_with_their_entry() {
+        let cache = ComponentCache::new(3);
+        let store = |k: &CacheKey, version| {
+            let (comps, _) = cache.get_or_build(k, version, dummy);
+            comps
+                .answer(QueryKind::Maximum, Algo::Adv)
+                .set(answer())
+                .unwrap();
+        };
+        let stored = |k: &CacheKey, version| {
+            let (comps, _) = cache.get_or_build(k, version, dummy);
+            comps.answer(QueryKind::Maximum, Algo::Adv).get().cloned()
+        };
+        let (kept, dropped, stale) = (key("d", 2, 0.1), key("d", 3, 0.1), key("e", 2, 0.1));
+        for k in [&kept, &dropped, &stale] {
+            store(k, 0);
+        }
+        cache.repair_after_mutation("d", 1, |k, _| k.k == 2);
+        // Kept by the repair: the answer serves the new version.
+        assert_eq!(stored(&kept, 1), Some(answer()));
+        // Invalidated by the repair: rebuilt with empty slots.
+        assert_eq!(stored(&dropped, 1), None);
+        // Looked up at a newer version than it was built at: rebuilt.
+        assert_eq!(stored(&stale, 1), None);
+        assert_eq!(cache.stats().evictions, 0);
+        // Evicted: `kept` is the least recently used entry.
+        cache.get_or_build(&key("f", 1, 0.1), 0, dummy);
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(stored(&kept, 1), None);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * [`cache`] — an LRU cache of preprocessed [`kr_core::LocalComponent`]
 //!   sets keyed by `(dataset, k, r-band)`, one map under one lock, shared
 //!   across connections via `Arc`, with hit/miss/eviction statistics;
+//!   each entry also keeps the verified answers its hits stored, which
+//!   later hits replay without searching;
 //! * [`datasets`] — resident, lazily-generated preset datasets;
 //! * [`obs`] — the per-instance `server.*` metrics registry surfaced by
 //!   the wire `metrics` request, and the structured-trace sink every

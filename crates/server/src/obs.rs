@@ -54,6 +54,14 @@ pub struct ServerMetrics {
     pub mutation_errors: Arc<Counter>,
     /// Individual updates that changed a dataset (batch `applied` sums).
     pub updates_applied: Arc<Counter>,
+    /// Answers a cache hit's search produced that `kr_core::verify`
+    /// accepted and the entry stored.
+    pub answers_verified: Arc<Counter>,
+    /// Answers a cache hit's search produced that `kr_core::verify`
+    /// rejected; nothing was stored. Any nonzero value is an engine bug.
+    pub verify_failures: Arc<Counter>,
+    /// Cache hits answered from a stored answer, with no search.
+    pub answers_replayed: Arc<Counter>,
     /// Queries currently executing.
     pub active_queries: Arc<Gauge>,
     /// End-to-end latency of successfully answered queries, µs.
@@ -86,6 +94,9 @@ impl ServerMetrics {
             mutations: registry.counter("server.mutations"),
             mutation_errors: registry.counter("server.mutation_errors"),
             updates_applied: registry.counter("server.updates_applied"),
+            answers_verified: registry.counter("server.answers_verified"),
+            verify_failures: registry.counter("server.verify_failures"),
+            answers_replayed: registry.counter("server.answers_replayed"),
             active_queries: registry.gauge("server.active_queries"),
             query_latency_us: registry.histogram("server.query_latency_us"),
             preprocess_us: registry.histogram("server.preprocess_us"),

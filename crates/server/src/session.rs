@@ -10,9 +10,16 @@
 //! session's [`FrameWriter`] buffer and leave in as few socket writes as
 //! the streaming rule allows: a streaming enumeration flushes its first
 //! `core` at once, then at most once per [`FLUSH_INTERVAL`] (10 ms), and
-//! `done` flushes the rest; a maximum or BasicEnum answer goes out with
-//! its `done` in one write. The bytes on the wire are those of one write
-//! per frame; only their split into TCP segments differs.
+//! `done` flushes the rest; a maximum, BasicEnum or stored answer goes
+//! out with its `done` in one write. The bytes on the wire are those of
+//! one write per frame; only their split into TCP segments differs.
+//!
+//! **Stored answers.** The first cache hit on an entry for a command and
+//! algo searches, and when the run completed it checks the answer with
+//! `kr_core::verify` and stores it on the entry
+//! ([`crate::cache::CachedComponents`]), cores in the order they were
+//! sent. Later hits replay it with no search. A miss stores nothing, and
+//! a request whose node budget the stored run could exceed searches.
 //!
 //! **Cancellation.** Runaway work is bounded two ways. The engine's
 //! node/time limits: the session clamps every query's budgets to the
@@ -35,22 +42,25 @@
 //! preprocessing histograms, request/rejection counters, the in-flight
 //! gauge), which a `metrics` request returns over the wire.
 
-use crate::cache::{beyond_band, r_band, CacheKey, R_BAND_WIDTH};
+use crate::cache::{beyond_band, r_band, CacheKey, QueryKind, StoredAnswer, R_BAND_WIDTH};
 use crate::datasets::{GraphUpdate, HostedDataset, MutationOutcome};
 use crate::json::Json;
+use crate::obs::ServerMetrics;
 use crate::protocol::{
     Algo, CacheOutcome, ErrorCode, Frame, ProtoError, QuerySpec, Request, PROTOCOL_VERSION,
 };
 use crate::server::{ServerState, SessionPermit};
 use crate::sync::lock;
 use kr_core::{
-    enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig, CancelFlag, CoreHook, KrCore,
-    LocalComponent,
+    enumerate_maximal_prepared, find_maximum_prepared, is_kr_core, verify_maximal_family,
+    AlgoConfig, CancelFlag, CoreHook, KrCore, LocalComponent, ProblemInstance,
 };
+use kr_graph::VertexId;
 use kr_obs::{next_trace_id, Counter, Field, PhaseTimer};
+use std::borrow::Cow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Socket poll interval; bounds how long shutdown waits on idle sessions.
@@ -476,9 +486,31 @@ fn handle_line(line: &str, writer: &SharedWriter, state: &Arc<ServerState>) -> s
     }
 }
 
-enum QueryKind {
-    Enumerate,
-    Maximum,
+/// Checks a hit's complete answer against the problem its search ran on
+/// — `verify_maximal_family` for an enumeration, `is_kr_core` for a
+/// maximum — and stores it in the entry's `slot` when it passes. Counts
+/// the outcome; returns whether the answer passed.
+fn store_answer(
+    slot: &OnceLock<StoredAnswer>,
+    kind: QueryKind,
+    mut answer: StoredAnswer,
+    problem: &ProblemInstance,
+    metrics: &ServerMetrics,
+) -> bool {
+    let family: Vec<KrCore> = answer.cores.iter().cloned().map(KrCore::new).collect();
+    let ok = match kind {
+        QueryKind::Enumerate => verify_maximal_family(problem, &family).is_ok(),
+        QueryKind::Maximum => family.iter().all(|core| is_kr_core(problem, core)),
+    };
+    if ok {
+        metrics.answers_verified.inc();
+        answer.cores.shrink_to_fit();
+        // A concurrent first hit may have stored the same answer already.
+        let _ = slot.set(answer);
+    } else {
+        metrics.verify_failures.inc();
+    }
+    ok
 }
 
 /// Budget clamp: the tighter of the request's wish and the server ceiling.
@@ -659,7 +691,7 @@ fn run_query(
         CacheOutcome::Miss
     };
 
-    let mut cfg = match (&kind, spec.algo) {
+    let mut cfg = match (kind, spec.algo) {
         (QueryKind::Enumerate, Algo::Adv) => AlgoConfig::adv_enum(),
         (QueryKind::Enumerate, Algo::Basic) => AlgoConfig::basic_enum(),
         (QueryKind::Maximum, Algo::Adv) => AlgoConfig::adv_max(),
@@ -668,24 +700,44 @@ fn run_query(
     if let Some(ms) = clamp_limit(spec.time_limit_ms, state.config.max_time_limit_ms) {
         cfg = cfg.with_time_limit_ms(ms);
     }
-    if let Some(limit) = clamp_limit(spec.node_limit, state.config.max_node_limit) {
+    let node_limit = clamp_limit(spec.node_limit, state.config.max_node_limit);
+    if let Some(limit) = node_limit {
         cfg = cfg.with_node_limit(limit);
     }
+
+    // A hit replays the entry's stored answer when the request's node
+    // budget exceeds the stored run's node count, so the budget (checked
+    // per component walk) could not have cut that run. The first hit
+    // searches and records its answer for `store_answer`; a miss never
+    // stores, since cold keys rarely repeat.
+    let slot = comps.answer(kind, spec.algo);
+    let stored = slot
+        .get()
+        .filter(|a| hit && node_limit.is_none_or(|limit| limit > a.nodes));
+    let record = hit && slot.get().is_none();
 
     // AdvEnum streams: every core the engine confirms is pushed onto the
     // session's writer from the hook, which flushes the first one at once
     // and later ones every `FLUSH_INTERVAL`. BasicEnum (maximality is only
-    // known after the post-filter) and the maximum search push their
-    // cores after the search instead, so they go out with `done` in one
-    // write. A failed flush (or the abort probe finding the client gone)
-    // cancels the engine, which winds down at its next search node.
-    let streaming = matches!(kind, QueryKind::Enumerate) && cfg.maximal_check;
+    // known after the post-filter), the maximum search and a replayed
+    // answer push their cores after the search instead, so they go out
+    // with `done` in one write. A failed flush (or the abort probe finding
+    // the client gone) cancels the engine, which winds down at its next
+    // search node.
+    let streaming = stored.is_none() && kind == QueryKind::Enumerate && cfg.maximal_check;
+    // The recording run's cores in the order the hook streamed them.
+    let streamed: Option<Arc<Mutex<Vec<Vec<VertexId>>>>> =
+        (record && streaming).then(Default::default);
     lock(writer).begin_query();
     let cancel = CancelFlag::new();
     cfg = cfg.with_cancel(cancel.clone());
     if streaming {
         let (out, stop, qid, qtrace) = (writer.clone(), cancel.clone(), id.clone(), trace.clone());
+        let order = streamed.clone();
         cfg = cfg.with_on_core(CoreHook::new(move |core: &KrCore| {
+            if let Some(order) = &order {
+                lock(order).push(core.vertices.clone());
+            }
             let mut out = lock(&out);
             let frame = Frame::Core {
                 id: qid.clone(),
@@ -700,36 +752,50 @@ fn run_query(
     }
 
     let search = PhaseTimer::start(sink, &trace, "search");
-    let (cores, completed, nodes) = match kind {
-        QueryKind::Enumerate => {
+    let (cores, completed, nodes): (Cow<[Vec<VertexId>]>, bool, u64) = match (stored, kind) {
+        (Some(answer), _) => (Cow::Borrowed(&answer.cores), true, answer.nodes),
+        (None, QueryKind::Enumerate) => {
             let res = enumerate_maximal_prepared(&comps, &cfg);
-            (res.cores, res.completed, res.stats.nodes)
+            let cores = res.cores.into_iter().map(|c| c.vertices).collect();
+            (Cow::Owned(cores), res.completed, res.stats.nodes)
         }
-        QueryKind::Maximum => {
+        (None, QueryKind::Maximum) => {
             let res = find_maximum_prepared(&comps, &cfg);
-            (
-                res.core.into_iter().collect(),
-                res.completed,
-                res.stats.nodes,
-            )
+            let cores = res.core.into_iter().map(|c| c.vertices).collect();
+            (Cow::Owned(cores), res.completed, res.stats.nodes)
         }
     };
     search.finish_with(&[
         ("nodes", Field::U(nodes)),
         ("completed", Field::B(completed)),
+        ("stored", Field::B(stored.is_some())),
     ]);
+    if stored.is_some() {
+        metrics.answers_replayed.inc();
+    }
     let count = cores.len() as u64;
+    // Stored before `done` leaves, so the client's next query can replay.
+    if record && completed {
+        let cores = match &streamed {
+            Some(order) => std::mem::take(&mut *lock(order)),
+            None => cores.to_vec(),
+        };
+        let check = PhaseTimer::start(sink, &trace, "verify");
+        let problem = dataset.problem_on(&view, spec.k, spec.r);
+        let ok = store_answer(slot, kind, StoredAnswer { cores, nodes }, &problem, metrics);
+        check.finish_with(&[("ok", Field::B(ok))]);
+    }
 
     let elapsed = t0.elapsed();
     let elapsed_ms = elapsed.as_millis() as u64;
     let mut out = lock(writer);
     if !streaming {
-        for core in cores {
+        for vertices in cores.iter() {
             let frame = Frame::Core {
                 id: id.clone(),
                 trace: trace.clone(),
                 index: out.frames,
-                vertices: core.vertices,
+                vertices: vertices.clone(),
             };
             out.push(&frame);
         }
@@ -1150,6 +1216,132 @@ mod tests {
             assert_eq!(read_exactly(&mut client, bytes.len()), bytes);
         }
         assert_eq!(w.cores_streamed.get(), 4);
+    }
+
+    /// A server, a client, and an enumeration key of a small preset.
+    fn served() -> (crate::ServerHandle, crate::Client, QuerySpec) {
+        let handle = crate::Server::bind(crate::ServerConfig::default())
+            .expect("bind")
+            .spawn();
+        let client = crate::Client::connect(handle.addr()).expect("connect");
+        let spec = QuerySpec {
+            scale: 0.2,
+            ..QuerySpec::new("gowalla-like", 3, 8.0)
+        };
+        (handle, client, spec)
+    }
+
+    fn limited(spec: &QuerySpec, node_limit: u64) -> QuerySpec {
+        QuerySpec {
+            node_limit: Some(node_limit),
+            ..spec.clone()
+        }
+    }
+
+    #[test]
+    fn a_budget_cut_hit_stores_nothing() {
+        let (handle, mut client, spec) = served();
+        let state = handle.state();
+        let metrics = &state.metrics;
+        let cold = client.enumerate(spec.clone()).expect("miss");
+        assert!(cold.completed && cold.nodes > 1);
+        let cut = client.enumerate(limited(&spec, 1)).expect("cut hit");
+        assert_eq!(cut.cache, CacheOutcome::Hit);
+        assert!(!cut.completed);
+        assert_eq!(metrics.answers_verified.get(), 0, "nothing to store");
+        // So the next hit searches (and stores), and only the one after
+        // it replays.
+        for replayed in [0, 1] {
+            let got = client.enumerate(spec.clone()).expect("hit");
+            assert_eq!((got.cores, got.nodes), (cold.cores.clone(), cold.nodes));
+            assert_eq!(metrics.answers_replayed.get(), replayed);
+            assert_eq!(metrics.answers_verified.get(), 1);
+        }
+        handle.shutdown_and_join().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_budget_the_stored_run_could_exceed_searches_fresh() {
+        let (handle, mut client, spec) = served();
+        let state = handle.state();
+        let metrics = &state.metrics;
+        client.maximum(spec.clone()).expect("miss");
+        let first = client.maximum(spec.clone()).expect("first hit");
+        assert_eq!(metrics.answers_verified.get(), 1);
+        assert!(first.nodes > 1);
+        // Budgets at or below the stored run's nodes search: the cut one
+        // reports it, and nothing replays.
+        let cut = client.maximum(limited(&spec, 1)).expect("cut");
+        assert!(!cut.completed);
+        client
+            .maximum(limited(&spec, first.nodes))
+            .expect("at the stored nodes");
+        assert_eq!(metrics.answers_replayed.get(), 0);
+        // A budget above them replays the stored answer.
+        let replay = client
+            .maximum(limited(&spec, first.nodes + 1))
+            .expect("above the stored nodes");
+        assert_eq!(metrics.answers_replayed.get(), 1);
+        assert!(replay.completed);
+        assert_eq!((replay.cores, replay.nodes), (first.cores, first.nodes));
+        assert_eq!(metrics.answers_verified.get(), 1, "stored once");
+        handle.shutdown_and_join().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_failed_verification_stores_nothing() {
+        use kr_similarity::{AttributeTable, Metric, Threshold};
+        // Two triangles joined by the edge 2–3, far apart in the plane.
+        let graph = kr_graph::Graph::from_edges(
+            6,
+            &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)],
+        );
+        let points = AttributeTable::points(vec![
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (0.0, 1.0),
+            (50.0, 0.0),
+            (51.0, 0.0),
+            (50.0, 1.0),
+        ]);
+        let problem = ProblemInstance::new(
+            graph,
+            points,
+            Metric::Euclidean,
+            Threshold::MaxDistance(5.0),
+            2,
+        );
+        let metrics = ServerMetrics::new();
+        let answer = |cores: Vec<Vec<VertexId>>| StoredAnswer { cores, nodes: 3 };
+        let slot = OnceLock::new();
+        for (kind, wrong) in [
+            // A dissimilar union, and a family whose second entry
+            // contains the first.
+            (QueryKind::Maximum, vec![vec![0, 1, 2, 3, 4, 5]]),
+            (QueryKind::Enumerate, vec![vec![0, 1, 2], vec![0, 1, 2]]),
+        ] {
+            assert!(!store_answer(
+                &slot,
+                kind,
+                answer(wrong),
+                &problem,
+                &metrics
+            ));
+            assert!(slot.get().is_none());
+        }
+        assert_eq!(metrics.verify_failures.get(), 2);
+        assert_eq!(metrics.answers_verified.get(), 0);
+        // The right family passes and is stored.
+        let right = answer(vec![vec![3, 4, 5], vec![0, 1, 2]]);
+        assert!(store_answer(
+            &slot,
+            QueryKind::Enumerate,
+            right.clone(),
+            &problem,
+            &metrics
+        ));
+        assert_eq!(slot.get(), Some(&right));
+        assert_eq!(metrics.answers_verified.get(), 1);
     }
 
     #[test]

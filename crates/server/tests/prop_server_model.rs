@@ -12,7 +12,9 @@
 //!
 //! Thresholds are drawn from the current pair values, so they land
 //! exactly on some pair's value, and earlier `(k, r)` keys are reused so
-//! the cache's hit, repair and invalidate paths all run. The proptest
+//! the cache's hit, repair and invalidate paths all run. A key mostly
+//! reruns the command it was first asked with, so hits store answers and
+//! later hits replay them, some from entries a write's repair kept. The proptest
 //! shim does not shrink, so a failing stream prints its seed; rerun it
 //! alone with `KR_MODEL_SEED=<seed>`.
 
@@ -20,7 +22,7 @@ use kr_core::{enumerate_maximal, find_maximum, is_kr_core, AlgoConfig, KrCore, P
 use kr_graph::{Graph, VertexId};
 use kr_server::{AttributeValue, CacheStats, Client, QuerySpec, Server, ServerConfig};
 use kr_similarity::{write_snapshot_file, AttributeTable, Metric, Threshold};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Vertices per dataset.
 const N: u32 = 14;
@@ -128,7 +130,7 @@ impl Shadow {
     fn edge_pick(
         &self,
         rng: &mut Rng,
-        keys: &[(u32, f64)],
+        keys: &[(u32, f64, bool)],
         present: bool,
     ) -> Option<(VertexId, VertexId)> {
         let table = self.table();
@@ -141,7 +143,7 @@ impl Shadow {
             .copied()
             .filter(|&(u, v)| {
                 let value = self.metric.evaluate(&table, u, v);
-                keys.iter().any(|&(_, r)| r == value)
+                keys.iter().any(|&(_, r, _)| r == value)
             })
             .collect();
         let pool = if !boundary.is_empty() && rng.chance(50) {
@@ -186,10 +188,32 @@ fn sorted_family(cores: impl IntoIterator<Item = Vec<VertexId>>) -> Vec<Vec<Vert
     family
 }
 
+/// What one stream reached besides its cache stats.
+#[derive(Default)]
+struct Replays {
+    /// Queries answered from a stored answer.
+    all: u64,
+    /// Of those, replays whose key was last answered before a write that
+    /// kept (repaired) entries of its dataset: the stored answer was
+    /// carried across the repair.
+    after_repair: u64,
+}
+
+/// The server's `server.answers_replayed` counter.
+fn answers_replayed(client: &mut Client) -> u64 {
+    client
+        .metrics()
+        .expect("metrics")
+        .counters
+        .iter()
+        .find(|(name, _)| name == "server.answers_replayed")
+        .map_or(0, |&(_, v)| v)
+}
+
 /// Runs one seeded stream against a fresh server; panics on the first
 /// answer that differs from the shadow's. Returns the server's cache
-/// stats at the end of the stream.
-fn run_stream(seed: u64) -> CacheStats {
+/// stats at the end of the stream, and its replays.
+fn run_stream(seed: u64) -> (CacheStats, Replays) {
     let mut rng = Rng(seed);
     let dir = std::env::temp_dir();
     let mut shadows = [
@@ -216,24 +240,35 @@ fn run_stream(seed: u64) -> CacheStats {
     .spawn();
     let mut client = Client::connect(handle.addr()).expect("connect");
     // Earlier (k, r) keys per dataset, reused so cached entries meet
-    // the writes that follow them.
-    let mut keys: [Vec<(u32, f64)>; 2] = [Vec::new(), Vec::new()];
+    // the writes that follow them, each with the command it was first
+    // asked with (true: maximum).
+    let mut keys: [Vec<(u32, f64, bool)>; 2] = [Vec::new(), Vec::new()];
+    let mut replays = Replays::default();
+    // Per dataset, the writes so far that kept some entry; per query, how
+    // many there had been when it was last answered.
+    let mut repairs_seen = [0u64; 2];
+    let mut answered_at: HashMap<(usize, u32, u64, bool), u64> = HashMap::new();
 
     for op in 0..OPS {
         let d = rng.below(2) as usize;
         let shadow = &mut shadows[d];
         let name = shadow.name;
         if rng.chance(60) {
-            let (k, r) = if !keys[d].is_empty() && rng.chance(60) {
-                keys[d][rng.below(keys[d].len() as u64) as usize]
+            let (k, r, maximum) = if !keys[d].is_empty() && rng.chance(75) {
+                let (k, r, maximum) = keys[d][rng.below(keys[d].len() as u64) as usize];
+                (k, r, maximum != rng.chance(20))
             } else {
-                let key = (1 + rng.below(3) as u32, shadow.pair_value(&mut rng));
+                let key = (
+                    1 + rng.below(3) as u32,
+                    shadow.pair_value(&mut rng),
+                    rng.chance(50),
+                );
                 keys[d].push(key);
                 key
             };
             let spec = QuerySpec::new(name, k, r);
             let problem = shadow.problem(k, r);
-            if rng.chance(50) {
+            if !maximum {
                 let got = client.enumerate(spec).expect("enumerate");
                 let want = enumerate_maximal(&problem, &AlgoConfig::adv_enum());
                 assert_eq!(
@@ -259,6 +294,18 @@ fn run_stream(seed: u64) -> CacheStats {
                     );
                 }
             }
+            let replayed = answers_replayed(&mut client);
+            let query = (d, k, r.to_bits(), maximum);
+            if replayed > replays.all {
+                replays.all = replayed;
+                if answered_at
+                    .get(&query)
+                    .is_some_and(|&at| at < repairs_seen[d])
+                {
+                    replays.after_repair += 1;
+                }
+            }
+            answered_at.insert(query, repairs_seen[d]);
             continue;
         }
         let batch = 1 + rng.below(3) as usize;
@@ -267,18 +314,20 @@ fn run_stream(seed: u64) -> CacheStats {
                 let edges: Vec<_> = (0..batch)
                     .filter_map(|_| shadow.edge_pick(&mut rng, &keys[d], false))
                     .collect();
-                client
+                let done = client
                     .add_edges(name, 1.0, edges.clone())
                     .expect("add edges");
+                repairs_seen[d] += u64::from(done.repairs > 0);
                 shadow.edges.extend(edges);
             }
             1 => {
                 let edges: Vec<_> = (0..batch)
                     .filter_map(|_| shadow.edge_pick(&mut rng, &keys[d], true))
                     .collect();
-                client
+                let done = client
                     .remove_edges(name, 1.0, edges.clone())
                     .expect("remove edges");
+                repairs_seen[d] += u64::from(done.repairs > 0);
                 for e in edges {
                     shadow.edges.remove(&e);
                 }
@@ -290,9 +339,10 @@ fn run_stream(seed: u64) -> CacheStats {
                         (w, random_attr(shadow.metric, &mut rng))
                     })
                     .collect();
-                client
+                let done = client
                     .set_attributes(name, 1.0, updates.clone())
                     .expect("set attributes");
+                repairs_seen[d] += u64::from(done.repairs > 0);
                 for (w, value) in updates {
                     shadow.attrs[w as usize] = value;
                 }
@@ -304,7 +354,7 @@ fn run_stream(seed: u64) -> CacheStats {
     for path in paths {
         let _ = std::fs::remove_file(path);
     }
-    stats
+    (stats, replays)
 }
 
 /// Prints the seed of a stream that panics, since the failure output
@@ -330,17 +380,22 @@ fn server_answers_match_a_from_scratch_model_under_writes() {
         None => (0..STREAMS).map(|i| 0x5EED_0000 + i).collect(),
     };
     let (mut hits, mut repairs, mut invalidations) = (0, 0, 0);
+    let (mut replayed, mut after_repair) = (0, 0);
     for seed in seeds {
         let _report = SeedReport(seed);
-        let stats = run_stream(seed);
+        let (stats, replays) = run_stream(seed);
         hits += stats.hits;
         repairs += stats.repairs;
         invalidations += stats.invalidations;
+        replayed += replays.all;
+        after_repair += replays.after_repair;
     }
-    // The default streams must reach every cache path, or they prove
-    // little; one rerun seed need not.
+    // The default streams must reach every cache path, stored answers
+    // carried across a repair included, or they prove little; one rerun
+    // seed need not.
     assert!(
-        env_seed.is_some() || (hits > 0 && repairs > 0 && invalidations > 0),
-        "hits {hits}, repairs {repairs}, invalidations {invalidations}"
+        env_seed.is_some() || (hits > 0 && repairs > 0 && invalidations > 0 && after_repair > 0),
+        "hits {hits}, repairs {repairs}, invalidations {invalidations}, \
+         replayed {replayed}, replayed after a repair {after_repair}"
     );
 }

@@ -315,9 +315,11 @@ fn version_mismatch_rejected_over_the_wire() {
 }
 
 /// Result frames must be byte-identical no matter whether the arena came
-/// fresh from preprocessing or `Arc`-shared out of the component cache —
-/// the wire bytes pin the CSR arena's determinism end to end (only the
-/// `done` frame may differ, in its timing fields).
+/// fresh from preprocessing or `Arc`-shared out of the component cache,
+/// and whether the answer was searched or replayed from the entry's
+/// stored answer — the wire bytes pin the CSR arena's determinism and
+/// the stored streaming order end to end (only the `done` frame may
+/// differ, in its timing fields).
 #[test]
 fn raw_result_frames_byte_identical_cold_vs_cached() {
     use std::io::{BufRead, BufReader, Write};
@@ -327,13 +329,18 @@ fn raw_result_frames_byte_identical_cold_vs_cached() {
     let mut line = String::new();
     reader.read_line(&mut line).expect("hello");
 
-    let run_query = |stream: &mut std::net::TcpStream,
-                     reader: &mut BufReader<std::net::TcpStream>,
-                     id: &str|
-     -> (Vec<Vec<u8>>, CacheOutcome) {
-        let req = Request::Enumerate {
-            id: id.to_string(),
-            spec: spec(DatasetPreset::GowallaLike, 3, 8.0),
+    let mut run_query = |maximum: bool, id: &str| -> (Vec<Vec<u8>>, CacheOutcome, u64) {
+        let (id, spec) = (id.to_string(), spec(DatasetPreset::GowallaLike, 3, 8.0));
+        let req = if maximum {
+            Request::Maximum {
+                id: id.clone(),
+                spec,
+            }
+        } else {
+            Request::Enumerate {
+                id: id.clone(),
+                spec,
+            }
         };
         stream
             .write_all(format!("{}\n", req.to_line()).as_bytes())
@@ -353,21 +360,68 @@ fn raw_result_frames_byte_identical_cold_vs_cached() {
                         .replace(&format!("\"trace\":\"{trace}\""), "\"trace\":\"_\"");
                     core_lines.push(stripped.into_bytes());
                 }
-                Frame::Done { cache, .. } => return (core_lines, cache),
+                Frame::Done {
+                    cache,
+                    nodes,
+                    completed,
+                    ..
+                } => {
+                    assert!(completed);
+                    return (core_lines, cache, nodes);
+                }
                 other => panic!("unexpected frame {other:?}"),
             }
         }
     };
 
-    let (cold, outcome_cold) = run_query(&mut stream, &mut reader, "q-cold");
-    let (warm, outcome_warm) = run_query(&mut stream, &mut reader, "q-warm");
-    assert_eq!(outcome_cold, CacheOutcome::Miss);
-    assert_eq!(outcome_warm, CacheOutcome::Hit);
-    assert!(!cold.is_empty(), "test instance must emit cores");
-    assert_eq!(
-        cold, warm,
-        "cached arena must serialize byte-identically to the fresh one"
-    );
+    let state = handle.state();
+    let metrics = &state.metrics;
+    for maximum in [false, true] {
+        let replayed = metrics.answers_replayed.get();
+        // Enumeration: a miss, a first hit that searches and stores, a
+        // replay. Maximum (the entry is resident): a first hit, then two
+        // replays.
+        let (cold, outcome_cold, nodes_cold) = run_query(maximum, "q-cold");
+        let (warm, outcome_warm, nodes_warm) = run_query(maximum, "q-warm");
+        let (stored, outcome_stored, nodes_stored) = run_query(maximum, "q-stored");
+        let expect_cold = if maximum {
+            CacheOutcome::Hit
+        } else {
+            CacheOutcome::Miss
+        };
+        assert_eq!(outcome_cold, expect_cold);
+        assert_eq!(outcome_warm, CacheOutcome::Hit);
+        assert_eq!(outcome_stored, CacheOutcome::Hit);
+        assert!(!cold.is_empty(), "test instance must emit cores");
+        assert_eq!(
+            cold, warm,
+            "cached arena must serialize byte-identically to the fresh one"
+        );
+        if !maximum {
+            // The stream's discovery order is not the sorted order the
+            // engine returns, so replaying sorted cores would fail below.
+            let order: Vec<Vec<u32>> = cold
+                .iter()
+                .map(|l| match Frame::parse(std::str::from_utf8(l).unwrap()) {
+                    Ok(Frame::Core { vertices, .. }) => vertices,
+                    other => panic!("not a core frame: {other:?}"),
+                })
+                .collect();
+            assert!(!order.is_sorted(), "instance streams in sorted order");
+        }
+        assert_eq!(
+            cold, stored,
+            "a stored answer must replay the fresh run's core frames in order"
+        );
+        assert_eq!((nodes_warm, nodes_stored), (nodes_cold, nodes_cold));
+        assert_eq!(
+            metrics.answers_replayed.get(),
+            replayed + if maximum { 2 } else { 1 },
+            "replays (maximum: {maximum})"
+        );
+    }
+    assert_eq!(metrics.answers_verified.get(), 2);
+    assert_eq!(metrics.verify_failures.get(), 0);
     handle.shutdown_and_join().expect("clean shutdown");
 }
 
