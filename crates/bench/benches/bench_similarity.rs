@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use kr_datagen::DatasetPreset;
 use kr_similarity::{
-    build_dissimilarity_lists, build_dissimilarity_lists_brute, top_permille_threshold, Metric,
+    build_dissimilarity_lists_brute, build_dissimilarity_view, top_permille_threshold, Metric,
     SimilarityOracle, TableOracle, Threshold,
 };
 use std::hint::black_box;
@@ -62,18 +62,18 @@ fn bench_similarity(c: &mut Criterion) {
             ))
         })
     });
-    // Candidate-indexed vs brute-force dissimilarity materialization over
+    // Candidate-indexed dissimilarity view vs the brute-force lists over
     // one vertex block — the PR 4 preprocessing hot path.
     let kw_members: Vec<u32> = (0..dblp.graph.num_vertices().min(400) as u32).collect();
     g.bench_function("dissimilarity_indexed_keywords", |b| {
-        b.iter(|| black_box(build_dissimilarity_lists(&oracle, &kw_members).num_pairs))
+        b.iter(|| black_box(build_dissimilarity_view(&oracle, &kw_members).num_pairs()))
     });
     g.bench_function("dissimilarity_brute_keywords", |b| {
         b.iter(|| black_box(build_dissimilarity_lists_brute(&oracle, &kw_members).num_pairs))
     });
     let geo_members: Vec<u32> = (0..gow.graph.num_vertices().min(400) as u32).collect();
     g.bench_function("dissimilarity_indexed_geo", |b| {
-        b.iter(|| black_box(build_dissimilarity_lists(&geo, &geo_members).num_pairs))
+        b.iter(|| black_box(build_dissimilarity_view(&geo, &geo_members).num_pairs()))
     });
     g.bench_function("dissimilarity_brute_geo", |b| {
         b.iter(|| black_box(build_dissimilarity_lists_brute(&geo, &geo_members).num_pairs))

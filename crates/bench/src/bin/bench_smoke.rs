@@ -1,6 +1,6 @@
 //! CI bench-smoke gate: quick-mode enumeration benchmarks on two presets,
 //! recorded as one JSON trajectory point and compared against a
-//! checked-in baseline (CI gates against the newest, `BENCH_pr26.json`; the
+//! checked-in baseline (CI gates against the newest, `BENCH_pr34.json`; the
 //! older `BENCH_*.json` files are earlier points of the same trajectory).
 //!
 //! ```text
@@ -59,19 +59,15 @@
 //!   descent, which is exactly the access pattern the lazy view is for
 //!   (enumeration visits every row by construction and would erase the
 //!   effect);
-//! * `lazy_rows_materialized` / `dissim_pairs_avoided` per point — rows
-//!   the lazy view actually built, and directed complement entries it
-//!   never had to (both 0 on eager points);
-//! * an in-run gate (same-process, deterministic, no baseline needed):
-//!   on the corridor point the lazy view must materialize at most
-//!   [`MAX_LAZY_MATERIALIZED_FRAC`] of the directed entries an eager
-//!   build would allocate.
+//! * `lazy_rows_materialized` / `dissim_pairs_avoided` per point, with an
+//!   in-run gate on the lazy view's materialized share (both dropped in
+//!   schema 8: no view materializes rows any more).
 //!
 //! A second in-run gate (no schema change) bounds the corridor point's
 //! `peak_component_bytes` by [`corridor_component_bound`]: twice the
-//! `n·⌈n/64⌉` words of bit rows the lazy view keeps its similar pairs
-//! in. A lazy view that kept a similarity CSR again (486 928 B on this
-//! corridor) fails it.
+//! `n·⌈n/64⌉` words of bit rows the view keeps its similar pairs in. A
+//! view that kept a similarity CSR again (486 928 B on this corridor)
+//! fails it.
 //!
 //! Schema 6 (PR 10) adds the write path, measured end to end through an
 //! in-process server (two top-level fields, informational — wall-clock
@@ -92,13 +88,25 @@
 //! medians over alternating pairs, whose median ratio the index gate
 //! reads. `write` takes 3× the samples. `check`
 //! rejects older baselines as unreadable (exit 2).
+//!
+//! Schema 8 drops the lazy-view fields and adds, per point:
+//!
+//! * `estimator_visits` — the row words and entries the vertex chooser's
+//!   first-hop counts read in one run of the point's search
+//!   (`SearchStats::estimator_visits`). Deterministic, so `check` gates
+//!   it exactly: any change fails, and a deliberate one rewrites the
+//!   baseline. It sees a search regression the ±25% wall gate cannot. A
+//!   schema-7 baseline lacks it; that gate is then skipped;
+//! * an in-run footprint gate (deterministic, no baseline): every
+//!   component of every point with `n ≤ BIT_ROWS_MAX_N` vertices has a
+//!   dissimilarity view of exactly `n·⌈n/64⌉·8` bytes.
 
 use kr_bench::BenchDataset;
 use kr_core::{enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig};
 use kr_datagen::DatasetPreset;
 use kr_graph::{Graph, VertexId};
 use kr_server::{Client, QuerySpec, Server, ServerConfig};
-use kr_similarity::{AttributeTable, Metric, Threshold};
+use kr_similarity::{AttributeTable, Metric, Threshold, BIT_ROWS_MAX_N};
 use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -133,18 +141,10 @@ const MIN_INDEX_SPEEDUP: f64 = 1.05;
 /// Alternating full / indexed preprocessing pairs per point.
 const PREPROCESS_PAIRS: usize = 21;
 
-/// In-run gate on the lazy dissimilarity view: on the `geo-corridor`
-/// point the bound-pruned maximum search must leave at least 70% of the
-/// eager complement unbuilt. Fully deterministic (fixed instance, fixed
-/// search), so there is no noise allowance; measured ~0.2% locally, the
-/// gate guards the mechanism, not the margin.
-const MAX_LAZY_MATERIALIZED_FRAC: f64 = 0.30;
-
 /// In-run gate on the corridor's footprint: the largest component may
-/// take at most twice the bit rows of an `n`-vertex lazy view
-/// (`n·⌈n/64⌉` words; ~283 KB for the 1 040-vertex corridor), leaving
-/// room for its adjacency and row table. Deterministic, like the lazy
-/// gate above.
+/// take at most twice the bit rows of an `n`-vertex view (`n·⌈n/64⌉`
+/// words; ~283 KB for the 1 040-vertex corridor), leaving room for its
+/// adjacency and id map. Deterministic.
 fn corridor_component_bound(n: usize) -> usize {
     2 * n * n.div_ceil(64) * std::mem::size_of::<u64>()
 }
@@ -167,29 +167,23 @@ struct Point {
     p50_us: u64,
     p99_us: u64,
     peak_component_bytes: usize,
-    /// Rows the lazy dissimilarity view materialized during the measured
-    /// searches (0 on points whose components stayed eager).
-    lazy_rows_materialized: u64,
-    /// Directed complement entries the lazy view never built: the eager
-    /// footprint minus what actually materialized (0 on eager points).
-    dissim_pairs_avoided: u64,
+    /// `SearchStats::estimator_visits` of one run of the point's search.
+    estimator_visits: u64,
+    /// Components of at most `BIT_ROWS_MAX_N` vertices whose view is not
+    /// exactly `n·⌈n/64⌉·8` bytes, as `(n, bytes)` (gated empty; not
+    /// written to the baseline).
+    off_layout: Vec<(usize, usize)>,
 }
 
-/// Sums the lazy-view counters over `comps`: (rows materialized, directed
-/// entries materialized, directed entries an eager build would hold).
-/// Eager components contribute nothing — the fields report what laziness
-/// did, not what eagerness costs.
-fn lazy_tally(comps: &[kr_core::LocalComponent]) -> (u64, u64, u64) {
-    comps.iter().filter(|c| c.is_dissimilarity_lazy()).fold(
-        (0, 0, 0),
-        |(rows, entries, eager), c| {
-            (
-                rows + c.dissimilarity().materialized_rows() as u64,
-                entries + c.dissimilarity().materialized_entries() as u64,
-                eager + 2 * c.num_dissimilar_pairs as u64,
-            )
-        },
-    )
+/// The components of `comps` with at most `BIT_ROWS_MAX_N` vertices
+/// whose dissimilarity view is not exactly their bit rows, as
+/// `(n, view bytes)`.
+fn off_bit_row_layout(comps: &[kr_core::LocalComponent]) -> Vec<(usize, usize)> {
+    comps
+        .iter()
+        .map(|c| (c.len(), c.dissimilarity().heap_bytes()))
+        .filter(|&(n, bytes)| n <= BIT_ROWS_MAX_N && bytes != n * n.div_ceil(64) * 8)
+        .collect()
 }
 
 fn quick_cases() -> Vec<(DatasetPreset, f64, u32, f64)> {
@@ -374,10 +368,12 @@ fn measure_instance(
     let oracle_evals = comps.iter().map(|c| c.oracle_evals).sum();
     let peak_component_bytes = comps.iter().map(|c| c.memory_bytes()).max().unwrap_or(0);
     let cfg = AlgoConfig::adv_enum();
+    let estimator_visits = enumerate_maximal_prepared(&comps, &cfg)
+        .stats
+        .estimator_visits;
     let run = timed(samples, || {
         black_box(enumerate_maximal_prepared(&comps, &cfg).cores.len());
     });
-    let (lazy_rows, lazy_entries, eager_entries) = lazy_tally(&comps);
     Point {
         preset: name,
         scale,
@@ -393,8 +389,8 @@ fn measure_instance(
         p50_us: run.latency.quantile(0.5),
         p99_us: run.latency.quantile(0.99),
         peak_component_bytes,
-        lazy_rows_materialized: lazy_rows,
-        dissim_pairs_avoided: eager_entries - lazy_entries,
+        estimator_visits,
+        off_layout: off_bit_row_layout(&comps),
     }
 }
 
@@ -440,9 +436,8 @@ fn corridor_instance(clusters: usize, size: usize, k: u32, r: f64) -> kr_core::P
 /// the module doc), `samples` at ~2 s each. The decomposition-index
 /// fields stay 0: the miss-path story is told by the DblpLike point and
 /// repeating it here would double the corridor's wall for no new signal.
-/// Returns the point plus the gate inputs (materialized directed entries,
-/// eager directed entries, vertices).
-fn measure_corridor(samples: usize) -> (Point, (u64, u64, usize)) {
+/// Returns the point plus its vertex count (the footprint gate's input).
+fn measure_corridor(samples: usize) -> (Point, usize) {
     const CLUSTERS: usize = 26;
     const SIZE: usize = 40;
     const K: u32 = 3;
@@ -457,13 +452,11 @@ fn measure_corridor(samples: usize) -> (Point, (u64, u64, usize)) {
     }
     let oracle_evals = comps.iter().map(|c| c.oracle_evals).sum();
     let cfg = AlgoConfig::adv_max();
+    let estimator_visits = find_maximum_prepared(&comps, &cfg).stats.estimator_visits;
     let run = timed(samples, || {
         let res = black_box(find_maximum_prepared(&comps, &cfg));
         assert!(res.completed, "corridor maximum search must complete");
     });
-    // Tallied after the samples: rows memoize across runs on the same
-    // components, so this is the steady-state footprint of the workload.
-    let (lazy_rows, lazy_entries, eager_entries) = lazy_tally(&comps);
     let peak_component_bytes = comps.iter().map(|c| c.memory_bytes()).max().unwrap_or(0);
     let point = Point {
         preset: "geo-corridor".to_string(),
@@ -480,10 +473,10 @@ fn measure_corridor(samples: usize) -> (Point, (u64, u64, usize)) {
         p50_us: run.latency.quantile(0.5),
         p99_us: run.latency.quantile(0.99),
         peak_component_bytes,
-        lazy_rows_materialized: lazy_rows,
-        dissim_pairs_avoided: eager_entries - lazy_entries,
+        estimator_visits,
+        off_layout: off_bit_row_layout(&comps),
     };
-    (point, (lazy_entries, eager_entries, CLUSTERS * SIZE))
+    (point, CLUSTERS * SIZE)
 }
 
 /// Measures the write path end to end (schema 6): an in-process server
@@ -557,7 +550,7 @@ const MUTATION_BATCHES: usize = 200;
 
 fn render(updates_per_sec: f64, repair_ms: f64, points: &[Point]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": 7,\n");
+    out.push_str("{\n  \"schema\": 8,\n");
     out.push_str(&format!(
         "  \"updates_per_sec\": {updates_per_sec:.1},\n  \"repair_ms\": {repair_ms:.4},\n"
     ));
@@ -570,8 +563,7 @@ fn render(updates_per_sec: f64, repair_ms: f64, points: &[Point]) -> String {
              \"index_build_ms\": {:.3}, \
              \"indexed_preprocess_ms\": {:.3}, \"oracle_evals\": {}, \
              \"p50_us\": {}, \"p99_us\": {}, \
-             \"peak_component_bytes\": {}, \
-             \"lazy_rows_materialized\": {}, \"dissim_pairs_avoided\": {}}}{comma}\n",
+             \"peak_component_bytes\": {}, \"estimator_visits\": {}}}{comma}\n",
             p.preset,
             p.scale,
             p.k,
@@ -585,8 +577,7 @@ fn render(updates_per_sec: f64, repair_ms: f64, points: &[Point]) -> String {
             p.p50_us,
             p.p99_us,
             p.peak_component_bytes,
-            p.lazy_rows_materialized,
-            p.dissim_pairs_avoided
+            p.estimator_visits
         ));
     }
     out.push_str("  ]\n}\n");
@@ -621,6 +612,8 @@ struct BaselinePoint {
     r: f64,
     normalized: f64,
     oracle_evals: f64,
+    /// Absent in schema-7 baselines.
+    estimator_visits: Option<f64>,
 }
 
 fn parse_baseline(text: &str) -> Option<Vec<BaselinePoint>> {
@@ -632,6 +625,12 @@ fn parse_baseline(text: &str) -> Option<Vec<BaselinePoint>> {
         let (r, next) = scan_num(text, "r", next)?;
         let (normalized, next) = scan_num(text, "normalized", next)?;
         let (oracle_evals, next) = scan_num(text, "oracle_evals", next)?;
+        // Read only up to the next point's preset, so a schema-7 point
+        // never picks up a later point's field.
+        let end = text[next..]
+            .find("\"preset\"")
+            .map_or(text.len(), |at| next + at);
+        let estimator_visits = scan_num(&text[..end], "estimator_visits", next).map(|(v, _)| v);
         points.push(BaselinePoint {
             preset,
             scale,
@@ -639,6 +638,7 @@ fn parse_baseline(text: &str) -> Option<Vec<BaselinePoint>> {
             r,
             normalized,
             oracle_evals,
+            estimator_visits,
         });
         pos = next;
     }
@@ -667,7 +667,7 @@ fn main() {
             "{:<16} scale {:<5} k {} r {:<5} wall {:>9.3} ms  (normalized {:.4})  \
              preprocess {:>8.3} ms  indexed {:>8.3} ms (build {:.3} ms)  \
              {} oracle evals  p50/p99 {}/{} us  peak component {} bytes  \
-             lazy rows {} / pairs avoided {}",
+             {} estimator visits",
             p.preset,
             p.scale,
             p.k,
@@ -681,8 +681,7 @@ fn main() {
             p.p50_us,
             p.p99_us,
             p.peak_component_bytes,
-            p.lazy_rows_materialized,
-            p.dissim_pairs_avoided
+            p.estimator_visits
         );
     };
     let mut points: Vec<Point> = quick_cases()
@@ -695,7 +694,7 @@ fn main() {
             p
         })
         .collect();
-    let (corridor_point, corridor_gate) = measure_corridor(factor * CORRIDOR_SAMPLES);
+    let (corridor_point, corridor_n) = measure_corridor(factor * CORRIDOR_SAMPLES);
     let corridor_peak = corridor_point.peak_component_bytes;
     report(&corridor_point);
     points.push(corridor_point);
@@ -756,30 +755,24 @@ fn main() {
             p.preset, p.indexed_preprocess_ms, p.preprocess_ms
         );
     }
-    // In-run lazy gate: deterministic counters from this process, no
-    // baseline involved. `eager_entries == 0` means the corridor stopped
-    // resolving to a lazy view at all — that is itself a regression (the
-    // auto-mode heuristic or the instance drifted).
-    {
-        let (materialized, eager_entries, _) = corridor_gate;
-        let frac = materialized as f64 / (eager_entries as f64).max(1.0);
-        let verdict = if eager_entries == 0 || frac > MAX_LAZY_MATERIALIZED_FRAC {
+    // In-run layout gate: deterministic, no baseline involved. Every
+    // component up to the bit-row cutoff keeps exactly its bit rows.
+    for p in &points {
+        let verdict = if p.off_layout.is_empty() {
+            "ok"
+        } else {
             failed = true;
             "REGRESSION"
-        } else {
-            "ok"
         };
         println!(
-            "{:<16} lazy view materialized {materialized} of {eager_entries} directed \
-             entries  ({:.2}%, gate {:.0}%)  {verdict}",
-            "geo-corridor",
-            frac * 100.0,
-            MAX_LAZY_MATERIALIZED_FRAC * 100.0
+            "{:<16} views of n <= {BIT_ROWS_MAX_N} vertices off n*ceil(n/64)*8 bytes: \
+             {:?}  {verdict}",
+            p.preset, p.off_layout
         );
     }
     // In-run footprint gate: deterministic, no baseline involved.
     {
-        let bound = corridor_component_bound(corridor_gate.2);
+        let bound = corridor_component_bound(corridor_n);
         let verdict = if corridor_peak > bound {
             failed = true;
             "REGRESSION"
@@ -830,14 +823,32 @@ fn main() {
             "{:<16} oracle evals {} vs baseline {base_evals:.0}  ({delta_pct:+.1}%, gate {MAX_ORACLE_EVALS_REGRESSION_PCT}%)  {verdict}",
             p.preset, p.oracle_evals
         );
+        // Deterministic counter: gated exactly.
+        match base.estimator_visits {
+            Some(then) => {
+                let verdict = if p.estimator_visits as f64 == then {
+                    "ok"
+                } else {
+                    failed = true;
+                    "CHANGED (rewrite the baseline if intended)"
+                };
+                println!(
+                    "{:<16} estimator visits {} vs baseline {then:.0}  (gate: equal)  {verdict}",
+                    p.preset, p.estimator_visits
+                );
+            }
+            None => println!(
+                "{:<16} estimator visits {}: the baseline predates them; not gated",
+                p.preset, p.estimator_visits
+            ),
+        }
     }
     if failed {
         eprintln!(
             "bench-smoke gate failed: wall time regressed > {max_pct}%, oracle evals \
-             regressed > {MAX_ORACLE_EVALS_REGRESSION_PCT}%, the index miss path lost \
-             its speedup, the lazy view materialized > {:.0}% of the corridor \
-             complement, or a corridor component outgrew its bit-row bound",
-            MAX_LAZY_MATERIALIZED_FRAC * 100.0
+             regressed > {MAX_ORACLE_EVALS_REGRESSION_PCT}%, estimator visits changed, \
+             the index miss path lost its speedup, a view left its bit-row layout, \
+             or a corridor component outgrew its bit-row bound"
         );
         std::process::exit(1);
     }

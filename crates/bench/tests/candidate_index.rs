@@ -10,7 +10,7 @@
 
 use kr_bench::BenchDataset;
 use kr_datagen::DatasetPreset;
-use kr_similarity::{build_dissimilarity_lists_brute, DissimilarityView};
+use kr_similarity::build_dissimilarity_lists_brute;
 
 /// Indexed components vs the brute-force dissimilarity reference over the
 /// same member sets; returns (indexed evals, brute evals).
@@ -30,16 +30,20 @@ fn check_preset(preset: DatasetPreset, scale: f64, k: u32, r: f64) -> (u64, u64)
         assert_eq!(comp.num_dissimilar_pairs, brute.num_pairs);
         indexed_evals += comp.oracle_evals;
         brute_evals += brute.oracle_evals;
-        // Semantic equality: identical per-row partner sequences whether the
-        // component kept the eager CSR or went lazy (the view's PartialEq
-        // streams cross-representation rows).
-        assert_eq!(
-            comp.dissimilarity(),
-            &DissimilarityView::Eager(brute),
-            "{} component of {} vertices: indexed dissimilarity must match brute force",
-            preset.name(),
-            comp.len()
-        );
+        // Every row of the component's view visits exactly the
+        // brute-force partners, in order.
+        for u in 0..comp.len() as u32 {
+            let mut row = Vec::new();
+            comp.for_each_dissimilar(u, |w| row.push(w));
+            assert_eq!(
+                row,
+                brute.row(u),
+                "{} component of {} vertices, row {u}: indexed dissimilarity must match \
+                 brute force",
+                preset.name(),
+                comp.len()
+            );
+        }
     }
     (indexed_evals, brute_evals)
 }

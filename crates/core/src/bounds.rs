@@ -15,31 +15,13 @@
 //!   simultaneously a k-core of `J` and a k'-core of `J'`; the bound is
 //!   `k'max + 1`. Always at least as tight as KCore.
 //!
-//! `J'` is dense (its complement — the dissimilarity lists — is what we
-//! store), so all computations run over the complement: for a vertex `v`
-//! of an active set of size `n`, `degsim(v) = n − 1 − |dis(v) ∩ active|`.
+//! `J'` is dense, so all computations run over its complement, the
+//! dissimilar pairs a component's view visits: for a vertex `v` of an
+//! active set of size `n`, `degsim(v) = n − 1 − |dis(v) ∩ active|`.
 
-use crate::component::LocalComponent;
 use crate::config::BoundKind;
 use crate::search::{SearchState, Status};
 use kr_graph::VertexId;
-
-/// Visits the dissimilar partners of `v` without materializing: a tight
-/// slice loop when the row is resident (always on eager components,
-/// memoized rows on lazy ones), a streamed complement walk otherwise.
-/// The slice path matters: these loops run on every search node, and
-/// routing the eager case through the streamed visitor costs ~40% of
-/// enumeration wall time on the bench presets.
-#[inline(always)]
-fn visit_dissimilar(comp: &LocalComponent, v: VertexId, mut f: impl FnMut(VertexId)) {
-    if let Some(row) = comp.dissimilar_resident(v) {
-        for &w in row {
-            f(w);
-        }
-    } else {
-        comp.for_each_dissimilar(v, f);
-    }
-}
 
 /// Evaluates `bound` on the current `M ∪ C` of `st`.
 pub fn size_upper_bound(st: &SearchState<'_>, bound: BoundKind) -> u32 {
@@ -71,7 +53,7 @@ fn sim_degrees(st: &SearchState<'_>, active: &[VertexId], in_active: &[bool]) ->
         .iter()
         .map(|&v| {
             let mut d = 0u32;
-            visit_dissimilar(st.comp, v, |w| {
+            st.comp.for_each_dissimilar(v, |w| {
                 if in_active[w as usize] {
                     d += 1;
                 }
@@ -107,7 +89,7 @@ pub fn color_bound(st: &SearchState<'_>) -> u32 {
         let v = active[i];
         dis_count.clear();
         dis_count.resize(class_size.len(), 0);
-        visit_dissimilar(st.comp, v, |w| {
+        st.comp.for_each_dissimilar(v, |w| {
             let cw = color_of[w as usize];
             if cw > 0 && in_active[w as usize] {
                 dis_count[(cw - 1) as usize] += 1;
@@ -208,7 +190,7 @@ fn peel_bound(st: &SearchState<'_>, enforce_structure: bool) -> u32 {
             alive_count -= 1;
             let gx = active[xi];
             // Mark x's dissimilar partners.
-            visit_dissimilar(st.comp, gx, |w| {
+            st.comp.for_each_dissimilar(gx, |w| {
                 let lw = local[w as usize];
                 if lw != u32::MAX {
                     dis_mark[lw as usize] = true;
@@ -225,7 +207,7 @@ fn peel_bound(st: &SearchState<'_>, enforce_structure: bool) -> u32 {
                     }
                 }
             }
-            visit_dissimilar(st.comp, gx, |w| {
+            st.comp.for_each_dissimilar(gx, |w| {
                 let lw = local[w as usize];
                 if lw != u32::MAX {
                     dis_mark[lw as usize] = false;
@@ -285,6 +267,7 @@ fn peel_bound(st: &SearchState<'_>, enforce_structure: bool) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::LocalComponent;
     use crate::search::SearchState;
 
     /// Figure 4 of the paper: J is vertices u0..u5; J' differs.

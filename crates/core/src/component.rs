@@ -1,33 +1,29 @@
 //! Local search arena.
 //!
 //! After preprocessing, each connected k-core component is renumbered to
-//! `0..n` and equipped with adjacency lists plus *dissimilarity* lists (the
-//! pairs that violate the similarity constraint — exactly the pairs the
-//! paper's `DP(·)` counters range over). All search algorithms operate on
-//! this arena with dense arrays.
+//! `0..n` and equipped with adjacency lists plus a *dissimilarity* view
+//! (the pairs that violate the similarity constraint — exactly the pairs
+//! the paper's `DP(·)` counters range over). All search algorithms operate
+//! on this arena with dense arrays.
 //!
-//! Both list families are stored in CSR form ([`kr_graph::Csr`]): one
-//! offsets array plus one flat target arena each, so a vertex visit in the
-//! search hot loop reads a contiguous slice instead of chasing a pointer
-//! into a separately allocated `Vec`. A component is therefore five flat
-//! allocations total, which also makes the serving layer's `Arc`-shared
-//! cache entries cheap and their footprint exactly measurable
-//! ([`LocalComponent::memory_bytes`]).
+//! The adjacency is a CSR ([`kr_graph::Csr`]): one offsets array plus one
+//! flat target arena, so a neighbor visit reads a contiguous slice. The
+//! dissimilar pairs are a [`DissimilarityView`]: bit rows of the similar
+//! pairs up to [`kr_similarity::BIT_ROWS_MAX_N`] vertices, one CSR of the
+//! sparser side above, visited word by word. A component is a handful of
+//! flat allocations that never grow after the build, which makes the
+//! serving layer's `Arc`-shared cache entries cheap and their footprint
+//! exactly measurable ([`LocalComponent::memory_bytes`]).
 
 use kr_graph::{Csr, Graph, VertexId};
-use kr_similarity::{
-    build_dissimilarity_view, DissimMode, DissimilarityLists, DissimilarityView, SimilarityOracle,
-};
+use kr_similarity::{build_dissimilarity_view, DissimMode, DissimilarityView, SimilarityOracle};
 
 /// A renumbered connected component of the preprocessed k-core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalComponent {
     /// Adjacency (local ids), sorted per vertex, CSR-flattened.
     adj: Csr,
-    /// Dissimilar partners (local ids): an eager CSR for small or
-    /// similarity-heavy components (byte-identical to the pre-view
-    /// layout), a lazy complement-of-similarity view for large
-    /// dissimilarity-heavy ones (rows memoized on first slice access).
+    /// Dissimilar partners (local ids).
     dis: DissimilarityView,
     /// Total number of dissimilar unordered pairs.
     pub num_dissimilar_pairs: usize,
@@ -47,14 +43,14 @@ impl LocalComponent {
     /// adjacency CSR is laid out in one pass (rows fill in local-id
     /// order); the dissimilarity view comes straight from
     /// [`build_dissimilarity_view`], which verifies only the pairs the
-    /// oracle's candidate index produces and picks the eager or lazy
-    /// representation per `mode`.
+    /// oracle's candidate index produces. `_mode` has one value and is
+    /// ignored; it stays until the benchmark PR, whose package passes it.
     pub fn build<O: SimilarityOracle>(
         graph: &Graph,
         oracle: &O,
         members: &[VertexId],
         k: u32,
-        mode: DissimMode,
+        _mode: DissimMode,
     ) -> Self {
         let mut local_to_global = members.to_vec();
         local_to_global.sort_unstable();
@@ -76,7 +72,7 @@ impl LocalComponent {
             }
             Csr::from_pairs(n, &adj_pairs)
         };
-        let d = build_dissimilarity_view(oracle, &local_to_global, mode);
+        let d = build_dissimilarity_view(oracle, &local_to_global);
         LocalComponent {
             adj,
             num_dissimilar_pairs: d.num_pairs(),
@@ -114,16 +110,11 @@ impl LocalComponent {
             Csr::from_pairs(n, &pairs)
         };
         let adj = symmetrized(&adj);
-        let dis = symmetrized(&dis);
-        let num_dissimilar_pairs = dis.total_targets() / 2;
+        let dis = DissimilarityView::from_dissimilar(symmetrized(&dis));
         LocalComponent {
             adj,
-            dis: DissimilarityView::Eager(DissimilarityLists {
-                csr: dis,
-                num_pairs: num_dissimilar_pairs,
-                oracle_evals: 0,
-            }),
-            num_dissimilar_pairs,
+            num_dissimilar_pairs: dis.num_pairs(),
+            dis,
             oracle_evals: 0,
             local_to_global: (0..n as VertexId).collect(),
             k,
@@ -149,38 +140,16 @@ impl LocalComponent {
         self.adj.row(u)
     }
 
-    /// Sorted dissimilar partners of local vertex `u` as a contiguous
-    /// slice. On a lazy component this materializes and memoizes the
-    /// row on first access — search paths that only need to *visit* the
-    /// partners use [`LocalComponent::for_each_dissimilar`] instead, so
-    /// rows materialize only for vertices the search branches on.
-    #[inline]
-    pub fn dissimilar(&self, u: VertexId) -> &[VertexId] {
-        self.dis.row(u)
-    }
-
     /// Visits the dissimilar partners of local vertex `u` in ascending
-    /// order without materializing anything: the eager slice (or an
-    /// already-memoized lazy row) when one exists, a streamed
-    /// complement of the similarity row otherwise. The visit sequence
-    /// is identical in both representations.
-    ///
+    /// order, a word of the view's row at a time.
     #[inline(always)]
     pub fn for_each_dissimilar(&self, u: VertexId, f: impl FnMut(VertexId)) {
         self.dis.for_each(u, f)
     }
 
-    /// The dissimilar row of local vertex `u` when it is resident —
-    /// always on eager components, memoized rows only on lazy ones.
-    /// Never materializes. See [`DissimilarityView::resident_row`].
-    #[inline]
-    pub fn dissimilar_resident(&self, u: VertexId) -> Option<&[VertexId]> {
-        self.dis.resident_row(u)
-    }
-
     /// True iff any dissimilar partner of local vertex `u` satisfies
-    /// `pred`. Short-circuits at the first hit and never materializes —
-    /// the hot maximality checks must not pay for full-row visits.
+    /// `pred`. Short-circuits at the first hit — the hot maximality
+    /// checks must not pay for full-row visits.
     #[inline]
     pub fn any_dissimilar_where(&self, u: VertexId, pred: impl FnMut(VertexId) -> bool) -> bool {
         self.dis.any_where(u, pred)
@@ -192,8 +161,8 @@ impl LocalComponent {
         self.adj.row_len(u)
     }
 
-    /// Number of dissimilar partners of local vertex `u`, never
-    /// materializing. See [`DissimilarityView::count`].
+    /// Number of dissimilar partners of local vertex `u`. See
+    /// [`DissimilarityView::count`].
     #[inline]
     pub fn dissimilar_count(&self, u: VertexId) -> usize {
         self.dis.count(u)
@@ -204,14 +173,18 @@ impl LocalComponent {
         &self.adj
     }
 
-    /// The dissimilarity view (eager CSR or lazy complement).
+    /// The dissimilarity view.
     pub fn dissimilarity(&self) -> &DissimilarityView {
         &self.dis
     }
 
-    /// True when the dissimilarity side is the lazy representation.
+    /// True iff the view stores the similar pairs
+    /// ([`DissimilarityView::stores_similar`]): every component up to
+    /// [`kr_similarity::BIT_ROWS_MAX_N`] vertices. Kept under this name
+    /// because the benchmark package reads it; it stays until the
+    /// benchmark PR.
     pub fn is_dissimilarity_lazy(&self) -> bool {
-        self.dis.is_lazy()
+        self.dis.stores_similar()
     }
 
     /// Number of edges.
@@ -238,9 +211,7 @@ impl LocalComponent {
 
     /// Flat memory footprint in bytes: the struct itself plus the heap
     /// behind the adjacency CSR, the dissimilarity view, and the id
-    /// map. For lazy components this grows as rows are materialized,
-    /// so the serving layer's cache accounting re-samples it when it
-    /// reports `resident_bytes`.
+    /// map. Fixed once built.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.adj.heap_bytes()
@@ -263,6 +234,13 @@ impl LocalComponent {
 mod tests {
     use super::*;
     use kr_similarity::{AttributeTable, Metric, TableOracle, Threshold};
+
+    /// The dissimilar partners of `u`, collected.
+    fn dissimilar(c: &LocalComponent, u: VertexId) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        c.for_each_dissimilar(u, |w| out.push(w));
+        out
+    }
 
     #[test]
     fn builds_adjacency_and_dissimilarity() {
@@ -294,11 +272,16 @@ mod tests {
         assert!(c.are_dissimilar(1, 2));
         assert!(c.are_dissimilar(0, 2));
         assert!(!c.are_dissimilar(0, 1));
-        assert_eq!(c.dissimilar(2), &[0, 1]);
+        assert_eq!(dissimilar(&c, 2), [0, 1]);
         assert_eq!(c.num_dissimilar_pairs, 2);
         assert_eq!(c.num_edges(), 2);
         assert_eq!(c.max_degree(), 2);
-        assert!(c.memory_bytes() > std::mem::size_of::<LocalComponent>());
+        // One bit-row word per vertex: the footprint is exact.
+        assert!(c.dissimilarity().stores_similar());
+        assert_eq!(
+            c.memory_bytes(),
+            std::mem::size_of::<LocalComponent>() + c.adj_csr().heap_bytes() + 3 * 8 + 3 * 4
+        );
     }
 
     #[test]
@@ -337,7 +320,7 @@ mod tests {
         );
         assert!(c.are_dissimilar(0, 2));
         assert!(c.are_dissimilar(2, 0));
-        assert_eq!(c.dissimilar(2), &[0]);
+        assert_eq!(dissimilar(&c, 2), [0]);
         assert_eq!(c.num_dissimilar_pairs, 1);
         assert!(c.has_edge(1, 0));
         assert_eq!(c.neighbors(2), &[1]);

@@ -23,7 +23,6 @@ pub struct ProblemInstance {
     graph: Arc<Graph>,
     oracle: TableOracle,
     k: u32,
-    dissim_mode: DissimMode,
 }
 
 impl ProblemInstance {
@@ -52,7 +51,6 @@ impl ProblemInstance {
             graph,
             oracle: TableOracle::from_shared(attrs, metric, threshold),
             k,
-            dissim_mode: DissimMode::Auto,
         }
     }
 
@@ -60,25 +58,7 @@ impl ProblemInstance {
     pub fn from_oracle(graph: impl Into<Arc<Graph>>, oracle: TableOracle, k: u32) -> Self {
         let graph = graph.into();
         assert_eq!(oracle.attributes().len(), graph.num_vertices());
-        ProblemInstance {
-            graph,
-            oracle,
-            k,
-            dissim_mode: DissimMode::Auto,
-        }
-    }
-
-    /// Overrides how component dissimilarity is represented
-    /// ([`DissimMode::Auto`] by default: large dissimilarity-heavy
-    /// components go lazy, everything else stays eager).
-    pub fn with_dissim_mode(mut self, mode: DissimMode) -> Self {
-        self.dissim_mode = mode;
-        self
-    }
-
-    /// The dissimilarity representation policy used by preprocessing.
-    pub fn dissim_mode(&self) -> DissimMode {
-        self.dissim_mode
+        ProblemInstance { graph, oracle, k }
     }
 
     /// The underlying graph.
@@ -109,7 +89,6 @@ impl ProblemInstance {
             graph: self.graph.clone(),
             oracle: self.oracle.with_threshold(threshold),
             k,
-            dissim_mode: self.dissim_mode,
         }
     }
 
@@ -164,7 +143,7 @@ impl ProblemInstance {
         let mut comps: Vec<LocalComponent> = groups
             .into_iter()
             .filter(|g| g.len() > self.k as usize)
-            .map(|g| LocalComponent::build(&filtered, &self.oracle, &g, self.k, self.dissim_mode))
+            .map(|g| LocalComponent::build(&filtered, &self.oracle, &g, self.k, DissimMode::Auto))
             .collect();
         // Put the component with the highest-degree vertex first; order the
         // rest by size descending.

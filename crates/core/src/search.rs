@@ -52,6 +52,11 @@ pub struct SearchStats {
     pub bound_prunes: u64,
     /// Maximal checks performed (Theorem 6).
     pub maximal_checks: u64,
+    /// Row words and stored entries the vertex chooser's first-hop
+    /// counts read ([`crate::order::Chooser::estimator_visits`]): the
+    /// §7 estimator's work, deterministic for a given search (the
+    /// maximal checks' own searches are not counted).
+    pub estimator_visits: u64,
     /// Always 0: the search is sequential and never splits. Kept only
     /// until the benchmark package stops reading it for its
     /// `parallel.resplits` metric.
@@ -334,14 +339,11 @@ impl<'a> SearchState<'a> {
                 }
             }
         }
-        // --- dissimilarity-side counters of partners. A resident row is
-        // iterated as a slice (hot path); otherwise the complement is
-        // streamed, so lazy components never materialize a row for a
-        // status flip. ---
+        // --- dissimilarity-side counters of partners. ---
         if was_c != is_c || was_e != is_e {
             let delta_c: i32 = (is_c as i32) - (was_c as i32);
             let delta_e: i32 = (is_e as i32) - (was_e as i32);
-            let mut apply = |w: VertexId| {
+            comp.for_each_dissimilar(v, |w| {
                 let wi = w as usize;
                 if delta_c != 0 {
                     let nd = (self.dp_c[wi] as i32 + delta_c) as u32;
@@ -358,14 +360,7 @@ impl<'a> SearchState<'a> {
                 if delta_e != 0 {
                     self.dp_e[wi] = (self.dp_e[wi] as i32 + delta_e) as u32;
                 }
-            };
-            if let Some(row) = comp.dissimilar_resident(v) {
-                for &w in row {
-                    apply(w);
-                }
-            } else {
-                comp.for_each_dissimilar(v, apply);
-            }
+            });
         }
     }
 
@@ -386,15 +381,13 @@ impl<'a> SearchState<'a> {
         self.pending.clear();
         self.failed = false;
         self.set_status(u, Status::Chosen);
-        // Similarity eviction of dissimilar partners (the CSR slice
-        // borrows the arena, not `self`).
+        // Similarity eviction of dissimilar partners (the walk borrows
+        // the arena, not `self`).
         let comp = self.comp;
-        for &w in comp.dissimilar(u) {
-            match self.status[w as usize] {
-                Status::Cand | Status::Excluded => self.set_status(w, Status::Gone),
-                _ => {}
-            }
-        }
+        comp.for_each_dissimilar(u, |w| match self.status[w as usize] {
+            Status::Cand | Status::Excluded => self.set_status(w, Status::Gone),
+            _ => {}
+        });
         self.structure_cascade()
     }
 

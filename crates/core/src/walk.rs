@@ -112,7 +112,9 @@ impl<'a, G: Goal> Walker<'a, G> {
             self.goal.leaf(st, &mut self.stats);
             return;
         }
-        let Some((u, preferred)) = self.chooser.choose(st, self.goal.include_sf()) else {
+        let chosen = self.chooser.choose(st, self.goal.include_sf());
+        self.stats.estimator_visits = self.chooser.estimator_visits();
+        let Some((u, preferred)) = chosen else {
             return;
         };
         let first = (u, self.goal.expand_first(preferred));
@@ -164,4 +166,5 @@ pub(crate) fn merge_stats(into: &mut SearchStats, from: SearchStats) {
     into.early_terminations += from.early_terminations;
     into.bound_prunes += from.bound_prunes;
     into.maximal_checks += from.maximal_checks;
+    into.estimator_visits += from.estimator_visits;
 }

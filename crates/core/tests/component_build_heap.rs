@@ -5,15 +5,13 @@
 //!
 //! Two shapes of geo-corridor (circulant rings of points on unit circles
 //! 6.0 apart, max distance 9.0: neighbouring rings are similar, rings two
-//! apart are not):
-//! * 6 rings × 171 points (1 026 vertices, 56% of pairs dissimilar): the
-//!   lazy view, whose bit rows flag the ~233 000 pairs the grid proves
-//!   similar without a metric evaluation in 17 words a vertex, so the
-//!   whole component stays under 256 KiB (a similarity CSR of those
-//!   pairs took 1.86 MB);
-//! * 9 rings × 100 points (900 vertices, 69% dissimilar): the eager
-//!   complement CSR, written from `n²/8` bytes of bit rows of the
-//!   similar pairs, which the bound allows on top.
+//! apart are not), both with bit rows of `⌈n/64⌉` words a vertex, so
+//! each component's view takes exactly `n·⌈n/64⌉·8` bytes:
+//! * 6 rings × 171 points (1 026 vertices, 56% of pairs dissimilar):
+//!   ~233 000 pairs the grid proves similar without a metric evaluation
+//!   flagged in 17 words a vertex, so the whole component stays under
+//!   256 KiB (a similarity CSR of those pairs took 1.86 MB);
+//! * 9 rings × 100 points (900 vertices, 69% dissimilar).
 
 mod heap;
 
@@ -58,23 +56,34 @@ fn corridor(rings: usize, size: usize) -> (Graph, TableOracle) {
 
 #[test]
 fn component_build_peaks_at_about_its_final_size() {
-    for (rings, size, lazy) in [(6, 171, true), (9, 100, false)] {
+    for (rings, size) in [(6, 171), (9, 100)] {
         let (graph, oracle) = corridor(rings, size);
         let n = rings * size;
         let members: Vec<VertexId> = (0..n as VertexId).collect();
         let (comp, peak) =
             peak_during(|| LocalComponent::build(&graph, &oracle, &members, 3, DissimMode::Auto));
-        assert_eq!(comp.is_dissimilarity_lazy(), lazy, "{rings} × {size}");
+        assert!(comp.dissimilarity().stores_similar(), "{rings} × {size}");
         assert!(comp.num_dissimilar_pairs * 2 > n * (n - 1) / 2);
+        let bit_rows = n * n.div_ceil(64) * 8;
+        assert_eq!(
+            comp.dissimilarity().heap_bytes(),
+            bit_rows,
+            "{rings} × {size}"
+        );
         let size_bytes = comp.memory_bytes();
-        if lazy {
-            assert!(
-                size_bytes <= 256 * 1024,
-                "{rings} × {size}: the lazy component takes {size_bytes} B"
-            );
-        }
-        let bitmap = if lazy { 0 } else { (n * n).div_ceil(64) * 8 };
-        let bound = size_bytes + size_bytes / 4 + bitmap;
+        assert_eq!(
+            size_bytes,
+            std::mem::size_of::<LocalComponent>()
+                + comp.adj_csr().heap_bytes()
+                + bit_rows
+                + n * std::mem::size_of::<VertexId>(),
+            "{rings} × {size}"
+        );
+        assert!(
+            size_bytes <= 256 * 1024,
+            "{rings} × {size}: the component takes {size_bytes} B"
+        );
+        let bound = size_bytes + size_bytes / 4;
         let mib = |b: usize| b as f64 / MIB as f64;
         assert!(
             peak <= bound,

@@ -55,7 +55,8 @@ fn brute_kprime_max(comp: &LocalComponent) -> Option<u32> {
             if deg < comp.k {
                 continue 'mask;
             }
-            let disdeg = comp.dissimilar(v).iter().filter(|&&w| in_set(w)).count() as u32;
+            let mut disdeg = 0u32;
+            comp.for_each_dissimilar(v, |w| disdeg += in_set(w) as u32);
             let simdeg = members.len() as u32 - 1 - disdeg;
             min_simdeg = min_simdeg.min(simdeg);
         }
@@ -81,7 +82,7 @@ fn brute_max_core(comp: &LocalComponent) -> usize {
             if deg < comp.k {
                 continue 'mask;
             }
-            if comp.dissimilar(v).iter().any(|&w| in_set(w)) {
+            if comp.any_dissimilar_where(v, in_set) {
                 continue 'mask;
             }
         }

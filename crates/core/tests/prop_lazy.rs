@@ -1,15 +1,20 @@
-//! The lazy dissimilarity view must be invisible in results.
+//! The one dissimilarity layout must be invisible in results.
 //!
-//! * Lazy ≡ eager: forcing [`DissimMode::Lazy`] (vs `Eager`) on random
-//!   instances changes no enumerated core family and no maximum core, in
-//!   both threshold directions (Euclidean `MaxDistance` and Jaccard
-//!   `MinSimilarity`).
-//! * Lazy mode touches fewer rows: on a chain of bridged cliques the
-//!   search materializes only part of the dissimilarity rows.
+//! * Every component's view visits exactly the brute-force dissimilar
+//!   rows (`build_dissimilarity_lists_brute` over its members), and the
+//!   searches answer what the from-scratch clique-based baseline
+//!   answers, in both threshold directions (Euclidean `MaxDistance` and
+//!   Jaccard `MinSimilarity`), also on rings whose one component fills
+//!   the last row word to every possible edge.
+//! * A component's footprint is exact and fixed: its view is `n·⌈n/64⌉`
+//!   words of bit rows, and a search does not grow it.
 
-use kr_core::{enumerate_maximal, find_maximum, AlgoConfig, ProblemInstance};
+use kr_core::{
+    clique_based_maximal, enumerate_maximal, enumerate_maximal_prepared, find_maximum,
+    verify_maximal_family, AlgoConfig, LocalComponent, ProblemInstance,
+};
 use kr_graph::{Graph, VertexId};
-use kr_similarity::{AttributeTable, DissimMode, Metric, Threshold};
+use kr_similarity::{build_dissimilarity_lists_brute, AttributeTable, Metric, Threshold};
 use proptest::prelude::*;
 
 /// Random geometric instance: Euclidean points, similar = close
@@ -63,35 +68,51 @@ fn clamp_edges(edges: &[(VertexId, VertexId)], n: usize) -> Vec<(VertexId, Verte
         .collect()
 }
 
-/// The lazy view must reproduce the eager result on `p` exactly (core
-/// family and maximum core vertex set).
-fn assert_all_modes_agree(p: &ProblemInstance) {
-    let eager = p.clone().with_dissim_mode(DissimMode::Eager);
-    let lazy = p.clone().with_dissim_mode(DissimMode::Lazy);
+/// Every component of `p` visits the brute-force dissimilar rows, and
+/// the enumeration and maximum searches match the clique-based baseline
+/// (the family verified maximal against the definitions, the maximum of
+/// the family's largest size).
+fn assert_matches_references(p: &ProblemInstance) {
+    for comp in p.preprocess() {
+        let brute = build_dissimilarity_lists_brute(p.oracle(), &comp.local_to_global);
+        assert_eq!(comp.num_dissimilar_pairs, brute.num_pairs);
+        for u in 0..comp.len() as VertexId {
+            let mut row = Vec::new();
+            comp.for_each_dissimilar(u, |w| row.push(w));
+            assert_eq!(row, brute.row(u), "row {u}");
+            assert_eq!(comp.dissimilar_count(u), brute.row(u).len());
+        }
+    }
 
-    let enum_eager = enumerate_maximal(&eager, &AlgoConfig::adv_enum());
-    let enum_lazy = enumerate_maximal(&lazy, &AlgoConfig::adv_enum());
-    assert!(enum_eager.completed && enum_lazy.completed);
-    assert_eq!(enum_lazy.cores, enum_eager.cores, "enum");
+    let baseline = clique_based_maximal(p);
+    let found = enumerate_maximal(p, &AlgoConfig::adv_enum());
+    assert!(found.completed);
+    assert_eq!(found.cores, baseline, "enum");
+    verify_maximal_family(p, &found.cores).expect("a verified maximal family");
 
-    let max_eager = find_maximum(&eager, &AlgoConfig::adv_max());
-    let max_lazy = find_maximum(&lazy, &AlgoConfig::adv_max());
-    assert!(max_eager.completed && max_lazy.completed);
+    let max = find_maximum(p, &AlgoConfig::adv_max());
+    assert!(max.completed);
     assert_eq!(
-        max_lazy.core.as_ref().map(|c| &c.vertices),
-        max_eager.core.as_ref().map(|c| &c.vertices),
+        max.core.as_ref().map_or(0, |c| c.len()),
+        baseline.iter().map(|c| c.len()).max().unwrap_or(0),
         "max"
     );
+    if let Some(core) = &max.core {
+        assert!(
+            baseline.contains(core),
+            "max core {core:?} not in the family"
+        );
+    }
 }
 
-/// Vertex counts on both sides of the lazy view's 64-vertex row words.
+/// Vertex counts on both sides of the view's 64-vertex row words.
 const WORD_EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
 
 /// A one-component geometric instance over `n` vertices for `n` past
 /// the 13 random coordinates: a circulant ring (each vertex joined to
 /// its two ring successors) plus the random `edges`, vertex `i` placed
 /// at `x = i/2` with `coords[i % 13]` as jitter in `[0, 1)²`. Only
-/// ring neighbours within about `2r` positions stay similar, so the lazy
+/// ring neighbours within about `2r` positions stay similar, so the
 /// view's rows are mostly complement, up to the last word's padding.
 fn ring_instance(
     n: usize,
@@ -121,10 +142,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// MaxDistance direction: random geometric instances, and rings of
-    /// [`WORD_EDGES`] vertices whose one component fills the lazy view's
-    /// last row word to every possible edge.
+    /// [`WORD_EDGES`] vertices whose one component fills the view's last
+    /// row word to every possible edge.
     #[test]
-    fn lazy_and_eager_agree_geometric(
+    fn views_and_answers_match_references_geometric(
         n in prop_oneof![6usize..13, (0..WORD_EDGES.len()).prop_map(|i| WORD_EDGES[i])],
         edges in proptest::collection::vec((0u32..13, 0u32..13), 8..60),
         coords in proptest::collection::vec((0.0f64..20.0, 0.0f64..20.0), 13),
@@ -132,25 +153,25 @@ proptest! {
     ) {
         let edges = clamp_edges(&edges, n);
         if n <= coords.len() {
-            assert_all_modes_agree(&geo_instance(n, &edges, &coords, r));
+            assert_matches_references(&geo_instance(n, &edges, &coords, r));
         } else {
             let p = ring_instance(n, &edges, &coords, r);
-            let comps = p.clone().with_dissim_mode(DissimMode::Lazy).preprocess();
+            let comps = p.preprocess();
             prop_assert!(comps.len() == 1 && comps[0].len() == n);
-            assert_all_modes_agree(&p);
+            assert_matches_references(&p);
         }
     }
 
     /// MinSimilarity direction: random keyword instances under Jaccard.
     #[test]
-    fn lazy_and_eager_agree_keywords(
+    fn views_and_answers_match_references_keywords(
         n in 6usize..13,
         edges in proptest::collection::vec((0u32..13, 0u32..13), 8..60),
         keyword_bits in proptest::collection::vec(1u8..=255, 13),
         r in 0.1f64..0.9,
     ) {
         let edges = clamp_edges(&edges, n);
-        assert_all_modes_agree(&keyword_instance(n, &edges, &keyword_bits, r));
+        assert_matches_references(&keyword_instance(n, &edges, &keyword_bits, r));
     }
 }
 
@@ -188,25 +209,26 @@ fn chain_of_cliques(c: usize) -> ProblemInstance {
     )
 }
 
-/// Lazy mode on the chain, exercised end to end: the searches must agree
-/// and the component must report lazily materialized rows strictly below
-/// the full row count (the ≤ 30 % bench gate's mechanism in miniature).
+/// The chain's one component, exercised end to end: its footprint is
+/// exactly the struct, the adjacency arena, `n·⌈n/64⌉` words of bit rows
+/// and the id map, the same after a search as before it, and its family
+/// matches the references.
 #[test]
-fn lazy_materializes_fewer_rows_than_eager_on_chain() {
-    let p = chain_of_cliques(8).with_dissim_mode(DissimMode::Lazy);
+fn component_bytes_are_exact_and_fixed_on_chain() {
+    let p = chain_of_cliques(8);
     let comps = p.preprocess();
-    assert!(comps.iter().any(|c| c.is_dissimilarity_lazy()));
-    let seq = kr_core::enumerate_maximal_prepared(&comps, &AlgoConfig::adv_enum());
+    assert_eq!(comps.len(), 1);
+    let c = &comps[0];
+    let n = c.len();
+    assert!(c.dissimilarity().stores_similar());
+    let exact = std::mem::size_of::<LocalComponent>()
+        + c.adj_csr().heap_bytes()
+        + n * n.div_ceil(64) * 8
+        + n * std::mem::size_of::<VertexId>();
+    assert_eq!(c.dissimilarity().heap_bytes(), n * n.div_ceil(64) * 8);
+    assert_eq!(c.memory_bytes(), exact);
+    let seq = enumerate_maximal_prepared(&comps, &AlgoConfig::adv_enum());
     assert!(seq.completed);
-    let (total_rows, materialized): (usize, usize) = comps.iter().fold((0, 0), |(t, m), c| {
-        (t + c.len(), m + c.dissimilarity().materialized_rows())
-    });
-    assert!(
-        materialized < total_rows,
-        "search must not touch every row ({materialized}/{total_rows})"
-    );
-    // And the family still matches the eager run.
-    let eager = chain_of_cliques(8).with_dissim_mode(DissimMode::Eager);
-    let expect = enumerate_maximal(&eager, &AlgoConfig::adv_enum());
-    assert_eq!(seq.cores, expect.cores);
+    assert_eq!(c.memory_bytes(), exact);
+    assert_matches_references(&p);
 }

@@ -1,6 +1,6 @@
 //! The maximal check (Algorithm 4) against brute force.
 //!
-//! On random small instances, eager and lazy, every (k,r)-core of every
+//! On random small instances, every (k,r)-core of every
 //! component is checked against a candidate set (the rest of the
 //! component, and a random part of it) under all three check orders. The
 //! verdict must be "maximal" exactly when no non-empty subset `U` of the
@@ -9,7 +9,7 @@
 use kr_core::maximal::check_maximal_with_order;
 use kr_core::{CheckOrder, LocalComponent, ProblemInstance};
 use kr_graph::{Graph, VertexId};
-use kr_similarity::{AttributeTable, DissimMode, Metric, Threshold};
+use kr_similarity::{AttributeTable, Metric, Threshold};
 use proptest::prelude::*;
 
 const ORDERS: [CheckOrder; 3] = [
@@ -72,10 +72,8 @@ fn check_every_core(p: &ProblemInstance, cand_masks: &[u32]) {
                 for order in ORDERS {
                     let got = check_maximal_with_order(&comp, k, &members, &cand_list, order, 5.0);
                     assert_eq!(
-                        got,
-                        expect,
-                        "{order:?} on {:?}: core {members:?}, candidates {cand_list:?}",
-                        p.dissim_mode()
+                        got, expect,
+                        "{order:?}: core {members:?}, candidates {cand_list:?}"
                     );
                 }
             }
@@ -86,7 +84,7 @@ fn check_every_core(p: &ProblemInstance, cand_masks: &[u32]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every order's verdict matches brute force, eager and lazy.
+    /// Every order's verdict matches brute force.
     #[test]
     fn check_matches_brute_force(
         n in 4usize..=9,
@@ -107,7 +105,6 @@ proptest! {
             Threshold::MaxDistance(r),
             k,
         );
-        check_every_core(&p.clone().with_dissim_mode(DissimMode::Eager), &cand_masks);
-        check_every_core(&p.with_dissim_mode(DissimMode::Lazy), &cand_masks);
+        check_every_core(&p, &cand_masks);
     }
 }

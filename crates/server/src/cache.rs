@@ -87,9 +87,9 @@ pub struct CacheStats {
     /// covers every heap byte a component owns, and an answer's bytes
     /// are its vectors' capacities. Re-sampled
     /// from the live entries at snapshot time rather than ledgered at
-    /// insert: lazily materialized dissimilarity rows and stored answers
-    /// grow an entry *after* it is cached, and the snapshot must account
-    /// for them.
+    /// insert: stored answers fill an entry's slots *after* it is cached,
+    /// and the snapshot must account for them (the components themselves
+    /// never grow after their build).
     pub resident_bytes: u64,
     /// Total wall-clock milliseconds spent preprocessing on cache
     /// misses: the microseconds of every miss, summed, then divided by
@@ -201,9 +201,8 @@ impl CachedComponents {
     }
 
     /// Flat footprint **right now**: the components plus every stored
-    /// answer. Not a constant: a component built with a lazy
-    /// dissimilarity view grows as searches materialize rows, and hits
-    /// fill answer slots, so footprints are re-sampled per snapshot
+    /// answer. Not a constant: the components are fixed once built, but
+    /// hits fill answer slots, so footprints are re-sampled per snapshot
     /// instead of recorded once at insert.
     pub(crate) fn memory_bytes(&self) -> u64 {
         let comps: usize = self.comps.iter().map(LocalComponent::memory_bytes).sum();
@@ -438,8 +437,8 @@ impl ComponentCache {
         let inner = lock(&self.inner);
         CacheStats {
             entries: inner.map.len(),
-            // Exact at snapshot time: lazy dissimilarity rows materialized
-            // and answers stored since insert are included.
+            // Exact at snapshot time: answers stored since insert are
+            // included.
             resident_bytes: inner.map.values().map(|e| e.comps.memory_bytes()).sum(),
             preprocess_ms: inner.preprocess_us / 1_000,
             ..inner.counts
@@ -743,11 +742,11 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_grow_as_lazy_rows_materialize() {
-        use kr_core::ProblemInstance;
-        use kr_similarity::{AttributeTable, DissimMode, Metric, Threshold};
-        // Two bridged 4-cliques with cross-side dissimilar pairs; force
-        // the lazy dissimilarity view so rows materialize on first touch.
+    fn resident_bytes_hold_across_a_search_and_count_stored_answers() {
+        use kr_core::{enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig};
+        use kr_core::{KrCore, ProblemInstance};
+        use kr_similarity::{AttributeTable, Metric, Threshold};
+        // Two bridged 4-cliques with cross-side dissimilar pairs.
         let mut edges = vec![];
         for group in [[0u32, 1, 2, 3], [3u32, 4, 5, 6]] {
             for i in 0..4 {
@@ -772,28 +771,33 @@ mod tests {
             Metric::Euclidean,
             Threshold::MaxDistance(7.0),
             2,
-        )
-        .with_dissim_mode(DissimMode::Lazy);
-        let cache = ComponentCache::new(2);
-        let (comps, out) = cache.get_or_build(&key("lazy", 2, 7.0), 0, || p.preprocess());
-        assert!(!out.hit);
-        assert!(comps.iter().any(|c| c.is_dissimilarity_lazy()));
-        let before = cache.stats().resident_bytes;
-        // Touch every dissimilarity row through the slice accessor — the
-        // materialization point — and re-snapshot: the entry grew in
-        // place, and the stats must see it without a re-insert.
-        let mut materialized = 0usize;
-        for c in comps.iter() {
-            for v in 0..c.len() as u32 {
-                materialized += c.dissimilar(v).len();
-            }
-        }
-        assert!(materialized > 0, "instance must have dissimilar pairs");
-        let after = cache.stats().resident_bytes;
-        assert!(
-            after > before,
-            "snapshot must grow with materialized rows ({before} -> {after})"
         );
+        let cache = ComponentCache::new(2);
+        let (comps, out) = cache.get_or_build(&key("one", 2, 7.0), 0, || p.preprocess());
+        assert!(!out.hit);
+        assert!(comps.iter().any(|c| c.num_dissimilar_pairs > 0));
+        let before = cache.stats().resident_bytes;
+        assert_eq!(before, comps.memory_bytes());
+        // Searching reads the components and never grows them.
+        let found = enumerate_maximal_prepared(&comps, &AlgoConfig::adv_enum());
+        assert_eq!(found.cores.len(), 2);
+        assert!(find_maximum_prepared(&comps, &AlgoConfig::adv_max()).completed);
+        assert_eq!(cache.stats().resident_bytes, before);
+        // A stored answer is the one thing that grows an entry.
+        let stored = StoredAnswer {
+            cores: found
+                .cores
+                .into_iter()
+                .map(|c: KrCore| c.vertices)
+                .collect(),
+            nodes: found.stats.nodes,
+        };
+        let bytes = stored.memory_bytes() as u64;
+        comps
+            .answer(QueryKind::Enumerate, Algo::Adv)
+            .set(stored)
+            .unwrap();
+        assert_eq!(cache.stats().resident_bytes, before + bytes);
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub use quantile::{
     similarity_quantiles_sampled, top_permille_threshold,
 };
 pub use simgraph::{
-    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view,
-    build_similarity_graph, build_similarity_graph_brute, DissimMode, DissimilarityLists,
-    DissimilarityView, LazyDissimilarity, LAZY_MIN_N,
+    build_dissimilarity_lists_brute, build_dissimilarity_view, build_similarity_graph,
+    build_similarity_graph_brute, DissimMode, DissimilarityLists, DissimilarityView,
+    BIT_ROWS_MAX_N,
 };
 pub use snapshot::{
     read_snapshot, read_snapshot_bytes, read_snapshot_file, snapshot_to_bytes, write_snapshot,

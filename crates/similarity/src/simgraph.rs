@@ -1,8 +1,8 @@
-//! Similarity-graph and dissimilarity-list materialization.
+//! Similarity-graph and dissimilarity-view construction.
 //!
 //! Section 3 defines the *similarity graph* `G'`: same vertices, an edge
 //! between every similar pair. The clique-based baseline materializes `G'`
-//! per component; the advanced search instead stores only the (sparse)
+//! per component; the advanced search instead reads only the
 //! **dissimilar** pairs inside each candidate component, which is exactly
 //! what the `DP(·)` counters of the paper range over.
 //!
@@ -11,27 +11,29 @@
 //! (spatial grid for Euclidean, inverted keyword index for Jaccard — see
 //! [`crate::candidates`]), only candidates are verified with the metric,
 //! and every out-of-candidate pair is classified dissimilar for free. The
-//! output is **byte-identical** to the brute-force reference (kept as
+//! output equals the brute-force reference (kept as
 //! [`build_similarity_graph_brute`] / [`build_dissimilarity_lists_brute`]
 //! and property-tested against the indexed path); only the number of
-//! metric evaluations changes, which [`DissimilarityLists::oracle_evals`]
-//! records.
+//! metric evaluations changes, which
+//! [`DissimilarityView::oracle_evals`] records.
 //!
-//! The verified similar pairs are flagged once in bit rows of `⌈n/64⌉`
-//! words per vertex (a similarity CSR above 4 096 vertices), read
-//! through one ascending word-at-a-time walk: its set bits write the
-//! similarity graph, its zero bits the eager complement CSR, and the
-//! lazy view keeps the rows themselves as its storage.
+//! A component's pairs have one layout, chosen from its size and its
+//! pairs alone: up to [`BIT_ROWS_MAX_N`] vertices the similar pairs are
+//! flagged once in bit rows of `⌈n/64⌉` words per vertex; above that, one
+//! CSR of the sparser side (the similar pairs when at least half of all
+//! pairs are dissimilar, the dissimilar ones otherwise). One ascending
+//! word-at-a-time walk reads every layout: its zero bits are the
+//! dissimilar partners, its set bits write the similarity graph.
 
 use crate::candidates::CandidatePairs;
 use crate::oracle::SimilarityOracle;
 use kr_graph::{Csr, Graph, GraphBuilder, VertexId};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Dissimilarity lists over a renumbered vertex set `0..n`, stored in CSR
-/// form: `row(v)` holds the vertices dissimilar to `v` (sorted), backed by
-/// one flat arena instead of `n` separate allocations.
+/// form: `row(v)` holds the vertices dissimilar to `v` (sorted). Only the
+/// brute-force reference [`build_dissimilarity_lists_brute`] builds them;
+/// tests compare every [`DissimilarityView`] against it.
 #[derive(Debug, Clone)]
 pub struct DissimilarityLists {
     /// Per-vertex sorted dissimilar partners in CSR form.
@@ -39,7 +41,7 @@ pub struct DissimilarityLists {
     /// Total number of dissimilar (unordered) pairs.
     pub num_pairs: usize,
     /// Metric evaluations the build spent (brute force pays
-    /// `n·(n-1)/2`; the candidate indexes pay one per candidate pair).
+    /// `n·(n-1)/2`).
     pub oracle_evals: u64,
 }
 
@@ -66,20 +68,14 @@ impl DissimilarityLists {
 }
 
 /// Process-global `similarity.*` registry counters (see `kr_obs`):
-/// cumulative metric evaluations, dissimilarity-list builds, and
-/// materialized dissimilar pairs. Per-query figures stay on
-/// [`DissimilarityLists::oracle_evals`] and flow into the server's
-/// stats frame; these aggregates feed the `metrics` wire request.
-/// `dissim_pairs` counts *materialized* pairs in both modes: the whole
-/// complement for an eager build, only memoized rows for a lazy one —
-/// `lazy_rows_materialized` / `lazy_rows_skipped` break the lazy
-/// traffic down further.
+/// cumulative metric evaluations, dissimilarity builds, and the
+/// dissimilar pairs those builds covered. Per-query figures stay on
+/// [`DissimilarityView::oracle_evals`] and flow into the server's stats
+/// frame; these aggregates feed the `metrics` wire request.
 struct SimObs {
     oracle_evals: std::sync::Arc<kr_obs::Counter>,
     dissim_builds: std::sync::Arc<kr_obs::Counter>,
     dissim_pairs: std::sync::Arc<kr_obs::Counter>,
-    lazy_rows_materialized: std::sync::Arc<kr_obs::Counter>,
-    lazy_rows_skipped: std::sync::Arc<kr_obs::Counter>,
 }
 
 fn sim_obs() -> &'static SimObs {
@@ -90,67 +86,80 @@ fn sim_obs() -> &'static SimObs {
             oracle_evals: reg.counter("similarity.oracle_evals"),
             dissim_builds: reg.counter("similarity.dissim_builds"),
             dissim_pairs: reg.counter("similarity.dissim_pairs"),
-            lazy_rows_materialized: reg.counter("similarity.lazy_rows_materialized"),
-            lazy_rows_skipped: reg.counter("similarity.lazy_rows_skipped"),
         }
     })
 }
 
-/// Lazily materialized dissimilarity lists: the complement of the
-/// similar pairs, with per-vertex rows memoized on first slice access.
+/// Kept only so the benchmark package's `LocalComponent::build` calls
+/// compile; it stays until the benchmark PR. The layout no longer has a
+/// knob: [`build_dissimilarity_view`] picks it from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DissimMode {
+    /// The one layout (see [`DissimilarityView`]).
+    #[default]
+    Auto,
+}
+
+/// A component's dissimilar pairs, read from one stored side of them
+/// and never materialized as dissimilar rows.
 ///
-/// On dissimilarity-heavy components the eager complement is `O(n²)`
-/// output while the search only ever *slices* the rows of vertices it
-/// branches on — everything else (counter updates, bounds, maximal
-/// checks) is answered by streaming the complement of the similarity
-/// row ([`LazyDissimilarity::for_each`]) or by arithmetic
-/// ([`LazyDissimilarity::count`] is `n - 1 - |sim(u)|`). Streaming
-/// visits partners in ascending order, exactly like an eager CSR row,
-/// so consumers observe identical sequences in both modes.
-///
-/// Up to 4 096 vertices the similar pairs are a bit matrix of
-/// `⌈n/64⌉` words per row (`n²/8` bytes, whatever the share of similar
-/// pairs); above that, a similarity CSR.
-#[derive(Debug)]
-pub struct LazyDissimilarity {
-    /// The similar pairs (both directions), the complement's source.
-    sim: SimRows,
-    /// Total number of dissimilar (unordered) pairs — known exactly
-    /// without materializing anything: `n(n-1)/2 - |sim|`.
+/// Up to [`BIT_ROWS_MAX_N`] vertices the similar pairs are bit rows of
+/// `⌈n/64⌉` words (`n²/8` bytes, whatever the share of similar pairs):
+/// [`DissimilarityView::count`] and [`DissimilarityView::count_in`] are
+/// popcounts, [`DissimilarityView::are_dissimilar`] one bit test. Above
+/// the cutoff one CSR holds the sparser side. Every visit
+/// ([`DissimilarityView::for_each`], [`DissimilarityView::any_where`])
+/// walks a row word by word and yields the dissimilar partners in
+/// ascending order. The view never changes after its build, so its
+/// footprint is fixed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DissimilarityView {
+    rows: SimRows,
+    /// Total number of dissimilar (unordered) pairs.
     num_pairs: usize,
     /// Metric evaluations spent classifying the candidate pairs.
     oracle_evals: u64,
-    /// Memoized complement rows; `OnceLock` makes materialization safe
-    /// under concurrent sharing (`Arc<LocalComponent>` in the server).
-    rows: Vec<OnceLock<Box<[VertexId]>>>,
-    /// Rows materialized so far (monotone).
-    materialized_rows: AtomicUsize,
-    /// Total entries across materialized rows (monotone).
-    materialized_entries: AtomicUsize,
 }
 
-impl LazyDissimilarity {
-    /// Builds over the similar pairs' rows. No complement output is
-    /// produced here.
-    fn new(sim: SimRows, oracle_evals: u64) -> Self {
-        let n = sim.len();
-        let num_similar = (0..n as VertexId).map(|u| sim.row_len(u)).sum::<usize>() / 2;
-        let obs = sim_obs();
-        obs.oracle_evals.add(oracle_evals);
-        obs.dissim_builds.inc();
-        LazyDissimilarity {
+impl DissimilarityView {
+    /// Wraps `rows`, counting the dissimilar pairs from them.
+    fn new(rows: SimRows, oracle_evals: u64) -> Self {
+        let n = rows.len();
+        let num_similar = (0..n as VertexId).map(|u| rows.row_len(u)).sum::<usize>() / 2;
+        DissimilarityView {
             num_pairs: n * n.saturating_sub(1) / 2 - num_similar,
-            sim,
+            rows,
             oracle_evals,
-            rows: (0..n).map(|_| OnceLock::new()).collect(),
-            materialized_rows: AtomicUsize::new(0),
-            materialized_entries: AtomicUsize::new(0),
         }
+    }
+
+    /// The view whose dissimilar pairs are the rows of `dis`, a
+    /// symmetric CSR with no self pair (local ids `0..dis.num_rows()`),
+    /// in the layout [`build_dissimilarity_view`] would pick for them.
+    /// Spends no metric evaluation.
+    pub fn from_dissimilar(dis: Csr) -> Self {
+        let n = dis.num_rows();
+        let rows = if n <= BIT_ROWS_MAX_N {
+            let stride = n.div_ceil(64);
+            let mut words = vec![0u64; n * stride];
+            for (u, row) in words.chunks_exact_mut(stride.max(1)).enumerate() {
+                row.fill(!0);
+                row[stride - 1] &= last_word_mask(n);
+                row[u / 64] &= !(1 << (u % 64));
+                for &w in dis.row(u as VertexId) {
+                    row[w as usize / 64] &= !(1 << (w % 64));
+                }
+            }
+            SimRows::Bits { n, words }
+        } else {
+            SimRows::Csr { csr: dis, flip: !0 }.sparser_side()
+        };
+        DissimilarityView::new(rows, 0)
     }
 
     /// Number of vertices covered.
     pub fn len(&self) -> usize {
-        self.sim.len()
+        self.rows.len()
     }
 
     /// True iff there are no vertices.
@@ -158,7 +167,7 @@ impl LazyDissimilarity {
         self.len() == 0
     }
 
-    /// Total dissimilar (unordered) pairs — exact, `O(1)`.
+    /// Total dissimilar (unordered) pairs.
     pub fn num_pairs(&self) -> usize {
         self.num_pairs
     }
@@ -168,309 +177,93 @@ impl LazyDissimilarity {
         self.oracle_evals
     }
 
-    /// Sorted dissimilar partners of `u`, materializing and memoizing
-    /// the row on first access.
-    pub fn row(&self, u: VertexId) -> &[VertexId] {
-        self.rows[u as usize].get_or_init(|| {
-            let mut out = Vec::with_capacity(self.count(u));
-            out.extend(self.sim.dissimilar(u));
-            let obs = sim_obs();
-            obs.lazy_rows_materialized.inc();
-            obs.dissim_pairs.add(out.len() as u64);
-            self.materialized_rows.fetch_add(1, Ordering::Relaxed);
-            self.materialized_entries
-                .fetch_add(out.len(), Ordering::Relaxed);
-            out.into_boxed_slice()
-        })
-    }
-
-    /// Streams the dissimilar partners of `u` in ascending order
-    /// *without* memoizing: the memoized row if one exists, else the
-    /// complement of the similarity row.
-    #[inline]
-    pub fn for_each(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
-        if let Some(row) = self.rows[u as usize].get() {
-            for &w in row.iter() {
-                f(w);
-            }
-        } else {
-            sim_obs().lazy_rows_skipped.inc();
-            self.sim.dissimilar(u).for_each(f);
-        }
-    }
-
-    /// The memoized row of `u`, if a slice access already built it.
-    /// Never materializes.
-    #[inline]
-    pub fn resident_row(&self, u: VertexId) -> Option<&[VertexId]> {
-        self.rows[u as usize].get().map(|r| &r[..])
+    /// Visits the dissimilar partners of `u` in ascending order.
+    #[inline(always)]
+    pub fn for_each(&self, u: VertexId, f: impl FnMut(VertexId)) {
+        self.rows.dissimilar(u).for_each(f)
     }
 
     /// True iff any dissimilar partner of `u` satisfies `pred`. Stops at
-    /// the first hit (unlike [`LazyDissimilarity::for_each`]) and never
-    /// memoizes — the short-circuiting maximality checks rely on this.
-    pub fn any_where(&self, u: VertexId, mut pred: impl FnMut(VertexId) -> bool) -> bool {
-        if let Some(row) = self.rows[u as usize].get() {
-            return row.iter().any(|&w| pred(w));
-        }
-        sim_obs().lazy_rows_skipped.inc();
-        self.sim.dissimilar(u).any(pred)
+    /// the first hit, which the short-circuiting maximality checks rely
+    /// on.
+    #[inline]
+    pub fn any_where(&self, u: VertexId, pred: impl FnMut(VertexId) -> bool) -> bool {
+        self.rows.dissimilar(u).any(pred)
     }
 
     /// Whether `u` and `v` are dissimilar (one bit test, or a binary
-    /// search above the bit-row cutoff; no materialization).
+    /// search above the bit-row cutoff).
     pub fn are_dissimilar(&self, u: VertexId, v: VertexId) -> bool {
-        u != v && !self.sim.contains(u, v)
+        u != v && !self.rows.contains(u, v)
     }
 
     /// Number of dissimilar partners of `u` (a popcount of `u`'s bit
-    /// row, or `O(1)` above the cutoff; no materialization).
+    /// row, or `O(1)` above the cutoff).
     pub fn count(&self, u: VertexId) -> usize {
-        self.len() - 1 - self.sim.row_len(u)
+        self.len() - 1 - self.rows.row_len(u)
     }
 
-    /// Rows memoized so far.
-    pub fn materialized_rows(&self) -> usize {
-        self.materialized_rows.load(Ordering::Relaxed)
-    }
-
-    /// Directed entries across memoized rows (each unordered pair a row
-    /// holds counts once here; a pair counts twice only once both
-    /// endpoint rows materialize).
-    pub fn materialized_entries(&self) -> usize {
-        self.materialized_entries.load(Ordering::Relaxed)
-    }
-
-    /// Current heap footprint: the similar pairs' rows, the row table,
-    /// and every memoized row. **Grows** as the search materializes rows
-    /// — cache accounting must re-read it, not snapshot it at build time.
-    pub fn heap_bytes(&self) -> usize {
-        self.sim.heap_bytes()
-            + self.rows.capacity() * std::mem::size_of::<OnceLock<Box<[VertexId]>>>()
-            + self.materialized_entries() * std::mem::size_of::<VertexId>()
-    }
-}
-
-impl Clone for LazyDissimilarity {
-    fn clone(&self) -> Self {
-        LazyDissimilarity {
-            sim: self.sim.clone(),
-            num_pairs: self.num_pairs,
-            oracle_evals: self.oracle_evals,
-            rows: self.rows.clone(),
-            materialized_rows: AtomicUsize::new(self.materialized_rows()),
-            materialized_entries: AtomicUsize::new(self.materialized_entries()),
-        }
-    }
-}
-
-impl PartialEq for LazyDissimilarity {
-    /// Semantic equality: same complement, regardless of which rows
-    /// happen to be memoized or how the similar pairs are stored.
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len()
-            && (0..self.len() as VertexId).all(|u| self.sim.similar(u).eq(other.sim.similar(u)))
-    }
-}
-
-impl Eq for LazyDissimilarity {}
-
-/// How a component's dissimilarity structure is represented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DissimMode {
-    /// Pick per component: lazy for large dissimilarity-heavy
-    /// components (≥ [`LAZY_MIN_N`] vertices with at least half of all
-    /// pairs dissimilar), eager otherwise.
-    #[default]
-    Auto,
-    /// Always materialize the full complement CSR up front.
-    Eager,
-    /// Always build the lazy view (tests force this on small inputs).
-    Lazy,
-}
-
-/// Smallest component `Auto` will consider for the lazy representation:
-/// below this the full complement is at most a few MB and the eager
-/// build's single pass beats per-row bookkeeping. From here up to 4 096
-/// vertices a lazy view keeps `n²/8` bytes of similarity bit rows, at
-/// least 128 KiB, whatever the share of similar pairs.
-pub const LAZY_MIN_N: usize = 1024;
-
-/// Eager-or-lazy dissimilarity lists behind one interface. Eager
-/// components keep byte-identical behavior (same CSR, same slices);
-/// lazy ones answer everything from the similar pairs' rows (bit rows
-/// up to 4 096 vertices, a similarity CSR above), memoizing a
-/// complement row only when [`DissimilarityView::row`] is called.
-#[derive(Debug, Clone)]
-pub enum DissimilarityView {
-    /// Fully materialized complement (small or similarity-heavy
-    /// components, and the brute-force reference path).
-    Eager(DissimilarityLists),
-    /// Complement-on-demand over the similar pairs' rows.
-    Lazy(LazyDissimilarity),
-}
-
-impl DissimilarityView {
-    /// Number of vertices covered.
-    pub fn len(&self) -> usize {
-        match self {
-            DissimilarityView::Eager(d) => d.len(),
-            DissimilarityView::Lazy(d) => d.len(),
-        }
-    }
-
-    /// True iff there are no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sorted dissimilar partners of `u` as a slice. Lazy views
-    /// materialize and memoize the row on first access — callers that
-    /// only need to *visit* the partners should use
-    /// [`DissimilarityView::for_each`] instead.
-    pub fn row(&self, u: VertexId) -> &[VertexId] {
-        match self {
-            DissimilarityView::Eager(d) => d.row(u),
-            DissimilarityView::Lazy(d) => d.row(u),
-        }
-    }
-
-    /// Visits the dissimilar partners of `u` in ascending order without
-    /// materializing anything.
-    #[inline(always)]
-    pub fn for_each(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
-        match self {
-            DissimilarityView::Eager(d) => {
-                for &w in d.row(u) {
-                    f(w);
-                }
+    /// `|dis(u) ∩ mask|`, where `mask` flags vertices in `⌈n/64⌉` words
+    /// (bit `v % 64` of word `v / 64`) and flags none at or past `n`. On
+    /// bit rows this is `Σ popcount(mask ∧ ¬sim(u))` less `u`'s own bit;
+    /// above the cutoff, a walk over `u`'s stored row. Reads
+    /// [`DissimilarityView::count_in_reads`] row words and entries.
+    #[inline]
+    pub fn count_in(&self, u: VertexId, mask: &[u64]) -> usize {
+        match &self.rows {
+            SimRows::Bits { n, words } => {
+                let stride = n.div_ceil(64);
+                let row = &words[u as usize * stride..][..stride];
+                let outside: usize = row
+                    .iter()
+                    .zip(mask)
+                    .map(|(s, m)| (m & !s).count_ones() as usize)
+                    .sum();
+                outside - (mask[u as usize / 64] >> (u % 64) & 1) as usize
             }
-            DissimilarityView::Lazy(d) => d.for_each(u, f),
-        }
-    }
-
-    /// The row of `u` when it is resident in memory — always for eager
-    /// views, memoized rows only for lazy ones. Never materializes.
-    /// Hot per-node loops iterate the slice when one exists (measurably
-    /// tighter codegen than the streamed visit) and fall back to
-    /// [`DissimilarityView::for_each`] when it would force a build.
-    #[inline]
-    pub fn resident_row(&self, u: VertexId) -> Option<&[VertexId]> {
-        match self {
-            DissimilarityView::Eager(d) => Some(d.row(u)),
-            DissimilarityView::Lazy(d) => d.resident_row(u),
-        }
-    }
-
-    /// True iff any dissimilar partner of `u` satisfies `pred`,
-    /// short-circuiting at the first hit. Never materializes.
-    #[inline]
-    pub fn any_where(&self, u: VertexId, mut pred: impl FnMut(VertexId) -> bool) -> bool {
-        match self {
-            DissimilarityView::Eager(d) => d.row(u).iter().any(|&w| pred(w)),
-            DissimilarityView::Lazy(d) => d.any_where(u, pred),
-        }
-    }
-
-    /// Whether `u` and `v` are dissimilar.
-    pub fn are_dissimilar(&self, u: VertexId, v: VertexId) -> bool {
-        match self {
-            DissimilarityView::Eager(d) => d.are_dissimilar(u, v),
-            DissimilarityView::Lazy(d) => d.are_dissimilar(u, v),
-        }
-    }
-
-    /// Number of dissimilar partners of `u`, never materializing (a
-    /// popcount of `⌈n/64⌉` words on a lazy view of bit rows, `O(1)`
-    /// otherwise).
-    pub fn count(&self, u: VertexId) -> usize {
-        match self {
-            DissimilarityView::Eager(d) => d.csr.row_len(u),
-            DissimilarityView::Lazy(d) => d.count(u),
-        }
-    }
-
-    /// Total dissimilar (unordered) pairs.
-    pub fn num_pairs(&self) -> usize {
-        match self {
-            DissimilarityView::Eager(d) => d.num_pairs,
-            DissimilarityView::Lazy(d) => d.num_pairs(),
-        }
-    }
-
-    /// Metric evaluations the build spent.
-    pub fn oracle_evals(&self) -> u64 {
-        match self {
-            DissimilarityView::Eager(d) => d.oracle_evals,
-            DissimilarityView::Lazy(d) => d.oracle_evals(),
-        }
-    }
-
-    /// True for the lazy representation.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self, DissimilarityView::Lazy(_))
-    }
-
-    /// Rows memoized so far (0 for eager views — their rows were never
-    /// *lazily* materialized).
-    pub fn materialized_rows(&self) -> usize {
-        match self {
-            DissimilarityView::Eager(_) => 0,
-            DissimilarityView::Lazy(d) => d.materialized_rows(),
-        }
-    }
-
-    /// Directed dissimilar entries currently resident: the whole
-    /// complement for eager views, only memoized rows for lazy ones.
-    pub fn materialized_entries(&self) -> usize {
-        match self {
-            DissimilarityView::Eager(d) => d.csr.total_targets(),
-            DissimilarityView::Lazy(d) => d.materialized_entries(),
-        }
-    }
-
-    /// Current heap footprint in bytes. Lazy views grow as rows
-    /// materialize.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            DissimilarityView::Eager(d) => d.csr.heap_bytes(),
-            DissimilarityView::Lazy(d) => d.heap_bytes(),
-        }
-    }
-}
-
-impl PartialEq for DissimilarityView {
-    /// Semantic equality: two views are equal iff they describe the
-    /// same dissimilar-pair set, regardless of representation or
-    /// memoization state (an eager build equals the lazy build over the
-    /// same oracle verdicts).
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (DissimilarityView::Eager(a), DissimilarityView::Eager(b)) => a.csr == b.csr,
-            (DissimilarityView::Lazy(a), DissimilarityView::Lazy(b)) => a == b,
-            (a, b) => {
-                if a.len() != b.len() || a.num_pairs() != b.num_pairs() {
-                    return false;
+            SimRows::Csr { .. } => {
+                let mut walk = self.rows.dissimilar(u);
+                let mut count = 0usize;
+                while let Some((k, word)) = walk.next_word() {
+                    count += (word & mask[k]).count_ones() as usize;
                 }
-                (0..a.len() as VertexId).all(|u| {
-                    let mut rows_match = true;
-                    let mut bw: Vec<VertexId> = Vec::new();
-                    b.for_each(u, |w| bw.push(w));
-                    let mut i = 0usize;
-                    a.for_each(u, |w| {
-                        if i >= bw.len() || bw[i] != w {
-                            rows_match = false;
-                        }
-                        i += 1;
-                    });
-                    rows_match && i == bw.len()
-                })
+                count
             }
         }
     }
-}
 
-impl Eq for DissimilarityView {}
+    /// Row words and stored entries one [`DissimilarityView::count_in`]
+    /// of `u` reads: `⌈n/64⌉` on bit rows, plus `u`'s stored entries
+    /// above the cutoff. A deterministic work unit, not a timing.
+    pub fn count_in_reads(&self, u: VertexId) -> usize {
+        let words = self.len().div_ceil(64);
+        match &self.rows {
+            SimRows::Bits { .. } => words,
+            SimRows::Csr { csr, .. } => words + csr.row_len(u),
+        }
+    }
+
+    /// True iff the view stores the similar pairs: every bit-row view,
+    /// and a CSR view whose pairs are at least half dissimilar.
+    pub fn stores_similar(&self) -> bool {
+        match &self.rows {
+            SimRows::Bits { .. } => true,
+            SimRows::Csr { flip, .. } => *flip == 0,
+        }
+    }
+
+    /// Always 0: no row is ever materialized. Kept only because the
+    /// benchmark package reads it; it stays until the benchmark PR.
+    pub fn materialized_rows(&self) -> usize {
+        0
+    }
+
+    /// Heap footprint in bytes: the stored rows (`n·⌈n/64⌉·8` on bit
+    /// rows). Fixed once built.
+    pub fn heap_bytes(&self) -> usize {
+        self.rows.heap_bytes()
+    }
+}
 
 /// A member set's similar pairs as its candidate index classified them:
 /// the index's known-similar pairs plus the candidates the metric
@@ -532,27 +325,34 @@ impl SimilarPairs {
 }
 
 /// Components up to this many vertices keep their similar pairs as bit
-/// rows (`n²/8` bytes, 2 MiB at the cap); larger ones as a CSR, the only
-/// representation that fits giant inputs.
-const BIT_ROWS_MAX_N: usize = 4096;
+/// rows (`n²/8` bytes, 2 MiB at the cap); larger ones keep a CSR of the
+/// sparser side, the only layout that fits giant inputs.
+pub const BIT_ROWS_MAX_N: usize = 4096;
 
-/// A member set's similar pairs over local ids `0..n`, filed under both
-/// endpoints: the lazy view's storage, and the source every eager
-/// complement and similarity graph is written from. Rows are read as
-/// 64-vertex words ([`SimRows::similar`], [`SimRows::dissimilar`]) in
-/// both layouts.
-#[derive(Debug, Clone)]
+/// The bits of a row's last word that name vertices below `n`.
+fn last_word_mask(n: usize) -> u64 {
+    !0 >> ((64 - n % 64) % 64)
+}
+
+/// A member set's pairs over local ids `0..n`, filed under both
+/// endpoints: the view's storage, and the source the similarity graph is
+/// written from. Rows are read as 64-vertex words of *similar* bits
+/// ([`SimRows::word`]) in every layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum SimRows {
     /// Row `u` is the `⌈n/64⌉` words at `u·⌈n/64⌉`; bit `v` is set iff
     /// `u` and `v` are similar. Bit `u` and the padding past `n` stay
     /// clear.
     Bits { n: usize, words: Vec<u64> },
-    /// Sorted similar partners per row.
-    Csr(Csr),
+    /// Sorted partners per row: the similar ones when `flip` is `0`,
+    /// the dissimilar ones when it is `!0` (each gathered word is XOR-ed
+    /// with it to read similar bits).
+    Csr { csr: Csr, flip: u64 },
 }
 
 impl SimRows {
-    /// Bit rows up to [`BIT_ROWS_MAX_N`] vertices, a CSR above.
+    /// Bit rows up to [`BIT_ROWS_MAX_N`] vertices, a similarity CSR
+    /// above.
     fn build(n: usize, similar: &SimilarPairs) -> Self {
         if n <= BIT_ROWS_MAX_N {
             SimRows::bits(n, similar)
@@ -576,26 +376,59 @@ impl SimRows {
     /// The similarity CSR, by a count-then-fill over
     /// [`SimilarPairs::for_each`].
     fn csr(n: usize, similar: &SimilarPairs) -> Self {
-        SimRows::Csr(Csr::from_symmetric_visit(n, |visit| {
-            similar.for_each(visit)
-        }))
+        SimRows::Csr {
+            csr: Csr::from_symmetric_visit(n, |visit| similar.for_each(visit)),
+            flip: 0,
+        }
+    }
+
+    /// A CSR layout holding the side `flip` names (`0` similar, `!0`
+    /// dissimilar), writing the complement of the stored rows when they
+    /// hold the other side. Bit rows are returned as they are.
+    fn with_side(self, flip: u64) -> Self {
+        match &self {
+            SimRows::Csr { csr, flip: stored } if *stored != flip => {
+                let n = csr.num_rows();
+                let total = n * n.saturating_sub(1);
+                let csr = Csr::from_ascending_rows(n, total - csr.total_targets(), |u| {
+                    RowWalk::new(&self, u, flip)
+                });
+                SimRows::Csr { csr, flip }
+            }
+            _ => self,
+        }
+    }
+
+    /// A CSR layout holding the sparser side: the similar pairs when at
+    /// least half of all pairs are dissimilar, the dissimilar pairs
+    /// otherwise. Bit rows are returned as they are.
+    fn sparser_side(self) -> Self {
+        let SimRows::Csr { csr, flip } = &self else {
+            return self;
+        };
+        let n = csr.num_rows();
+        let total = n * n.saturating_sub(1) / 2;
+        let stored = csr.total_targets() / 2;
+        let num_dissimilar = if *flip == 0 { total - stored } else { stored };
+        let side = if 2 * num_dissimilar >= total { 0 } else { !0 };
+        self.with_side(side)
     }
 
     /// Number of vertices covered.
     fn len(&self) -> usize {
         match self {
             SimRows::Bits { n, .. } => *n,
-            SimRows::Csr(csr) => csr.num_rows(),
+            SimRows::Csr { csr, .. } => csr.num_rows(),
         }
     }
 
-    /// Whether `u` and `v` are similar.
+    /// Whether `u` and `v` are similar (`u != v`).
     fn contains(&self, u: VertexId, v: VertexId) -> bool {
         match self {
             SimRows::Bits { n, words } => {
                 words[u as usize * n.div_ceil(64) + v as usize / 64] >> (v % 64) & 1 == 1
             }
-            SimRows::Csr(csr) => csr.contains(u, v),
+            SimRows::Csr { csr, flip } => csr.contains(u, v) == (*flip == 0),
         }
     }
 
@@ -610,7 +443,8 @@ impl SimRows {
                     .map(|w| w.count_ones() as usize)
                     .sum()
             }
-            SimRows::Csr(csr) => csr.row_len(u),
+            SimRows::Csr { csr, flip: 0 } => csr.row_len(u),
+            SimRows::Csr { csr, .. } => csr.num_rows() - 1 - csr.row_len(u),
         }
     }
 
@@ -618,19 +452,20 @@ impl SimRows {
     fn heap_bytes(&self) -> usize {
         match self {
             SimRows::Bits { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
-            SimRows::Csr(csr) => csr.heap_bytes(),
+            SimRows::Csr { csr, .. } => csr.heap_bytes(),
         }
     }
 
-    /// Word `k` of `u`'s row: bit `b` is set iff `u` is similar to
-    /// `64k + b`. The CSR layout gathers it from the row's entries
-    /// starting at `*cursor`, which it advances past them (words must be
-    /// asked for in ascending `k`).
+    /// Word `k` of `u`'s similar bits: bit `b` is set iff `u` is similar
+    /// to `64k + b` (bit `u` and the padding past `n` are unspecified).
+    /// The CSR layout gathers it from the row's entries starting at
+    /// `*cursor`, which it advances past them (words must be asked for in
+    /// ascending `k`).
     #[inline(always)]
     fn word(&self, u: VertexId, k: usize, cursor: &mut usize) -> u64 {
         match self {
             SimRows::Bits { n, words } => words[u as usize * n.div_ceil(64) + k],
-            SimRows::Csr(csr) => {
+            SimRows::Csr { csr, flip } => {
                 let row = csr.row(u);
                 let end = (k + 1) * 64;
                 let mut word = 0u64;
@@ -638,7 +473,7 @@ impl SimRows {
                     word |= 1 << (v % 64);
                     *cursor += 1;
                 }
-                word
+                word ^ flip
             }
         }
     }
@@ -658,9 +493,9 @@ impl SimRows {
 }
 
 /// Ascending walk over the set bits of one [`SimRows`] row, each word
-/// XOR-ed with `flip` first: `0` walks the similar partners, `!0` the
-/// complement. Bit `u` and the padding past `n` are masked off either
-/// way.
+/// of similar bits XOR-ed with `flip` first: `0` walks the similar
+/// partners, `!0` the complement. Bit `u` and the padding past `n` are
+/// masked off either way.
 struct RowWalk<'a> {
     rows: &'a SimRows,
     u: VertexId,
@@ -687,10 +522,29 @@ impl<'a> RowWalk<'a> {
             flip,
             next: 0,
             words: n.div_ceil(64),
-            last: !0 >> ((64 - n % 64) % 64),
+            last: last_word_mask(n),
             bits: 0,
             cursor: 0,
         }
+    }
+
+    /// The next word of the walk and its index, flipped and masked, or
+    /// `None` past the row's last word.
+    #[inline(always)]
+    fn next_word(&mut self) -> Option<(usize, u64)> {
+        if self.next == self.words {
+            return None;
+        }
+        let k = self.next;
+        let mut bits = self.rows.word(self.u, k, &mut self.cursor) ^ self.flip;
+        if k + 1 == self.words {
+            bits &= self.last;
+        }
+        if k == self.u as usize / 64 {
+            bits &= !(1 << (self.u % 64));
+        }
+        self.next += 1;
+        Some((k, bits))
     }
 }
 
@@ -700,19 +554,7 @@ impl Iterator for RowWalk<'_> {
     #[inline(always)]
     fn next(&mut self) -> Option<VertexId> {
         while self.bits == 0 {
-            if self.next == self.words {
-                return None;
-            }
-            let k = self.next;
-            let mut bits = self.rows.word(self.u, k, &mut self.cursor) ^ self.flip;
-            if k + 1 == self.words {
-                bits &= self.last;
-            }
-            if k == self.u as usize / 64 {
-                bits &= !(1 << (self.u % 64));
-            }
-            self.next += 1;
-            self.bits = bits;
+            self.bits = self.next_word()?.1;
         }
         let b = self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
@@ -730,7 +572,7 @@ pub fn build_similarity_graph<O: SimilarityOracle>(oracle: &O, members: &[Vertex
     let similar = SimilarPairs::verify(oracle, members);
     sim_obs().oracle_evals.add(similar.oracle_evals);
     let csr = match SimRows::build(n, &similar) {
-        SimRows::Csr(csr) => csr,
+        SimRows::Csr { csr, .. } => csr,
         bits => Csr::from_ascending_rows(n, 2 * similar.len(), |u| bits.similar(u)),
     };
     let (offsets, targets) = csr.into_parts();
@@ -757,89 +599,31 @@ pub fn build_similarity_graph_brute<O: SimilarityOracle>(
     b.build()
 }
 
-/// Writes the complement of `similar` over `n` vertices straight into
-/// the dissimilarity CSR: each row is the [`SimRows::dissimilar`] walk,
-/// ascending, with the total known up front (`n(n-1) - 2·|similar|`
-/// entries), so the arena is allocated once and nothing is sorted.
-fn complement_lists(n: usize, similar: &SimilarPairs) -> DissimilarityLists {
-    let rows = SimRows::build(n, similar);
-    let csr = Csr::from_ascending_rows(n, complement_size(n, similar), |u| rows.dissimilar(u));
-    let num_pairs = csr.total_targets() / 2;
-    let obs = sim_obs();
-    obs.oracle_evals.add(similar.oracle_evals);
-    obs.dissim_builds.inc();
-    obs.dissim_pairs.add(num_pairs as u64);
-    DissimilarityLists {
-        csr,
-        num_pairs,
-        oracle_evals: similar.oracle_evals,
-    }
-}
-
-/// Directed dissimilar entries over `n` vertices: every ordered pair of
-/// distinct vertices minus both directions of each similar pair.
-fn complement_size(n: usize, similar: &SimilarPairs) -> usize {
-    (n * n.saturating_sub(1)).saturating_sub(2 * similar.len())
-}
-
-/// Builds dissimilarity lists over `members` (global ids), renumbered to
-/// local ids `0..members.len()` in the order given.
-///
-/// Index-accelerated: candidates from [`SimilarityOracle::candidates`]
-/// are verified with the metric; every other pair goes straight into the
-/// dissimilarity CSR with zero evaluations. Output is identical to
-/// [`build_dissimilarity_lists_brute`], with
-/// [`DissimilarityLists::oracle_evals`] recording the saving.
-pub fn build_dissimilarity_lists<O: SimilarityOracle>(
-    oracle: &O,
-    members: &[VertexId],
-) -> DissimilarityLists {
-    complement_lists(members.len(), &SimilarPairs::verify(oracle, members))
-}
-
-/// Whether `Auto` picks the lazy representation: only components large
-/// enough for the `O(n²)` complement to hurt, and only when the
-/// complement actually dominates (at least half of all pairs
-/// dissimilar) — otherwise the eager CSR is small and its single
-/// pass wins.
-fn auto_picks_lazy(n: usize, num_similar: usize) -> bool {
-    let total = n * n.saturating_sub(1) / 2;
-    n >= LAZY_MIN_N && 2 * (total - num_similar) >= total
-}
-
-/// Builds a [`DissimilarityView`] over `members` (global ids),
+/// Builds the [`DissimilarityView`] over `members` (global ids),
 /// renumbered to local ids `0..members.len()` in the order given.
 ///
-/// Candidate verification is identical in both modes (same candidate
-/// index, same `oracle_evals`); `mode` only decides whether the
-/// complement is materialized now ([`DissimilarityView::Eager`], equal
-/// to [`build_dissimilarity_lists`]) or on demand
-/// ([`DissimilarityView::Lazy`]). Neither representation materializes
-/// a list of similar or dissimilar pairs on the way: both are filled
-/// from the candidate index's visitor.
+/// Candidates from [`SimilarityOracle::candidates`] are verified with the
+/// metric; every other pair is classified with zero evaluations. Up to
+/// [`BIT_ROWS_MAX_N`] members the similar pairs are flagged straight into
+/// bit rows; above that they are filed into a similarity CSR, which is
+/// complemented once when the dissimilar side is the sparser one. No
+/// list of similar or dissimilar pairs is materialized on the way.
 pub fn build_dissimilarity_view<O: SimilarityOracle>(
     oracle: &O,
     members: &[VertexId],
-    mode: DissimMode,
 ) -> DissimilarityView {
     let n = members.len();
     let similar = SimilarPairs::verify(oracle, members);
-    let lazy = match mode {
-        DissimMode::Eager => false,
-        DissimMode::Lazy => true,
-        DissimMode::Auto => auto_picks_lazy(n, similar.len()),
-    };
-    if lazy {
-        DissimilarityView::Lazy(LazyDissimilarity::new(
-            SimRows::build(n, &similar),
-            similar.oracle_evals,
-        ))
-    } else {
-        DissimilarityView::Eager(complement_lists(n, &similar))
-    }
+    let rows = SimRows::build(n, &similar).sparser_side();
+    let view = DissimilarityView::new(rows, similar.oracle_evals);
+    let obs = sim_obs();
+    obs.oracle_evals.add(view.oracle_evals);
+    obs.dissim_builds.inc();
+    obs.dissim_pairs.add(view.num_pairs as u64);
+    view
 }
 
-/// Brute-force reference for [`build_dissimilarity_lists`]: one oracle
+/// Brute-force reference for [`build_dissimilarity_view`]: one oracle
 /// pass over all `|members|²/2` pairs, collecting the directed dissimilar
 /// pairs, then a counting sort into the flat arena.
 pub fn build_dissimilarity_lists_brute<O: SimilarityOracle>(
@@ -870,16 +654,15 @@ pub fn build_dissimilarity_lists_brute<O: SimilarityOracle>(
     }
 }
 
-/// The pair-list build this module used before the visitor path: the
-/// known-similar pairs copied into a list, the verified candidates
-/// appended, and each representation built from that list (the eager one
-/// through a second list of every dissimilar pair in both directions).
-/// The visitor path must reproduce it byte for byte.
+/// The pair-list verification this module used before the visitor path:
+/// the known-similar pairs copied into a list, the verified candidates
+/// appended. The visitor path must file the same pairs with the same
+/// metric evaluations.
 #[cfg(test)]
 mod pair_list_reference {
     use super::*;
 
-    fn verify_candidates<O: SimilarityOracle + ?Sized>(
+    pub fn verify_candidates<O: SimilarityOracle + ?Sized>(
         oracle: &O,
         members: &[VertexId],
     ) -> (Vec<(VertexId, VertexId)>, u64) {
@@ -895,64 +678,6 @@ mod pair_list_reference {
         });
         (similar, evals)
     }
-
-    fn complement_to_csr(n: usize, similar: &[(VertexId, VertexId)]) -> Csr {
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
-        if n <= BIT_ROWS_MAX_N {
-            let mut bits = vec![0u64; (n * n).div_ceil(64)];
-            let mut set = |i: usize, j: usize| {
-                let at = i * n + j;
-                bits[at / 64] |= 1u64 << (at % 64);
-            };
-            for &(i, j) in similar {
-                set(i as usize, j as usize);
-                set(j as usize, i as usize);
-            }
-            for u in 0..n {
-                for v in 0..n {
-                    let at = u * n + v;
-                    if v != u && bits[at / 64] & (1u64 << (at % 64)) == 0 {
-                        pairs.push((u as VertexId, v as VertexId));
-                    }
-                }
-            }
-        } else {
-            let sim = Csr::from_symmetric_pairs(n, similar);
-            for u in 0..n as VertexId {
-                for v in 0..n as VertexId {
-                    if v != u && !sim.contains(u, v) {
-                        pairs.push((u, v));
-                    }
-                }
-            }
-        }
-        Csr::from_pairs(n, &pairs)
-    }
-
-    pub fn build_view<O: SimilarityOracle + ?Sized>(
-        oracle: &O,
-        members: &[VertexId],
-        mode: DissimMode,
-    ) -> DissimilarityView {
-        let n = members.len();
-        let (similar, evals) = verify_candidates(oracle, members);
-        let lazy = match mode {
-            DissimMode::Eager => false,
-            DissimMode::Lazy => true,
-            DissimMode::Auto => auto_picks_lazy(n, similar.len()),
-        };
-        if lazy {
-            let sim = Csr::from_symmetric_pairs(n, &similar);
-            DissimilarityView::Lazy(LazyDissimilarity::new(SimRows::Csr(sim), evals))
-        } else {
-            let csr = complement_to_csr(n, &similar);
-            DissimilarityView::Eager(DissimilarityLists {
-                num_pairs: csr.total_targets() / 2,
-                csr,
-                oracle_evals: evals,
-            })
-        }
-    }
 }
 
 #[cfg(test)]
@@ -963,81 +688,108 @@ mod tests {
     use crate::oracle::{TableOracle, Threshold};
     use proptest::prelude::*;
 
-    /// The visitor-built view in every mode equals the brute-force lists
-    /// and reproduces the pair-list reference exactly: the same
-    /// representation, the same CSR bytes and capacity, the same metric
-    /// evaluations. The reference's lazy view keeps a similarity CSR;
-    /// up to [`BIT_ROWS_MAX_N`] vertices the built one keeps bit rows
-    /// instead, whose size is exactly `n·⌈n/64⌉` words. Every lazy query
-    /// is checked against the brute-force rows at every vertex, the
-    /// last word's included. The similarity graph equals its
-    /// brute-force reference too.
+    /// Every query of `view` agrees with the brute-force `lists` at every
+    /// vertex, the last word's included: `count`, the `for_each` and
+    /// `any_where` visits, `are_dissimilar` on every pair, and `count_in`
+    /// under three masks (every vertex, a scattered half, the vertices
+    /// at or below `u`).
+    fn check_view(
+        view: &DissimilarityView,
+        lists: &DissimilarityLists,
+    ) -> Result<(), TestCaseError> {
+        let n = lists.len();
+        prop_assert_eq!(view.len(), n);
+        prop_assert_eq!(view.num_pairs(), lists.num_pairs);
+        let mask_of = |keep: &dyn Fn(usize) -> bool| {
+            let mut mask = vec![0u64; n.div_ceil(64)];
+            for v in (0..n).filter(|&v| keep(v)) {
+                mask[v / 64] |= 1 << (v % 64);
+            }
+            mask
+        };
+        let all = mask_of(&|_| true);
+        let scattered = mask_of(&|v| (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 1);
+        for u in 0..n as VertexId {
+            let expect = lists.row(u);
+            prop_assert_eq!(view.count(u), expect.len());
+            let mut visited = Vec::new();
+            view.for_each(u, |w| visited.push(w));
+            prop_assert_eq!(&visited[..], expect);
+            visited.clear();
+            prop_assert!(!view.any_where(u, |w| {
+                visited.push(w);
+                false
+            }));
+            prop_assert_eq!(&visited[..], expect);
+            for v in 0..n as VertexId {
+                prop_assert_eq!(view.are_dissimilar(u, v), lists.are_dissimilar(u, v));
+            }
+            let below = mask_of(&|v| v <= u as usize);
+            for mask in [&all, &scattered, &below] {
+                let inside = expect
+                    .iter()
+                    .filter(|&&w| mask[w as usize / 64] >> (w % 64) & 1 == 1)
+                    .count();
+                prop_assert_eq!(view.count_in(u, mask), inside);
+            }
+        }
+        Ok(())
+    }
+
+    /// The built view equals the brute-force lists and takes exactly
+    /// `n·⌈n/64⌉` words. Every layout of the same pairs (bit rows, a
+    /// similarity CSR, a dissimilarity CSR) reads the same; the
+    /// similarity CSR equals the one filed from the pair-list
+    /// reference byte for byte, the dissimilarity CSR equals the
+    /// brute-force CSR, and the sparser side is the one kept above the
+    /// cutoff. The view built from the brute-force lists equals the
+    /// built one, and the similarity graph its brute-force reference.
     fn check_against_references<O: SimilarityOracle>(
         oracle: &O,
         members: &[VertexId],
     ) -> Result<(), TestCaseError> {
         let n = members.len();
-        let brute = DissimilarityView::Eager(build_dissimilarity_lists_brute(oracle, members));
+        let brute = build_dissimilarity_lists_brute(oracle, members);
+        let view = build_dissimilarity_view(oracle, members);
+        check_view(&view, &brute)?;
+        prop_assert!(view.stores_similar());
+        prop_assert_eq!(view.heap_bytes(), n * n.div_ceil(64) * 8);
+        let (pairs, evals) = pair_list_reference::verify_candidates(oracle, members);
+        prop_assert_eq!(view.oracle_evals(), evals);
+        prop_assert_eq!(
+            &DissimilarityView::from_dissimilar(brute.csr.clone()).rows,
+            &view.rows
+        );
+
         let similar = SimilarPairs::verify(oracle, members);
-        for mode in [DissimMode::Eager, DissimMode::Lazy, DissimMode::Auto] {
-            let view = build_dissimilarity_view(oracle, members, mode);
-            let reference = pair_list_reference::build_view(oracle, members, mode);
-            prop_assert!(view == brute, "{mode:?} view differs from brute force");
-            prop_assert!(
-                view == reference,
-                "{mode:?} view differs from its reference"
-            );
-            prop_assert_eq!(view.oracle_evals(), reference.oracle_evals());
-            prop_assert_eq!(view.num_pairs(), reference.num_pairs());
-            match (&view, &reference) {
-                (DissimilarityView::Eager(a), DissimilarityView::Eager(b)) => {
-                    prop_assert_eq!(view.heap_bytes(), reference.heap_bytes());
-                    prop_assert_eq!(&a.csr, &b.csr);
-                    // The zero-bit walk over the CSR layout (above the
-                    // bit-row cap) writes the same bytes.
-                    let rows = SimRows::csr(n, &similar);
-                    let walked = Csr::from_ascending_rows(n, complement_size(n, &similar), |u| {
-                        rows.dissimilar(u)
-                    });
-                    prop_assert_eq!(walked.heap_bytes(), a.csr.heap_bytes());
-                    prop_assert_eq!(&walked, &a.csr);
-                }
-                (DissimilarityView::Lazy(a), DissimilarityView::Lazy(b)) => {
-                    let SimRows::Csr(sim) = &b.sim else {
-                        unreachable!("the reference keeps a similarity CSR");
-                    };
-                    let rows_bytes = if n <= BIT_ROWS_MAX_N {
-                        n * n.div_ceil(64) * std::mem::size_of::<u64>()
-                    } else {
-                        sim.heap_bytes()
-                    };
-                    prop_assert_eq!(
-                        view.heap_bytes(),
-                        reference.heap_bytes() - sim.heap_bytes() + rows_bytes
-                    );
-                    for u in 0..n as VertexId {
-                        let expect = brute.row(u);
-                        prop_assert_eq!(a.count(u), expect.len());
-                        let mut visited = Vec::new();
-                        prop_assert!(!a.any_where(u, |w| {
-                            visited.push(w);
-                            false
-                        }));
-                        prop_assert_eq!(&visited[..], expect);
-                        for v in 0..n as VertexId {
-                            prop_assert_eq!(a.are_dissimilar(u, v), brute.are_dissimilar(u, v));
-                        }
-                    }
-                    if let Some(last) = (n as VertexId).checked_sub(1) {
-                        prop_assert_eq!(a.row(last), brute.row(last));
-                        prop_assert_eq!(a.materialized_rows(), 1);
-                    }
-                }
-                _ => prop_assert!(false, "{mode:?} picked another representation"),
+        let filed = Csr::from_symmetric_pairs(n, &pairs);
+        let SimRows::Csr { csr, .. } = SimRows::csr(n, &similar) else {
+            unreachable!("a CSR layout");
+        };
+        prop_assert_eq!(csr.heap_bytes(), filed.heap_bytes());
+        prop_assert_eq!(&csr, &filed);
+        let dissimilar = SimRows::csr(n, &similar).with_side(!0);
+        prop_assert_eq!(
+            &dissimilar,
+            &SimRows::Csr {
+                csr: brute.csr.clone(),
+                flip: !0
             }
+        );
+        prop_assert_eq!(&dissimilar.clone().with_side(0), &SimRows::csr(n, &similar));
+        let total = n * n.saturating_sub(1) / 2;
+        let kept = SimRows::csr(n, &similar).sparser_side();
+        prop_assert_eq!(
+            kept == SimRows::csr(n, &similar),
+            2 * brute.num_pairs >= total
+        );
+        for rows in [
+            SimRows::bits(n, &similar),
+            SimRows::csr(n, &similar),
+            dissimilar,
+        ] {
+            check_view(&DissimilarityView::new(rows, evals), &brute)?;
         }
-        let lists = build_dissimilarity_lists(oracle, members);
-        prop_assert!(DissimilarityView::Eager(lists) == brute);
         prop_assert_eq!(
             build_similarity_graph(oracle, members),
             build_similarity_graph_brute(oracle, members)
@@ -1157,31 +909,78 @@ mod tests {
         }
     }
 
-    /// `Auto` picks the lazy view above [`LAZY_MIN_N`] on a
-    /// dissimilarity-heavy corridor (three rings of 342 points, 6.0
-    /// apart, max distance 9.0), and the eager one once the threshold
-    /// makes every pair similar — both equal to the references.
+    /// Points on a line one apart, similar within 1.5: each vertex is
+    /// similar to its two line neighbours only.
+    fn line_oracle(n: usize) -> TableOracle {
+        TableOracle::new(
+            AttributeTable::points((0..n).map(|i| (i as f64, 0.0)).collect()),
+            Metric::Euclidean,
+            Threshold::MaxDistance(1.5),
+        )
+    }
+
+    /// The layout follows the size and the pairs alone: bit rows at
+    /// exactly [`BIT_ROWS_MAX_N`] vertices; one vertex more, a CSR of
+    /// the sparser side — the similar pairs of the dissimilarity-heavy
+    /// line, the dissimilar pairs of a near-clique built from its few
+    /// dissimilar pairs. Every row of the line is checked against the
+    /// oracle, and the footprints are exact.
     #[test]
-    fn auto_mode_matches_references_above_the_lazy_cutoff() {
-        let mut pts = Vec::new();
-        for c in 0..3 {
-            for i in 0..342 {
-                let ang = i as f64 / 342.0 * std::f64::consts::TAU;
-                pts.push((c as f64 * 6.0 + ang.cos(), ang.sin()));
-            }
+    fn layout_above_the_bit_row_cutoff_keeps_the_sparser_side() {
+        let n = BIT_ROWS_MAX_N;
+        let at_cap = build_dissimilarity_view(&line_oracle(n), &members(n, false));
+        assert!(matches!(at_cap.rows, SimRows::Bits { .. }));
+        assert_eq!(at_cap.heap_bytes(), n * n.div_ceil(64) * 8);
+        assert_eq!(at_cap.heap_bytes(), 2 << 20);
+
+        let n = BIT_ROWS_MAX_N + 1;
+        let oracle = line_oracle(n);
+        let line = build_dissimilarity_view(&oracle, &members(n, false));
+        assert!(line.stores_similar());
+        assert_eq!(line.num_pairs(), n * (n - 1) / 2 - (n - 1));
+        assert_eq!(line.heap_bytes(), (n + 1) * 4 + 2 * (n - 1) * 4);
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        for v in (0..n).step_by(3) {
+            mask[v / 64] |= 1 << (v % 64);
         }
-        let members = members(pts.len(), false);
-        for (r, lazy) in [(4.5, true), (20.0, false)] {
-            let oracle = TableOracle::new(
-                AttributeTable::points(pts.clone()),
-                Metric::Euclidean,
-                Threshold::MaxDistance(r),
-            );
+        for u in 0..n as VertexId {
+            let mut row = Vec::new();
+            line.for_each(u, |w| row.push(w));
+            let expect: Vec<VertexId> = (0..n as VertexId)
+                .filter(|&v| v != u && !oracle.is_similar(u, v))
+                .collect();
+            assert_eq!(row, expect, "row {u}");
+            assert_eq!(line.count(u), expect.len());
+            let inside = expect.iter().filter(|&&w| w % 3 == 0).count();
+            assert_eq!(line.count_in(u, &mask), inside);
             assert_eq!(
-                build_dissimilarity_view(&oracle, &members, DissimMode::Auto).is_lazy(),
-                lazy
+                line.count_in_reads(u),
+                n.div_ceil(64) + (n - 1 - expect.len())
             );
-            check_against_references(&oracle, &members).unwrap();
+        }
+
+        // A near-clique: vertex i dissimilar to i + 1 for even i.
+        let pairs: Vec<(VertexId, VertexId)> = (0..n as VertexId - 1)
+            .step_by(2)
+            .map(|i| (i, i + 1))
+            .collect();
+        let near_clique = DissimilarityView::from_dissimilar(Csr::from_symmetric_pairs(n, &pairs));
+        assert!(!near_clique.stores_similar());
+        assert_eq!(near_clique.num_pairs(), pairs.len());
+        assert_eq!(near_clique.heap_bytes(), (n + 1) * 4 + 2 * pairs.len() * 4);
+        for u in [0, 1, 2, n as VertexId - 2, n as VertexId - 1] {
+            // The last vertex (even, n being odd) has no partner.
+            let expect: Vec<VertexId> = Some(u ^ 1)
+                .filter(|&p| (p as usize) < n)
+                .into_iter()
+                .collect();
+            let mut row = Vec::new();
+            near_clique.for_each(u, |w| row.push(w));
+            assert_eq!(row, expect, "row {u}");
+            assert_eq!(near_clique.count(u), expect.len());
+            let inside = expect.iter().filter(|&&w| w % 3 == 0).count();
+            assert_eq!(near_clique.count_in(u, &mask), inside);
+            assert_eq!(near_clique.are_dissimilar(u, u ^ 1), !expect.is_empty());
         }
     }
 
@@ -1191,6 +990,13 @@ mod tests {
             Metric::Euclidean,
             Threshold::MaxDistance(2.5),
         )
+    }
+
+    /// The dissimilar partners of `u`, collected.
+    fn row(view: &DissimilarityView, u: VertexId) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        view.for_each(u, |w| out.push(w));
+        out
     }
 
     #[test]
@@ -1203,59 +1009,41 @@ mod tests {
     }
 
     #[test]
-    fn dissimilarity_lists_complement() {
+    fn dissimilarity_view_complement() {
         let o = geo_oracle();
-        let d = build_dissimilarity_lists(&o, &[0, 1, 2, 3]);
-        assert_eq!(d.num_pairs, 3); // 3 vs each of 0,1,2
-        assert_eq!(d.row(3), &[0, 1, 2]);
+        let d = build_dissimilarity_view(&o, &[0, 1, 2, 3]);
+        assert_eq!(d.num_pairs(), 3); // 3 vs each of 0,1,2
+        assert_eq!(row(&d, 3), [0, 1, 2]);
+        assert_eq!(d.count(3), 3);
         assert!(d.are_dissimilar(0, 3));
         assert!(!d.are_dissimilar(0, 1));
+        assert!(!d.are_dissimilar(3, 3));
         assert_eq!(d.len(), 4);
+        assert_eq!(d.heap_bytes(), 4 * 8);
+        assert_eq!(d.materialized_rows(), 0);
     }
 
     #[test]
     fn indexed_build_skips_certain_pairs() {
         let o = geo_oracle();
-        let d = build_dissimilarity_lists(&o, &[0, 1, 2, 3]);
+        let d = build_dissimilarity_view(&o, &[0, 1, 2, 3]);
         let brute = build_dissimilarity_lists_brute(&o, &[0, 1, 2, 3]);
         assert_eq!(brute.oracle_evals, 6);
         // Vertex 3 sits 48km from the cluster (provably dissimilar) and
         // the cluster pairs are within 2km « r (provably similar): the
         // grid classifies every pair without a single metric evaluation.
-        assert_eq!(d.oracle_evals, 0);
-        assert_eq!(d.csr, brute.csr);
-        assert_eq!(d.num_pairs, brute.num_pairs);
-    }
-
-    #[test]
-    fn eager_view_matches_brute_force() {
-        let pts: Vec<(f64, f64)> = (0..40)
-            .map(|i| ((i % 7) as f64 * 3.0, (i / 7) as f64 * 3.0))
-            .collect();
-        let o = TableOracle::new(
-            AttributeTable::points(pts),
-            Metric::Euclidean,
-            Threshold::MaxDistance(4.0),
-        );
-        let members: Vec<VertexId> = (0..40).collect();
-        let brute = build_dissimilarity_lists_brute(&o, &members);
-        let DissimilarityView::Eager(eager) =
-            build_dissimilarity_view(&o, &members, DissimMode::Eager)
-        else {
-            panic!("eager mode builds eager lists");
-        };
-        assert_eq!(brute.csr, eager.csr);
-        assert_eq!(brute.num_pairs, eager.num_pairs);
-        assert!(eager.oracle_evals < brute.oracle_evals);
+        assert_eq!(d.oracle_evals(), 0);
+        assert_eq!(d, DissimilarityView::from_dissimilar(brute.csr));
+        assert_eq!(d.num_pairs(), brute.num_pairs);
     }
 
     #[test]
     fn renumbering_respects_member_order() {
         let o = geo_oracle();
         // Members in reversed order: local 0 = global 3.
-        let d = build_dissimilarity_lists(&o, &[3, 2, 1, 0]);
-        assert_eq!(d.row(0), &[1, 2, 3]);
-        assert_eq!(d.num_pairs, 3);
+        let d = build_dissimilarity_view(&o, &[3, 2, 1, 0]);
+        assert_eq!(row(&d, 0), [1, 2, 3]);
+        assert_eq!(d.num_pairs(), 3);
     }
 
     #[test]
@@ -1263,9 +1051,9 @@ mod tests {
         let o = geo_oracle();
         let members = [0, 1, 2, 3];
         let g = build_similarity_graph(&o, &members);
-        let d = build_dissimilarity_lists(&o, &members);
+        let d = build_dissimilarity_view(&o, &members);
         let n = members.len();
-        assert_eq!(g.num_edges() + d.num_pairs, n * (n - 1) / 2);
+        assert_eq!(g.num_edges() + d.num_pairs(), n * (n - 1) / 2);
     }
 
     #[test]
@@ -1273,91 +1061,10 @@ mod tests {
         let o = geo_oracle();
         let g = build_similarity_graph(&o, &[]);
         assert_eq!(g.num_vertices(), 0);
-        let d = build_dissimilarity_lists(&o, &[]);
+        let d = build_dissimilarity_view(&o, &[]);
         assert!(d.is_empty());
-        assert_eq!(d.oracle_evals, 0);
-    }
-
-    #[test]
-    fn lazy_view_matches_eager() {
-        let o = geo_oracle();
-        let members = [0, 1, 2, 3];
-        let eager = build_dissimilarity_view(&o, &members, DissimMode::Eager);
-        let lazy = build_dissimilarity_view(&o, &members, DissimMode::Lazy);
-        assert!(!eager.is_lazy());
-        assert!(lazy.is_lazy());
-        assert_eq!(eager.num_pairs(), lazy.num_pairs());
-        assert_eq!(eager.oracle_evals(), lazy.oracle_evals());
-        assert_eq!(eager, lazy, "semantic equality across representations");
-        for u in 0..4u32 {
-            assert_eq!(eager.count(u), lazy.count(u));
-            let mut streamed = Vec::new();
-            lazy.for_each(u, |w| streamed.push(w));
-            assert_eq!(eager.row(u), streamed.as_slice(), "streamed row {u}");
-            for v in 0..4u32 {
-                assert_eq!(eager.are_dissimilar(u, v), lazy.are_dissimilar(u, v));
-            }
-        }
-        // Nothing above materialized a row.
-        assert_eq!(lazy.materialized_rows(), 0);
-    }
-
-    #[test]
-    fn lazy_rows_memoize_and_grow_footprint() {
-        let o = geo_oracle();
-        let lazy = build_dissimilarity_view(&o, &[0, 1, 2, 3], DissimMode::Lazy);
-        let before = lazy.heap_bytes();
-        assert_eq!(lazy.row(3), &[0, 1, 2]);
-        assert_eq!(lazy.materialized_rows(), 1);
-        assert_eq!(lazy.materialized_entries(), 3);
-        assert!(
-            lazy.heap_bytes() > before,
-            "footprint must grow with materialization"
-        );
-        // Second slice access hits the memo (counters unchanged).
-        assert_eq!(lazy.row(3), &[0, 1, 2]);
-        assert_eq!(lazy.materialized_rows(), 1);
-        // Streaming a memoized row uses the memo, not the row walk.
-        let mut streamed = Vec::new();
-        lazy.for_each(3, |w| streamed.push(w));
-        assert_eq!(streamed, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn lazy_num_pairs_is_exact_without_materialization() {
-        let o = geo_oracle();
-        let eager = build_dissimilarity_lists(&o, &[0, 1, 2, 3]);
-        let lazy = build_dissimilarity_view(&o, &[0, 1, 2, 3], DissimMode::Lazy);
-        assert_eq!(lazy.num_pairs(), eager.num_pairs);
-        assert_eq!(lazy.materialized_rows(), 0);
-    }
-
-    #[test]
-    fn auto_mode_small_component_stays_eager() {
-        let o = geo_oracle();
-        let auto = build_dissimilarity_view(&o, &[0, 1, 2, 3], DissimMode::Auto);
-        assert!(!auto.is_lazy(), "4 vertices is far below LAZY_MIN_N");
-    }
-
-    #[test]
-    fn auto_threshold_rule() {
-        // Large + dissimilarity-heavy -> lazy; large + similarity-heavy
-        // or small -> eager.
-        assert!(auto_picks_lazy(LAZY_MIN_N, 0));
-        assert!(!auto_picks_lazy(LAZY_MIN_N - 1, 0));
-        let n = LAZY_MIN_N;
-        let total = n * (n - 1) / 2;
-        assert!(auto_picks_lazy(n, total / 2));
-        assert!(!auto_picks_lazy(n, total / 2 + 1));
-    }
-
-    #[test]
-    fn lazy_clone_and_equality_ignore_memo_state() {
-        let o = geo_oracle();
-        let a = build_dissimilarity_view(&o, &[0, 1, 2, 3], DissimMode::Lazy);
-        let b = a.clone();
-        let _ = a.row(0);
-        assert_eq!(a, b, "memoization must not affect equality");
-        assert_eq!(b.materialized_rows(), 0, "clone is independent");
+        assert_eq!(d.oracle_evals(), 0);
+        assert_eq!(d.heap_bytes(), 0);
+        assert!(DissimilarityView::from_dissimilar(Csr::empty(0)).is_empty());
     }
 }

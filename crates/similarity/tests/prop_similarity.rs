@@ -2,10 +2,9 @@
 
 use kr_similarity::metrics::{cosine, euclidean, jaccard, weighted_jaccard};
 use kr_similarity::{
-    build_dissimilarity_lists, build_dissimilarity_lists_brute, build_dissimilarity_view,
-    build_similarity_graph, build_similarity_graph_brute, similarity_quantile_exact,
-    AttributeTable, DissimMode, DissimilarityView, Metric, SimilarityOracle, TableOracle,
-    Threshold,
+    build_dissimilarity_lists_brute, build_dissimilarity_view, build_similarity_graph,
+    build_similarity_graph_brute, similarity_quantile_exact, AttributeTable, Metric,
+    SimilarityOracle, TableOracle, Threshold,
 };
 use proptest::prelude::*;
 
@@ -18,26 +17,29 @@ fn arb_kwlist() -> impl Strategy<Value = Vec<(u32, f64)>> {
 }
 
 /// Indexed preprocessing must be indistinguishable from the brute-force
-/// reference: same similarity graph, same dissimilarity CSR (byte for
-/// byte), same pair count — and never more metric evaluations.
+/// reference: same similarity graph, and a dissimilarity view whose every
+/// row visits the brute-force CSR row (and counts it, and tests each pair
+/// like it), same pair count, exact bit-row footprint — and never more
+/// metric evaluations.
 fn assert_indexed_matches_brute(oracle: &TableOracle, n: usize) -> Result<(), TestCaseError> {
     let members: Vec<u32> = (0..n as u32).collect();
-    let fast = build_dissimilarity_lists(oracle, &members);
+    let view = build_dissimilarity_view(oracle, &members);
     let brute = build_dissimilarity_lists_brute(oracle, &members);
-    prop_assert_eq!(&fast.csr, &brute.csr);
-    prop_assert_eq!(fast.num_pairs, brute.num_pairs);
-    prop_assert!(fast.oracle_evals <= brute.oracle_evals);
+    prop_assert_eq!(view.num_pairs(), brute.num_pairs);
+    prop_assert!(view.oracle_evals() <= brute.oracle_evals);
+    prop_assert_eq!(view.heap_bytes(), n * n.div_ceil(64) * 8);
+    for u in 0..n as u32 {
+        let mut row = Vec::new();
+        view.for_each(u, |w| row.push(w));
+        prop_assert_eq!(&row[..], brute.row(u));
+        prop_assert_eq!(view.count(u), brute.row(u).len());
+        for v in 0..n as u32 {
+            prop_assert_eq!(view.are_dissimilar(u, v), brute.are_dissimilar(u, v));
+        }
+    }
     let g_fast = build_similarity_graph(oracle, &members);
     let g_brute = build_similarity_graph_brute(oracle, &members);
     prop_assert_eq!(g_fast, g_brute);
-    // The eager view preprocessing builds must match it too.
-    let DissimilarityView::Eager(eager) =
-        build_dissimilarity_view(oracle, &members, DissimMode::Eager)
-    else {
-        panic!("eager mode builds eager lists");
-    };
-    prop_assert_eq!(&eager.csr, &brute.csr);
-    prop_assert_eq!(eager.oracle_evals, fast.oracle_evals);
     Ok(())
 }
 
@@ -109,8 +111,8 @@ proptest! {
         );
         let members: Vec<u32> = (0..n as u32).collect();
         let sim = build_similarity_graph(&oracle, &members);
-        let dis = build_dissimilarity_lists(&oracle, &members);
-        prop_assert_eq!(sim.num_edges() + dis.num_pairs, n * (n - 1) / 2);
+        let dis = build_dissimilarity_view(&oracle, &members);
+        prop_assert_eq!(sim.num_edges() + dis.num_pairs(), n * (n - 1) / 2);
         for u in 0..n as u32 {
             for v in (u + 1)..n as u32 {
                 let s = sim.has_edge(u, v);
