@@ -32,16 +32,21 @@ pub struct LocalComponent {
     /// serving layer and `bench_smoke` report it as the index-leverage
     /// counter.
     pub oracle_evals: u64,
-    /// Map back to global vertex ids.
+    /// Map back to global vertex ids: local id `l` is global vertex
+    /// `local_to_global[l]`. Strictly ascending (local ids follow the
+    /// global order), so a global id's local id is a binary search; the
+    /// build relies on it, and so do readers that test membership.
     pub local_to_global: Vec<VertexId>,
     /// The degree threshold the component was built for.
     pub k: u32,
 }
 
 impl LocalComponent {
-    /// Builds the arena for `members` (global ids) of `graph`. The
-    /// adjacency CSR is laid out in one pass (rows fill in local-id
-    /// order); the dissimilarity view comes straight from
+    /// Builds the arena for `members` (distinct global ids) of `graph`.
+    /// The adjacency CSR is written row by row in local-id order, each
+    /// neighbor mapped to its local id by a binary search over the
+    /// sorted `local_to_global` (no hash map, no pair list, no sort);
+    /// the dissimilarity view comes straight from
     /// [`build_dissimilarity_view`], which verifies only the pairs the
     /// oracle's candidate index produces. `_mode` has one value and is
     /// ignored; it stays until the benchmark PR, whose package passes it.
@@ -54,24 +59,24 @@ impl LocalComponent {
     ) -> Self {
         let mut local_to_global = members.to_vec();
         local_to_global.sort_unstable();
+        debug_assert!(
+            local_to_global.windows(2).all(|w| w[0] < w[1]),
+            "members must be distinct"
+        );
         let n = local_to_global.len();
-        // The id map and the edge list are dropped before the
-        // dissimilarity view is built, so they never add to its peak.
-        let adj = {
-            let mut global_to_local = std::collections::HashMap::with_capacity(n);
-            for (i, &g) in local_to_global.iter().enumerate() {
-                global_to_local.insert(g, i as VertexId);
-            }
-            let mut adj_pairs: Vec<(VertexId, VertexId)> = Vec::new();
-            for (i, &g) in local_to_global.iter().enumerate() {
-                for &u in graph.neighbors(g) {
-                    if let Some(&lu) = global_to_local.get(&u) {
-                        adj_pairs.push((i as VertexId, lu));
-                    }
-                }
-            }
-            Csr::from_pairs(n, &adj_pairs)
-        };
+        // Local ids follow the global order and every graph row is
+        // ascending, so a row's in-component neighbors, each found by a
+        // binary search, come out in ascending local order: the rows are
+        // written straight into the CSR, whose arena is sized by the
+        // members' degrees and trimmed to fit.
+        let degrees = local_to_global.iter().map(|&g| graph.degree(g)).sum();
+        let adj = Csr::from_ascending_rows(n, degrees, |l| {
+            graph
+                .neighbors(local_to_global[l as usize])
+                .iter()
+                .filter_map(|u| local_to_global.binary_search(u).ok())
+                .map(|l| l as VertexId)
+        });
         let d = build_dissimilarity_view(oracle, &local_to_global);
         LocalComponent {
             adj,

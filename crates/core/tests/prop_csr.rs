@@ -154,6 +154,55 @@ proptest! {
         prop_assert_eq!(Csr::from_symmetric_pairs(n, &pairs), Csr::from_pairs(n, &doubled));
     }
 
+    /// `build`'s adjacency, written row by row through binary searches
+    /// over the sorted members, equals the hash-map construction it
+    /// replaced: every member's in-set neighbors mapped through a
+    /// `HashMap` to local ids, filed as pairs by `Csr::from_pairs`. The
+    /// members are a random subset in random order, so rows keep
+    /// out-of-set neighbors to skip.
+    #[test]
+    fn build_adjacency_equals_hash_map_construction(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0u32..40, 0u32..40), 0..160),
+        keep in proptest::collection::vec(false..true, 40),
+        rotate in 0usize..40,
+    ) {
+        let edges: Vec<(VertexId, VertexId)> = edges
+            .iter()
+            .map(|&(u, v)| (u % n as VertexId, v % n as VertexId))
+            .collect();
+        let graph = Graph::from_edges(n, &edges);
+        let oracle = TableOracle::new(
+            AttributeTable::points(vec![(0.0, 0.0); n]),
+            Metric::Euclidean,
+            Threshold::MaxDistance(1.0),
+        );
+        let mut members: Vec<VertexId> = (0..n as VertexId).filter(|&v| keep[v as usize]).collect();
+        let len = members.len();
+        members.rotate_left(rotate % len.max(1));
+        let comp = LocalComponent::build(&graph, &oracle, &members, 2, DissimMode::Auto);
+
+        let mut local_to_global = members.clone();
+        local_to_global.sort_unstable();
+        let global_to_local: std::collections::HashMap<VertexId, VertexId> = local_to_global
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (g, i as VertexId))
+            .collect();
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::new();
+        for (i, &g) in local_to_global.iter().enumerate() {
+            for u in graph.neighbors(g) {
+                if let Some(&lu) = global_to_local.get(u) {
+                    pairs.push((i as VertexId, lu));
+                }
+            }
+        }
+        prop_assert_eq!(&comp.local_to_global, &local_to_global);
+        prop_assert_eq!(comp.adj_csr(), &Csr::from_pairs(len, &pairs));
+        // Trimmed to fit: the footprint is the rows, not the degrees.
+        prop_assert_eq!(comp.adj_csr().heap_bytes(), (len + 1 + pairs.len()) * 4);
+    }
+
     /// `build` over a random graph and a real Euclidean oracle equals a
     /// brute-force reference derived directly from the graph and oracle.
     #[test]

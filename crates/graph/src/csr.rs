@@ -103,10 +103,10 @@ impl Csr {
         })
     }
 
-    /// Builds row by row from rows whose sizes sum to `total` (the
-    /// arena is allocated once at that size): `row(u)` yields row `u`'s
-    /// targets for `u` in `0..n`, in ascending order. No counting pass
-    /// and no sort.
+    /// Builds row by row from rows whose sizes sum to at most `total`
+    /// (the arena is allocated once at that size, and trimmed to fit
+    /// when the rows fill less): `row(u)` yields row `u`'s targets for
+    /// `u` in `0..n`, in ascending order. No counting pass and no sort.
     ///
     /// # Panics
     /// Panics when a row is not strictly ascending.
@@ -127,6 +127,7 @@ impl Csr {
             );
             offsets.push(targets.len() as u32);
         }
+        targets.shrink_to_fit();
         Csr { offsets, targets }
     }
 

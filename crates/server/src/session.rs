@@ -1041,11 +1041,12 @@ fn repair_cache(
                 let value = dataset.metric().evaluate(&view.attributes, u, v);
                 beyond_band(distance, value, key.r_band)
             };
-            // Vertices resident in this entry's preprocessed components.
+            // Vertices resident in this entry's preprocessed components
+            // (each component's `local_to_global` is ascending).
             let in_comps = |w: kr_graph::VertexId| -> bool {
                 comps
                     .iter()
-                    .any(|c: &LocalComponent| c.local_to_global.contains(&w))
+                    .any(|c: &LocalComponent| c.local_to_global.binary_search(&w).is_ok())
             };
             // A removed edge cannot change the entry when it was never
             // part of the entry's k-core subgraph: either the pair is

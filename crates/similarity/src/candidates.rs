@@ -36,16 +36,15 @@
 //!   a dense cluster costs a few blocks, not one entry per pair; only
 //!   the straddling candidate pairs are listed one by one.
 //! * [`InvertedIndexCandidates`] — inverted keyword index for (weighted)
-//!   Jaccard: a score-accumulation join. Walking the shared-token
-//!   postings accumulates each touched pair's exact intersection weight,
-//!   which determines the similarity (`num / (W_u + W_v - num)`) up to
-//!   float summation order; margin bounds then classify every touched
-//!   pair, untouched pairs share no keyword (similarity 0, dissimilar
-//!   for free), and only knife-edge pairs are verified.
+//!   Jaccard: a score-accumulation join over postings sorted by token
+//!   (no hash index). Walking the shared-token postings accumulates each
+//!   touched pair's exact intersection weight, which determines the
+//!   similarity (`num / (W_u + W_v - num)`) up to float summation order;
+//!   margin bounds then classify every touched pair, untouched pairs
+//!   share no keyword (similarity 0, dissimilar for free), and only
+//!   knife-edge pairs are verified.
 //! * [`AllPairs`] — brute-force fallback (Cosine, custom oracles, or any
 //!   input outside an index's preconditions).
-
-use std::collections::HashMap;
 
 /// A sound over-approximation of the similar pairs among `0..n` local
 /// indices: every pair **not** produced is guaranteed dissimilar under
@@ -397,17 +396,44 @@ const SIM_MARGIN: f64 = 1e-9;
 /// score-accumulation join in the style of prefix-filter similarity
 /// joins.
 ///
-/// Vertices are scanned in order; each probes the postings of its
-/// predecessors, accumulating the pair's intersection weight
-/// `num = Σ min(w_u, w_v)` token by token. Since
-/// `sim = num / (W_u + W_v - num)`, every *touched* pair is classified
-/// from the accumulator alone (known-similar / candidate / dissimilar,
-/// with `SIM_MARGIN` slack), and every untouched pair shares no
-/// keyword — similarity 0, dissimilar for free. Total work is
+/// The postings are sorted, not hashed: one `(token, vertex)` key per
+/// keyword occurrence, sorted by token and then by vertex, so each
+/// token's postings are one run in ascending vertex order, with the
+/// occurrences' weights alongside in the same order. Vertices are then
+/// scanned in order; each probes, through the runs of its own tokens in
+/// ascending token order, the postings of its predecessors,
+/// accumulating the pair's intersection weight `num = Σ min(w_u, w_v)`
+/// token by token. Since `sim = num / (W_u + W_v - num)`, every
+/// *touched* pair is classified from the accumulator alone
+/// (known-similar / candidate / dissimilar, with `SIM_MARGIN` slack),
+/// and every untouched pair shares no keyword — similarity 0,
+/// dissimilar for free. Total work is one sort of the postings plus
 /// `O(shared-token incidences)`, which never exceeds (and on sparsely
 /// overlapping sets is far below) the `Σ (len_u + len_v)` the brute
 /// merge pays over all pairs.
+///
+/// Memory is `O(postings + n)`, no `n × n` table: 20 bytes per keyword
+/// occurrence (its 8-byte key, its 8-byte weight and the 4-byte start
+/// of its token's run) and a few words per vertex, besides the
+/// classified pairs themselves. The keys and weights take the 16 bytes
+/// a posting that a hash index's per-token `Vec`s hold at best (each of
+/// those reserves at least four), with no table slot per token.
 pub struct InvertedIndexCandidates;
+
+/// A member's state in [`InvertedIndexCandidates::try_new`].
+#[derive(Clone, Copy)]
+struct Member {
+    /// Total keyword weight `W`.
+    total: f64,
+    /// Intersection weight accumulated against the vertex being probed,
+    /// valid while `stamp` names that vertex.
+    num: f64,
+    stamp: u32,
+    /// Index of the member's first posting in member order.
+    first: u32,
+    /// Postings of the member met so far by the run pass.
+    seen: u32,
+}
 
 impl InvertedIndexCandidates {
     /// Builds the classification for sorted `(keyword, weight)` `lists`
@@ -424,6 +450,129 @@ impl InvertedIndexCandidates {
         if r.is_nan() || r <= 0.0 {
             return None;
         }
+        let weight = |w: f64| if unweighted { 1.0 } else { w };
+        // One pass per list checks it, sums its total and writes its
+        // posting keys in member order. Zero-weight members post
+        // nothing: no probe touches them.
+        let mut members: Vec<Member> = Vec::with_capacity(lists.len());
+        let mut keys: Vec<u64> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+        for (v, list) in lists.iter().enumerate() {
+            let first = keys.len();
+            let mut total = 0.0;
+            for (at, &(t, w)) in list.iter().enumerate() {
+                // The merge semantics of the oracle (and of the
+                // accumulator) require strictly sorted, duplicate-free
+                // token lists.
+                if at > 0 && list[at - 1].0 >= t || !unweighted && (!w.is_finite() || w < 0.0) {
+                    return None;
+                }
+                total += weight(w);
+                keys.push(u64::from(t) << 32 | v as u64);
+            }
+            if total <= 0.0 {
+                keys.truncate(first);
+            }
+            members.push(Member {
+                total,
+                num: 0.0,
+                stamp: u32::MAX,
+                first: first as u32,
+                seen: 0,
+            });
+        }
+        keys.sort_unstable();
+        // One pass over the sorted keys gathers the weights in key order
+        // and files each posting's run start under its place in member
+        // order: a member's postings appear in key order in its own
+        // (ascending) token order.
+        let mut weights: Vec<f64> = Vec::with_capacity(keys.len());
+        let mut run_start: Vec<u32> = vec![0; keys.len()];
+        let mut run = 0usize;
+        for (at, &key) in keys.iter().enumerate() {
+            if key >> 32 != keys[run] >> 32 {
+                run = at;
+            }
+            let v = key as u32 as usize;
+            let m = &mut members[v];
+            weights.push(weight(lists[v][m.seen as usize].1));
+            run_start[(m.first + m.seen) as usize] = run as u32;
+            m.seen += 1;
+        }
+        let sim_lo = r * (1.0 - SIM_MARGIN);
+        let sim_hi = r * (1.0 + SIM_MARGIN);
+        let mut pairs = Vec::new();
+        let mut known_similar = Vec::new();
+        // Classifies a pair from an index-side similarity value.
+        let mut classify = |pair: (u32, u32), sim: f64| {
+            if sim >= sim_hi {
+                known_similar.push(pair);
+            } else if sim > sim_lo {
+                pairs.push(pair); // uncertainty band: verify
+            } // else provably dissimilar, zero evals
+        };
+        let mut touched: Vec<u32> = Vec::with_capacity(lists.len());
+        let mut zero_weight: Vec<u32> = Vec::new();
+        for (v, list) in lists.iter().enumerate() {
+            let Member {
+                total: wv, first, ..
+            } = members[v];
+            let v = v as u32;
+            if wv <= 0.0 {
+                // Zero total weight (empty multiset): similarity is 1.0
+                // to other zero-weight vertices (the paper's convention)
+                // and 0.0 to everyone else.
+                for &u in &zero_weight {
+                    classify((u, v), 1.0);
+                }
+                zero_weight.push(v);
+                continue;
+            }
+            touched.clear();
+            let runs = &run_start[first as usize..first as usize + list.len()];
+            for (&(t, w), &run) in list.iter().zip(runs) {
+                let wv_t = weight(w);
+                // The run lists the token's postings by vertex: the
+                // predecessors of `v` are the keys below `v`'s own.
+                let own = u64::from(t) << 32 | u64::from(v);
+                let predecessors = keys[run as usize..].iter().take_while(|&&key| key < own);
+                for (&key, &wu_t) in predecessors.zip(&weights[run as usize..]) {
+                    let m = &mut members[key as u32 as usize];
+                    if m.stamp != v {
+                        m.stamp = v;
+                        m.num = 0.0;
+                        touched.push(key as u32);
+                    }
+                    m.num += wv_t.min(wu_t);
+                }
+            }
+            for &u in &touched {
+                let Member { total: wu, num, .. } = members[u as usize];
+                // den = Σ max(w_u, w_v) = W_u + W_v - Σ min(w_u, w_v),
+                // strictly positive because wv > 0.
+                let sim = num / (wu + wv - num);
+                classify((u, v), sim);
+            }
+        }
+        Some(PairList {
+            pairs,
+            known_similar,
+        })
+    }
+}
+
+/// The per-call hash index [`InvertedIndexCandidates::try_new`] used
+/// before its postings were sorted: a fresh `HashMap` from token to the
+/// postings of earlier vertices. The sorted postings must produce the
+/// same pairs in the same order.
+#[cfg(test)]
+mod hash_index_reference {
+    use super::{PairList, SIM_MARGIN};
+    use std::collections::HashMap;
+
+    pub fn try_new(lists: &[&[(u32, f64)]], unweighted: bool, r: f64) -> Option<PairList> {
+        if r.is_nan() || r <= 0.0 {
+            return None;
+        }
         if !unweighted
             && lists
                 .iter()
@@ -431,8 +580,6 @@ impl InvertedIndexCandidates {
         {
             return None;
         }
-        // The merge semantics of the oracle (and of the accumulator)
-        // require strictly sorted, duplicate-free token lists.
         if lists.iter().any(|l| l.windows(2).any(|w| w[0].0 >= w[1].0)) {
             return None;
         }
@@ -446,17 +593,14 @@ impl InvertedIndexCandidates {
         let sim_hi = r * (1.0 + SIM_MARGIN);
         let mut pairs = Vec::new();
         let mut known_similar = Vec::new();
-        // Classifies a pair from an index-side similarity value.
         let mut classify = |pair: (u32, u32), sim: f64| {
             if sim >= sim_hi {
                 known_similar.push(pair);
             } else if sim > sim_lo {
-                pairs.push(pair); // uncertainty band: verify
-            } // else provably dissimilar, zero evals
+                pairs.push(pair);
+            }
         };
-        // token -> (vertex, effective weight) postings of earlier vertices.
         let mut index: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
-        // Dense per-probe accumulators, reset lazily via stamps.
         let mut acc: Vec<f64> = vec![0.0; n];
         let mut stamp: Vec<u32> = vec![u32::MAX; n];
         let mut touched: Vec<u32> = Vec::new();
@@ -464,9 +608,6 @@ impl InvertedIndexCandidates {
         for v in 0..n {
             let wv = totals[v];
             if wv <= 0.0 {
-                // Zero total weight (empty multiset): similarity is 1.0
-                // to other zero-weight vertices (the paper's convention)
-                // and 0.0 to everyone else.
                 for &u in &zero_weight {
                     classify((u, v as u32), 1.0);
                 }
@@ -490,11 +631,9 @@ impl InvertedIndexCandidates {
             for &u in &touched {
                 let wu = totals[u as usize];
                 if wu <= 0.0 {
-                    continue; // zero-weight partner: handled above (sim 0)
+                    continue;
                 }
                 let num = acc[u as usize];
-                // den = Σ max(w_u, w_v) = W_u + W_v - Σ min(w_u, w_v),
-                // strictly positive because wv > 0.
                 let sim = num / (wu + wv - num);
                 classify((u, v as u32), sim);
             }
@@ -512,12 +651,124 @@ impl InvertedIndexCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn collect(c: &dyn CandidatePairs) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         c.for_each(&mut |i, j| out.push((i, j)));
         out.sort_unstable();
         out
+    }
+
+    /// The index-side similarity of every pair that shares a keyword,
+    /// summed as the index sums it (ascending token order).
+    fn shared_pair_similarities(lists: &[Vec<(u32, f64)>], unweighted: bool) -> Vec<f64> {
+        let weight = |w: f64| if unweighted { 1.0 } else { w };
+        let total = |l: &[(u32, f64)]| l.iter().map(|&(_, w)| weight(w)).sum::<f64>();
+        let mut out = Vec::new();
+        for (v, lv) in lists.iter().enumerate() {
+            for lu in &lists[..v] {
+                let mut num = 0.0;
+                let mut shared = false;
+                for &(t, w) in lv {
+                    if let Ok(at) = lu.binary_search_by_key(&t, |e| e.0) {
+                        num += weight(w).min(weight(lu[at].1));
+                        shared = true;
+                    }
+                }
+                let (wu, wv) = (total(lu), total(lv));
+                if shared && wu > 0.0 && wv > 0.0 {
+                    out.push(num / (wu + wv - num));
+                }
+            }
+        }
+        out
+    }
+
+    /// Keyword lists, and whether they are read unweighted, over `n` ∈
+    /// {0, 1, 2, 7, 63, 64, 65} vertices: a vocabulary of 3, 12 or 200
+    /// tokens (the small ones share every token heavily), up to 8
+    /// keywords a vertex with integer, fractional or zero weights (zero
+    /// total weight included), and about one empty list in eight.
+    fn arb_keyword_lists() -> impl Strategy<Value = (Vec<Vec<(u32, f64)>>, bool)> {
+        let n = (0usize..7).prop_map(|i| [0, 1, 2, 7, 63, 64, 65][i]);
+        let shape = (
+            n,
+            prop_oneof![Just(3u32), Just(12), Just(200)],
+            1usize..9,
+            0u64..1 << 63,
+        );
+        (shape, false..true).prop_map(|((n, vocab, len, seed), unweighted)| {
+            let mut s = seed | 1;
+            let mut next = move |below: u64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s % below
+            };
+            let lists = (0..n)
+                .map(|_| {
+                    if next(8) == 0 {
+                        return Vec::new();
+                    }
+                    let mut l: Vec<(u32, f64)> = (0..1 + next(len as u64))
+                        .map(|_| {
+                            let w = match next(4) {
+                                0 => 0.0,
+                                1 => (1 + next(5)) as f64,
+                                _ => (1 + next(1000)) as f64 / 7.0,
+                            };
+                            (next(u64::from(vocab)) as u32, w)
+                        })
+                        .collect();
+                    l.sort_unstable_by_key(|e| e.0);
+                    l.dedup_by_key(|e| e.0);
+                    l
+                })
+                .collect();
+            (lists, unweighted)
+        })
+    }
+
+    proptest! {
+        /// The sorted postings classify exactly as the per-call hash
+        /// index did: the same candidates and known-similar pairs in the
+        /// same order, at thresholds on, one ulp either side of, and at
+        /// the margin edges of the pairs' own similarities (and `None`
+        /// for the same inputs).
+        #[test]
+        fn sorted_postings_equal_the_hash_index(
+            input in arb_keyword_lists(),
+            pick in 0usize..1 << 16,
+            spoil in 0u8..12,
+        ) {
+            let (mut lists, unweighted) = input;
+            // Occasionally an input outside the preconditions.
+            match (spoil, lists.iter().position(|l| l.len() >= 2)) {
+                (0, Some(v)) => lists[v].swap(0, 1),
+                (1, Some(v)) => lists[v][1].1 = -1.0,
+                (2, Some(v)) => lists[v][0].1 = f64::NAN,
+                _ => {}
+            }
+            let refs: Vec<&[(u32, f64)]> = lists.iter().map(Vec::as_slice).collect();
+            let sims = shared_pair_similarities(&lists, unweighted);
+            let mut rs = vec![0.5, 1.0, 0.0, -1.0, f64::NAN];
+            if !sims.is_empty() {
+                let s = sims[pick % sims.len()];
+                for r in [s, s / (1.0 + SIM_MARGIN), s / (1.0 - SIM_MARGIN)] {
+                    rs.extend([r, r.next_up(), r.next_down()]);
+                }
+            }
+            for r in rs {
+                let got = InvertedIndexCandidates::try_new(&refs, unweighted, r);
+                let want = hash_index_reference::try_new(&refs, unweighted, r);
+                prop_assert_eq!(got.is_some(), want.is_some(), "r = {}", r);
+                if let (Some(got), Some(want)) = (got, want) {
+                    prop_assert_eq!(&got.pairs, &want.pairs, "r = {}", r);
+                    prop_assert_eq!(&got.known_similar, &want.known_similar, "r = {}", r);
+                }
+            }
+        }
     }
 
     #[test]
