@@ -335,3 +335,51 @@ fn golden_search_counters() {
         .collect();
     assert!(got == GOLDEN, "search counters moved; now:\n{table}");
 }
+
+/// The shape the cold-miss traffic serves: dblp-like at scale 1.0,
+/// `k = 4`, min-similarity 0.45, where preprocessing leaves a few dozen
+/// components of a handful to a few dozen vertices each. The pinned
+/// fields are `[nodes, leaves, early_terminations, bound_prunes,
+/// maximal_checks, estimator_visits]` of AdvEnum and AdvMax.
+const SERVED_SHAPE_GOLDEN: &[(&str, [u64; 6])] = &[
+    ("adv", [124, 75, 0, 0, 70, 175]),
+    ("adv_max", [13, 2, 0, 36, 0, 16]),
+];
+
+#[test]
+fn golden_served_shape_counters() {
+    let p = preset_instance(
+        kr_datagen::DatasetPreset::DblpLike,
+        1.0,
+        4,
+        Threshold::MinSimilarity(0.45),
+    );
+    let comps = p.preprocess();
+    // 35 components of 5 to 11 vertices: every one fits a 64-bit word.
+    let largest = comps.iter().map(|c| c.len()).max();
+    assert_eq!((comps.len(), largest), (35, Some(11)));
+    let pinned = |s: &kr_core::search::SearchStats| {
+        [
+            s.nodes,
+            s.leaves,
+            s.early_terminations,
+            s.bound_prunes,
+            s.maximal_checks,
+            s.estimator_visits,
+        ]
+    };
+    let got = [
+        (
+            "adv",
+            pinned(&kr_core::enumerate_maximal_prepared(&comps, &AlgoConfig::adv_enum()).stats),
+        ),
+        (
+            "adv_max",
+            pinned(&kr_core::find_maximum_prepared(&comps, &AlgoConfig::adv_max()).stats),
+        ),
+    ];
+    assert!(
+        got == SERVED_SHAPE_GOLDEN,
+        "served-shape counters moved; now: {got:?}"
+    );
+}
