@@ -17,10 +17,13 @@
 //!
 //! `J'` is dense, so all computations run over its complement, the
 //! dissimilar pairs a component's view visits: for a vertex `v` of an
-//! active set of size `n`, `degsim(v) = n − 1 − |dis(v) ∩ active|`.
+//! active set of size `n`, `degsim(v) = n − 1 − |dis(v) ∩ active|`. On
+//! the one-word search layout the KCore and DoubleKCore peels run on the
+//! active set as one mask, each degree a popcount of a row word against
+//! it.
 
 use crate::config::BoundKind;
-use crate::search::{SearchState, Status};
+use crate::search::{bits, SearchState, Status, Words};
 use kr_graph::VertexId;
 
 /// Evaluates `bound` on the current `M ∪ C` of `st`.
@@ -127,6 +130,9 @@ pub fn double_kcore_bound(st: &SearchState<'_>) -> u32 {
 /// (similarity-degree peeling + structural k-core maintenance on `J`);
 /// without, it is plain core decomposition of `J'`.
 fn peel_bound(st: &SearchState<'_>, enforce_structure: bool) -> u32 {
+    if let Some(w) = st.words() {
+        return peel_bound_words(w, st.k, enforce_structure);
+    }
     let active = active_vertices(st);
     let n = active.len();
     if n == 0 {
@@ -262,6 +268,44 @@ fn peel_bound(st: &SearchState<'_>, enforce_structure: bool) -> u32 {
         // all, hence no (k,r)-core either.
         0
     }
+}
+
+/// [`peel_bound`] over one word: the same `k'max + 1` (or 0), by
+/// removing a vertex of least similarity degree at a time and peeling the
+/// structure below `k` after each removal. Any order that removes a
+/// minimum-degree vertex reaches the same `k'max`, so the result equals
+/// the bucket queue's.
+fn peel_bound_words(w: &Words<'_>, k: u32, enforce_structure: bool) -> u32 {
+    // The largest subset of `set` with k neighbors each inside it.
+    let structural = |mut set: u64| {
+        if enforce_structure {
+            loop {
+                let low = bits(set)
+                    .filter(|&v| (w.adj(v) & set).count_ones() < k)
+                    .fold(0u64, |acc, v| acc | 1 << v);
+                if low == 0 {
+                    break;
+                }
+                set &= !low;
+            }
+        }
+        set
+    };
+    let mut alive = structural(w.mc());
+    if alive == 0 {
+        return 0;
+    }
+    let mut kprime = 0;
+    while alive != 0 {
+        // `degsim(v) = |alive \ dis(v)| − 1` (v itself is alive).
+        let (degsim, u) = bits(alive)
+            .map(|v| ((alive & !w.dis(v)).count_ones() - 1, v))
+            .min()
+            .expect("alive is non-empty");
+        kprime = kprime.max(degsim);
+        alive = structural(alive & !(1 << u));
+    }
+    kprime + 1
 }
 
 #[cfg(test)]

@@ -18,14 +18,34 @@
 //! (see `enumerate`), so terminating is sound. With `M = ∅` nothing can be
 //! concluded and the check is skipped.
 
-use crate::search::{SearchState, Status};
+use crate::search::{bits, SearchState, Status, Words};
 use kr_graph::VertexId;
 
 /// Returns true when the current subtree can be terminated (Theorem 5).
 pub fn can_terminate(st: &SearchState<'_>) -> bool {
+    can_terminate_with(st, &mut Scratch::default())
+}
+
+/// The counter layout's reusable buffers for condition (ii), kept by
+/// the search walker across nodes. The one-word layout uses none.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    in_w: Vec<bool>,
+    w_list: Vec<VertexId>,
+    deg: Vec<u32>,
+    queue: Vec<VertexId>,
+    seen: Vec<bool>,
+    stack: Vec<VertexId>,
+}
+
+/// [`can_terminate`] with the counter layout's buffers in `scratch`.
+pub(crate) fn can_terminate_with(st: &SearchState<'_>, scratch: &mut Scratch) -> bool {
     let (n_m, _, n_e) = st.sizes();
     if n_m == 0 || n_e == 0 {
         return false;
+    }
+    if let Some(w) = st.words() {
+        return can_terminate_words(st.k, w);
     }
     let n = st.comp.len();
     // Condition (i): one scan of E.
@@ -37,8 +57,17 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
     }
     // Condition (ii): peel SF_{C∪E}(E) down to vertices with
     // deg(·, M ∪ W) >= k, then look for a survivor attached to M.
-    let mut in_w = vec![false; n];
-    let mut w_list: Vec<VertexId> = Vec::new();
+    let Scratch {
+        in_w,
+        w_list,
+        deg,
+        queue,
+        seen,
+        stack,
+    } = scratch;
+    in_w.clear();
+    in_w.resize(n, false);
+    w_list.clear();
     for v in 0..n as VertexId {
         if st.status(v) == Status::Excluded && st.dp_c(v) == 0 && st.dp_e(v) == 0 {
             in_w[v as usize] = true;
@@ -49,8 +78,9 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
         return false;
     }
     // deg within M ∪ W.
-    let mut deg: Vec<u32> = vec![0; n];
-    for &w in &w_list {
+    deg.clear();
+    deg.resize(n, 0);
+    for &w in w_list.iter() {
         deg[w as usize] = st
             .comp
             .neighbors(w)
@@ -58,12 +88,9 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
             .filter(|&&x| st.status(x) == Status::Chosen || in_w[x as usize])
             .count() as u32;
     }
-    let mut queue: Vec<VertexId> = w_list
-        .iter()
-        .copied()
-        .filter(|&w| deg[w as usize] < st.k)
-        .collect();
-    for &w in &queue {
+    queue.clear();
+    queue.extend(w_list.iter().copied().filter(|&w| deg[w as usize] < st.k));
+    for &w in queue.iter() {
         in_w[w as usize] = false;
     }
     while let Some(w) = queue.pop() {
@@ -79,8 +106,9 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
     }
     // Attachment: some surviving W vertex reachable from M through M ∪ W.
     // BFS from all M vertices over the M ∪ W vertex set.
-    let mut seen = vec![false; n];
-    let mut stack: Vec<VertexId> = Vec::new();
+    seen.clear();
+    seen.resize(n, false);
+    stack.clear();
     for v in 0..n as VertexId {
         if st.status(v) == Status::Chosen {
             seen[v as usize] = true;
@@ -100,6 +128,32 @@ pub fn can_terminate(st: &SearchState<'_>) -> bool {
         }
     }
     false
+}
+
+/// Both conditions on the one-word layout (`M` and `E` non-empty).
+fn can_terminate_words(k: u32, w: &Words<'_>) -> bool {
+    let (m, c, e) = (w.m(), w.c(), w.e());
+    // Condition (i).
+    let attached = k.max(1);
+    if bits(e).any(|v| w.dis(v) & c == 0 && (w.adj(v) & m).count_ones() >= attached) {
+        return true;
+    }
+    // Condition (ii): W = SF_{C∪E}(E), peeled to deg(·, M ∪ W) >= k.
+    let mut sf = bits(e)
+        .filter(|&v| w.dis(v) & (c | e) == 0)
+        .fold(0u64, |acc, v| acc | 1 << v);
+    loop {
+        let low = bits(sf)
+            .filter(|&v| (w.adj(v) & (m | sf)).count_ones() < k)
+            .fold(0u64, |acc, v| acc | 1 << v);
+        if low == 0 {
+            break;
+        }
+        sf &= !low;
+    }
+    // Attachment: a survivor next to M (the BFS above reaches W only
+    // from M vertices).
+    bits(sf).any(|v| w.adj(v) & m != 0)
 }
 
 #[cfg(test)]

@@ -20,11 +20,11 @@
 
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, CoreHook};
-use crate::maximal::check_maximal_with_order;
+use crate::maximal::{check_maximal_with_order, check_maximal_words};
 use crate::order::FirstBranch;
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
-use crate::search::{SearchState, SearchStats, Status};
+use crate::search::{bits, SearchState, SearchStats, Status, Words};
 use crate::walk::{merge_stats, Goal, Walker};
 use kr_graph::VertexId;
 use std::collections::HashSet;
@@ -81,7 +81,12 @@ pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) ->
         // none contains another's, so Algorithm 1 lines 6–8's naive
         // maximal post-filter (whenever the Theorem 6 check was off) runs
         // per component.
-        let sink = walker.goal.sink;
+        let EnumGoal {
+            cores: checked,
+            sink,
+            ..
+        } = walker.goal;
+        cores.extend(checked);
         cores.extend(if cfg.maximal_check {
             sink.into_cores()
         } else {
@@ -99,18 +104,25 @@ pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) ->
 }
 
 /// The enumeration side of the walk: Algorithm 3 (AdvEnum) and its
-/// ablations. Every leaf piece goes to the sink, after the Theorem 6
+/// ablations. Every leaf piece becomes a core, after the Theorem 6
 /// maximal check when that is on.
 struct EnumGoal<'a> {
     cfg: &'a AlgoConfig,
+    /// The walker's cores under the Theorem 6 check: `checked` admits
+    /// each piece once, so each core arrives once and is kept as it is.
+    cores: Vec<KrCore>,
+    /// Every other configuration's cores, deduplicated: NaiveEnum's
+    /// leaves repeat pieces, and Algorithm 1's post-filter reads them.
     sink: CoreSink,
     /// Leaf pieces already resolved (emitted or rejected as non-maximal):
     /// the same piece reappears at many leaves, and its maximality verdict
     /// cannot change — the candidate universe only depends on the piece.
     checked: HashSet<Vec<VertexId>>,
-    /// The [`AlgoConfig::on_core`] hook, armed only with the Theorem 6
-    /// maximal check, where every pushed core is already final (see
-    /// [`CoreHook`]).
+    /// `checked` on the one-word layout, keyed by the piece's mask.
+    checked_words: HashSet<u64>,
+    /// The [`AlgoConfig::on_core`] hook, armed only on the walker with
+    /// the Theorem 6 maximal check, where every pushed core is already
+    /// final (see [`CoreHook`]).
     stream: Option<CoreHook>,
 }
 
@@ -118,23 +130,69 @@ impl<'a> EnumGoal<'a> {
     fn new(cfg: &'a AlgoConfig) -> Self {
         EnumGoal {
             cfg,
+            cores: Vec::new(),
             sink: CoreSink::new(),
             checked: HashSet::new(),
-            stream: cfg.on_core.clone().filter(|_| cfg.maximal_check),
+            checked_words: HashSet::new(),
+            stream: cfg.on_core.clone().filter(|_| Self::checks(cfg)),
         }
     }
 
-    /// Pushes into the dedup sink; a *new* core is also streamed when the
-    /// hook is armed.
+    /// Whether the walker runs the Theorem 6 check on every leaf piece.
+    fn checks(cfg: &AlgoConfig) -> bool {
+        cfg.maximal_check && cfg.prune_candidates
+    }
+
+    /// Keeps a core: a checked one is new, so it is streamed when the
+    /// hook is armed and kept; any other goes through the dedup sink.
     fn push_core(&mut self, core: KrCore) {
-        match &self.stream {
-            Some(hook) => {
-                if self.sink.push(core.clone()) {
-                    hook.emit(&core);
-                }
+        if Self::checks(self.cfg) {
+            if let Some(hook) = &self.stream {
+                hook.emit(&core);
             }
-            None => {
-                self.sink.push(core);
+            self.cores.push(core);
+        } else {
+            self.sink.push(core);
+        }
+    }
+
+    /// [`Goal::leaf`] on the one-word layout: the pieces by mask BFS,
+    /// `checked_words` keyed by mask, and the mask form of the check.
+    fn leaf_words(&mut self, comp: &LocalComponent, w: &Words<'_>, stats: &mut SearchStats) {
+        let k = comp.k;
+        let core_of = |piece: u64| {
+            KrCore::new(
+                bits(piece)
+                    .map(|l| comp.local_to_global[l as usize])
+                    .collect(),
+            )
+        };
+        for piece in w.pieces() {
+            if piece.count_ones() <= k {
+                continue; // cannot satisfy deg >= k (defensive; invariant implies it)
+            }
+            if !self.cfg.maximal_check {
+                self.push_core(core_of(piece));
+                continue;
+            }
+            // Sound only for pieces containing all of M (see module docs),
+            // each resolved once.
+            if w.m() & !piece != 0 || !self.checked_words.insert(piece) {
+                continue;
+            }
+            // E, and the co-leaf vertices outside this piece.
+            let candidates = w.e() | (w.mc() & !piece);
+            stats.maximal_checks += 1;
+            if check_maximal_words(
+                comp,
+                w.rows(),
+                k,
+                piece,
+                candidates,
+                self.cfg.check_order,
+                self.cfg.lambda,
+            ) {
+                self.push_core(core_of(piece));
             }
         }
     }
@@ -153,6 +211,9 @@ impl Goal for EnumGoal<'_> {
     /// are fully similarity-free, so every piece is a (k,r)-core).
     fn leaf(&mut self, st: &SearchState<'_>, stats: &mut SearchStats) {
         let comp = st.comp;
+        if let Some(w) = st.words() {
+            return self.leaf_words(comp, w, stats);
+        }
         let pieces = st.mc_components();
         let (n_m, _, _) = st.sizes();
         for piece in &pieces {

@@ -28,6 +28,8 @@ pub mod config;
 pub mod decomp;
 pub mod early_term;
 pub mod enumerate;
+#[cfg(test)]
+mod layout_tests;
 pub mod maximal;
 pub mod maximum;
 pub mod order;

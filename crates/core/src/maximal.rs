@@ -14,7 +14,7 @@
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, CheckOrder, SearchOrder};
 use crate::order::FirstBranch;
-use crate::search::{SearchState, SearchStats};
+use crate::search::{bits, mask_of, uses_words, SearchState, SearchStats, Words};
 use crate::walk::{Goal, Walker};
 use kr_graph::VertexId;
 
@@ -42,6 +42,11 @@ pub fn check_maximal_with_order(
     order: CheckOrder,
     lambda: f64,
 ) -> bool {
+    if uses_words(comp.len()) {
+        let rows = Words::rows_of(comp);
+        let (core, candidates) = (mask_of(core), mask_of(candidates));
+        return check_maximal_words(comp, &rows, k, core, candidates, order, lambda);
+    }
     // `live`: R plus the candidates still in play.
     let mut live = vec![false; comp.len()];
     for &v in core {
@@ -70,6 +75,53 @@ pub fn check_maximal_with_order(
     if cand.is_empty() {
         return true;
     }
+    let st = SearchState::seeded(comp, k, core, &cand);
+    !extends(st, core.iter().copied(), order, lambda)
+}
+
+/// [`check_maximal_with_order`] on the one-word layout: `core` and
+/// `candidates` are masks, `rows` the component's `[adjacency,
+/// dissimilar]` row words, which the check's search state borrows.
+pub(crate) fn check_maximal_words(
+    comp: &LocalComponent,
+    rows: &[[u64; 2]],
+    k: u32,
+    core: u64,
+    candidates: u64,
+    order: CheckOrder,
+    lambda: f64,
+) -> bool {
+    let [adj, dis] = [0, 1].map(|i| move |v: VertexId| rows[v as usize][i]);
+    // Pre-filter: candidates similar to every member of R, peeled to
+    // those with k neighbors in R and the candidates left.
+    let mut cand = bits(candidates & !core)
+        .filter(|&x| dis(x) & core == 0)
+        .fold(0u64, |acc, x| acc | 1 << x);
+    loop {
+        let live = core | cand;
+        let low = bits(cand)
+            .filter(|&x| (adj(x) & live).count_ones() < k)
+            .fold(0u64, |acc, x| acc | 1 << x);
+        if low == 0 {
+            break;
+        }
+        cand &= !low;
+    }
+    if cand == 0 {
+        return true;
+    }
+    let st = SearchState::seeded_words(comp, k, rows, core, cand);
+    !extends(st, bits(core), order, lambda)
+}
+
+/// Searches below `st` (`M = R`, `C` = the filtered candidates) for a
+/// (k,r)-core strictly larger than `R`, the vertices `core`.
+fn extends(
+    mut st: SearchState<'_>,
+    core: impl Iterator<Item = VertexId> + Clone,
+    order: CheckOrder,
+    lambda: f64,
+) -> bool {
     let cfg = AlgoConfig {
         order: match order {
             CheckOrder::Degree => SearchOrder::Degree,
@@ -81,27 +133,27 @@ pub fn check_maximal_with_order(
         early_termination: false,
         ..AlgoConfig::adv_enum()
     };
-    let mut st = SearchState::seeded(comp, k, core, &cand);
     let goal = CheckGoal {
+        inner: core.clone().map(|v| st.deg_m(v) as u64).sum(),
         core,
-        inner: core.iter().map(|&v| st.deg_m(v) as u64).sum(),
         found: false,
     };
-    let mut walker = Walker::new(comp, &cfg, None, goal);
+    let mut walker = Walker::new(st.comp, &cfg, None, goal);
     walker.run_from(&mut st);
-    !walker.goal.found
+    walker.goal.found
 }
 
 /// The check side of the walk: every node keeps `R ⊆ M`, and the walk
 /// stops at the first leaf that extends `R`.
-struct CheckGoal<'c> {
-    core: &'c [VertexId],
+struct CheckGoal<I> {
+    /// The vertices of `R`.
+    core: I,
     /// `Σ_{v ∈ R} deg(v, R)`, i.e. twice the edges inside `R`.
     inner: u64,
     found: bool,
 }
 
-impl Goal for CheckGoal<'_> {
+impl<I: Iterator<Item = VertexId> + Clone> Goal for CheckGoal<I> {
     fn is_leaf(&self, st: &SearchState<'_>) -> bool {
         st.all_candidates_similarity_free()
     }
@@ -110,7 +162,7 @@ impl Goal for CheckGoal<'_> {
     /// the connected `R ⊆ M` is a (k,r)-core. It is larger than `R` iff
     /// some `R` vertex has a neighbor in `M ∪ C` outside `R`.
     fn leaf(&mut self, st: &SearchState<'_>, _stats: &mut SearchStats) {
-        let reach: u64 = self.core.iter().map(|&v| st.deg_mc(v) as u64).sum();
+        let reach: u64 = self.core.clone().map(|v| st.deg_mc(v) as u64).sum();
         self.found = reach > self.inner;
     }
 

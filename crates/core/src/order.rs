@@ -16,7 +16,7 @@
 //! candidates whose degree provably falls below `k` given the first hop.
 
 use crate::config::{AlgoConfig, SearchOrder};
-use crate::search::{SearchState, Status};
+use crate::search::{bits, mask_of, uses_words, SearchState, Status, Words};
 use kr_graph::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,19 +77,22 @@ pub struct Chooser {
 }
 
 impl Chooser {
-    /// Builds a chooser from a config.
+    /// Builds a chooser from a config, for a component of `n` vertices.
+    /// The per-vertex scratch is sized only for the counter layout; the
+    /// one-word layout reads none of it.
     pub fn new(cfg: &AlgoConfig, n: usize) -> Self {
+        let scratch = if uses_words(n) { 0 } else { n };
         Chooser {
             order: cfg.order,
             lambda: cfg.lambda,
             rng: StdRng::seed_from_u64(cfg.seed),
-            drop: vec![0; n],
-            stamp: vec![0; n],
+            drop: vec![0; scratch],
+            stamp: vec![0; scratch],
             stamp_gen: 0,
             candidates: Vec::new(),
             first_hop: Vec::new(),
             touched: Vec::new(),
-            in_first: vec![0; n.div_ceil(64)],
+            in_first: vec![0; scratch.div_ceil(64)],
             estimator_visits: 0,
             #[cfg(test)]
             stamp_walk: false,
@@ -98,7 +101,8 @@ impl Chooser {
 
     /// Row words and entries the estimator's first-hop counts have read
     /// over this chooser's life ([`DissimilarityView::count_in_reads`]
-    /// per count): a deterministic work unit for
+    /// per count, one row word per first-hop member on the one-word
+    /// layout): a deterministic work unit for
     /// [`SearchStats::estimator_visits`](crate::search::SearchStats).
     ///
     /// [`DissimilarityView::count_in_reads`]: kr_similarity::DissimilarityView::count_in_reads
@@ -115,6 +119,17 @@ impl Chooser {
         st: &SearchState<'_>,
         include_sf: bool,
     ) -> Option<(VertexId, FirstBranch)> {
+        if let Some(w) = st.words() {
+            let c = w.c();
+            let cands = if include_sf {
+                c
+            } else {
+                bits(c)
+                    .filter(|&v| w.dis(v) & c != 0)
+                    .fold(0, |acc, v| acc | 1 << v)
+            };
+            return self.choose_among(st, bits(cands));
+        }
         // The reused list is taken out of `self` while the estimators
         // borrow `self` mutably, and put back before returning.
         let mut candidates = std::mem::take(&mut self.candidates);
@@ -123,37 +138,46 @@ impl Chooser {
             (0..st.comp.len() as VertexId)
                 .filter(|&v| st.status(v) == Status::Cand && (include_sf || st.dp_c(v) > 0)),
         );
-        let chosen = match self.order {
-            _ if candidates.is_empty() => None,
+        let chosen = self.choose_among(st, candidates.iter().copied());
+        self.candidates = candidates;
+        chosen
+    }
+
+    /// The choice of [`Chooser::choose`] among `candidates` (ascending).
+    fn choose_among(
+        &mut self,
+        st: &SearchState<'_>,
+        mut candidates: impl Iterator<Item = VertexId> + Clone,
+    ) -> Option<(VertexId, FirstBranch)> {
+        match self.order {
             SearchOrder::Random => {
-                let v = candidates[self.rng.random_range(0..candidates.len())];
-                Some((v, FirstBranch::Expand))
+                let len = candidates.clone().count();
+                if len == 0 {
+                    return None;
+                }
+                let v = candidates.nth(self.rng.random_range(0..len));
+                v.map(|v| (v, FirstBranch::Expand))
             }
-            SearchOrder::Degree => {
-                let v = candidates
-                    .iter()
-                    .copied()
-                    .max_by_key(|&v| st.deg_mc(v))
-                    .expect("non-empty");
-                Some((v, FirstBranch::Expand))
+            SearchOrder::Degree => candidates
+                .max_by_key(|&v| st.deg_mc(v))
+                .map(|v| (v, FirstBranch::Expand)),
+            SearchOrder::Delta1 => {
+                self.choose_scored(st, candidates, |e| (e.expand.delta1 + e.shrink.delta1, 0.0))
             }
-            SearchOrder::Delta1 => self.choose_scored(st, &candidates, |e| {
-                (e.expand.delta1 + e.shrink.delta1, 0.0)
-            }),
-            SearchOrder::Delta2 => self.choose_scored(st, &candidates, |e| {
+            SearchOrder::Delta2 => self.choose_scored(st, candidates, |e| {
                 (-(e.expand.delta2 + e.shrink.delta2), 0.0)
             }),
-            SearchOrder::Delta1ThenDelta2 => self.choose_scored(st, &candidates, |e| {
+            SearchOrder::Delta1ThenDelta2 => self.choose_scored(st, candidates, |e| {
                 (
                     e.expand.delta1 + e.shrink.delta1,
                     -(e.expand.delta2 + e.shrink.delta2),
                 )
             }),
             SearchOrder::LambdaDelta => {
-                let lambda = self.lambda;
+                let (lambda, totals) = (self.lambda, node_totals(st));
                 let mut best: Option<(VertexId, f64, FirstBranch)> = None;
-                for &v in &candidates {
-                    let est = self.estimate(st, v);
+                for v in candidates {
+                    let est = self.estimate_with(st, v, totals);
                     let se = lambda * est.expand.delta1 - est.expand.delta2;
                     let ss = lambda * est.shrink.delta1 - est.shrink.delta2;
                     let (score, first) = if se >= ss {
@@ -167,21 +191,20 @@ impl Chooser {
                 }
                 best.map(|(v, _, f)| (v, f))
             }
-        };
-        self.candidates = candidates;
-        chosen
+        }
     }
 
     /// Lexicographic `(primary, secondary)` maximization over candidates.
     fn choose_scored(
         &mut self,
         st: &SearchState<'_>,
-        candidates: &[VertexId],
+        candidates: impl Iterator<Item = VertexId>,
         score: impl Fn(&VertexEstimate) -> (f64, f64),
     ) -> Option<(VertexId, FirstBranch)> {
+        let totals = node_totals(st);
         let mut best: Option<(VertexId, (f64, f64))> = None;
-        for &v in candidates {
-            let est = self.estimate(st, v);
+        for v in candidates {
+            let est = self.estimate_with(st, v, totals);
             let s = score(&est);
             let better = match best {
                 None => true,
@@ -196,20 +219,36 @@ impl Chooser {
 
     /// Two-hop `Δ1`/`Δ2` estimates for branching on `v`.
     pub fn estimate(&mut self, st: &SearchState<'_>, v: VertexId) -> VertexEstimate {
-        let dp_total = st.dp_c_total().max(1) as f64;
-        let edges_total = st.edges_mc().max(1) as f64;
+        self.estimate_with(st, v, node_totals(st))
+    }
+
+    /// [`Chooser::estimate`] given the node's [`node_totals`].
+    fn estimate_with(
+        &mut self,
+        st: &SearchState<'_>,
+        v: VertexId,
+        (dp_total, edges_total): (f64, f64),
+    ) -> VertexEstimate {
         // Expand: first-hop removals are the candidates dissimilar to v.
-        let mut first_expand = std::mem::take(&mut self.first_hop);
-        first_expand.clear();
-        st.comp.for_each_dissimilar(v, |w| {
-            if st.status(w) == Status::Cand {
-                first_expand.push(w);
-            }
-        });
-        let (dp_e, ed_e) = self.two_hop(st, &first_expand);
-        self.first_hop = first_expand;
         // Shrink: the first-hop removal is v itself.
-        let (dp_s, ed_s) = self.two_hop(st, &[v]);
+        let ((dp_e, ed_e), (dp_s, ed_s)) = match st.words() {
+            Some(w) => (
+                self.two_hop_words(st.k, w, w.dis(v) & w.c()),
+                self.two_hop_words(st.k, w, 1 << v),
+            ),
+            None => {
+                let mut first_expand = std::mem::take(&mut self.first_hop);
+                first_expand.clear();
+                st.comp.for_each_dissimilar(v, |w| {
+                    if st.status(w) == Status::Cand {
+                        first_expand.push(w);
+                    }
+                });
+                let expand = self.two_hop(st, &first_expand);
+                self.first_hop = first_expand;
+                (expand, self.two_hop(st, &[v]))
+            }
+        };
         VertexEstimate {
             expand: BranchEstimate {
                 delta1: dp_e / dp_total,
@@ -236,6 +275,9 @@ impl Chooser {
         #[cfg(test)]
         if self.stamp_walk {
             return self.two_hop_stamp_walk(st, first);
+        }
+        if let Some(w) = st.words() {
+            return self.two_hop_words(st.k, w, mask_of(first));
         }
         self.stamp_gen += 1;
         let gen = self.stamp_gen;
@@ -306,12 +348,50 @@ impl Chooser {
         twice / 2
     }
 
+    /// [`Chooser::two_hop`] on the one-word layout, `first` a mask of
+    /// candidates: the same integers, each sum a popcount of a row word
+    /// against `F`, `C` or `M ∪ C`. The first hop's inside pairs read one
+    /// dissimilar row word per member, as [`Chooser::pairs_inside`] reads
+    /// one bit-row word.
+    fn two_hop_words(&mut self, k: u32, w: &Words<'_>, first: u64) -> (f64, f64) {
+        let (c, mc) = (w.c(), w.mc());
+        let mut dp_removed = 0i64;
+        let mut edges_removed = 0i64;
+        if first.count_ones() > 1 {
+            let twice: u32 = bits(first).map(|d| (w.dis(d) & first).count_ones()).sum();
+            dp_removed -= (twice / 2) as i64;
+            self.estimator_visits += first.count_ones() as u64;
+        }
+        // First hop, and the candidates next to it.
+        let (mut inside_twice, mut near) = (0u32, 0u64);
+        for d in bits(first) {
+            dp_removed += (w.dis(d) & c).count_ones() as i64;
+            edges_removed += (w.adj(d) & mc).count_ones() as i64;
+            inside_twice += (w.adj(d) & first).count_ones();
+            near |= w.adj(d);
+        }
+        // Edges fully inside the removed set are counted twice.
+        edges_removed -= (inside_twice / 2) as i64;
+        // Second hop: a candidate whose degree falls below k.
+        for x in bits(near & c & !first) {
+            let deg = (w.adj(x) & mc).count_ones();
+            if deg.saturating_sub((w.adj(x) & first).count_ones()) < k {
+                dp_removed += (w.dis(x) & c).count_ones() as i64;
+                edges_removed += deg as i64;
+            }
+        }
+        (dp_removed.max(0) as f64, edges_removed.max(0) as f64)
+    }
+
     /// [`Chooser::two_hop`] as this module computed it before
     /// [`Chooser::pairs_inside`]: the first hop's inside pairs found by
     /// walking each member's whole dissimilar row against the stamps.
     /// The reference the popcount count is pinned to.
     #[cfg(test)]
     fn two_hop_stamp_walk(&mut self, st: &SearchState<'_>, first: &[VertexId]) -> (f64, f64) {
+        let n = st.comp.len();
+        self.stamp.resize(n, 0);
+        self.drop.resize(n, 0);
         self.stamp_gen += 1;
         let gen = self.stamp_gen;
         let mut dp_removed = 0i64;
@@ -361,6 +441,12 @@ impl Chooser {
         self.touched = touched;
         (dp_removed.max(0) as f64, edges_removed.max(0) as f64)
     }
+}
+
+/// `(DP(C), |E(M ∪ C)|)` of the node, each at least 1: the bases of
+/// `Δ1` and `Δ2`, read once per choice.
+fn node_totals(st: &SearchState<'_>) -> (f64, f64) {
+    (st.dp_c_total().max(1) as f64, st.edges_mc().max(1) as f64)
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 
 use crate::component::LocalComponent;
 use crate::config::AlgoConfig;
-use crate::early_term::can_terminate;
+use crate::early_term::{can_terminate_with, Scratch};
 use crate::order::{Chooser, FirstBranch};
-use crate::search::{SearchState, SearchStats, Status};
+use crate::search::{bits, SearchState, SearchStats, Status};
 use kr_graph::VertexId;
 
 /// What one algorithm does at the points where the searches differ.
@@ -43,6 +43,8 @@ pub(crate) struct Walker<'a, G> {
     pub(crate) comp: &'a LocalComponent,
     pub(crate) cfg: &'a AlgoConfig,
     chooser: Chooser,
+    /// Early termination's buffers on the counter layout.
+    term: Scratch,
     deadline: Option<std::time::Instant>,
     pub(crate) goal: G,
     pub(crate) stats: SearchStats,
@@ -61,6 +63,7 @@ impl<'a, G: Goal> Walker<'a, G> {
             comp,
             cfg,
             chooser: Chooser::new(cfg, comp.len()),
+            term: Scratch::default(),
             deadline,
             goal,
             stats: SearchStats::default(),
@@ -100,7 +103,7 @@ impl<'a, G: Goal> Walker<'a, G> {
         if self.cfg.retain_candidates {
             promote_free_candidates(st);
         }
-        if self.cfg.early_termination && can_terminate(st) {
+        if self.cfg.early_termination && can_terminate_with(st, &mut self.term) {
             self.stats.early_terminations += 1;
             return;
         }
@@ -148,8 +151,13 @@ fn apply(st: &mut SearchState<'_>, (u, expand): (VertexId, bool)) -> bool {
 fn promote_free_candidates(st: &mut SearchState<'_>) {
     let attached = st.k.max(1);
     loop {
-        let u = (0..st.comp.len() as VertexId)
-            .find(|&v| st.status(v) == Status::Cand && st.dp_c(v) == 0 && st.deg_m(v) >= attached);
+        let u = match st.words() {
+            Some(w) => bits(w.c())
+                .find(|&v| w.dis(v) & w.c() == 0 && (w.adj(v) & w.m()).count_ones() >= attached),
+            None => (0..st.comp.len() as VertexId).find(|&v| {
+                st.status(v) == Status::Cand && st.dp_c(v) == 0 && st.deg_m(v) >= attached
+            }),
+        };
         match u {
             Some(u) => {
                 let ok = st.expand(u);

@@ -232,6 +232,16 @@ impl DissimilarityView {
         }
     }
 
+    /// The dissimilar partners of `u` as one word (bit `v` set iff `u`
+    /// and `v` are dissimilar) in a view of at most 64 vertices: the
+    /// complement of `u`'s similar bit row, `u`'s own bit and the padding
+    /// past `n` clear.
+    #[inline]
+    pub fn dissimilar_word(&self, u: VertexId) -> u64 {
+        debug_assert!(self.len() <= 64, "one word holds at most 64 vertices");
+        self.rows.dissimilar(u).next_word().map_or(0, |(_, w)| w)
+    }
+
     /// Row words and stored entries one [`DissimilarityView::count_in`]
     /// of `u` reads: `⌈n/64⌉` on bit rows, plus `u`'s stored entries
     /// above the cutoff. A deterministic work unit, not a timing.
