@@ -210,7 +210,7 @@ impl<'a> Words<'a> {
 
     /// The vertices of `within` reachable from `seed` inside `within`.
     #[inline]
-    pub(crate) fn reach(&self, seed: u64, within: u64) -> u64 {
+    fn reach(&self, seed: u64, within: u64) -> u64 {
         let (mut piece, mut frontier) = (seed, seed);
         while frontier != 0 {
             let next = bits(frontier).fold(0, |acc, v| acc | self.adj(v)) & within & !piece;
