@@ -101,12 +101,12 @@
 //!   component of every point with `n ≤ BIT_ROWS_MAX_N` vertices has a
 //!   dissimilarity view of exactly `n·⌈n/64⌉·8` bytes.
 
-use kr_bench::BenchDataset;
+use kr_bench::{corridor_instance, BenchDataset};
 use kr_core::{enumerate_maximal_prepared, find_maximum_prepared, AlgoConfig};
 use kr_datagen::DatasetPreset;
-use kr_graph::{Graph, VertexId};
+use kr_graph::VertexId;
 use kr_server::{Client, QuerySpec, Server, ServerConfig};
-use kr_similarity::{AttributeTable, Metric, Threshold, BIT_ROWS_MAX_N};
+use kr_similarity::{AttributeTable, BIT_ROWS_MAX_N};
 use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -392,44 +392,6 @@ fn measure_instance(
         estimator_visits,
         off_layout: off_bit_row_layout(&comps),
     }
-}
-
-/// The `geo-corridor` instance: `clusters` circulant rings of `size`
-/// vertices (each vertex wired to its 3 nearest ring successors), laid
-/// out on a line 6.0 apart with 4 bridge edges between consecutive
-/// rings, points on a unit circle per ring. With `MaxDistance(7.0)` only
-/// adjacent rings stay similar, so the single giant component carries
-/// ~1M dissimilar pairs — past the auto-lazy floor, with a complement
-/// too large to want eagerly.
-fn corridor_instance(clusters: usize, size: usize, k: u32, r: f64) -> kr_core::ProblemInstance {
-    let n = clusters * size;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut pts = Vec::new();
-    for c in 0..clusters {
-        let base = (c * size) as VertexId;
-        for i in 0..size as VertexId {
-            for d in 1..=3u32 {
-                edges.push((base + i, base + (i + d) % size as VertexId));
-            }
-        }
-        if c + 1 < clusters {
-            let next = ((c + 1) * size) as VertexId;
-            for i in 0..4u32 {
-                edges.push((base + i, next + i));
-            }
-        }
-        for i in 0..size {
-            let ang = i as f64 / size as f64 * std::f64::consts::TAU;
-            pts.push((c as f64 * 6.0 + ang.cos(), ang.sin()));
-        }
-    }
-    kr_core::ProblemInstance::new(
-        Graph::from_edges(n, &edges),
-        AttributeTable::points(pts),
-        Metric::Euclidean,
-        Threshold::MaxDistance(r),
-        k,
-    )
 }
 
 /// Measures the corridor point: maximum search (not enumeration — see

@@ -6,7 +6,8 @@
 
 use kr_core::ProblemInstance;
 use kr_datagen::{DatasetPreset, SyntheticDataset};
-use kr_similarity::{top_permille_threshold, Metric, TableOracle, Threshold};
+use kr_graph::{Graph, VertexId};
+use kr_similarity::{top_permille_threshold, AttributeTable, Metric, TableOracle, Threshold};
 
 /// How the sweepable `r` axis maps to a [`Threshold`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +93,43 @@ impl BenchDataset {
             RAxis::TopPermille => "top-permille",
         }
     }
+}
+
+/// The `geo-corridor` instance: `clusters` circulant rings of `size`
+/// vertices (each vertex wired to its 3 nearest ring successors), laid
+/// out on a line 6.0 apart with 4 bridge edges between consecutive
+/// rings, points on a unit circle per ring. With `MaxDistance(7.0)` only
+/// adjacent rings stay similar, so the single giant component carries
+/// ~1M dissimilar pairs.
+pub fn corridor_instance(clusters: usize, size: usize, k: u32, r: f64) -> ProblemInstance {
+    let n = clusters * size;
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut pts = Vec::new();
+    for c in 0..clusters {
+        let base = (c * size) as VertexId;
+        for i in 0..size as VertexId {
+            for d in 1..=3u32 {
+                edges.push((base + i, base + (i + d) % size as VertexId));
+            }
+        }
+        if c + 1 < clusters {
+            let next = ((c + 1) * size) as VertexId;
+            for i in 0..4u32 {
+                edges.push((base + i, next + i));
+            }
+        }
+        for i in 0..size {
+            let ang = i as f64 / size as f64 * std::f64::consts::TAU;
+            pts.push((c as f64 * 6.0 + ang.cos(), ang.sin()));
+        }
+    }
+    kr_core::ProblemInstance::new(
+        Graph::from_edges(n, &edges),
+        AttributeTable::points(pts),
+        Metric::Euclidean,
+        Threshold::MaxDistance(r),
+        k,
+    )
 }
 
 #[cfg(test)]

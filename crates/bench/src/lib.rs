@@ -16,6 +16,6 @@ pub mod experiments;
 pub mod runner;
 pub mod table;
 
-pub use datasets::{BenchDataset, RAxis};
+pub use datasets::{corridor_instance, BenchDataset, RAxis};
 pub use runner::{measure, MeasureOutcome};
 pub use table::Table;

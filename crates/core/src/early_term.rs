@@ -18,7 +18,7 @@
 //! (see `enumerate`), so terminating is sound. With `M = ∅` nothing can be
 //! concluded and the check is skipped.
 
-use crate::search::{bits, SearchState, Status, Words};
+use crate::search::{bits, kcore_within, SearchState, Status, Words};
 use kr_graph::VertexId;
 
 /// Returns true when the current subtree can be terminated (Theorem 5).
@@ -139,18 +139,10 @@ fn can_terminate_words(k: u32, w: &Words<'_>) -> bool {
         return true;
     }
     // Condition (ii): W = SF_{C∪E}(E), peeled to deg(·, M ∪ W) >= k.
-    let mut sf = bits(e)
+    let sf = bits(e)
         .filter(|&v| w.dis(v) & (c | e) == 0)
         .fold(0u64, |acc, v| acc | 1 << v);
-    loop {
-        let low = bits(sf)
-            .filter(|&v| (w.adj(v) & (m | sf)).count_ones() < k)
-            .fold(0u64, |acc, v| acc | 1 << v);
-        if low == 0 {
-            break;
-        }
-        sf &= !low;
-    }
+    let sf = kcore_within(w.rows(), k, m, sf);
     // Attachment: a survivor next to M (the BFS above reaches W only
     // from M vertices).
     bits(sf).any(|v| w.adj(v) & m != 0)

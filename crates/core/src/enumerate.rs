@@ -15,8 +15,8 @@
 //! therefore emit, at a leaf, exactly the pieces containing all of `M`
 //! when the maximal check is on; pieces missing part of `M` are reached
 //! through their own canonical branch elsewhere in the tree. Configurations
-//! without the maximal check emit every piece and rely on the
-//! subset post-filter of Algorithm 1.
+//! without the maximal check, and NaiveEnum whatever its toggles, emit
+//! every piece and rely on the subset post-filter of Algorithm 1.
 
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, CoreHook};
@@ -24,7 +24,7 @@ use crate::maximal::{check_maximal_with_order, check_maximal_words};
 use crate::order::FirstBranch;
 use crate::problem::ProblemInstance;
 use crate::result::{CoreSink, KrCore};
-use crate::search::{bits, SearchState, SearchStats, Status, Words};
+use crate::search::{bits, pieces_of, SearchState, SearchStats, Status, Words};
 use crate::walk::{merge_stats, Goal, Walker};
 use kr_graph::VertexId;
 use std::collections::HashSet;
@@ -79,19 +79,15 @@ pub fn enumerate_maximal_prepared(comps: &[LocalComponent], cfg: &AlgoConfig) ->
         }
         // Components are vertex-disjoint: no core repeats across them and
         // none contains another's, so Algorithm 1 lines 6–8's naive
-        // maximal post-filter (whenever the Theorem 6 check was off) runs
-        // per component.
+        // maximal post-filter runs per component, over the sink: every
+        // core the walker did not check (empty when it ran Theorem 6).
         let EnumGoal {
             cores: checked,
             sink,
             ..
         } = walker.goal;
         cores.extend(checked);
-        cores.extend(if cfg.maximal_check {
-            sink.into_cores()
-        } else {
-            sink.into_maximal()
-        });
+        cores.extend(sink.into_maximal());
         merge_stats(&mut stats, walker.stats);
         completed &= !walker.aborted;
     }
@@ -322,41 +318,11 @@ impl<'a> Walker<'a, EnumGoal<'a>> {
                 return;
             }
         }
-        for piece in components_of(self.comp, &m_members) {
+        for piece in pieces_of(self.comp, &m_members) {
             self.goal
                 .push_core(KrCore::new(self.comp.globalize(&piece)));
         }
     }
-}
-
-/// Connected pieces of a vertex subset (local ids).
-fn components_of(comp: &LocalComponent, subset: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let mut in_set = vec![false; comp.len()];
-    for &v in subset {
-        in_set[v as usize] = true;
-    }
-    let mut seen = vec![false; comp.len()];
-    let mut out = Vec::new();
-    for &s in subset {
-        if seen[s as usize] {
-            continue;
-        }
-        let mut piece = Vec::new();
-        let mut stack = vec![s];
-        seen[s as usize] = true;
-        while let Some(v) = stack.pop() {
-            piece.push(v);
-            for &w in comp.neighbors(v) {
-                if in_set[w as usize] && !seen[w as usize] {
-                    seen[w as usize] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        piece.sort_unstable();
-        out.push(piece);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -419,6 +385,24 @@ mod tests {
             assert!(res.cores.contains(&KrCore::new(vec![0, 1, 2, 3])), "{name}");
             assert!(res.cores.contains(&KrCore::new(vec![3, 4, 5, 6])), "{name}");
         }
+    }
+
+    /// NaiveEnum's leaves never run the Theorem 6 check, so with
+    /// `maximal_check` set its cores still need Algorithm 1's subset
+    /// post-filter.
+    #[test]
+    fn naive_enum_with_maximal_check_still_filters() {
+        let p = bridged_cliques(7.0);
+        let cfg = AlgoConfig {
+            maximal_check: true,
+            ..AlgoConfig::naive_enum()
+        };
+        let res = enumerate_maximal(&p, &cfg);
+        assert_eq!(
+            res.cores,
+            enumerate_maximal(&p, &AlgoConfig::naive_enum()).cores
+        );
+        crate::verify::verify_maximal_family(&p, &res.cores).unwrap();
     }
 
     #[test]

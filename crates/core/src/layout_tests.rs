@@ -2,7 +2,7 @@
 //!
 //! Components of at most [`WORD_MAX_N`] vertices search on one-word
 //! masks; the counter layout, which larger components take, is the
-//! reference. With [`COUNTERS_ONLY`] set, this thread runs the counter
+//! reference. Under `testing::on_counters` this thread runs the counter
 //! layout at every size, so both layouts run the same searches on the
 //! same random components and must agree on every counter and core.
 
@@ -12,19 +12,12 @@ use crate::config::{AlgoConfig, BoundKind, BranchPolicy, SearchOrder};
 use crate::enumerate::enumerate_maximal_prepared;
 use crate::maximal::check_maximal;
 use crate::maximum::find_maximum_prepared;
-use crate::search::{SearchState, Status, COUNTERS_ONLY, WORD_MAX_N};
+use crate::search::{SearchState, WORD_MAX_N};
+use crate::testing::{on_counters, random_component, random_walk};
 use kr_graph::VertexId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Runs `f` on the counter layout whatever the component size.
-fn on_counters<T>(f: impl FnOnce() -> T) -> T {
-    COUNTERS_ONLY.with(|c| c.set(true));
-    let out = f();
-    COUNTERS_ONLY.with(|c| c.set(false));
-    out
-}
 
 /// Every enumeration preset of `tests/config_matrix.rs`.
 fn enum_presets() -> Vec<(&'static str, AlgoConfig)> {
@@ -61,49 +54,6 @@ fn max_presets() -> Vec<(&'static str, AlgoConfig)> {
 
 /// Exponential configurations stop here; an aborted walk must match too.
 const NODE_LIMIT: u64 = 400;
-
-/// A random component of `n` vertices: each pair adjacent with
-/// probability `p_edge`, dissimilar with `p_dis`.
-fn random_component(rng: &mut StdRng, n: usize, p_edge: f64, p_dis: f64, k: u32) -> LocalComponent {
-    let (mut adj, mut dis) = (vec![Vec::new(); n], vec![Vec::new(); n]);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.random_bool(p_edge) {
-                adj[u].push(v as VertexId);
-            }
-            if rng.random_bool(p_dis) {
-                dis[u].push(v as VertexId);
-            }
-        }
-    }
-    LocalComponent::from_parts(adj, dis, k)
-}
-
-/// Random expand / shrink moves from the pruned root, each rolled back
-/// when its cascade fails.
-fn random_walk<'a>(comp: &'a LocalComponent, rng: &mut StdRng, steps: usize) -> SearchState<'a> {
-    let mut st = SearchState::new(comp);
-    if !st.prune_root() {
-        st.rollback(0);
-    }
-    for _ in 0..steps {
-        let cands = st.members(Status::Cand);
-        if cands.is_empty() {
-            break;
-        }
-        let u = cands[rng.random_range(0..cands.len())];
-        let m = st.mark();
-        let ok = if rng.random_bool(0.5) {
-            st.expand(u)
-        } else {
-            st.shrink(u)
-        };
-        if !ok {
-            st.rollback(m);
-        }
-    }
-    st
-}
 
 /// Everything both layouts must agree on at one state.
 fn observe(st: &SearchState<'_>) -> Vec<u64> {

@@ -36,6 +36,8 @@ pub mod order;
 pub mod problem;
 pub mod result;
 pub mod search;
+#[cfg(test)]
+mod testing;
 pub mod verify;
 pub(crate) mod walk;
 

@@ -14,7 +14,7 @@
 use crate::component::LocalComponent;
 use crate::config::{AlgoConfig, CheckOrder, SearchOrder};
 use crate::order::FirstBranch;
-use crate::search::{bits, mask_of, uses_words, SearchState, SearchStats, Words};
+use crate::search::{bits, kcore_within, mask_of, uses_words, SearchState, SearchStats, Words};
 use crate::walk::{Goal, Walker};
 use kr_graph::VertexId;
 
@@ -91,22 +91,12 @@ pub(crate) fn check_maximal_words(
     order: CheckOrder,
     lambda: f64,
 ) -> bool {
-    let [adj, dis] = [0, 1].map(|i| move |v: VertexId| rows[v as usize][i]);
     // Pre-filter: candidates similar to every member of R, peeled to
     // those with k neighbors in R and the candidates left.
-    let mut cand = bits(candidates & !core)
-        .filter(|&x| dis(x) & core == 0)
+    let similar = bits(candidates & !core)
+        .filter(|&x| rows[x as usize][1] & core == 0)
         .fold(0u64, |acc, x| acc | 1 << x);
-    loop {
-        let live = core | cand;
-        let low = bits(cand)
-            .filter(|&x| (adj(x) & live).count_ones() < k)
-            .fold(0u64, |acc, x| acc | 1 << x);
-        if low == 0 {
-            break;
-        }
-        cand &= !low;
-    }
+    let cand = kcore_within(rows, k, core, similar);
     if cand == 0 {
         return true;
     }

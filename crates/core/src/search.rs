@@ -120,6 +120,54 @@ pub(crate) fn mask_of(vertices: &[VertexId]) -> u64 {
     vertices.iter().fold(0, |m, &v| m | 1 << v)
 }
 
+/// The largest subset of `set` whose members each have at least `k`
+/// neighbors in `base` and the subset, over one-word `[adjacency,
+/// dissimilar]` rows: the structural k-core peel of the (k,k')-core
+/// bound, the maximal check's pre-filter and early termination's
+/// condition (ii).
+pub(crate) fn kcore_within(rows: &[[u64; 2]], k: u32, base: u64, mut set: u64) -> u64 {
+    loop {
+        let live = base | set;
+        let low = bits(set)
+            .filter(|&v| (rows[v as usize][0] & live).count_ones() < k)
+            .fold(0u64, |acc, v| acc | 1 << v);
+        if low == 0 {
+            return set;
+        }
+        set &= !low;
+    }
+}
+
+/// The connected pieces of `subset` in `comp`, in the order of their
+/// first vertex in `subset`, each sorted.
+pub(crate) fn pieces_of(comp: &LocalComponent, subset: &[VertexId]) -> Vec<Vec<VertexId>> {
+    // A vertex is left until its piece reaches it.
+    let mut left = vec![false; comp.len()];
+    for &v in subset {
+        left[v as usize] = true;
+    }
+    let mut out = Vec::new();
+    for &s in subset {
+        if !std::mem::take(&mut left[s as usize]) {
+            continue;
+        }
+        // Breadth first, the piece itself the queue.
+        let mut piece = vec![s];
+        let mut at = 0;
+        while let Some(&v) = piece.get(at) {
+            at += 1;
+            for &w in comp.neighbors(v) {
+                if std::mem::take(&mut left[w as usize]) {
+                    piece.push(w);
+                }
+            }
+        }
+        piece.sort_unstable();
+        out.push(piece);
+    }
+    out
+}
+
 /// Mutable search-node state over one component.
 pub struct SearchState<'a> {
     /// The arena.
@@ -880,32 +928,10 @@ impl<'a> SearchState<'a> {
         if let Some(w) = self.words() {
             return w.pieces().map(|piece| bits(piece).collect()).collect();
         }
-        let n = self.comp.len();
-        let in_mc = |v: usize| matches!(self.status(v as VertexId), Status::Chosen | Status::Cand);
-        let mut seen = vec![false; n];
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if seen[s] || !in_mc(s) {
-                continue;
-            }
-            let mut comp = Vec::new();
-            seen[s] = true;
-            stack.push(s as VertexId);
-            while let Some(v) = stack.pop() {
-                comp.push(v);
-                for &w in self.comp.neighbors(v) {
-                    let wi = w as usize;
-                    if !seen[wi] && in_mc(wi) {
-                        seen[wi] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            out.push(comp);
-        }
-        out
+        let mc: Vec<VertexId> = (0..self.comp.len() as VertexId)
+            .filter(|&v| matches!(self.status(v), Status::Chosen | Status::Cand))
+            .collect();
+        pieces_of(self.comp, &mc)
     }
 }
 

@@ -183,6 +183,17 @@ impl DissimilarityView {
         self.rows.dissimilar(u).for_each(f)
     }
 
+    /// Calls `f(i, word)` for each word of `u`'s similar bits, ascending:
+    /// bit `b` is set iff `u` is similar to `64·i + b` (`u`'s own bit and
+    /// the padding past `n` clear), in every layout.
+    #[inline(always)]
+    pub fn for_each_similar_word(&self, u: VertexId, mut f: impl FnMut(usize, u64)) {
+        let mut walk = self.rows.similar(u);
+        while let Some((i, word)) = walk.next_word() {
+            f(i, word);
+        }
+    }
+
     /// True iff any dissimilar partner of `u` satisfies `pred`. Stops at
     /// the first hit, which the short-circuiting maximality checks rely
     /// on.
@@ -731,6 +742,11 @@ mod tests {
                 false
             }));
             prop_assert_eq!(&visited[..], expect);
+            // The similar words are the rest of the row, word by word.
+            let mut words = Vec::new();
+            view.for_each_similar_word(u, |i, word| words.push((i, word)));
+            let similar = mask_of(&|v| v != u as usize && !lists.are_dissimilar(u, v as VertexId));
+            prop_assert_eq!(words, similar.into_iter().enumerate().collect::<Vec<_>>());
             for v in 0..n as VertexId {
                 prop_assert_eq!(view.are_dissimilar(u, v), lists.are_dissimilar(u, v));
             }
